@@ -26,12 +26,22 @@ the n-th member of the canonical partition of the naturals, and adds the
 shift back at the end.  Stage envelopes are min(0, running min) and
 max(0, running max): between the global envelopes everywhere, and equal to
 them on F_n.
+
+The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
+theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) at most once
+and only when first needed; since the block supports are disjoint residue
+classes, each natural y is sent to the one block that owns it, so
+f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) costs one block, not n.
+``f.value(x, y)`` is ``f.slice(x).value(y)``, and sampling, verification,
+sections and continuity certificates all take one slice per grid x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 from .pairs import StableFamily, envelopes
@@ -48,7 +58,7 @@ from .plalg import (
 )
 from .rational import rat, rat_float, rat_str
 from .sections import INFINITY, Witness
-from .spaces import NatSet, Pow2OddSet, ResidueSet, disjoint_opens
+from .spaces import NatSet, Pow2OddSet, ResidueSet, disjoint_opens, residue_classes_meet
 
 
 def schwartz(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
@@ -119,14 +129,37 @@ class SchwartzBlock:
             raise ValueError("blocks need g_blk <= 0 <= h_blk")
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
-        b = self.beta.value(m)
+        return BlockSlice(self, rat(x)).value(m)
+
+
+class BlockSlice:
+    """One block at a fixed x; alpha(x), g_blk(x) and h_blk(x) are each
+    evaluated at most once, and only when first read."""
+
+    def __init__(self, block: SchwartzBlock, x: Fraction):
+        self.block = block
+        self.x = x
+
+    @cached_property
+    def alpha(self) -> Fraction:
+        return self.block.alpha(self.x)
+
+    @cached_property
+    def g(self) -> Fraction:
+        return self.block.g_blk(self.x)
+
+    @cached_property
+    def h(self) -> Fraction:
+        return self.block.h_blk(self.x)
+
+    def value(self, m: int) -> Fraction:
+        b = self.block.beta.value(m)
         if b == 0:
             return Fraction(0)
-        scale = phi(self.alpha(x), b)
+        scale = phi(self.alpha, b)
         if scale == 0:
             return Fraction(0)
-        side = self.g_blk if b < 0 else self.h_blk
-        return side(x) * scale
+        return (self.g if b < 0 else self.h) * scale
 
 
 def hahn_block(g_blk: PLFunc, h_blk: PLFunc, a: RatSet, support: NatSet) -> SchwartzBlock:
@@ -165,15 +198,19 @@ def _support_from_json(data: dict) -> NatSet:
 class BlockProductFunc:
     """f(x, y) = theta(x) + sum of block values; the sum vanishes at infinity.
 
-    Block supports are pairwise disjoint, so at most one summand is nonzero
-    at any natural y.  The stage sets F_1 <= ... <= F_N record where each
-    stage's envelopes already agree with the global ones; the last one is all
-    of [0, 1].
+    Block supports are pairwise disjoint residue classes, so at most one
+    summand is nonzero at any natural y: the block owning y.  The stage sets
+    F_1 <= ... <= F_N record where each stage's envelopes already agree with
+    the global ones; the last one is all of [0, 1].
     """
 
     blocks: tuple[SchwartzBlock, ...]
     stage_sets: tuple[RatSet, ...]
     theta: PLFunc
+    # (modulus, {residue: block index}) per distinct support modulus.
+    _owners: tuple[tuple[int, dict[int, int]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.blocks) != len(self.stage_sets):
@@ -181,14 +218,16 @@ class BlockProductFunc:
         if not self.blocks:
             raise ValueError("need at least one block")
         supports = [b.beta.support for b in self.blocks]
-        if all(isinstance(s, Pow2OddSet) for s in supports):
-            powers = [s.power for s in supports]
-            if len(set(powers)) != len(powers):
-                raise ValueError("block supports must be pairwise disjoint")
-        else:
-            for y in range(1, 257):
-                if sum(1 for s in supports if y in s) > 1:
-                    raise ValueError("block supports must be pairwise disjoint")
+        for (i, s), (j, t) in combinations(enumerate(supports, start=1), 2):
+            if residue_classes_meet(s, t):
+                raise ValueError(
+                    f"block supports must be pairwise disjoint (blocks {i} and {j} meet)"
+                )
+        owners: dict[int, dict[int, int]] = {}
+        for i, s in enumerate(supports):
+            modulus, residue = s.residue_class()
+            owners.setdefault(modulus, {})[residue] = i
+        object.__setattr__(self, "_owners", tuple(sorted(owners.items())))
         for cur, nxt in zip(self.stage_sets, self.stage_sets[1:]):
             if cur.intersect(nxt) != cur:
                 raise ValueError("stage sets must be increasing")
@@ -203,11 +242,21 @@ class BlockProductFunc:
         """F_n, with F_0 the empty set."""
         return EMPTY_SET if n == 0 else self.stage_sets[n - 1]
 
-    def tilde_value(self, x: int | str | Fraction, m: int) -> Fraction:
-        return sum((b.value(x, m) for b in self.blocks), Fraction(0))
+    def owner(self, m: int) -> int | None:
+        """Index of the block whose support holds the natural m, if any."""
+        if m < 1:
+            return None
+        for modulus, table in self._owners:
+            i = table.get(m % modulus)
+            if i is not None:
+                return i
+        return None
+
+    def slice(self, x: int | str | Fraction) -> "ProductSlice":
+        return ProductSlice(self, rat(x))
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
-        return self.theta(x) + self.tilde_value(x, m)
+        return self.slice(x).value(m)
 
     def value_at_infinity(self, x: int | str | Fraction) -> Fraction:
         return self.theta(x)
@@ -229,20 +278,21 @@ class BlockProductFunc:
         support with both ends attained at its bump-index points; inactive
         blocks and all remaining y contribute the value at infinity.
         """
-        x = rat(x)
-        base = self.theta(x)
+        s = self.slice(x)
+        base = s.theta
         lo, hi = base, base
         lo_w: Witness = INFINITY
         hi_w: Witness = INFINITY
-        for block in self.blocks:
-            a = block.alpha(x)
+        for i, block in enumerate(self.blocks):
+            bs = s.block(i)
+            a = bs.alpha
             if a == 0:
                 continue
             n = bump_witness_index(a)
-            lo_cand = base + block.g_blk(x)
+            lo_cand = base + bs.g
             if lo_cand < lo:
                 lo, lo_w = lo_cand, block.beta.point(2 * n)
-            hi_cand = base + block.h_blk(x)
+            hi_cand = base + bs.h
             if hi_cand > hi:
                 hi, hi_w = hi_cand, block.beta.point(2 * n - 1)
         return lo, hi, lo_w, hi_w
@@ -282,12 +332,38 @@ class BlockProductFunc:
         """(x, y, value, value_float) rows for plotting; y = "inf" included."""
         rows = []
         for x in grid:
+            s = self.slice(x)
+            x_str = rat_str(s.x)
             for y in range(1, max_y + 1):
-                v = self.value(x, y)
-                rows.append((rat_str(rat(x)), str(y), rat_str(v), rat_float(v)))
-            v = self.value_at_infinity(x)
-            rows.append((rat_str(rat(x)), INFINITY, rat_str(v), rat_float(v)))
+                v = s.value(y)
+                rows.append((x_str, str(y), rat_str(v), rat_float(v)))
+            rows.append((x_str, INFINITY, rat_str(s.theta), rat_float(s.theta)))
         return rows
+
+
+class ProductSlice:
+    """f(x, .) for one x: theta(x) once, one lazily built BlockSlice per
+    block, and each natural y sent to the one block that owns it."""
+
+    def __init__(self, f: BlockProductFunc, x: Fraction):
+        self.f = f
+        self.x = x
+        self.theta = f.theta(x)
+        self._blocks: list[BlockSlice | None] = [None] * f.size
+
+    def block(self, i: int) -> BlockSlice:
+        """The slice of block i (0-based)."""
+        bs = self._blocks[i]
+        if bs is None:
+            bs = self._blocks[i] = BlockSlice(self.f.blocks[i], self.x)
+        return bs
+
+    def value(self, m: int) -> Fraction:
+        """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m."""
+        i = self.f.owner(m)
+        if i is None:
+            return self.theta
+        return self.theta + self.block(i).value(m)
 
 
 def stage_envelopes(shifted: Sequence[PLFunc], n: int) -> tuple[PLFunc, PLFunc]:
@@ -350,15 +426,17 @@ def continuity_certificate(
     full exception set.  Off the returned set every slice value is within eps
     of the value at infinity.
     """
-    x, eps = rat(x), rat(eps)
+    eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    s = f.slice(x)
     exceptions: list[int] = []
-    for block in f.blocks:
-        a = block.alpha(x)
+    for i, block in enumerate(f.blocks):
+        bs = s.block(i)
+        a = bs.alpha
         if a == 0:
             continue
-        for magnitude, offset in ((abs(block.h_blk(x)), -1), (abs(block.g_blk(x)), 0)):
+        for magnitude, offset in ((abs(bs.h), -1), (abs(bs.g), 0)):
             if magnitude == 0 or eps > magnitude:
                 continue
             tau = eps / magnitude
@@ -433,34 +511,35 @@ def verify_synthesis(
                 failures.append(f"block {n}: {name} envelope bound fails at x={v.witness}")
     entries: list[SectionEntry] = []
     for x_raw in grid:
-        x = rat(x_raw)
+        s = f.slice(x_raw)
+        x = s.x
         g_x, h_x = pair.g(x), pair.h(x)
         n = f.active_stage(x)
         block = f.blocks[n - 1]
-        a = block.alpha(x)
+        a = s.block(n - 1).alpha
         if a == 0:
             failures.append(f"x={x}: active block {n} has vanished (alpha=0)")
             continue
         m = bump_witness_index(a)
         y_hi = block.beta.point(2 * m - 1)
         y_lo = block.beta.point(2 * m)
-        v_hi = f.value(x, y_hi)
-        v_lo = f.value(x, y_lo)
+        v_hi = s.value(y_hi)
+        v_lo = s.value(y_lo)
         if v_hi != h_x:
             failures.append(f"x={x}: f(x, {y_hi})={v_hi} misses the upper envelope {h_x}")
         if v_lo != g_x:
             failures.append(f"x={x}: f(x, {y_lo})={v_lo} misses the lower envelope {g_x}")
         probe_ys = {y_lo, y_hi, 1, 2, 3, 5, 8}
-        for other in f.blocks:
-            oa = other.alpha(x)
+        for i, other in enumerate(f.blocks):
+            oa = s.block(i).alpha
             if oa > 0:
                 k = bump_witness_index(oa)
                 probe_ys.update((other.beta.point(2 * k - 1), other.beta.point(2 * k)))
         for y in sorted(probe_ys):
-            v = f.value(x, y)
+            v = s.value(y)
             if not g_x <= v <= h_x:
                 failures.append(f"x={x}: f(x, {y})={v} escapes [{g_x}, {h_x}]")
-        v_inf = f.value_at_infinity(x)
+        v_inf = s.theta
         if not g_x <= v_inf <= h_x:
             failures.append(f"x={x}: f(x, inf)={v_inf} escapes [{g_x}, {h_x}]")
         entries.append(SectionEntry(x, g_x, h_x, y_lo, y_hi))

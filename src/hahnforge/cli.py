@@ -5,7 +5,9 @@ Commands: ``synth`` (build the product function and export JSON/CSV),
 ``sections`` (exact tail sections of a spec with limit/tail directives),
 ``rank`` (scattered rank of an ordinal literal), and ``alphat-demo``.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 I/O error.
+Exit codes: 0 ok, 1 verification failure, 2 parse error (a spec that does
+not parse, is not UTF-8, or an option value the command cannot run with),
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -31,9 +33,25 @@ from .specdsl import (
 OK, VERIFY_FAILED, PARSE_ERROR, IO_ERROR = 0, 1, 2, 3
 
 
+class UsageError(Exception):
+    """An option value the command cannot run with; exits like a parse error."""
+
+
 def _load_spec(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - (data.rfind(b"\n", 0, exc.start) + 1) + 1
+        raise SpecError("spec is not valid UTF-8", line, col, "encoding") from None
     return parse_spec(text)
+
+
+def _grid(ast, override: int | None):
+    if override is not None and override < 1:
+        raise UsageError(f"--grid needs a positive integer, got {override}")
+    return grid_from_spec(ast, override)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -44,9 +62,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples needs a non-negative integer, got {args.samples}")
     ast = _load_spec(args.spec)
     family = family_from_spec(ast)
-    grid = grid_from_spec(ast, args.grid)
+    grid = _grid(ast, args.grid)
     f = synthesize(family)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -65,7 +85,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     ast = _load_spec(args.spec)
     family = family_from_spec(ast)
-    grid = grid_from_spec(ast, args.grid)
+    grid = _grid(ast, args.grid)
     report = verify_synthesis(synthesize(family), family, grid)
     for failure in report.failures:
         print(f"FAIL {failure}")
@@ -79,8 +99,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sections(args: argparse.Namespace) -> int:
     ast = _load_spec(args.spec)
     family = tail_family_from_spec(ast)
-    grid = grid_from_spec(ast, args.grid)
+    grid = _grid(ast, args.grid)
     if args.brute is not None:
+        if args.brute <= family.head_size:
+            raise UsageError(
+                f"--brute must exceed the head size {family.head_size}, got {args.brute}"
+            )
         pair, bound = brute_sections(family, args.brute, grid)
         data = pair.to_json()
         data["bound"] = f"{bound.numerator}/{bound.denominator}"
@@ -162,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SpecError as exc:
         print(f"parse error: {exc} [{exc.kind}]", file=sys.stderr)
+        return PARSE_ERROR
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

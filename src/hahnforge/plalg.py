@@ -88,11 +88,6 @@ class PLFunc:
         va, vb = self.values[i], self.values[i + 1]
         return va + (vb - va) * (x - a) / (b - a)
 
-    def refine(self, points: Iterable[Fraction]) -> "PLFunc":
-        """Same function with extra breakpoints inserted."""
-        grid = sorted(set(self.breakpoints) | {rat(p) for p in points})
-        return PLFunc(tuple(grid), tuple(self(x) for x in grid))
-
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(
             (vb - va) / (b - a)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -156,16 +157,14 @@ def cb_derivative(k: OrdinalCompact) -> OrdinalCompact | EmptySpace:
 
 
 def scattered_rank(k: OrdinalCompact) -> int:
-    """Number of derivative iterations until the space vanishes."""
-    rank = 0
-    current: OrdinalCompact | EmptySpace = k
-    while not isinstance(current, EmptySpace):
-        previous_key = current.top.key()
-        current = cb_derivative(current)
-        rank += 1
-        if not isinstance(current, EmptySpace):
-            assert current.top.key() < previous_key, "derivative must shrink the top"
-    return rank
+    """Number of derivative iterations until the space vanishes.
+
+    Each derivative lowers the leading exponent by one until the top is
+    finite, and one more step empties a finite space, so the rank is the
+    leading exponent + 1 (1 for a finite top).
+    """
+    terms = k.top.terms
+    return terms[0][0] + 1 if terms else 1
 
 
 class NatSet:
@@ -177,6 +176,10 @@ class NatSet:
         raise NotImplementedError
 
     def index_of(self, m: int) -> int | None:
+        raise NotImplementedError
+
+    def residue_class(self) -> tuple[int, int]:
+        """(modulus, residue) with self = {m >= 1 : m % modulus == residue}."""
         raise NotImplementedError
 
     def __contains__(self, m: int) -> bool:
@@ -196,6 +199,10 @@ class Pow2OddSet(NatSet):
 
     power: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.power, int) or self.power < 0:
+            raise ValueError(f"power must be a natural number, got {self.power!r}")
+
     def element(self, j: int) -> int:
         if j < 1:
             raise ValueError("enumeration is 1-based")
@@ -211,6 +218,9 @@ class Pow2OddSet(NatSet):
         if q % 2 == 0:
             return None
         return (q + 1) // 2
+
+    def residue_class(self) -> tuple[int, int]:
+        return 2 ** (self.power + 1), 2**self.power
 
 
 @dataclass(frozen=True)
@@ -237,6 +247,20 @@ class ResidueSet(NatSet):
         if m < base:
             return None
         return (m - base) // self.modulus + 1
+
+    def residue_class(self) -> tuple[int, int]:
+        return self.modulus, self.residue
+
+
+def residue_classes_meet(a: NatSet, b: NatSet) -> bool:
+    """Whether two residue-class sets of naturals share an element.
+
+    r1 mod m1 and r2 mod m2 meet iff r1 = r2 mod gcd(m1, m2) (Chinese
+    remainder theorem); the common solutions then form a class mod
+    lcm(m1, m2), which holds infinitely many positive naturals.
+    """
+    (m1, r1), (m2, r2) = a.residue_class(), b.residue_class()
+    return (r1 - r2) % gcd(m1, m2) == 0
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ KEYWORDS = {"x", "min", "max", "abs", "grid", "tail", "limit", "n"}
 
 
 class SpecError(Exception):
-    """Diagnostic with position; kind is syntax, non-pl, undeclared, or semantic."""
+    """Diagnostic with position; kind is syntax, non-pl, undeclared, semantic, or encoding."""
 
     def __init__(self, message: str, line: int, col: int, kind: str = "syntax"):
         super().__init__(f"line {line}, col {col}: {message}")

@@ -60,10 +60,6 @@ class TailRule:
     def limit(self) -> Fraction:
         return Fraction(0) if self.kind in ("harmonic", "geometric") else self.c
 
-    @property
-    def is_alternating(self) -> bool:
-        return self.kind == "geometric" and self.c != 0 and self.q is not None and self.q < 0
-
     def to_json(self) -> dict:
         data = {"kind": self.kind, "c": f"{self.c.numerator}/{self.c.denominator}"}
         if self.q is not None:

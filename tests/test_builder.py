@@ -333,3 +333,180 @@ def test_mixed_support_disjointness_check():
             (FULL_SET, FULL_SET),
             ZERO_F,
         )
+
+
+# -- slice evaluation against the sum over all blocks -------------------------
+# The oracle is the textbook formula f(x, y) = theta(x) + sum over every block
+# of side(x) * phi(alpha(x), beta(y)), with nothing cached and no owner lookup.
+
+
+def oracle_block_value(block, x, y: int) -> Fraction:
+    b = block.beta.value(y)
+    if b == 0:
+        return Fraction(0)
+    scale = phi(block.alpha(x), b)
+    if scale == 0:
+        return Fraction(0)
+    return (block.g_blk if b < 0 else block.h_blk)(x) * scale
+
+
+def oracle_value(f: BlockProductFunc, x, y: int) -> Fraction:
+    return f.theta(x) + sum((oracle_block_value(b, x, y) for b in f.blocks), Fraction(0))
+
+
+def oracle_rows(f: BlockProductFunc, grid, max_y: int):
+    rows = []
+    for x in grid:
+        x_str = f"{x.numerator}/{x.denominator}"
+        for y in range(1, max_y + 1):
+            v = oracle_value(f, x, y)
+            rows.append((x_str, str(y), f"{v.numerator}/{v.denominator}", format(float(v), ".17g")))
+        v = f.theta(x)
+        rows.append((x_str, INFINITY, f"{v.numerator}/{v.denominator}", format(float(v), ".17g")))
+    return rows
+
+
+def oracle_pointwise_failures(f: BlockProductFunc, family: StableFamily, grid) -> list[str]:
+    """The pointwise half of verify_synthesis, evaluated through the oracle."""
+    pair = envelopes(family)
+    failures = []
+    for x in grid:
+        g_x, h_x = pair.g(x), pair.h(x)
+        n = next(k for k, s in enumerate(f.stage_sets, start=1) if x in s)
+        block = f.blocks[n - 1]
+        a = block.alpha(x)
+        if a == 0:
+            failures.append(f"x={x}: active block {n} has vanished (alpha=0)")
+            continue
+        m = bump_witness_index(a)
+        y_hi, y_lo = block.beta.point(2 * m - 1), block.beta.point(2 * m)
+        v_hi, v_lo = oracle_value(f, x, y_hi), oracle_value(f, x, y_lo)
+        if v_hi != h_x:
+            failures.append(f"x={x}: f(x, {y_hi})={v_hi} misses the upper envelope {h_x}")
+        if v_lo != g_x:
+            failures.append(f"x={x}: f(x, {y_lo})={v_lo} misses the lower envelope {g_x}")
+        probe_ys = {y_lo, y_hi, 1, 2, 3, 5, 8}
+        for other in f.blocks:
+            if other.alpha(x) > 0:
+                k = bump_witness_index(other.alpha(x))
+                probe_ys.update((other.beta.point(2 * k - 1), other.beta.point(2 * k)))
+        for y in sorted(probe_ys):
+            v = oracle_value(f, x, y)
+            if not g_x <= v <= h_x:
+                failures.append(f"x={x}: f(x, {y})={v} escapes [{g_x}, {h_x}]")
+        if not g_x <= f.theta(x) <= h_x:
+            failures.append(f"x={x}: f(x, inf)={f.theta(x)} escapes [{g_x}, {h_x}]")
+    return failures
+
+
+GRID33 = dyadic_grid(5)
+
+
+class TestSliceEvaluation:
+    def families(self, rng: random.Random):
+        yield SP1
+        for _ in range(3):
+            yield StableFamily(random_family(rng, 5))
+
+    def test_value_matches_sum_over_blocks(self, rng: random.Random):
+        for fam in self.families(rng):
+            f = synthesize(fam)
+            for x in GRID33:
+                for y in range(1, 301):
+                    assert f.value(x, y) == oracle_value(f, x, y), (x, y)
+
+    def test_slice_matches_value(self, rng: random.Random):
+        f = synthesize(StableFamily(random_family(rng, 5)))
+        for x in GRID33[::4]:
+            s = f.slice(x)
+            assert s.theta == f.value_at_infinity(x) == f.theta(x)
+            assert [s.value(y) for y in range(1, 101)] == [f.value(x, y) for y in range(1, 101)]
+
+    def test_owner_is_the_unique_support(self):
+        f = synthesize(StableFamily(tuple(PLFunc.constant(i) for i in range(6))))
+        for y in range(-8, 2001):
+            holders = [i for i, b in enumerate(f.blocks) if y in b.beta.support]
+            assert f.owner(y) == (holders[0] if holders else None)
+
+    def test_mixed_residue_owners(self):
+        # Pow2OddSet(1) is 2 mod 4; it is disjoint from 1 mod 4 and 3 mod 8.
+        supports = (ResidueSet(4, 1), Pow2OddSet(1), ResidueSet(8, 3))
+        f = BlockProductFunc(
+            tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), s) for s in supports),
+            (FULL_SET,) * 3,
+            ZERO_F,
+        )
+        for y in range(-8, 500):
+            holders = [i for i, s in enumerate(supports) if y in s]
+            assert f.owner(y) == (holders[0] if holders else None)
+
+    def test_sample_rows_match_oracle(self, rng: random.Random):
+        for fam in self.families(rng):
+            f = synthesize(fam)
+            assert f.sample_rows(GRID33, 40) == oracle_rows(f, GRID33, 40)
+
+    def test_tampered_upper_block_reports_oracle_failures(self):
+        # Block 2 of SP1 with h_blk raised by 1/8: the four bounds and the
+        # pointwise checks must report exactly what the oracle finds.
+        f = synthesize(SP1)
+        bad = dataclasses.replace(f.blocks[1], h_blk=f.blocks[1].h_blk + PLFunc.constant("1/8"))
+        tampered = BlockProductFunc((f.blocks[0], bad), f.stage_sets, f.theta)
+        report = verify_synthesis(tampered, SP1, GRID33)
+        structural = [m for m in report.failures if m.startswith("block ")]
+        assert structural == ["block 2: upper envelope bound fails at x=0"]
+        pointwise = [m for m in report.failures if not m.startswith("block ")]
+        assert pointwise == oracle_pointwise_failures(tampered, SP1, GRID33)
+        assert pointwise
+
+    def test_sections_and_certificates_through_slices(self, rng: random.Random):
+        fam = StableFamily(random_family(rng, 4))
+        f = synthesize(fam)
+        x = Fraction(5, 16)
+        lo, hi, lo_w, hi_w = f.section_values(x)
+        for w, v in ((lo_w, lo), (hi_w, hi)):
+            assert (f.theta(x) if w == INFINITY else oracle_value(f, x, w)) == v
+        base = f.theta(x)
+        eps = Fraction(1, 16)
+        cert = continuity_certificate(f, x, eps)
+        assert cert == tuple(
+            y for y in range(1, 4001) if abs(oracle_value(f, x, y) - base) >= eps
+        )
+
+
+class TestSupportDisjointness:
+    @staticmethod
+    def build(*supports):
+        return BlockProductFunc(
+            tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), s) for s in supports),
+            (FULL_SET,) * len(supports),
+            ZERO_F,
+        )
+
+    def test_equal_sets_in_two_forms_rejected(self):
+        # Pow2OddSet(9) and 512 mod 1024 are the same set; its first point is 512.
+        assert Pow2OddSet(9).element(1) == ResidueSet(1024, 512).element(1) == 512
+        with pytest.raises(ValueError, match="disjoint"):
+            self.build(Pow2OddSet(9), ResidueSet(1024, 512))
+
+    def test_late_meeting_classes_rejected(self):
+        a, b = ResidueSet(300, 299), ResidueSet(301, 300)
+        assert next(y for y in range(1, 100_000) if y in a and y in b) == 90_299
+        with pytest.raises(ValueError, match="disjoint"):
+            self.build(a, b)
+
+    def test_disjoint_mixed_supports_accepted(self):
+        f = self.build(ResidueSet(4, 1), Pow2OddSet(1), Pow2OddSet(2), ResidueSet(8, 7))
+        assert f.size == 4
+
+    def test_from_json_rejects_non_natural_power(self):
+        data = synthesize(SP1).to_json()
+        for power in (-1, 1.0):
+            data["blocks"][1]["support"] = {"kind": "pow2odd", "power": power}
+            with pytest.raises(ValueError, match="natural"):
+                BlockProductFunc.from_json(data)
+
+    def test_from_json_rejects_overlap(self):
+        data = synthesize(SP1).to_json()
+        data["blocks"][1]["support"] = {"kind": "residue", "modulus": 4, "residue": 3}
+        with pytest.raises(ValueError, match="disjoint"):
+            BlockProductFunc.from_json(data)

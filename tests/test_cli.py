@@ -52,6 +52,45 @@ class TestVerify:
         assert "FAIL synthetic failure" in capsys.readouterr().out
 
 
+class TestUsageErrors:
+    """Bad option values and undecodable specs exit 2 with one line, no traceback."""
+
+    @staticmethod
+    def one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.endswith("\n") and err.count("\n") == 1
+        return err
+
+    def test_grid_zero(self, sp1_spec: Path, capsys):
+        assert main(["verify", str(sp1_spec), "--grid", "0"]) == PARSE_ERROR
+        assert "--grid" in self.one_line_error(capsys)
+
+    def test_grid_negative(self, sp1_spec: Path, capsys):
+        assert main(["verify", str(sp1_spec), "--grid", "-2"]) == PARSE_ERROR
+        assert "--grid" in self.one_line_error(capsys)
+
+    def test_negative_samples(self, sp1_spec: Path, tmp_path: Path, capsys):
+        out = tmp_path / "never"
+        assert main(["synth", str(sp1_spec), "--samples", "-1", "--out", str(out)]) == PARSE_ERROR
+        assert "--samples" in self.one_line_error(capsys)
+        assert not out.exists()
+
+    def test_spec_not_utf8(self, tmp_path: Path, capsys):
+        bad = tmp_path / "latin1.hf"
+        bad.write_bytes(b"u1 = 0\nu2 = x \xff- 1/2\n")
+        assert main(["verify", str(bad)]) == PARSE_ERROR
+        err = self.one_line_error(capsys)
+        assert "line 2, col 8" in err and "UTF-8" in err
+
+    def test_brute_not_above_head(self, tmp_path: Path, capsys):
+        spec = tmp_path / "tail.hf"
+        spec.write_text(SECTIONS_TEXT, encoding="utf-8")
+        for m in ("2", "0"):
+            assert main(["sections", str(spec), "--brute", m]) == PARSE_ERROR
+            assert "head size 2" in self.one_line_error(capsys)
+
+
 class TestSynth:
     def test_writes_artifacts(self, sp1_spec: Path, tmp_path: Path):
         out = tmp_path / "artifacts"
@@ -102,6 +141,10 @@ class TestRank:
     def test_finite(self, capsys):
         assert main(["rank", "17"]) == OK
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_huge_exponent(self, capsys):
+        assert main(["rank", "w^200000"]) == OK
+        assert capsys.readouterr().out.strip() == "200001"
 
     def test_bad_ordinal(self, capsys):
         assert main(["rank", "omega^^2"]) == PARSE_ERROR

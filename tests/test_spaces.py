@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hahnforge.spaces import (
     closures_disjoint,
     disjoint_opens,
     parse_ordinal,
+    residue_classes_meet,
     scattered_rank,
 )
 
@@ -45,6 +47,16 @@ def oracle_rank(exps: list[int]) -> int:
     state: list[int] | None = exps
     while state is not None:
         state = _oracle_derive(state)
+        steps += 1
+    return steps
+
+
+def iterated_rank(k: OrdinalCompact) -> int:
+    """Rank by applying cb_derivative until the space vanishes."""
+    steps = 0
+    current: OrdinalCompact | EmptySpace = k
+    while not isinstance(current, EmptySpace):
+        current = cb_derivative(current)
         steps += 1
     return steps
 
@@ -106,6 +118,15 @@ class TestRank:
         for text in ("w^3 + w^2*2 + 3", "w*5 + 1", "w^2 + w", "w^3*4"):
             top = parse_ordinal(text)
             assert scattered_rank(OrdinalCompact(top)) == oracle_rank(expand(top))
+
+    def test_closed_form_matches_derivative_iteration(self):
+        # Every ordinal with leading exponent <= 6 and coefficients <= 3.
+        for coeffs in itertools.product(range(4), repeat=7):
+            top = OrdinalCNF(tuple((e, c) for e, c in zip(range(6, -1, -1), coeffs) if c))
+            assert scattered_rank(OrdinalCompact(top)) == iterated_rank(OrdinalCompact(top))
+
+    def test_huge_exponent_is_immediate(self):
+        assert scattered_rank(interval("w^200000000*3 + w + 1")) == 200_000_001
 
     def test_derivative_decreases_cnf_key(self):
         k = interval("w^3*2 + w + 9")
@@ -183,3 +204,21 @@ class TestDisjointOpens:
         assert g2.index_of(30) == 8
         assert g2.index_of(5) is None
         assert ResidueSet(3, 0).first(3) == [3, 6, 9]
+
+
+class TestResidueClasses:
+    def test_classes_describe_the_sets(self):
+        for s in (Pow2OddSet(0), Pow2OddSet(3), ResidueSet(6, 0), ResidueSet(7, 4)):
+            modulus, residue = s.residue_class()
+            assert [y for y in range(1, 400) if y in s] == [
+                y for y in range(1, 400) if y % modulus == residue
+            ]
+
+    def test_meet_matches_scan(self):
+        # Two classes with moduli <= 9 meet, if at all, below lcm + max residue < 81.
+        sets = [ResidueSet(m, r) for m in range(1, 10) for r in range(m)]
+        sets += [Pow2OddSet(p) for p in range(3)]
+        for a in sets:
+            for b in sets:
+                scanned = any(y in a and y in b for y in range(1, 81))
+                assert residue_classes_meet(a, b) == scanned, (a, b)
