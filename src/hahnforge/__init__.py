@@ -17,6 +17,6 @@ Subsystems:
   command-line front end.
 """
 
-from .rational import Rat, rat, rat_str
+from .rational import rat, rat_str
 
-__all__ = ["Rat", "rat", "rat_str"]
+__all__ = ["rat", "rat_str"]

@@ -19,13 +19,15 @@ g_blk(x) * phi(...) where beta(y) < 0.  The block vanishes on A x alphaN and
 off G, stays inside [g_blk(x), h_blk(x)], and for x outside A attains both
 ends at the bump points with index n = floor(1 / alpha(x)).
 
-The pipeline shifts the family by its first member (so the envelopes
-straddle 0), accumulates stage sets F_n from the exact equality sets of the
-shifted members against the shifted envelopes, builds one block per stage on
-the n-th member of the canonical partition of the naturals, and adds the
-shift back at the end.  Stage envelopes are min(0, running min) and
-max(0, running max): between the global envelopes everywhere, and equal to
-them on F_n.
+The pipeline shifts the family by its first member, so the shifted first
+member is identically 0 and every running envelope straddles 0.  One pass
+folds the stage envelopes g_n = min(g_{n-1}, u_n) and h_n = max(h_{n-1}, u_n)
+from g_1 = h_1 = 0, whose last pair is the shifted envelope pair (g, h); it
+builds block n from (g_n, h_n) and the previous stage set on the n-th member
+of the canonical partition of the naturals, and takes the stage set
+F_n = {g_n = g} intersect {h_n = h}.  The shift is added back at the end.
+Stage envelopes lie between the global envelopes everywhere and equal them
+on F_n.
 
 The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
 theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) at most once
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from .pairs import StableFamily, envelopes
@@ -366,6 +368,9 @@ class ProductSlice:
         return self.theta + self.block(i).value(m)
 
 
+# The definitional forms of the stage envelopes and stage sets, recomputed
+# from the members for every n; synthesize derives both in one pass, and the
+# tests hold it to these.
 def stage_envelopes(shifted: Sequence[PLFunc], n: int) -> tuple[PLFunc, PLFunc]:
     """(min(0, min of the first n), max(0, max of the first n)) exactly."""
     zero = PLFunc.constant(0)
@@ -391,26 +396,33 @@ def stage_sets_of(shifted: Sequence[PLFunc], g_sh: PLFunc, h_sh: PLFunc) -> list
 def synthesize(family: StableFamily) -> BlockProductFunc:
     """Build f on [0, 1] x alphaN whose sections over y are the envelopes.
 
-    Pipeline: shift by the first member so the envelopes straddle 0; compute
-    the increasing stage sets from exact equality sets; per stage, build a
-    block from the stage envelopes, the distance to the previous stage set,
-    and the n-th member of the power-of-two partition of the naturals; attach
-    the shift for evaluation.
+    One pass over the shifted members u_1 = 0, u_2, ..., u_N: the running
+    envelopes g_n = min(g_{n-1}, u_n) and h_n = max(h_{n-1}, u_n) start from
+    g_1 = h_1 = u_1 and end at the shifted envelope pair (g, h) = (g_N, h_N).
+    Block n is built from g_n <= 0 <= h_n, the distance to F_{n-1}, and the
+    n-th member of the power-of-two partition of the naturals; then
+    F_n = {g_n = g} intersect {h_n = h}.
+
+    This F_n is the union over j, k <= n of {u_j = g} intersect {u_k = h}
+    (``stage_sets_of``): since g <= g_n <= u_j for j <= n, and a finite min
+    is attained, g_n(x) = g(x) exactly when some u_j(x) = g(x), so the union
+    of the {u_j = g} is {g_n = g}; likewise for h, and intersection
+    distributes over the two unions.  F_N = {g = g} intersect {h = h} is all
+    of [0, 1] by construction.
     """
     theta = family.members[0]
     shifted = [u - theta for u in family.members]
-    pair = envelopes(family)
-    g_sh = pair.g - theta
-    h_sh = pair.h - theta
-    stage_sets = stage_sets_of(shifted, g_sh, h_sh)
-    if stage_sets[-1] != FULL_SET:
-        raise AssertionError("finite families attain their envelopes everywhere")
+    lowers = list(accumulate(shifted, lambda g, u: pl_min((g, u))))
+    uppers = list(accumulate(shifted, lambda h, u: pl_max((h, u))))
+    g_sh, h_sh = lowers[-1], uppers[-1]
     partition = disjoint_opens("alphaN", None)
     blocks = []
-    for n in range(1, len(shifted) + 1):
-        g_blk, h_blk = stage_envelopes(shifted, n)
-        previous = EMPTY_SET if n == 1 else stage_sets[n - 2]
-        blocks.append(hahn_block(g_blk, h_blk, previous, partition.nat_member(n)))
+    stage_sets = []
+    stage = EMPTY_SET  # F_{n-1} while block n is built
+    for n, (g_n, h_n) in enumerate(zip(lowers, uppers), start=1):
+        blocks.append(hahn_block(g_n, h_n, stage, partition.nat_member(n)))
+        stage = equality_set(g_n, g_sh).intersect(equality_set(h_n, h_sh))
+        stage_sets.append(stage)
     return BlockProductFunc(tuple(blocks), tuple(stage_sets), theta)
 
 

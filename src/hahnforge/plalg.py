@@ -197,35 +197,6 @@ def pl_abs(f: PLFunc) -> PLFunc:
     return pl_max((f, pl_neg(f)))
 
 
-def lattice_combine(
-    op: str, args: Sequence[PLFunc], scalar: int | str | Fraction | None = None
-) -> PLFunc:
-    """Dispatch for {min, max, sum, scale, abs, negate} on PL functions."""
-    if not args:
-        raise ValueError("lattice_combine needs at least one argument")
-    if op == "min":
-        return pl_min(args)
-    if op == "max":
-        return pl_max(args)
-    if op == "sum":
-        return pl_sum(args)
-    if op == "scale":
-        if scalar is None:
-            raise ValueError("scale needs a rational factor")
-        if len(args) != 1:
-            raise ValueError("scale takes exactly one function")
-        return pl_scale(scalar, args[0])
-    if op == "abs":
-        if len(args) != 1:
-            raise ValueError("abs takes exactly one function")
-        return pl_abs(args[0])
-    if op == "negate":
-        if len(args) != 1:
-            raise ValueError("negate takes exactly one function")
-        return pl_neg(args[0])
-    raise ValueError(f"unknown lattice operation {op!r}")
-
-
 def pl_equal(f: PLFunc, g: PLFunc) -> bool:
     """Pointwise equality, decided on the merged breakpoint grid."""
     return all(f(x) == g(x) for x in merged_grid((f, g)))

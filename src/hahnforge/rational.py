@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Build a rational from an int, a Fraction, or a "num/den" string."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pairs import StableFamily
-from .plalg import PLFunc, lattice_combine, pl_scale, pl_sum, uniform_grid
+from .plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum, uniform_grid
 from .sections import TailFamily
 from .tailrules import TailRule
 
@@ -496,11 +496,11 @@ def elaborate_expr(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
     if isinstance(e, Scale):
         return pl_scale(e.factor, elaborate_expr(e.body, env))
     if isinstance(e, MinE):
-        return lattice_combine("min", [elaborate_expr(a, env) for a in e.args])
+        return pl_min([elaborate_expr(a, env) for a in e.args])
     if isinstance(e, MaxE):
-        return lattice_combine("max", [elaborate_expr(a, env) for a in e.args])
+        return pl_max([elaborate_expr(a, env) for a in e.args])
     if isinstance(e, Abs):
-        return lattice_combine("abs", [elaborate_expr(e.body, env)])
+        return pl_abs(elaborate_expr(e.body, env))
     raise TypeError(f"unknown expression {e!r}")
 
 

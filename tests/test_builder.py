@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_family
+from conftest import random_family, random_plfunc, random_value
+from hahnforge import builder
 from hahnforge.builder import (
     BlockProductFunc,
     bump_witness_index,
@@ -19,6 +21,7 @@ from hahnforge.builder import (
     phi,
     schwartz,
     stage_envelopes,
+    stage_sets_of,
     synthesize,
     verify_synthesis,
 )
@@ -29,6 +32,7 @@ from hahnforge.plalg import (
     RatSet,
     dominates,
     dyadic_grid,
+    pl_equal,
     pl_max,
     pl_min,
 )
@@ -510,3 +514,70 @@ class TestSupportDisjointness:
         data["blocks"][1]["support"] = {"kind": "residue", "modulus": 4, "residue": 3}
         with pytest.raises(ValueError, match="disjoint"):
             BlockProductFunc.from_json(data)
+
+
+# -- single-pass synthesis against the definitional stage code ----------------
+# The oracles recompute the stage envelopes from the first n members for every
+# n and build F_n as the union over j, k <= n of {u_j = g} ∩ {u_k = h}.
+
+
+def single_pass_families():
+    """SP1 and 50 seeded families of sizes 1 to 8, with repeated and constant
+    members, so that the stage sets have interval and point components."""
+    rng = random.Random(0x5E1F)
+    yield SP1
+    for i in range(50):
+        members: list[PLFunc] = []
+        for _ in range(1 + i % 8):
+            roll = rng.random()
+            if members and roll < 0.25:
+                members.append(rng.choice(members))
+            elif roll < 0.45:
+                members.append(PLFunc.constant(random_value(rng)))
+            else:
+                members.append(random_plfunc(rng))
+        yield StableFamily(tuple(members))
+
+
+class TestSinglePass:
+    def test_stage_sets_and_envelopes_match_oracles(self):
+        points = intervals = 0
+        for fam in single_pass_families():
+            theta = fam.members[0]
+            shifted = [u - theta for u in fam.members]
+            pair = envelopes(fam)
+            g_sh, h_sh = pair.g - theta, pair.h - theta
+            f = synthesize(fam)
+            assert f.stage_sets == tuple(stage_sets_of(shifted, g_sh, h_sh))
+            for n, block in enumerate(f.blocks, start=1):
+                g_blk, h_blk = stage_envelopes(shifted, n)
+                assert pl_equal(block.g_blk, g_blk), n
+                assert pl_equal(block.h_blk, h_blk), n
+            for s in f.stage_sets[:-1]:
+                points += sum(lo == hi for lo, hi in s.intervals)
+                intervals += sum(lo < hi for lo, hi in s.intervals)
+        assert points > 0 and intervals > 0
+
+    def test_call_counts(self, monkeypatch):
+        # N members: N - 1 folds per envelope side and two equality sets per
+        # stage, with no call to the quadratic stage code or to envelopes.
+        calls = Counter()
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+
+            return wrapper
+
+        for name in (
+            "pl_min", "pl_max", "equality_set", "stage_envelopes", "stage_sets_of", "envelopes"
+        ):
+            monkeypatch.setattr(builder, name, counted(name, getattr(builder, name)))
+        for fam in single_pass_families():
+            calls.clear()
+            synthesize(fam)
+            size = len(fam.members)
+            assert calls["pl_min"] + calls["pl_max"] <= 2 * (size - 1)
+            assert calls["equality_set"] <= 2 * size
+            assert not calls["stage_envelopes"] + calls["stage_sets_of"] + calls["envelopes"]

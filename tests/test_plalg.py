@@ -19,12 +19,14 @@ from hahnforge.plalg import (
     dominates,
     dyadic_grid,
     equality_set,
-    lattice_combine,
     merged_grid,
     pl_abs,
     pl_equal,
     pl_max,
     pl_min,
+    pl_neg,
+    pl_scale,
+    pl_sum,
     semicontinuity_check,
 )
 
@@ -97,9 +99,9 @@ class TestLattice:
         for _ in range(20):
             f = random_plfunc(rng)
             g = random_plfunc(rng)
-            s = lattice_combine("sum", (f, g))
-            sc = lattice_combine("scale", (f,), scalar="3/2")
-            n = lattice_combine("negate", (f,))
+            s = pl_sum((f, g))
+            sc = pl_scale("3/2", f)
+            n = pl_neg(f)
             for x in dense_grid():
                 assert s(x) == f(x) + g(x)
                 assert sc(x) == Fraction(3, 2) * f(x)
@@ -107,7 +109,9 @@ class TestLattice:
 
     def test_empty_args_rejected(self):
         with pytest.raises(ValueError):
-            lattice_combine("min", ())
+            pl_min(())
+        with pytest.raises(ValueError):
+            pl_max(())
 
 
 class TestEqualitySet:
