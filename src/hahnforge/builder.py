@@ -5,8 +5,10 @@ Given a finite family of continuous PL functions on [0, 1] with envelope pair
 sections over y are exactly g and h, both attained at every x.
 
 The blending kernel is the Schwartz function sp(s, t) = 2st / (s^2 + t^2)
-(0 at the origin), clamped to phi = min(1, 2|sp|).  The kernel's key exact
-property: whenever 1/(n+1) <= a <= 1/n, sp(a, 1/n) >= n/(n+1) >= 1/2, so
+(0 at the origin), clamped to phi = min(1, 2|sp|).  ``phi`` works in integers
+on the numerators and denominators of its arguments; ``schwartz`` is the
+definition the tests check it against.  The kernel's key exact property:
+whenever 1/(n+1) <= a <= 1/n, sp(a, 1/n) >= n/(n+1) >= 1/2, so
 phi(a, 1/n) = 1.  Each synthesis block combines
 
 * a pair g_blk <= 0 <= h_blk of stage envelopes on [0, 1],
@@ -35,7 +37,8 @@ and only when first needed; since the block supports are disjoint residue
 classes, each natural y is sent to the one block that owns it, so
 f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) costs one block, not n.
 ``f.value(x, y)`` is ``f.slice(x).value(y)``, and sampling, verification,
-sections and continuity certificates all take one slice per grid x.
+sections and continuity certificates all take one slice per grid x.  Each PL
+point value is one affine map from pieces the function derived once.
 """
 
 from __future__ import annotations
@@ -72,9 +75,20 @@ def schwartz(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
 
 
 def phi(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
-    """min(1, 2|sp(s, t)|): the [0, 1]-clamped blending kernel."""
-    doubled = 2 * abs(schwartz(s, t))
-    return Fraction(1) if doubled >= 1 else doubled
+    """min(1, 2|sp(s, t)|): the [0, 1]-clamped blending kernel.
+
+    Computed in integers: with s = p/q and t = r/w,
+    2|sp(s, t)| = 4|pr|qw / ((pw)^2 + (rq)^2), so the clamp is one integer
+    comparison and at most one Fraction is built.
+    """
+    s, t = rat(s), rat(t)
+    p, q = s.numerator, s.denominator
+    r, w = t.numerator, t.denominator
+    num = 4 * abs(p * r) * q * w
+    if num == 0:
+        return Fraction(0)
+    den = (p * w) ** 2 + (r * q) ** 2
+    return Fraction(1) if num >= den else Fraction(num, den)
 
 
 def bump_witness_index(a: Fraction) -> int:

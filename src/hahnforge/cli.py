@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: ``synth`` (build the product function and export JSON/CSV),
-``verify`` (exit 0 iff the synthesized sections match the envelopes exactly),
+``verify`` (exit 0 iff the synthesized sections match the envelopes exactly;
+``--report PATH`` writes the report with every grid entry and failure),
 ``sections`` (exact tail sections of a spec with limit/tail directives),
 ``rank`` (scattered rank of an ordinal literal), and ``alphat-demo``.
 
@@ -87,6 +88,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     family = family_from_spec(ast)
     grid = _grid(ast, args.grid)
     report = verify_synthesis(synthesize(family), family, grid)
+    if args.report:
+        Path(args.report).write_text(
+            json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
+        )
     for failure in report.failures:
         print(f"FAIL {failure}")
     print(
@@ -161,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="synthesize, then check sections == envelopes")
     verify.add_argument("spec")
     verify.add_argument("--grid", type=int, default=None)
+    verify.add_argument("--report", default=None, help="write the verification report as JSON")
     verify.set_defaults(func=cmd_verify)
 
     sections = sub.add_parser("sections", help="exact tail sections of a slice family")

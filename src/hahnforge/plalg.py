@@ -5,7 +5,9 @@ strictly increasing rational breakpoints covering [0, 1].  The lattice
 operations (min, max, sum, scaling, absolute value) are closed on this class
 and computed exactly: result breakpoints are the union of input breakpoints
 plus every pairwise crossing point, so no tolerance parameter exists anywhere
-in this module.
+in this module.  Evaluation derives each segment's (slope, intercept) once
+per function, on first use, so a point value costs a bisection, one product
+and one sum.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -23,6 +25,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .rational import rat, rat_str
@@ -77,6 +80,20 @@ class PLFunc:
         pts = [(rat(x), rat(v)) for x, v in pairs]
         return PLFunc(tuple(x for x, _ in pts), tuple(v for _, v in pts))
 
+    @cached_property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(slope, intercept) of each segment, derived once per function.
+
+        A cached attribute, not a field: equality, hashing, repr and JSON
+        see only the breakpoints and values.
+        """
+        bps, vals = self.breakpoints, self.values
+        out = []
+        for a, b, va, vb in zip(bps, bps[1:], vals, vals[1:]):
+            slope = (vb - va) / (b - a)
+            out.append((slope, va - slope * a))
+        return tuple(out)
+
     def __call__(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)
         if x < 0 or x > 1:
@@ -84,17 +101,8 @@ class PLFunc:
         i = bisect_right(self.breakpoints, x) - 1
         if i == len(self.breakpoints) - 1:
             return self.values[-1]
-        a, b = self.breakpoints[i], self.breakpoints[i + 1]
-        va, vb = self.values[i], self.values[i + 1]
-        return va + (vb - va) * (x - a) / (b - a)
-
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(
-            (vb - va) / (b - a)
-            for (a, b, va, vb) in zip(
-                self.breakpoints, self.breakpoints[1:], self.values, self.values[1:]
-            )
-        )
+        slope, intercept = self.pieces[i]
+        return slope * x + intercept
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Exact (min, max) over [0, 1]; attained at breakpoints."""
@@ -367,11 +375,7 @@ class PwFunc:
 
     @staticmethod
     def from_pl(f: PLFunc) -> "PwFunc":
-        pieces = []
-        for a, b, va, vb in zip(f.breakpoints, f.breakpoints[1:], f.values, f.values[1:]):
-            slope = (vb - va) / (b - a)
-            pieces.append((slope, va - slope * a))
-        return PwFunc(f.breakpoints, tuple(pieces), f.values)
+        return PwFunc(f.breakpoints, f.pieces, f.values)
 
     @staticmethod
     def step(jump_at: int | str | Fraction, left: Fraction, right: Fraction, at_jump: Fraction) -> "PwFunc":

@@ -25,7 +25,7 @@ in order, form the function family of the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .pairs import StableFamily
@@ -88,7 +88,8 @@ def tokenize(text: str) -> list[Token]:
             else:
                 raise SpecError(f"unexpected character {ch!r}", line_no, col)
         tokens.append(Token("NEWLINE", "", line_no, len(raw) + 1))
-    tokens.append(Token("EOF", "", text.count("\n") + 1, 1))
+    last_line = text[text.rfind("\n") + 1 :]
+    tokens.append(Token("EOF", "", text.count("\n") + 1, len(last_line) + 1))
     return tokens
 
 
@@ -156,6 +157,9 @@ class SpecAST:
     grid: int | None = None
     limit: Expr | None = None
     tail: TailSpec | None = None
+    # (line, col) just past the last character: where semantic errors about
+    # what the whole spec lacks point.  Not compared, so pp_spec round trips.
+    end: tuple[int, int] = field(default=(1, 1), compare=False)
 
 
 class _Parser:
@@ -420,7 +424,8 @@ class _Parser:
                 decls.append((name, expr))
                 self.declared.add(name)
             self.end_line()
-        return SpecAST(tuple(decls), grid, limit, tail)
+        eof = self.tokens[-1]
+        return SpecAST(tuple(decls), grid, limit, tail, (eof.line, eof.col))
 
 
 def parse_spec(text: str) -> SpecAST:
@@ -514,7 +519,7 @@ def elaborate(ast: SpecAST) -> dict[str, PLFunc]:
 def family_from_spec(ast: SpecAST) -> StableFamily:
     """All declarations, in order, form the family."""
     if not ast.decls:
-        raise SpecError("spec declares no functions", 1, 1, kind="semantic")
+        raise SpecError("spec declares no functions", *ast.end, kind="semantic")
     env = elaborate(ast)
     return StableFamily(tuple(env[name] for name, _ in ast.decls))
 
@@ -523,7 +528,7 @@ def tail_family_from_spec(ast: SpecAST) -> TailFamily:
     """Head from the declarations, limit and tail from their directives."""
     if ast.limit is None or ast.tail is None:
         raise SpecError(
-            "sections need both a limit and a tail directive", 1, 1, kind="semantic"
+            "sections need both a limit and a tail directive", *ast.end, kind="semantic"
         )
     env = elaborate(ast)
     head = tuple(env[name] for name, _ in ast.decls)

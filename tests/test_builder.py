@@ -77,6 +77,32 @@ class TestKernel:
         assert phi(t, s) == v
         assert phi(s, -t) == v
 
+    # phi is computed in integers; the clamped Schwartz function is its oracle.
+    @staticmethod
+    def clamped(s, t) -> Fraction:
+        return min(Fraction(1), 2 * abs(schwartz(s, t)))
+
+    @given(s=rationals, t=rationals)
+    def test_phi_matches_clamped_schwartz(self, s: Fraction, t: Fraction):
+        v = phi(s, t)
+        assert type(v) is Fraction
+        assert v == self.clamped(s, t)
+
+    @given(t=rationals)
+    def test_phi_zero_rows(self, t: Fraction):
+        assert phi(0, t) == phi(t, 0) == self.clamped(0, t) == 0
+        assert phi(-t, t) == self.clamped(-t, t)
+
+    @given(
+        n=st.integers(min_value=1, max_value=400),
+        u=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    )
+    def test_phi_saturates_on_bump_interval(self, n: int, u: Fraction):
+        lo, hi = Fraction(1, n + 1), Fraction(1, n)
+        a = lo + u * (hi - lo)
+        assert phi(a, hi) == phi(a, -hi) == 1
+        assert self.clamped(a, -hi) == 1
+
     def test_witness_index(self):
         assert bump_witness_index(Fraction(1)) == 1
         assert bump_witness_index(Fraction(1, 4)) == 4

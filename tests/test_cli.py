@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hahnforge.builder import SectionReport
 from hahnforge.cli import IO_ERROR, OK, PARSE_ERROR, VERIFY_FAILED, main
+from hahnforge.rational import rat_str
 
 SP1_TEXT = "u1 = 0\nu2 = x - 1/2\n"
 SECTIONS_TEXT = "u1 = 0\nu2 = x - 1/2\nlimit 0\ntail 1/n * (0 - x)\ngrid 16\n"
+# A six-member family drawn with random.Random(20251): affine, lattice and
+# zigzag members on denominators 1-8.
+SEEDED_TEXT = (
+    "u1 = -4/3 * x + 0\n"
+    "u2 = max(-5/4 * x - 4/5, -1/2 * x - 1/3, 0 * x - 2/3)\n"
+    "u3 = min(-3/2 * x - 1, 2 * x - 1/2, -1 * x + 0)\n"
+    "u4 = min(1 * x - 1, 0 * x - 1, 0 * x + 0)\n"
+    "u5 = max(min(0 * x + 1/3, 15/8 * x - 1, -1/2 * x - 7/8), min(8/5 * x + 1/2, 4/3 * x - 1/2, -1 * x - 2/3), min(0 * x - 1/2, 1 * x - 2/3, -1/2 * x + 1/4))\n"
+    "u6 = max(min(1/2 * x - 2/3, 1 * x + 1/2, -2 * x + 1), min(-2 * x - 1/4, -1 * x + 3/4, 0 * x - 1), min(-3/4 * x + 1, 0 * x + 1/2, 1 * x - 1))\n"
+)
 
 
 @pytest.fixture
@@ -42,6 +58,45 @@ class TestVerify:
         # The exit convention: zero failures <=> exit 0.
         assert SectionReport((), ()).passed
         assert not SectionReport((), ("boom",)).passed
+
+    def test_report_written(self, sp1_spec: Path, tmp_path: Path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["verify", str(sp1_spec), "--grid", "8", "--report", str(path)]) == OK
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["passed"] is True and data["failures"] == []
+        assert [e["x"] for e in data["entries"]] == [rat_str(Fraction(k, 8)) for k in range(9)]
+        half = next(e for e in data["entries"] if e["x"] == "1/2")
+        assert (half["g"], half["h"]) == ("0/1", "0/1")
+        assert "all sections match" in capsys.readouterr().out
+
+    def test_failing_report_written(self, sp1_spec: Path, tmp_path: Path, monkeypatch):
+        import hahnforge.cli as cli_mod
+
+        failing = SectionReport((), ("synthetic failure",))
+        monkeypatch.setattr(cli_mod, "verify_synthesis", lambda *a, **k: failing)
+        path = tmp_path / "report.json"
+        assert main(["verify", str(sp1_spec), "--report", str(path)]) == VERIFY_FAILED
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data == {"passed": False, "failures": ["synthetic failure"], "entries": []}
+
+    def test_report_unwritable(self, sp1_spec: Path, tmp_path: Path, capsys):
+        # A directory cannot be opened for writing.
+        assert main(["verify", str(sp1_spec), "--report", str(tmp_path)]) == IO_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_report_in_fresh_process(self, sp1_spec: Path, tmp_path: Path):
+        path = tmp_path / "report.json"
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "hahnforge.cli", "verify", str(sp1_spec), "--report", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == OK, done.stderr
+        assert json.loads(path.read_text(encoding="utf-8"))["passed"] is True
 
     def test_failing_report_exits_one(self, sp1_spec: Path, monkeypatch, capsys):
         import hahnforge.cli as cli_mod
@@ -101,6 +156,41 @@ class TestSynth:
         csv_text = (out / "samples.csv").read_text(encoding="utf-8")
         assert csv_text.splitlines()[0] == "x,y,value,value_float"
         assert ",inf," in csv_text
+
+
+class TestGoldenOutputs:
+    """Exact outputs pinned byte for byte: any drift in an exact value fails."""
+
+    SHA256 = {
+        "sp1": {
+            "function.json": "b6851cde4a58627a7ec1b521daf79bea332a148474e70e88cee76806b42a4fa0",
+            "samples.csv": "d4aafe7db1f10002a0d1978c026d6fba2e0a8693406198dd681b67168cc753f5",
+        },
+        "seeded": {
+            "function.json": "9e70cf5eb7e7cba75029bbe28507884eb8a3859b1d6b99b012bf2d6c11d9d55e",
+            "samples.csv": "db65e97d1dc3bf8cc70888f250cc1f96782b58e29b54be241b65d6e914134400",
+        },
+    }
+    TEXTS = {"sp1": SP1_TEXT, "seeded": SEEDED_TEXT}
+
+    @pytest.mark.parametrize("name", ["sp1", "seeded"])
+    def test_synth_artifacts(self, name: str, tmp_path: Path):
+        spec = tmp_path / f"{name}.hf"
+        spec.write_text(self.TEXTS[name], encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", str(spec), "--out", str(out)]) == OK
+        digests = {
+            file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in self.SHA256[name]
+        }
+        assert digests == self.SHA256[name]
+
+    @pytest.mark.parametrize("name", ["sp1", "seeded"])
+    def test_verify_stdout(self, name: str, tmp_path: Path, capsys):
+        spec = tmp_path / f"{name}.hf"
+        spec.write_text(self.TEXTS[name], encoding="utf-8")
+        assert main(["verify", str(spec), "--grid", "64"]) == OK
+        assert capsys.readouterr().out == "verified 65 grid points: all sections match\n"
 
 
 class TestSections:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_family, random_plfunc, random_ratset
+from conftest import random_family, random_plfunc, random_ratset, random_value
 from hahnforge.plalg import (
     EMPTY_SET,
     FULL_SET,
@@ -67,6 +68,58 @@ class TestEval:
         assert f.to_json() == [["0/1", "1/2"], ["1/3", "0/1"], ["1/1", "2/1"]]
         assert PLFunc.from_json(f.to_json()) == f
 
+
+def interpolate(f: PLFunc, x: Fraction) -> Fraction:
+    """The two-point interpolation formula: the definition of f(x)."""
+    i = bisect_right(f.breakpoints, x) - 1
+    if i == len(f.breakpoints) - 1:
+        return f.values[-1]
+    a, b = f.breakpoints[i], f.breakpoints[i + 1]
+    va, vb = f.values[i], f.values[i + 1]
+    return va + (vb - va) * (x - a) / (b - a)
+
+
+class TestAffinePieces:
+    """Evaluation through the cached (slope, intercept) pieces."""
+
+    @staticmethod
+    def probes(f: PLFunc, rng: random.Random) -> list[Fraction]:
+        bps = f.breakpoints
+        mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        randoms = [Fraction(rng.randint(0, 997), 997) for _ in range(12)]
+        return list(bps) + mids + [Fraction(1)] + randoms
+
+    @staticmethod
+    def functions(rng: random.Random) -> list[PLFunc]:
+        """Random PL functions on the 16ths grid and on a finer 1/997 grid."""
+        fs = [random_plfunc(rng, max_interior=6) for _ in range(100)]
+        for _ in range(100):
+            interior = sorted(Fraction(k, 997) for k in rng.sample(range(1, 997), 8))
+            grid = [Fraction(0)] + interior + [Fraction(1)]
+            fs.append(PLFunc(tuple(grid), tuple(random_value(rng) for _ in grid)))
+        return fs
+
+    def test_matches_interpolation(self, rng: random.Random):
+        for f in self.functions(rng):
+            for x in self.probes(f, rng):
+                assert f(x) == interpolate(f, x)
+
+    def test_pieces_reproduce_segment_ends(self, rng: random.Random):
+        for f in self.functions(rng):
+            assert len(f.pieces) == len(f.breakpoints) - 1
+            for (slope, icpt), a, b, va, vb in zip(
+                f.pieces, f.breakpoints, f.breakpoints[1:], f.values, f.values[1:]
+            ):
+                assert slope * a + icpt == va and slope * b + icpt == vb
+
+    def test_evaluated_equals_fresh_copy(self, rng: random.Random):
+        for _ in range(50):
+            f = random_plfunc(rng)
+            f(Fraction(1, 3))
+            fresh = PLFunc(f.breakpoints, f.values)
+            assert "pieces" in vars(f) and "pieces" not in vars(fresh)
+            assert f == fresh and hash(f) == hash(fresh)
+            assert repr(f) == repr(fresh) and f.to_json() == fresh.to_json()
 
 class TestLattice:
     def test_min_breakpoints(self):
@@ -157,7 +210,7 @@ class TestDistance:
         for _ in range(40):
             s = random_ratset(rng)
             f = distance_function(s)
-            assert all(-1 <= m <= 1 for m in f.slopes())
+            assert all(-1 <= m <= 1 for m, _ in f.pieces)
             if not s.is_empty:
                 assert equality_set(f, ZERO_F) == s
 

@@ -211,3 +211,19 @@ class TestElaboration:
     def test_empty_spec_rejected(self):
         with pytest.raises(SpecError):
             family_from_spec(parse_spec("grid 64\n"))
+
+    # Semantic errors about what the whole spec lacks point just past its end.
+    def test_missing_directives_at_end_of_input(self):
+        with pytest.raises(SpecError, match="limit and a tail") as exc:
+            tail_family_from_spec(parse_spec("u1 = 0\nu2 = x - 1/2\nlimit 0"))
+        assert (exc.value.line, exc.value.col, exc.value.kind) == (3, 8, "semantic")
+
+    def test_no_functions_at_end_of_input(self):
+        with pytest.raises(SpecError, match="declares no functions") as exc:
+            family_from_spec(parse_spec("# nothing declared\ngrid 64\n"))
+        assert (exc.value.line, exc.value.col, exc.value.kind) == (3, 1, "semantic")
+
+    def test_end_position_not_compared(self):
+        with_newline, without = parse_spec("u1 = x\n"), parse_spec("u1 = x")
+        assert (with_newline.end, without.end) == ((2, 1), (1, 7))
+        assert with_newline == without and hash(with_newline) == hash(without)
