@@ -254,10 +254,6 @@ class BlockProductFunc:
     def size(self) -> int:
         return len(self.blocks)
 
-    def stage_set(self, n: int) -> RatSet:
-        """F_n, with F_0 the empty set."""
-        return EMPTY_SET if n == 0 else self.stage_sets[n - 1]
-
     def owner(self, m: int) -> int | None:
         """Index of the block whose support holds the natural m, if any."""
         if m < 1:

@@ -3,11 +3,13 @@
 Continuous functions are :class:`PLFunc`: affine interpolation between
 strictly increasing rational breakpoints covering [0, 1].  The lattice
 operations (min, max, sum, scaling, absolute value) are closed on this class
-and computed exactly: result breakpoints are the union of input breakpoints
-plus every pairwise crossing point, so no tolerance parameter exists anywhere
-in this module.  Evaluation derives each segment's (slope, intercept) once
-per function, on first use, so a point value costs a bisection, one product
-and one sum.
+and computed exactly, with no tolerance parameter anywhere in this module.
+Each binary operation is one linear merge-walk over the knots of both inputs
+(envelopes add the crossing points; n-ary envelopes and sums fold walks), and
+envelope and sum results keep only 0, 1 and the slope changes as knots, so
+equal functions have equal knots.  Evaluation derives each segment's (slope,
+intercept) once per function, on first use, so a point value costs a
+bisection, one product and one sum.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -21,12 +23,11 @@ functions and as zero sets of distance functions.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rational import rat, rat_str
 
@@ -117,9 +118,6 @@ class PLFunc:
     def __neg__(self) -> "PLFunc":
         return pl_neg(self)
 
-    def scaled(self, c: int | str | Fraction) -> "PLFunc":
-        return pl_scale(c, self)
-
     def to_pw(self) -> "PwFunc":
         return PwFunc.from_pl(self)
 
@@ -130,51 +128,62 @@ class PLFunc:
     def from_json(data: Sequence[Sequence[str]]) -> "PLFunc":
         return PLFunc.from_pairs((x, v) for x, v in data)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
+
+def _walk(f: PLFunc, g: PLFunc) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Yield (x, f(x), g(x)) at each merged breakpoint of f and g, left to right,
+    reading values off the current affine pieces: linear time, no bisection."""
+    fb, fv, fp = f.breakpoints, f.values, f.pieces
+    gb, gv, gp = g.breakpoints, g.values, g.pieces
+    i = j = 0
+    while True:
+        a, b = fb[i], gb[j]
+        if a == b:
+            yield a, fv[i], gv[j]
+            if a == 1:
+                return
+            i, j = i + 1, j + 1
+        elif a < b:
+            yield a, fv[i], gp[j - 1][0] * a + gp[j - 1][1]
+            i += 1
+        else:
+            yield b, fp[i - 1][0] * b + fp[i - 1][1], gv[j]
+            j += 1
 
 
-def merged_grid(fs: Sequence[PLFunc]) -> list[Fraction]:
-    grid: set[Fraction] = set()
-    for f in fs:
-        grid.update(f.breakpoints)
-    return sorted(grid)
-
-
-def _crossing_grid(fs: Sequence[PLFunc]) -> list[Fraction]:
-    """Merged breakpoints plus every pairwise crossing point.
-
-    Between consecutive points of the result no two inputs change order, so
-    pointwise min/max at the grid points interpolate to the exact envelope.
-    """
-    grid = merged_grid(fs)
-    crossings: set[Fraction] = set()
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            f, g = fs[i], fs[j]
-            for a, b in zip(grid, grid[1:]):
-                da = f(a) - g(a)
-                db = f(b) - g(b)
-                if (da > 0 and db < 0) or (da < 0 and db > 0):
-                    crossings.add(a + (b - a) * da / (da - db))
-    if crossings:
-        return sorted(set(grid) | crossings)
-    return grid
+def _canonical(points: Iterable[tuple[Fraction, Fraction]]) -> PLFunc:
+    """The PL function through the points without collinear interior knots: only
+    0, 1 and the slope changes remain, so equal functions get equal knots."""
+    xs: list[Fraction] = []
+    vs: list[Fraction] = []
+    for x, v in points:
+        if len(xs) >= 2 and (vs[-1] - vs[-2]) * (x - xs[-1]) == (v - vs[-1]) * (xs[-1] - xs[-2]):
+            xs[-1], vs[-1] = x, v
+        else:
+            xs.append(x)
+            vs.append(v)
+    return PLFunc(tuple(xs), tuple(vs))
 
 
 def _envelope(fs: Sequence[PLFunc], pick) -> PLFunc:
-    """Exact envelope; large inputs are folded pairwise (divide and conquer).
+    """Exact envelope, folded pairwise (divide and conquer).
 
-    The two-function base case carries the full crossing grid, so every
-    intermediate result is an exact PL function and the fold stays exact.
+    Between merged knots the difference of two functions is affine, so it
+    changes sign at most once, at the crossing point inserted there.
     """
     if not fs:
         raise ValueError("pointwise envelopes need at least one function")
-    if len(fs) <= 3:
-        grid = _crossing_grid(fs)
-        return PLFunc(tuple(grid), tuple(pick(f(x) for f in fs) for x in grid))
+    if len(fs) == 1:
+        return _canonical(zip(fs[0].breakpoints, fs[0].values))
     mid = len(fs) // 2
-    return _envelope((_envelope(fs[:mid], pick), _envelope(fs[mid:], pick)), pick)
+    points, da = [], 0  # da = 0 before the first point: no crossing there
+    for x, fx, gx in _walk(_envelope(fs[:mid], pick), _envelope(fs[mid:], pick)):
+        d = fx - gx
+        if d < 0 < da or da < 0 < d:
+            t = da / (da - d)
+            points.append((xa + (x - xa) * t, fa + (fx - fa) * t))
+        points.append((x, pick(fx, gx)))
+        xa, fa, da = x, fx, d
+    return _canonical(points)
 
 
 def pl_min(fs: Sequence[PLFunc]) -> PLFunc:
@@ -188,8 +197,10 @@ def pl_max(fs: Sequence[PLFunc]) -> PLFunc:
 def pl_sum(fs: Sequence[PLFunc]) -> PLFunc:
     if not fs:
         raise ValueError("sum needs at least one function")
-    grid = merged_grid(fs)
-    return PLFunc(tuple(grid), tuple(sum(f(x) for f in fs) for x in grid))
+    acc = _canonical(zip(fs[0].breakpoints, fs[0].values))
+    for f in fs[1:]:
+        acc = _canonical((x, a + b) for x, a, b in _walk(acc, f))
+    return acc
 
 
 def pl_scale(c: int | str | Fraction, f: PLFunc) -> PLFunc:
@@ -206,20 +217,18 @@ def pl_abs(f: PLFunc) -> PLFunc:
 
 
 def pl_equal(f: PLFunc, g: PLFunc) -> bool:
-    """Pointwise equality, decided on the merged breakpoint grid."""
-    return all(f(x) == g(x) for x in merged_grid((f, g)))
+    """Pointwise equality, decided at the merged breakpoints."""
+    return all(fx == gx for _, fx, gx in _walk(f, g))
 
 
 def dominates(f: PLFunc, g: PLFunc) -> Verdict:
     """Whether f(x) <= g(x) everywhere on [0, 1].
 
-    The difference g - f is affine between merged breakpoints, so checking the
-    grid decides the global inequality; the witness is a violating grid point.
+    The difference g - f is affine between merged breakpoints, so checking
+    them decides the global inequality; the witness is the first violating one.
     """
-    for x in merged_grid((f, g)):
-        if f(x) > g(x):
-            return Verdict(False, x)
-    return Verdict(True)
+    x = next((x for x, fx, gx in _walk(f, g) if fx > gx), None)
+    return Verdict(x is None, x)
 
 
 @dataclass(frozen=True)
@@ -299,23 +308,19 @@ FULL_SET = RatSet(((ZERO, ONE),))
 def equality_set(f: PLFunc, g: PLFunc) -> RatSet:
     """Exact {x : f(x) = g(x)} as a finite union of intervals and points.
 
-    The difference is piecewise affine, so on each merged-grid segment it is
-    identically zero, has one interior root, or has no zero at all.
+    The difference is affine between merged breakpoints, so on each such
+    segment it is identically zero, has one interior root, or has no zero.
     """
-    d = f - g
-    grid = d.breakpoints
     pieces: list[tuple[Fraction, Fraction]] = []
-    for a, b in zip(grid, grid[1:]):
-        da, db = d(a), d(b)
-        if da == 0 and db == 0:
-            pieces.append((a, b))
-        elif da == 0:
-            pieces.append((a, a))
-        elif db == 0:
-            pieces.append((b, b))
-        elif (da > 0) != (db > 0):
+    a, da = ZERO, ZERO  # a zero placed before x = 0 can add only the point 0
+    for b, fb, gb in _walk(f, g):
+        db = fb - gb
+        if db == 0:
+            pieces.append((a, b) if da == 0 else (b, b))
+        elif db < 0 < da or da < 0 < db:
             r = a + (b - a) * da / (da - db)
             pieces.append((r, r))
+        a, da = b, db
     return RatSet.of(pieces)
 
 

@@ -109,23 +109,19 @@ def _pick_witness(
 
 
 def _pair_from_candidates(
-    candidates: Sequence[tuple[Witness, PLFunc]], grid: Sequence[Fraction] | None
+    candidates: Sequence[tuple[Witness, PLFunc]], grid: Sequence[Fraction]
 ) -> SectionPair:
     fs = [f for _, f in candidates]
     g = pl_min(fs)
     h = pl_max(fs)
-    if grid is None:
-        xs = sorted(set(g.breakpoints) | set(h.breakpoints))
-    else:
-        xs = [rat(x) for x in grid]
     witnesses = {
         x: (_pick_witness(candidates, x, g(x)), _pick_witness(candidates, x, h(x)))
-        for x in xs
+        for x in map(rat, grid)
     }
     return SectionPair(g.to_pw(), h.to_pw(), witnesses)
 
 
-def tail_sections(family: TailFamily, grid: Sequence[Fraction] | None = None) -> SectionPair:
+def tail_sections(family: TailFamily, grid: Sequence[Fraction]) -> SectionPair:
     """Exact extremal sections over all of alphaN.
 
     Candidate slices: the head, the limit (the value at infinity), and the
@@ -144,7 +140,7 @@ def tail_sections(family: TailFamily, grid: Sequence[Fraction] | None = None) ->
 
 
 def brute_sections(
-    family: TailFamily, m: int, grid: Sequence[Fraction] | None = None
+    family: TailFamily, m: int, grid: Sequence[Fraction]
 ) -> tuple[SectionPair, Fraction]:
     """Envelopes over the slices up to index m plus infinity, with error bound.
 

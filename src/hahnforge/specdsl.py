@@ -34,6 +34,7 @@ from .sections import TailFamily
 from .tailrules import TailRule
 
 KEYWORDS = {"x", "min", "max", "abs", "grid", "tail", "limit", "n"}
+DEFAULT_GRID = 64  # grid denominator when neither the spec nor the command line sets one
 
 
 class SpecError(Exception):
@@ -541,6 +542,6 @@ def tail_family_from_spec(ast: SpecAST) -> TailFamily:
     return TailFamily(head, limit, ast.tail.rule, shape)
 
 
-def grid_from_spec(ast: SpecAST, override: int | None = None, default: int = 64) -> list[Fraction]:
-    n = override if override is not None else (ast.grid if ast.grid is not None else default)
+def grid_from_spec(ast: SpecAST, override: int | None = None) -> list[Fraction]:
+    n = override if override is not None else (ast.grid if ast.grid is not None else DEFAULT_GRID)
     return uniform_grid(n)

@@ -14,6 +14,7 @@ import pytest
 
 from hahnforge.builder import SectionReport
 from hahnforge.cli import IO_ERROR, OK, PARSE_ERROR, VERIFY_FAILED, main
+from hahnforge.plalg import PLFunc, pl_equal
 from hahnforge.rational import rat_str
 
 SP1_TEXT = "u1 = 0\nu2 = x - 1/2\n"
@@ -167,7 +168,7 @@ class TestGoldenOutputs:
             "samples.csv": "d4aafe7db1f10002a0d1978c026d6fba2e0a8693406198dd681b67168cc753f5",
         },
         "seeded": {
-            "function.json": "9e70cf5eb7e7cba75029bbe28507884eb8a3859b1d6b99b012bf2d6c11d9d55e",
+            "function.json": "9d3f4bee8e9eb7bba1987c6e6f77c6d2b308d892839ae5c84d6206994e5b7702",
             "samples.csv": "db65e97d1dc3bf8cc70888f250cc1f96782b58e29b54be241b65d6e914134400",
         },
     }
@@ -184,6 +185,34 @@ class TestGoldenOutputs:
             for file in self.SHA256[name]
         }
         assert digests == self.SHA256[name]
+
+    # function.json of the seeded family as written before envelope and sum
+    # results dropped their collinear knots, and its SHA-256 as pinned then.
+    SEEDED_BEFORE_CANONICAL = Path(__file__).parent / "fixtures" / "seeded_function_pre_canonical.json"
+    SEEDED_BEFORE_CANONICAL_SHA256 = "9e70cf5eb7e7cba75029bbe28507884eb8a3859b1d6b99b012bf2d6c11d9d55e"
+
+    def test_seeded_function_matches_pre_canonical(self, tmp_path: Path):
+        """The re-pinned seeded function.json holds the same functions, with no
+        more knots, and the same stage sets and supports byte for byte."""
+        raw = self.SEEDED_BEFORE_CANONICAL.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == self.SEEDED_BEFORE_CANONICAL_SHA256
+        old = json.loads(raw)
+        spec = tmp_path / "seeded.hf"
+        spec.write_text(SEEDED_TEXT, encoding="utf-8")
+        assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == OK
+        new = json.loads((tmp_path / "out" / "function.json").read_text(encoding="utf-8"))
+        assert new["stage_sets"] == old["stage_sets"]
+        assert len(new["blocks"]) == len(old["blocks"])
+        pairs = [(new["theta"], old["theta"])]
+        for nb, ob in zip(new["blocks"], old["blocks"]):
+            assert nb["support"] == ob["support"]
+            pairs += [(nb[key], ob[key]) for key in ("g", "h", "alpha")]
+        for n, o in pairs:
+            f, g = PLFunc.from_json(n), PLFunc.from_json(o)
+            assert pl_equal(f, g)
+            assert all(f(x) == g(x) for x in set(f.breakpoints) | set(g.breakpoints))
+            assert len(f.breakpoints) <= len(g.breakpoints)
+        assert sum(len(n) for n, _ in pairs) < sum(len(o) for _, o in pairs)
 
     @pytest.mark.parametrize("name", ["sp1", "seeded"])
     def test_verify_stdout(self, name: str, tmp_path: Path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +17,11 @@ from hahnforge.plalg import (
     PLFunc,
     PwFunc,
     RatSet,
+    Verdict,
     distance_function,
     dominates,
     dyadic_grid,
     equality_set,
-    merged_grid,
     pl_abs,
     pl_equal,
     pl_max,
@@ -187,7 +188,7 @@ class TestEqualitySet:
             f, g = random_plfunc(rng), random_plfunc(rng)
             s = equality_set(f, g)
             assert s == equality_set(g, f)
-            probes = set(merged_grid((f, g)))
+            probes = set(f.breakpoints) | set(g.breakpoints)
             for lo, hi in s.intervals:
                 probes.update((lo, hi, (lo + hi) / 2))
             for x in probes:
@@ -232,6 +233,207 @@ class TestDominates:
                 assert pl_equal(f, g)
             if dominates(f, g).ok and dominates(g, h).ok:
                 assert dominates(f, h).ok
+
+
+# The grid-and-bisect algebra, kept as the oracle for the merge-walk kernel:
+# every operation evaluates its inputs through PLFunc.__call__ at each point
+# of a merged grid, and the equality set subtracts with the oracle sum.
+
+
+def oracle_merged_grid(fs: Sequence[PLFunc]) -> list[Fraction]:
+    grid: set[Fraction] = set()
+    for f in fs:
+        grid.update(f.breakpoints)
+    return sorted(grid)
+
+
+def oracle_crossing_grid(fs: Sequence[PLFunc]) -> list[Fraction]:
+    """Merged breakpoints plus every pairwise crossing point.
+
+    Between consecutive points of the result no two inputs change order, so
+    pointwise min/max at the grid points interpolate to the exact envelope.
+    """
+    grid = oracle_merged_grid(fs)
+    crossings: set[Fraction] = set()
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            f, g = fs[i], fs[j]
+            for a, b in zip(grid, grid[1:]):
+                da = f(a) - g(a)
+                db = f(b) - g(b)
+                if (da > 0 and db < 0) or (da < 0 and db > 0):
+                    crossings.add(a + (b - a) * da / (da - db))
+    if crossings:
+        return sorted(set(grid) | crossings)
+    return grid
+
+
+def oracle_envelope(fs: Sequence[PLFunc], pick) -> PLFunc:
+    """Exact envelope; large inputs are folded pairwise (divide and conquer).
+
+    The two-function base case carries the full crossing grid, so every
+    intermediate result is an exact PL function and the fold stays exact.
+    """
+    if not fs:
+        raise ValueError("pointwise envelopes need at least one function")
+    if len(fs) <= 3:
+        grid = oracle_crossing_grid(fs)
+        return PLFunc(tuple(grid), tuple(pick(f(x) for f in fs) for x in grid))
+    mid = len(fs) // 2
+    return oracle_envelope(
+        (oracle_envelope(fs[:mid], pick), oracle_envelope(fs[mid:], pick)), pick
+    )
+
+
+def oracle_sum(fs: Sequence[PLFunc]) -> PLFunc:
+    if not fs:
+        raise ValueError("sum needs at least one function")
+    grid = oracle_merged_grid(fs)
+    return PLFunc(tuple(grid), tuple(sum(f(x) for f in fs) for x in grid))
+
+
+def oracle_equal(f: PLFunc, g: PLFunc) -> bool:
+    return all(f(x) == g(x) for x in oracle_merged_grid((f, g)))
+
+
+def oracle_dominates(f: PLFunc, g: PLFunc) -> Verdict:
+    for x in oracle_merged_grid((f, g)):
+        if f(x) > g(x):
+            return Verdict(False, x)
+    return Verdict(True)
+
+
+def oracle_equality_set(f: PLFunc, g: PLFunc) -> RatSet:
+    d = oracle_sum((f, pl_neg(g)))
+    grid = d.breakpoints
+    pieces: list[tuple[Fraction, Fraction]] = []
+    for a, b in zip(grid, grid[1:]):
+        da, db = d(a), d(b)
+        if da == 0 and db == 0:
+            pieces.append((a, b))
+        elif da == 0:
+            pieces.append((a, a))
+        elif db == 0:
+            pieces.append((b, b))
+        elif (da > 0) != (db > 0):
+            r = a + (b - a) * da / (da - db)
+            pieces.append((r, r))
+    return RatSet.of(pieces)
+
+
+def collinear_knots(f: PLFunc) -> list[Fraction]:
+    """Interior knots with the same slope on both sides."""
+    return [
+        x
+        for x, (s1, _), (s2, _) in zip(f.breakpoints[1:], f.pieces, f.pieces[1:])
+        if s1 == s2
+    ]
+
+
+def canonical(f: PLFunc) -> PLFunc:
+    """f with its collinear interior knots dropped."""
+    keep = set(collinear_knots(f))
+    pts = [(x, v) for x, v in zip(f.breakpoints, f.values) if x not in keep]
+    return PLFunc.from_pairs(pts)
+
+
+def refined(f: PLFunc) -> PLFunc:
+    """f with a collinear knot inserted in the middle of every segment."""
+    bps = f.breakpoints
+    xs = sorted(set(bps) | {(a + b) / 2 for a, b in zip(bps, bps[1:])})
+    return PLFunc(tuple(xs), tuple(interpolate(f, x) for x in xs))
+
+
+def tent(p: Fraction, c: Fraction) -> PLFunc:
+    """c * |x - p| for 0 < p < 1: zero only at p."""
+    return PLFunc((Fraction(0), p, Fraction(1)), (c * p, Fraction(0), c * (1 - p)))
+
+
+def kernel_families(rng: random.Random) -> list[tuple[PLFunc, ...]]:
+    """Seeded families: random (16ths and 1/997 grids), large, with repeated
+    and identical members, with collinear knots, and with members that touch
+    without crossing."""
+    fine = TestAffinePieces.functions(rng)
+    fams: list[tuple[PLFunc, ...]] = []
+    for _ in range(40):
+        fams.append(random_family(rng))
+    for _ in range(10):
+        fams.append(random_family(rng, max_size=12))
+    for _ in range(20):
+        fams.append(tuple(rng.sample(fine, rng.randint(2, 5))))
+    for _ in range(15):
+        fam = random_family(rng)
+        fams.append(fam + tuple(rng.choice(fam) for _ in range(rng.randint(1, 4))))
+    for _ in range(10):
+        f = rng.choice(fine) if rng.random() < 0.5 else random_plfunc(rng)
+        fams.append((f,) * rng.randint(2, 5))
+        fams.append((f, refined(f), PLFunc(f.breakpoints, f.values)))
+    for _ in range(20):
+        f = random_plfunc(rng)
+        p = Fraction(rng.randint(1, 15), 16)
+        above = oracle_sum((f, tent(p, random_value(rng, 0, 2) or Fraction(1))))
+        below = oracle_sum((f, tent(p, random_value(rng, -2, 0) or Fraction(-1))))
+        flat = oracle_sum((f, oracle_envelope((ZERO_F, PLFunc.affine(1, -p)), max)))
+        fams.append((f, above, below, flat))
+    return fams
+
+
+class TestKernelOracle:
+    """The merge-walk kernel against the grid-and-bisect oracle."""
+
+    def test_envelopes_and_sums(self, rng: random.Random):
+        for fam in kernel_families(rng):
+            for new, old in (
+                (pl_min(fam), oracle_envelope(fam, min)),
+                (pl_max(fam), oracle_envelope(fam, max)),
+                (pl_sum(fam), oracle_sum(fam)),
+            ):
+                assert pl_equal(new, old) and oracle_equal(new, old)
+                assert collinear_knots(new) == []
+                assert new == canonical(old)
+                assert len(new.breakpoints) <= len(old.breakpoints)
+
+    def test_binary_decisions(self, rng: random.Random):
+        for fam in kernel_families(rng):
+            for f in fam:
+                for g in fam:
+                    assert equality_set(f, g) == oracle_equality_set(f, g)
+                    assert pl_equal(f, g) == oracle_equal(f, g)
+                    v, w = dominates(f, g), oracle_dominates(f, g)
+                    assert v.ok == w.ok
+                    if not v.ok:
+                        assert f(v.witness) > g(v.witness)
+
+    def test_canonical_form(self, rng: random.Random):
+        for _ in range(40):
+            f, g = random_plfunc(rng), random_plfunc(rng)
+            assert pl_min((f, g)) == pl_min((g, f))
+            assert pl_max((f, g)) == pl_max((refined(g), refined(f)))
+            assert pl_sum((f, pl_neg(f))) == PLFunc.constant(0)
+            assert pl_max((f, f)) == canonical(f) == pl_min((refined(f),))
+            assert pl_sum((f, g)) == pl_sum((refined(g), f))
+
+    def test_no_point_evaluation(self, rng: random.Random, monkeypatch):
+        fams = kernel_families(rng)[:60]
+        calls = []
+        evaluate = PLFunc.__call__
+
+        def counted(f, x):
+            calls.append(x)
+            return evaluate(f, x)
+
+        monkeypatch.setattr(PLFunc, "__call__", counted)
+        for fam in fams:
+            pl_min(fam)
+            pl_max(fam)
+            pl_sum(fam)
+            f, g = fam[0], fam[-1]
+            equality_set(f, g)
+            dominates(f, g)
+            dominates(g, f)
+            pl_equal(f, g)
+        assert calls == []
+        assert X(Fraction(1, 2)) == Fraction(1, 2) and len(calls) == 1
 
 
 INDICATOR_HALF_ONE = PwFunc.step("1/2", Fraction(0), Fraction(1), Fraction(1))
