@@ -141,8 +141,14 @@ class SchwartzBlock:
         lo, hi = self.alpha.bounds()
         if lo < 0 or hi > 1:
             raise ValueError("alpha must take values in [0, 1]")
-        if max(self.g_blk.values) > 0 or min(self.h_blk.values) < 0:
-            raise ValueError("blocks need g_blk <= 0 <= h_blk")
+        # g_blk <= 0 <= h_blk holds everywhere iff it holds at the knots; the
+        # first knot that breaks it is the witness.
+        for x, v in zip(self.g_blk.breakpoints, self.g_blk.values):
+            if v > 0:
+                raise ValueError(f"lower stage envelope is positive at x={x}")
+        for x, v in zip(self.h_blk.breakpoints, self.h_blk.values):
+            if v < 0:
+                raise ValueError(f"upper stage envelope is negative at x={x}")
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         return BlockSlice(self, rat(x)).value(m)
@@ -181,16 +187,11 @@ class BlockSlice:
 def hahn_block(g_blk: PLFunc, h_blk: PLFunc, a: RatSet, support: NatSet) -> SchwartzBlock:
     """Block vanishing on a x alphaN and off its support, attaining g_blk/h_blk.
 
-    Requires g_blk <= 0 <= h_blk.  For x outside a, with n = floor(1/alpha(x)),
+    Requires g_blk <= 0 <= h_blk (SchwartzBlock rejects a violation with its
+    first offending knot).  For x outside a, with n = floor(1/alpha(x)),
     the block takes h_blk(x) at the (2n-1)-st support point and g_blk(x) at
     the (2n)-th.
     """
-    below = dominates(g_blk, PLFunc.constant(0))
-    if not below.ok:
-        raise ValueError(f"lower stage envelope is positive at x={below.witness}")
-    above = dominates(PLFunc.constant(0), h_blk)
-    if not above.ok:
-        raise ValueError(f"upper stage envelope is negative at x={above.witness}")
     return SchwartzBlock(g_blk, h_blk, distance_function(a), oscillating_bump(support))
 
 

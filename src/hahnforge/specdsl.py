@@ -8,7 +8,7 @@ Grammar (one statement per line, ``#`` starts a comment):
     tailrule  := "0" | rational "/" "n" | rational "*" rational "^" "n"
     expr      := term {("+" | "-") term}
     term      := unary {"*" unary}
-    unary     := "-" unary | primary
+    unary     := {"-"} primary
     primary   := rational | "x" | ident
                | ("min" | "max") "(" expr {"," expr} ")"
                | "abs" "(" expr ")" | "(" expr ")"
@@ -18,6 +18,11 @@ Products must contain at most one non-constant factor and division is legal
 only inside rational literals; violations are reported as non-PL constructs
 rather than plain syntax errors.  Identifiers refer to earlier declarations.
 Every diagnostic carries a 1-based line and column.
+
+A sum is one ``Sum`` node over its terms, a subtracted term stored negated, so
+a long sum or a run of minus signs costs no recursion.  Only parentheses
+nest: an open ``(`` more than ``MAX_DEPTH`` (100) deep on a line, and an
+integer literal longer than ``MAX_DIGITS`` (1000) digits, are syntax errors.
 
 Elaboration turns expressions into exact ``PLFunc`` values; the declarations,
 in order, form the function family of the spec.
@@ -35,6 +40,11 @@ from .tailrules import TailRule
 
 KEYWORDS = {"x", "min", "max", "abs", "grid", "tail", "limit", "n"}
 DEFAULT_GRID = 64  # grid denominator when neither the spec nor the command line sets one
+# Parsing, elaboration, printing and AST equality recurse once per open "(",
+# so its depth is bounded well inside Python's recursion limit.  Literals are
+# bounded well inside its limit on converting digit strings to integers.
+MAX_DEPTH = 100
+MAX_DIGITS = 1000
 
 
 class SpecError(Exception):
@@ -62,7 +72,7 @@ _OPS = set("=+-*/^(),")
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        i = 0
+        i = depth = 0
         while i < len(raw):
             ch = raw[i]
             if ch in " \t\r":
@@ -71,10 +81,14 @@ def tokenize(text: str) -> list[Token]:
             if ch == "#":
                 break
             col = i + 1
-            if ch.isdigit():
+            if ch.isdecimal():  # what int() reads; "²" is a digit but not decimal
                 j = i
-                while j < len(raw) and raw[j].isdigit():
+                while j < len(raw) and raw[j].isdecimal():
                     j += 1
+                if j - i > MAX_DIGITS:
+                    raise SpecError(
+                        f"integer literal longer than {MAX_DIGITS} digits", line_no, col
+                    )
                 tokens.append(Token("INT", raw[i:j], line_no, col))
                 i = j
             elif ch.isalpha() or ch == "_":
@@ -84,6 +98,14 @@ def tokenize(text: str) -> list[Token]:
                 tokens.append(Token("NAME", raw[i:j], line_no, col))
                 i = j
             elif ch in _OPS:
+                if ch == "(":
+                    depth += 1
+                    if depth > MAX_DEPTH:
+                        raise SpecError(
+                            f"parentheses nested deeper than {MAX_DEPTH}", line_no, col
+                        )
+                elif ch == ")":
+                    depth = max(depth - 1, 0)
                 tokens.append(Token("OP", ch, line_no, col))
                 i += 1
             else:
@@ -114,15 +136,8 @@ class Ref(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Sum(Expr):
+    terms: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,14 @@ class SpecAST:
     # (line, col) just past the last character: where semantic errors about
     # what the whole spec lacks point.  Not compared, so pp_spec round trips.
     end: tuple[int, int] = field(default=(1, 1), compare=False)
+
+
+def _negate(e: Expr) -> Expr:
+    if isinstance(e, Lit):
+        return Lit(-e.value)
+    if isinstance(e, Scale):
+        return Scale(-e.factor, e.body)
+    return Scale(Fraction(-1), e)
 
 
 class _Parser:
@@ -220,12 +243,12 @@ class _Parser:
         return Fraction(sign * num, den)
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
+        terms = [self.parse_term()]
         while self.at_op("+") or self.at_op("-"):
-            op = self.advance()
-            right = self.parse_term()
-            node = Add(node, right) if op.text == "+" else Sub(node, right)
-        return node
+            minus = self.advance().text == "-"
+            term = self.parse_term()
+            terms.append(_negate(term) if minus else term)
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def parse_term(self) -> Expr:
         factors = [self.parse_unary()]
@@ -270,15 +293,12 @@ class _Parser:
         return Scale(constant, body)
 
     def parse_unary(self) -> Expr:
-        if self.at_op("-"):
-            tok = self.advance()
-            inner = self.parse_unary()
-            if isinstance(inner, Lit):
-                return Lit(-inner.value)
-            if isinstance(inner, Scale):
-                return Scale(-inner.factor, inner.body)
-            return Scale(Fraction(-1), inner)
-        return self.parse_primary()
+        minus = False
+        while self.at_op("-"):
+            self.advance()
+            minus = not minus
+        primary = self.parse_primary()
+        return _negate(primary) if minus else primary
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
@@ -449,10 +469,8 @@ def pp_expr(e: Expr) -> str:
         return "x"
     if isinstance(e, Ref):
         return e.name
-    if isinstance(e, Add):
-        return f"({pp_expr(e.left)} + {pp_expr(e.right)})"
-    if isinstance(e, Sub):
-        return f"({pp_expr(e.left)} - {pp_expr(e.right)})"
+    if isinstance(e, Sum):
+        return "(" + " + ".join(pp_expr(t) for t in e.terms) + ")"
     if isinstance(e, Scale):
         return f"({_lit_str(e.factor)} * {pp_expr(e.body)})"
     if isinstance(e, MinE):
@@ -495,10 +513,8 @@ def elaborate_expr(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
         return PLFunc.identity()
     if isinstance(e, Ref):
         return env[e.name]
-    if isinstance(e, Add):
-        return pl_sum((elaborate_expr(e.left, env), elaborate_expr(e.right, env)))
-    if isinstance(e, Sub):
-        return elaborate_expr(e.left, env) - elaborate_expr(e.right, env)
+    if isinstance(e, Sum):
+        return pl_sum([elaborate_expr(t, env) for t in e.terms])
     if isinstance(e, Scale):
         return pl_scale(e.factor, elaborate_expr(e.body, env))
     if isinstance(e, MinE):

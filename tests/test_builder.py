@@ -156,6 +156,17 @@ class TestHahnBlock:
         with pytest.raises(ValueError, match="negative"):
             hahn_block(PLFunc.constant(-1), PLFunc.constant(-1), RatSet(()), Pow2OddSet(0))
 
+    def test_from_json_rejects_block_sign_with_witness(self):
+        # The first knot with g_blk > 0 (or h_blk < 0) is the witness.
+        for key, pairs, message in (
+            ("g", [(0, 0), ("1/4", -1), ("1/2", "1/3"), ("3/4", 1), (1, 0)], "positive at x=1/2"),
+            ("h", [(0, 1), ("1/3", "-1/5"), (1, "-1")], "negative at x=1/3"),
+        ):
+            data = synthesize(SP1).to_json()
+            data["blocks"][1][key] = PLFunc.from_pairs(pairs).to_json()
+            with pytest.raises(ValueError, match=message):
+                BlockProductFunc.from_json(data)
+
     def test_finite_support_rejected(self):
         class TwoPoints(Pow2OddSet):
             is_infinite = False

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hahnforge.builder import SectionReport
 from hahnforge.cli import IO_ERROR, OK, PARSE_ERROR, VERIFY_FAILED, main
@@ -145,6 +149,119 @@ class TestUsageErrors:
         for m in ("2", "0"):
             assert main(["sections", str(spec), "--brute", m]) == PARSE_ERROR
             assert "head size 2" in self.one_line_error(capsys)
+
+
+class TestAdversarialSpecs:
+    """Specs past the DSL's bounds exit 2 with one positioned line; long sums
+    and runs of minus signs, which are flat in the AST, still verify."""
+
+    SYNTAX_ERROR = re.compile(r"parse error: line 1, col \d+: .+ \[syntax\]\n")
+
+    @staticmethod
+    def verify(tmp_path: Path, text: str) -> int:
+        spec = tmp_path / "adversarial.hf"
+        spec.write_text(text, encoding="utf-8")
+        return main(["verify", str(spec), "--grid", "4"])
+
+    def assert_one_syntax_line(self, capsys) -> None:
+        captured = capsys.readouterr()
+        assert self.SYNTAX_ERROR.fullmatch(captured.err), captured.err[:200]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def assert_verified(self, capsys) -> None:
+        captured = capsys.readouterr()
+        assert captured.out == "verified 5 grid points: all sections match\n"
+        assert captured.err == ""
+
+    def test_sum_of_20000_terms(self, tmp_path: Path, capsys):
+        text = "u1 = 0\nu2 = " + " + ".join(["x"] * 20_000) + "\n"
+        assert self.verify(tmp_path, text) == OK
+        self.assert_verified(capsys)
+
+    def test_difference_of_20000_terms(self, tmp_path: Path, capsys):
+        assert self.verify(tmp_path, "u1 = " + " - ".join(["x"] * 20_000) + "\n") == OK
+        self.assert_verified(capsys)
+
+    def test_5000_minus_signs(self, tmp_path: Path, capsys):
+        assert self.verify(tmp_path, "u1 = " + "- " * 5000 + "x\n") == OK
+        self.assert_verified(capsys)
+
+    def test_3000_nested_parentheses(self, tmp_path: Path, capsys):
+        text = "u1 = " + "(" * 3000 + "x" + ")" * 3000 + "\n"
+        assert self.verify(tmp_path, text) == PARSE_ERROR
+        self.assert_one_syntax_line(capsys)
+
+    def test_1500_nested_abs(self, tmp_path: Path, capsys):
+        text = "u1 = " + "abs(" * 1500 + "x" + ")" * 1500 + "\n"
+        assert self.verify(tmp_path, text) == PARSE_ERROR
+        self.assert_one_syntax_line(capsys)
+
+    def test_1500_nested_min(self, tmp_path: Path, capsys):
+        text = "u1 = " + "min(x, " * 1500 + "x" + ")" * 1500 + "\n"
+        assert self.verify(tmp_path, text) == PARSE_ERROR
+        self.assert_one_syntax_line(capsys)
+
+    @pytest.mark.parametrize(
+        "text", ["u1 = " + "7" * 5000 + "\n", "grid " + "9" * 5000 + "\nu1 = x\n"]
+    )
+    def test_5000_digit_literal(self, text: str, tmp_path: Path, capsys):
+        assert self.verify(tmp_path, text) == PARSE_ERROR
+        self.assert_one_syntax_line(capsys)
+
+
+# -- the exit-code contract under generated specs ------------------------------
+
+_TOKENS = [
+    "x", "+", "-", "*", "/", "^", "(", ")", ",", "=", "min(", "max(", "abs(",
+    "grid", "tail", "limit", "n", "u1", "u2", "0", "1", "2", "1/2", " ", "\n",
+]
+_token_text = st.lists(
+    st.one_of(st.sampled_from(_TOKENS), st.integers(1, 1500).map(lambda k: "7" * k)),
+    max_size=40,
+).map("".join)
+_nested = st.builds(
+    lambda opener, depth: "u1 = " + opener * depth + "x" + ")" * depth + "\n",
+    st.sampled_from(["(", "abs(", "min(x, ", "max(1, "]),
+    st.integers(0, 3000),
+)
+_long_sum = st.builds(
+    lambda op, term, count: "u1 = 0\nu2 = " + op.join([term] * count) + "\n",
+    st.sampled_from([" + ", " - ", "-", " - -"]),
+    st.sampled_from(["x", "1/3", "2 * x", "abs(x - 1/2)"]),
+    st.integers(1, 3000),
+)
+_spec_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda head, body: (head + body).encode(),
+        st.sampled_from(["", "u1 = ", "u1 = 0\nu2 = "]),
+        _token_text,
+    ),
+    _nested.map(str.encode),
+    _long_sum.map(str.encode),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_spec(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "spec.hf"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_spec_bytes)
+def test_exit_code_contract(fuzz_spec: Path, data: bytes):
+    """Every spec exits 0-3 with no exception; exit 2 prints exactly one line.
+    --grid 4 overrides any grid directive, so each example does bounded work."""
+    fuzz_spec.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(fuzz_spec), "--grid", "4"])
+    assert code in (OK, VERIFY_FAILED, PARSE_ERROR, IO_ERROR)
+    if code == PARSE_ERROR:
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 class TestSynth:

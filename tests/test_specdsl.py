@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hahnforge.plalg import PLFunc, pl_equal, pl_min
+from hahnforge.plalg import PLFunc, pl_equal, pl_min, pl_scale
 from hahnforge.specdsl import (
+    MAX_DEPTH,
+    MAX_DIGITS,
     Abs,
-    Add,
     Expr,
     Lit,
     MaxE,
@@ -20,7 +21,7 @@ from hahnforge.specdsl import (
     Scale,
     SpecAST,
     SpecError,
-    Sub,
+    Sum,
     TailSpec,
     Var,
     family_from_spec,
@@ -38,11 +39,11 @@ class TestParsing:
         ast = parse_spec(SP1_TEXT)
         assert [name for name, _ in ast.decls] == ["u1", "u2"]
         assert ast.decls[0][1] == Lit(Fraction(0))
-        assert ast.decls[1][1] == Sub(Var(), Lit(Fraction(1, 2)))
+        assert ast.decls[1][1] == Sum((Var(), Lit(Fraction(-1, 2))))
 
     def test_min_expression(self):
         ast = parse_spec("u1 = min(0, x - 1/2)\n")
-        assert ast.decls[0][1] == MinE((Lit(Fraction(0)), Sub(Var(), Lit(Fraction(1, 2)))))
+        assert ast.decls[0][1] == MinE((Lit(Fraction(0)), Sum((Var(), Lit(Fraction(-1, 2))))))
 
     def test_references_to_earlier_decls(self):
         ast = parse_spec("base = x - 1/2\nu1 = min(0, base)\n")
@@ -81,6 +82,16 @@ class TestDiagnostics:
             ("u1 = min(x\n", "syntax", 1, 11),
             ("u1 = y + 1\n", "undeclared", 1, 6),
             ("u1 = x * x\n", "non-pl", 1, 10),
+            ("u1 = x $ 1\n", "syntax", 1, 8),
+            ("u1 = 1/0\n", "syntax", 1, 8),
+            ("u1 = grid\n", "syntax", 1, 6),
+            ("u1 = x\ntail 1/m\n", "syntax", 2, 8),
+            ("u1 = x\ntail 1 * 1/2^m\n", "syntax", 2, 14),
+            ("u1 = x\ntail 1 * 2^n\n", "semantic", 2, 6),
+            ("u1 = x\ngrid 0\n", "syntax", 2, 6),
+            ("u1 = x\nlimit 0\nlimit 0\n", "syntax", 3, 1),
+            ("u1 = x\ntail 0\ntail 0\n", "syntax", 3, 1),
+            ("u1 = x\nu1 = 0\n", "syntax", 2, 1),
         ],
     )
     def test_malformed_specs(self, text: str, kind: str, line: int, col: int):
@@ -121,12 +132,65 @@ class TestDiagnostics:
             assert exc.line >= 1 and exc.col >= 1
 
 
+class TestBounds:
+    """Nesting depth and literal length are bounded in the tokenizer; sums and
+    runs of minus signs are flat, so their length is not."""
+
+    def test_depth_at_bound_parses(self):
+        text = "u1 = " + "abs(" * (MAX_DEPTH - 1) + "(x)" + ")" * (MAX_DEPTH - 1) + "\n"
+        ast = parse_spec(text)
+        assert parse_spec(pp_spec(ast)) == ast
+        assert pl_equal(family_from_spec(ast).members[0], PLFunc.identity())
+
+    def test_depth_past_bound_rejected_at_its_paren(self):
+        text = "u1 = " + "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + "\n"
+        with pytest.raises(SpecError, match="nested deeper") as exc:
+            parse_spec(text)
+        assert (exc.value.kind, exc.value.line, exc.value.col) == ("syntax", 1, 6 + MAX_DEPTH)
+
+    def test_depth_counts_open_parentheses_only(self):
+        # Many closed groups on one line never pass the bound.
+        ast = parse_spec("u1 = " + " + ".join(["(x)"] * (3 * MAX_DEPTH)) + "\n")
+        assert len(ast.decls[0][1].terms) == 3 * MAX_DEPTH
+
+    def test_digits_at_bound(self):
+        ast = parse_spec("u1 = " + "7" * MAX_DIGITS + "\ngrid " + "9" * MAX_DIGITS + "\n")
+        assert ast.decls[0][1] == Lit(Fraction(int("7" * MAX_DIGITS)))
+
+    def test_digits_past_bound_rejected_at_the_literal(self):
+        with pytest.raises(SpecError, match="longer than") as exc:
+            parse_spec("u1 = 1/" + "3" * (MAX_DIGITS + 1) + "\n")
+        assert (exc.value.kind, exc.value.line, exc.value.col) == ("syntax", 1, 8)
+
+    def test_non_decimal_digit_rejected(self):
+        # "²" is a Unicode digit that int() cannot read.
+        with pytest.raises(SpecError, match="unexpected character") as exc:
+            parse_spec("u1 = 2²\n")
+        assert (exc.value.line, exc.value.col) == (1, 7)
+
+    def test_long_difference_is_one_sum(self):
+        n = 5000
+        ast = parse_spec("u1 = " + " - ".join(["x"] * n) + "\n")
+        terms = ast.decls[0][1].terms
+        assert terms == (Var(),) + (Scale(Fraction(-1), Var()),) * (n - 1)
+        assert parse_spec(pp_spec(ast)) == ast
+        assert family_from_spec(ast).members[0] == pl_scale(2 - n, PLFunc.identity())
+
+    def test_minus_run_folds_once(self):
+        for signs in (1, 2, 3, 5000, 5001):
+            ast = parse_spec("u1 = " + "- " * signs + "x * 3\nu2 = " + "-" * signs + "1/2\n")
+            sign = -1 if signs % 2 else 1
+            expected_x = Scale(Fraction(3), Scale(Fraction(-1), Var()) if sign < 0 else Var())
+            assert ast.decls[0][1] == expected_x
+            assert ast.decls[1][1] == Lit(Fraction(sign, 2))
+
+
 # -- fixpoint fuzzing ---------------------------------------------------------
 
 
 def random_expr(rng: random.Random, names: list[str], depth: int) -> Expr:
     leafs = ["lit", "var"] + (["ref"] if names else [])
-    choices = leafs if depth == 0 else leafs + ["add", "sub", "scale", "min", "max", "abs"]
+    choices = leafs if depth == 0 else leafs + ["sum", "scale", "min", "max", "abs"]
     kind = rng.choice(choices)
     if kind == "lit":
         return Lit(Fraction(rng.randint(-8, 8), rng.randint(1, 8)))
@@ -134,10 +198,8 @@ def random_expr(rng: random.Random, names: list[str], depth: int) -> Expr:
         return Var()
     if kind == "ref":
         return Ref(rng.choice(names))
-    if kind == "add":
-        return Add(random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
-    if kind == "sub":
-        return Sub(random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
+    if kind == "sum":
+        return Sum(tuple(random_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 3))))
     if kind == "scale":
         body = random_expr(rng, names, depth - 1)
         while isinstance(body, Lit):
