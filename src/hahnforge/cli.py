@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .alphat import at_baire_one_cocountable, at_is_continuous, at_sections, diag_example
 from .builder import synthesize, verify_synthesis
+from .rational import rat_str
 from .sections import brute_sections, tail_sections
 from .spaces import OrdinalCompact, parse_ordinal, scattered_rank
 from .specdsl import (
@@ -112,7 +113,7 @@ def cmd_sections(args: argparse.Namespace) -> int:
             )
         pair, bound = brute_sections(family, args.brute, grid)
         data = pair.to_json()
-        data["bound"] = f"{bound.numerator}/{bound.denominator}"
+        data["bound"] = rat_str(bound)
     else:
         pair = tail_sections(family, grid)
         data = pair.to_json()

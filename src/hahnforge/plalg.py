@@ -18,7 +18,8 @@ comparing point values against one-sided limits.
 
 Finite unions of closed rational intervals (singletons included) are
 :class:`RatSet`; they arise as equality sets {x : f(x) = g(x)} of PL
-functions and as zero sets of distance functions.
+functions and as zero sets of distance functions, and ``subset`` decides
+containment between two of them with a witness point.
 """
 
 from __future__ import annotations
@@ -303,6 +304,29 @@ class RatSet:
 
 EMPTY_SET = RatSet(())
 FULL_SET = RatSet(((ZERO, ONE),))
+
+
+def subset(a: RatSet, b: RatSet) -> Verdict:
+    """Whether a is contained in b, decided in one pass over both.
+
+    The components of b are closed with a strict gap between them, so a
+    component of a whose left end lies in one of b is contained iff it ends
+    inside that same one.  At the first component of a that is not contained,
+    the witness is its left end if that lies outside b; otherwise the part
+    outside b starts with an open gap, which has no least point, and the
+    witness is the midpoint of the gap within the component.
+    """
+    bs = b.intervals
+    j = 0
+    for lo, hi in a.intervals:
+        while j < len(bs) and bs[j][1] < lo:
+            j += 1
+        if j == len(bs) or bs[j][0] > lo:
+            return Verdict(False, lo)
+        if hi > bs[j][1]:
+            end = min(hi, bs[j + 1][0]) if j + 1 < len(bs) else hi
+            return Verdict(False, (bs[j][1] + end) / 2)
+    return Verdict(True)
 
 
 def equality_set(f: PLFunc, g: PLFunc) -> RatSet:

@@ -7,7 +7,17 @@ floats enter any computation; they appear only in lossy CSV export columns.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+
+# str(int) refuses integers with more digits than sys.get_int_max_str_digits()
+# (4,300 by default, never below 640, 0 for no limit).  At most 3 bits per
+# permitted digit stays below the limit, so only longer integers are cut into
+# base-10**500 chunks, each of which is within every permitted limit.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_STR_MAX_BITS = 3 * _DIGIT_LIMIT if _DIGIT_LIMIT else sys.maxsize
+_CHUNK_DIGITS = 500
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -17,11 +27,28 @@ def rat(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
+def _int_str(n: int) -> str:
+    """The decimal digits of n, exact at any length: divmod by 10**500."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    return sign + str(n) + "".join(f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
+
+
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" rendering, always with an explicit denominator."""
-    return f"{q.numerator}/{q.denominator}"
+    n, d = q.numerator, q.denominator
+    if (abs(n) | d).bit_length() <= _STR_MAX_BITS:
+        return f"{n}/{d}"
+    return f"{_int_str(n)}/{_int_str(d)}"
 
 
 def rat_float(q: Fraction) -> str:
-    """Lossy decimal rendering (17 significant digits) for CSV plotting."""
-    return format(float(q), ".17g")
+    """Lossy decimal rendering (17 significant digits) for CSV plotting; a
+    value past the float range renders as inf or -inf, as IEEE rounding does."""
+    try:
+        return format(float(q), ".17g")
+    except OverflowError:
+        return "inf" if q > 0 else "-inf"

@@ -54,7 +54,7 @@ def report(criterion: int, text: str) -> None:
 
 
 def test_criterion_1_synthesis_round_trip():
-    """Synthesized sections equal the prescribed envelopes, exactly, everywhere probed."""
+    """Synthesized sections equal the prescribed envelopes, exactly, at every x."""
     rng = random.Random(101)
     families = [SP1] + [StableFamily(random_family(rng, 6)) for _ in range(100)]
     for fam in families:

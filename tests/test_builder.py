@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -30,11 +31,13 @@ from hahnforge.plalg import (
     FULL_SET,
     PLFunc,
     RatSet,
+    distance_function,
     dominates,
     dyadic_grid,
     pl_equal,
     pl_max,
     pl_min,
+    pl_scale,
 )
 from hahnforge.sections import INFINITY
 from hahnforge.spaces import Pow2OddSet, ResidueSet
@@ -408,7 +411,8 @@ def oracle_rows(f: BlockProductFunc, grid, max_y: int):
 
 
 def oracle_pointwise_failures(f: BlockProductFunc, family: StableFamily, grid) -> list[str]:
-    """The pointwise half of verify_synthesis, evaluated through the oracle."""
+    """The per-x probe loop verify_synthesis ran before it decided every x:
+    about ten sampled y per grid x, each evaluated through the oracle."""
     pair = envelopes(family)
     failures = []
     for x in grid:
@@ -438,6 +442,77 @@ def oracle_pointwise_failures(f: BlockProductFunc, family: StableFamily, grid) -
         if not g_x <= f.theta(x) <= h_x:
             failures.append(f"x={x}: f(x, inf)={f.theta(x)} escapes [{g_x}, {h_x}]")
     return failures
+
+
+
+def oracle_bound_failures(f: BlockProductFunc, family: StableFamily) -> list[str]:
+    """The four dominance bounds per block, g_sh <= g_blk <= 0 <= h_blk <= h_sh."""
+    pair = envelopes(family)
+    g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
+    failures = []
+    for n, block in enumerate(f.blocks, start=1):
+        for name, lo, hi in (
+            ("lower", g_sh, block.g_blk),
+            ("lower-zero", block.g_blk, ZERO_F),
+            ("upper-zero", ZERO_F, block.h_blk),
+            ("upper", block.h_blk, h_sh),
+        ):
+            v = dominates(lo, hi)
+            if not v.ok:
+                failures.append(f"block {n}: {name} envelope bound fails at x={v.witness}")
+    return failures
+
+
+def oracle_grid_failures(f: BlockProductFunc, family: StableFamily, grid) -> list[str]:
+    """The grid oracle twin of verify_synthesis: the four bounds per block and
+    the sampled probes at each grid x."""
+    return oracle_bound_failures(f, family) + oracle_pointwise_failures(f, family, grid)
+
+
+EXACT_FAILURE = re.compile(r"block (\d+): (.+) at x=(\S+)")
+
+
+def assert_exact_witness(f: BlockProductFunc, family: StableFamily, failure: str) -> None:
+    """The x named by an exact failure of verify_synthesis really breaks it."""
+    n, what, x = EXACT_FAILURE.fullmatch(failure).groups()
+    n, x = int(n), Fraction(x)
+    assert 0 <= x <= 1
+    block = f.blocks[n - 1]
+    pair = envelopes(family)
+    g_sh, h_sh = pair.g(x) - f.theta(x), pair.h(x) - f.theta(x)
+    if what.startswith("alpha vanishes"):
+        assert block.alpha(x) == 0
+        assert n == 1 or x not in f.stage_sets[n - 2]
+    elif what.startswith("stage envelopes"):
+        assert x in f.stage_sets[n - 1]
+        assert (block.g_blk(x), block.h_blk(x)) != (g_sh, h_sh)
+    else:
+        lo, hi = {
+            "lower": (g_sh, block.g_blk(x)),
+            "lower-zero": (block.g_blk(x), 0),
+            "upper-zero": (0, block.h_blk(x)),
+            "upper": (block.h_blk(x), h_sh),
+        }[what.removesuffix(" envelope bound fails")]
+        assert lo > hi, failure
+
+
+def tampered_blocks(f: BlockProductFunc):
+    """(label, f with one block altered) for every block and alteration."""
+    eighth = PLFunc.constant("1/8")
+    for i, block in enumerate(f.blocks):
+        variants = [
+            ("g_blk - 1/8", dataclasses.replace(block, g_blk=block.g_blk - eighth)),
+            ("h_blk + 1/8", dataclasses.replace(block, h_blk=block.h_blk + eighth)),
+            ("g_blk / 2", dataclasses.replace(block, g_blk=pl_scale("1/2", block.g_blk))),
+            ("h_blk / 2", dataclasses.replace(block, h_blk=pl_scale("1/2", block.h_blk))),
+            ("alpha = 1", dataclasses.replace(block, alpha=PLFunc.constant(1))),
+        ]
+        if i + 1 < f.size:
+            alpha = distance_function(f.stage_sets[i])
+            variants.append(("alpha = dist(F_n)", dataclasses.replace(block, alpha=alpha)))
+        for label, bad in variants:
+            blocks = f.blocks[:i] + (bad,) + f.blocks[i + 1 :]
+            yield f"block {i + 1}: {label}", BlockProductFunc(blocks, f.stage_sets, f.theta)
 
 
 GRID33 = dyadic_grid(5)
@@ -487,17 +562,23 @@ class TestSliceEvaluation:
             assert f.sample_rows(GRID33, 40) == oracle_rows(f, GRID33, 40)
 
     def test_tampered_upper_block_reports_oracle_failures(self):
-        # Block 2 of SP1 with h_blk raised by 1/8: the four bounds and the
-        # pointwise checks must report exactly what the oracle finds.
+        # Block 2 of SP1 with h_blk raised by 1/8: the grid oracle finds the
+        # upper bound at x=0 and pointwise failures; verify_synthesis reports
+        # the same bound, the same missed envelope values, and F_2 at x=0.
         f = synthesize(SP1)
         bad = dataclasses.replace(f.blocks[1], h_blk=f.blocks[1].h_blk + PLFunc.constant("1/8"))
         tampered = BlockProductFunc((f.blocks[0], bad), f.stage_sets, f.theta)
-        report = verify_synthesis(tampered, SP1, GRID33)
-        structural = [m for m in report.failures if m.startswith("block ")]
+        oracle = oracle_grid_failures(tampered, SP1, GRID33)
+        structural = [m for m in oracle if m.startswith("block ")]
         assert structural == ["block 2: upper envelope bound fails at x=0"]
-        pointwise = [m for m in report.failures if not m.startswith("block ")]
-        assert pointwise == oracle_pointwise_failures(tampered, SP1, GRID33)
+        pointwise = [m for m in oracle if not m.startswith("block ")]
         assert pointwise
+        report = verify_synthesis(tampered, SP1, GRID33)
+        assert [m for m in report.failures if "envelope bound" in m] == structural
+        misses = [m for m in report.failures if m.startswith("x=")]
+        assert misses == [m for m in pointwise if "misses" in m]
+        assert len(misses) == 32
+        assert "block 2: stage envelopes leave the envelopes on F_2 at x=0" in report.failures
 
     def test_sections_and_certificates_through_slices(self, rng: random.Random):
         fam = StableFamily(random_family(rng, 4))
@@ -513,6 +594,49 @@ class TestSliceEvaluation:
             y for y in range(1, 4001) if abs(oracle_value(f, x, y) - base) >= eps
         )
 
+
+
+class TestExactDecision:
+    """verify_synthesis decides every x of [0, 1]; the grid oracle samples."""
+
+    def test_dip_between_grid_points(self):
+        # h_blk of SP1's block 2 lowered by 1/1000 at the centre of
+        # [63/100, 631/1000]: strictly between the grid points 40/64 and 41/64
+        # and inside F_2 = [0, 1], so every grid value is unchanged, but the
+        # section maximum misses h inside the dip.
+        f = synthesize(SP1)
+        h = f.blocks[1].h_blk
+        lo, hi = Fraction(63, 100), Fraction(631, 1000)
+        assert Fraction(40, 64) < lo < hi < Fraction(41, 64)
+        mid = (lo + hi) / 2
+        dipped = PLFunc.from_pairs(
+            [(0, 0), ("1/2", 0), (lo, h(lo)), (mid, h(mid) - Fraction(1, 1000)), (hi, h(hi)), (1, h(1))]
+        )
+        bad = dataclasses.replace(f.blocks[1], h_blk=dipped)
+        tampered = BlockProductFunc((f.blocks[0], bad), f.stage_sets, f.theta)
+        assert oracle_grid_failures(tampered, SP1, GRID65) == []
+        report = verify_synthesis(tampered, SP1, GRID65)
+        assert report.entries == verify_synthesis(f, SP1, GRID65).entries
+        (failure,) = report.failures
+        n, what, x = EXACT_FAILURE.fullmatch(failure).groups()
+        x = Fraction(x)
+        assert n == "2" and what.startswith("stage envelopes") and lo < x < hi
+        assert_exact_witness(tampered, SP1, failure)
+        assert tampered.section_values(x)[1] < envelopes(SP1).h(x)
+
+    def test_grid_rejections_are_exact_rejections(self, rng: random.Random):
+        families = [SP1] + [StableFamily(random_family(rng, 5)) for _ in range(4)]
+        rejected = 0
+        for fam in families:
+            for label, tampered in tampered_blocks(synthesize(fam)):
+                report = verify_synthesis(tampered, fam, GRID65)
+                exact = [m for m in report.failures if m.startswith("block ")]
+                for failure in exact:
+                    assert_exact_witness(tampered, fam, failure)
+                if oracle_grid_failures(tampered, fam, GRID65):
+                    rejected += 1
+                    assert exact, label
+        assert rejected >= 40
 
 class TestSupportDisjointness:
     @staticmethod

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -337,6 +338,81 @@ class TestGoldenOutputs:
         spec.write_text(self.TEXTS[name], encoding="utf-8")
         assert main(["verify", str(spec), "--grid", "64"]) == OK
         assert capsys.readouterr().out == "verified 65 grid points: all sections match\n"
+
+    # The verify --grid 64 --report JSON, as written by the per-x probe loop
+    # that the exact decision replaced.
+    REPORT_SHA256 = {
+        "sp1": "be2f2ddbdaf45bb8e3062e0130c18c493ea931a9e7600d08f57a5e9866d40b31",
+        "seeded": "2b3fe921b4431d5988f8a947fe420becb20849a9bac4660c05a7507900453a1d",
+    }
+
+    @pytest.mark.parametrize("name", ["sp1", "seeded"])
+    def test_verify_report(self, name: str, tmp_path: Path, capsys):
+        spec = tmp_path / f"{name}.hf"
+        spec.write_text(self.TEXTS[name], encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["verify", str(spec), "--grid", "64", "--report", str(report)]) == OK
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.REPORT_SHA256[name]
+
+
+
+@contextlib.contextmanager
+def int_str_digits(limit: int):
+    """Python's int-to-str digit limit set to limit, and restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestHugeValues:
+    """Exact values past the float range or past Python's 4,300-digit
+    int-to-str limit are written in full, with no traceback."""
+
+    def test_value_past_float_range(self, tmp_path: Path, capsys):
+        big = 10**400
+        spec = tmp_path / "big.hf"
+        spec.write_text(f"u1 = {big} * (2 * x - 1)\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", str(spec), "--grid", "4", "--samples", "1", "--out", str(out)]) == OK
+        assert capsys.readouterr().err == ""
+        with (out / "samples.csv").open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 10
+        for x, _, value, value_float in rows:
+            exact = big * (2 * Fraction(x) - 1)
+            assert Fraction(value) == exact
+            assert value_float == {-1: "-inf", 0: "0", 1: "inf"}[(exact > 0) - (exact < 0)]
+
+    def test_digits_past_str_limit(self, tmp_path: Path, capsys):
+        a = int("7" * 1000)
+        spec = tmp_path / "digits.hf"
+        spec.write_text("u1 = " + " * ".join([str(a)] * 5) + " * x\n", encoding="utf-8")
+        with int_str_digits(0):
+            expected = f"{a**5}/1"
+        assert len(expected) > 4300
+        out = tmp_path / "out"
+        assert main(["synth", str(spec), "--grid", "4", "--samples", "1", "--out", str(out)]) == OK
+        theta = json.loads((out / "function.json").read_text(encoding="utf-8"))["theta"]
+        assert theta == [["0/1", "0/1"], ["1/1", expected]]
+        report = tmp_path / "report.json"
+        assert main(["verify", str(spec), "--grid", "1", "--report", str(report)]) == OK
+        entries = json.loads(report.read_text(encoding="utf-8"))["entries"]
+        assert [(e["x"], e["g"], e["h"]) for e in entries] == [
+            ("0/1", "0/1", "0/1"),
+            ("1/1", expected, expected),
+        ]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("digits", [1, 499, 500, 501, 1000, 4300, 4301, 9001])
+    def test_rat_str_digits(self, digits: int):
+        n, d = 10**digits - 3, 3 ** (2 * digits)  # coprime, d almost as long
+        with int_str_digits(0):
+            expected = [f"{n}/{d}", f"-{n}/{d}", f"{n}/1"]
+        got = [rat_str(Fraction(n, d)), rat_str(Fraction(-n, d)), rat_str(Fraction(n))]
+        assert got == expected
 
 
 class TestSections:

@@ -30,6 +30,7 @@ from hahnforge.plalg import (
     pl_scale,
     pl_sum,
     semicontinuity_check,
+    subset,
 )
 
 X = PLFunc.identity()
@@ -233,6 +234,27 @@ class TestDominates:
                 assert pl_equal(f, g)
             if dominates(f, g).ok and dominates(g, h).ok:
                 assert dominates(f, h).ok
+
+
+class TestSubset:
+    def test_witnesses(self):
+        half = RatSet.of([(0, "1/2")])
+        assert subset(half, FULL_SET).ok and subset(EMPTY_SET, half).ok
+        assert subset(FULL_SET, EMPTY_SET) == Verdict(False, Fraction(0))
+        assert subset(RatSet.point(1), half) == Verdict(False, Fraction(1))
+        # (1/2, 1] has no least point: the witness is the midpoint of the gap.
+        assert subset(FULL_SET, half) == Verdict(False, Fraction(3, 4))
+        gapped = RatSet.of([(0, "1/4"), ("1/2", 1)])
+        assert subset(FULL_SET, gapped) == Verdict(False, Fraction(3, 8))
+        assert subset(RatSet.of([(0, "1/8"), ("5/8", "3/4")]), gapped).ok
+
+    def test_matches_intersection(self, rng: random.Random):
+        for _ in range(300):
+            a, b = random_ratset(rng), random_ratset(rng)
+            v = subset(a, b)
+            assert v.ok == (a.intersect(b) == a), (a, b)
+            if not v.ok:
+                assert v.witness in a and v.witness not in b, (a, b, v)
 
 
 # The grid-and-bisect algebra, kept as the oracle for the merge-walk kernel:
