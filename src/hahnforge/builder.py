@@ -63,6 +63,7 @@ from .plalg import (
     distance_function,
     dominates,
     equality_set,
+    first_containing,
     pl_max,
     pl_min,
     subset,
@@ -251,11 +252,15 @@ class BlockProductFunc:
             modulus, residue = s.residue_class()
             owners.setdefault(modulus, {})[residue] = i
         object.__setattr__(self, "_owners", tuple(sorted(owners.items())))
-        for cur, nxt in zip(self.stage_sets, self.stage_sets[1:]):
-            if cur.intersect(nxt) != cur:
-                raise ValueError("stage sets must be increasing")
-        if self.stage_sets[-1] != FULL_SET:
-            raise ValueError("the last stage set must cover [0, 1]")
+        for n, (cur, nxt) in enumerate(zip(self.stage_sets, self.stage_sets[1:]), start=1):
+            v = subset(cur, nxt)
+            if not v.ok:
+                raise ValueError(
+                    f"stage sets must increase: x={v.witness} is in F_{n} but not in F_{n + 1}"
+                )
+        v = subset(FULL_SET, self.stage_sets[-1])
+        if not v.ok:
+            raise ValueError(f"the last stage set must cover [0, 1], but misses x={v.witness}")
 
     @property
     def size(self) -> int:
@@ -282,11 +287,7 @@ class BlockProductFunc:
 
     def active_stage(self, x: int | str | Fraction) -> int:
         """Least n with x in F_n; block n attains the envelopes at x."""
-        x = rat(x)
-        for n, s in enumerate(self.stage_sets, start=1):
-            if x in s:
-                return n
-        raise AssertionError("stage sets must cover [0, 1]")
+        return first_containing(self.stage_sets, rat(x)) + 1
 
     def section_values(
         self, x: int | str | Fraction

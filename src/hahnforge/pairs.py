@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .plalg import PLFunc, dominates, pl_max, pl_min, pl_scale, pl_sum
-from .rational import rat
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,12 @@ def envelopes(family: StableFamily) -> HahnPair:
 def stability_witness(family: StableFamily, x: int | str | Fraction) -> int:
     """Smallest k such that both partial envelopes at x already equal (g(x), h(x)).
 
-    From this k on, the partial-envelope sequences at x are constant, which is
-    the pointwise-stabilization property of finite-envelope pairs.
+    It is the larger of the first indices attaining g(x) and h(x).  From this
+    k on, the partial-envelope sequences at x are constant, which is the
+    pointwise-stabilization property of finite-envelope pairs.
     """
-    x = rat(x)
     values = [u(x) for u in family.members]
-    g, h = min(values), max(values)
-    lo = hi = values[0]
-    for k, v in enumerate(values, start=1):
-        lo = min(lo, v)
-        hi = max(hi, v)
-        if lo == g and hi == h:
-            return k
-    raise AssertionError("envelopes are attained within the family")
+    return max(values.index(min(values)), values.index(max(values))) + 1
 
 
 def insert_intermediate(pair: HahnPair) -> PLFunc:

@@ -19,7 +19,9 @@ comparing point values against one-sided limits.
 Finite unions of closed rational intervals (singletons included) are
 :class:`RatSet`; they arise as equality sets {x : f(x) = g(x)} of PL
 functions and as zero sets of distance functions, and ``subset`` decides
-containment between two of them with a witness point.
+containment between two of them with a witness point.  ``first_containing``
+is the one "who attains it" rule: over the equality sets {f_i = envelope},
+or over increasing stage sets, the least index whose set holds x.
 """
 
 from __future__ import annotations
@@ -327,6 +329,11 @@ def subset(a: RatSet, b: RatSet) -> Verdict:
             end = min(hi, bs[j + 1][0]) if j + 1 < len(bs) else hi
             return Verdict(False, (bs[j][1] + end) / 2)
     return Verdict(True)
+
+
+def first_containing(sets: Sequence[RatSet], x: Fraction) -> int | None:
+    """The least i with x in sets[i], or None if no set holds x."""
+    return next((i for i, s in enumerate(sets) if x in s), None)
 
 
 def equality_set(f: PLFunc, g: PLFunc) -> RatSet:

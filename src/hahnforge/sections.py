@@ -13,6 +13,9 @@ at each x the tail contributions stay between 0 and the first one (first two,
 for an alternating ratio).  Hence the exact envelopes over the whole space
 are lattice envelopes of head + limit + the first one or two tail slices.
 
+The witness of g(x) (of h(x)) is the least candidate index, in the order head,
+n+1, n+2, inf, whose equality set with g (with h) holds x.
+
 :func:`brute_sections` is the independent twin: it enumerates slices up to a
 cutoff M and certifies the truncation error |coeff(M+1)| * sup|shape|.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .plalg import PLFunc, PwFunc, pl_max, pl_min, pl_scale, pl_sum
+from .plalg import PLFunc, PwFunc, equality_set, first_containing, pl_max, pl_min, pl_scale, pl_sum
 from .rational import rat, rat_float, rat_str
 from .tailrules import TailRule
 
@@ -73,49 +76,44 @@ class SectionPair:
     h: PwFunc
     witnesses: Mapping[Fraction, tuple[Witness, Witness]]
 
-    def rows(self) -> list[tuple[str, str, str, str, str]]:
-        out = []
+    def _points(self):
+        """(x, g(x), h(x), min witness, max witness) per grid point, in order."""
         for x in sorted(self.witnesses):
-            lo_w, hi_w = self.witnesses[x]
-            out.append(
-                (rat_str(x), rat_str(self.g.value(x)), rat_str(self.h.value(x)), str(lo_w), str(hi_w))
-            )
-        return out
+            yield (x, self.g.value(x), self.h.value(x), *self.witnesses[x])
+
+    def rows(self) -> list[tuple[str, str, str, str, str]]:
+        return [
+            (rat_str(x), rat_str(g), rat_str(h), str(lo_w), str(hi_w))
+            for x, g, h, lo_w, hi_w in self._points()
+        ]
 
     def to_json(self) -> dict:
         return {
             "grid": [
                 {
                     "x": rat_str(x),
-                    "g": rat_str(self.g.value(x)),
-                    "h": rat_str(self.h.value(x)),
-                    "g_float": rat_float(self.g.value(x)),
-                    "h_float": rat_float(self.h.value(x)),
-                    "min_witness": self.witnesses[x][0],
-                    "max_witness": self.witnesses[x][1],
+                    "g": rat_str(g),
+                    "h": rat_str(h),
+                    "g_float": rat_float(g),
+                    "h_float": rat_float(h),
+                    "min_witness": lo_w,
+                    "max_witness": hi_w,
                 }
-                for x in sorted(self.witnesses)
+                for x, g, h, lo_w, hi_w in self._points()
             ]
         }
-
-
-def _pick_witness(
-    candidates: Sequence[tuple[Witness, PLFunc]], x: Fraction, target: Fraction
-) -> Witness:
-    for idx, f in candidates:
-        if f(x) == target:
-            return idx
-    raise AssertionError("envelope value must be attained by a candidate")
 
 
 def _pair_from_candidates(
     candidates: Sequence[tuple[Witness, PLFunc]], grid: Sequence[Fraction]
 ) -> SectionPair:
-    fs = [f for _, f in candidates]
+    labels, fs = zip(*candidates)
     g = pl_min(fs)
     h = pl_max(fs)
+    at_g = [equality_set(f, g) for f in fs]
+    at_h = [equality_set(f, h) for f in fs]
     witnesses = {
-        x: (_pick_witness(candidates, x, g(x)), _pick_witness(candidates, x, h(x)))
+        x: (labels[first_containing(at_g, x)], labels[first_containing(at_h, x)])
         for x in map(rat, grid)
     }
     return SectionPair(g.to_pw(), h.to_pw(), witnesses)

@@ -677,6 +677,36 @@ class TestSupportDisjointness:
             BlockProductFunc.from_json(data)
 
 
+class TestStageSetInvariants:
+    """from_json re-checks the stage sets of a stored function; SP1 has
+    F_1 = {1/2} and F_2 = [0, 1]."""
+
+    @staticmethod
+    def rejected(data: dict, message: str) -> None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BlockProductFunc.from_json(data)
+
+    def test_one_stage_set_per_block(self):
+        data = synthesize(SP1).to_json()
+        data["stage_sets"].pop()
+        self.rejected(data, "one stage set per block")
+
+    def test_at_least_one_block(self):
+        data = synthesize(SP1).to_json()
+        data["blocks"], data["stage_sets"] = [], []
+        self.rejected(data, "need at least one block")
+
+    def test_increasing_with_witness(self):
+        data = synthesize(SP1).to_json()
+        data["stage_sets"] = [[["0", "1"]], [["1/2", "1/2"]]]
+        self.rejected(data, "stage sets must increase: x=0 is in F_1 but not in F_2")
+
+    def test_last_set_covers_with_witness(self):
+        data = synthesize(SP1).to_json()
+        data["stage_sets"][1] = [["0", "1/4"], ["1/2", "1"]]
+        self.rejected(data, "the last stage set must cover [0, 1], but misses x=3/8")
+
+
 # -- single-pass synthesis against the definitional stage code ----------------
 # The oracles recompute the stage envelopes from the first n members for every
 # n and build F_n as the union over j, k <= n of {u_j = g} ∩ {u_k = h}.

@@ -248,21 +248,65 @@ def fuzz_spec(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz") / "spec.hf"
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=_spec_bytes)
-def test_exit_code_contract(fuzz_spec: Path, data: bytes):
-    """Every spec exits 0-3 with no exception; exit 2 prints exactly one line.
-    --grid 4 overrides any grid directive, so each example does bounded work."""
-    fuzz_spec.write_bytes(data)
+def run_under_contract(spec: Path, data: bytes, command: str, *options: str) -> int:
+    """Run the command on the spec bytes: every spec exits 0-3 with no
+    exception, and exit 2 prints exactly one line."""
+    spec.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", str(fuzz_spec), "--grid", "4"])
+        code = main([command, str(spec), *options])
     assert code in (OK, VERIFY_FAILED, PARSE_ERROR, IO_ERROR)
     if code == PARSE_ERROR:
         assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
     else:
         assert err.getvalue() == ""
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_spec_bytes)
+def test_exit_code_contract(fuzz_spec: Path, data: bytes):
+    """--grid 4 overrides any grid directive, so each example does bounded work."""
+    run_under_contract(fuzz_spec, data, "verify", "--grid", "4")
+
+
+# Tail specs: a head, a limit line and a tail line.  Each expression and rule
+# is well formed four times in five and a token string otherwise, so the
+# witness search of `sections` runs on many of them.
+def _mostly(good: list[str]):
+    return st.builds(
+        lambda k, text, noise: noise if k == 0 else text,
+        st.integers(0, 4),
+        st.sampled_from(good),
+        st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=6).map("".join),
+    )
+
+
+_expr = _mostly(
+    ["x", "0", "1/2", "x - 1/2", "1/2 - x", "abs(x - 1/2)", "min(x, 1/2)", "max(0, 1 - 2 * x)"]
+)
+_tail_rule = _mostly(["0", "1/n", "-2/n", "1 * 1/2^n", "2 * -1/2^n", "-1 * -2/3^n"])
+_tail_spec = st.builds(
+    lambda head, limit, rule, shape: (
+        "".join(f"u{i} = {e}\n" for i, e in enumerate(head, start=1))
+        + f"limit {limit}\ntail {rule}"
+        + ("" if shape is None else f" * {shape}")
+        + "\n"
+    ).encode(),
+    st.lists(_expr, max_size=3),
+    _expr,
+    _tail_rule,
+    st.none() | _expr,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_tail_spec, brute=st.booleans())
+def test_sections_exit_code_contract(fuzz_spec: Path, data: bytes, brute: bool):
+    """The same contract for `sections --grid 4`, with and without --brute 9."""
+    extra = ["--brute", "9"] if brute else []
+    run_under_contract(fuzz_spec, data, "sections", "--grid", "4", *extra)
 
 
 class TestSynth:
@@ -353,6 +397,41 @@ class TestGoldenOutputs:
         report = tmp_path / "report.json"
         assert main(["verify", str(spec), "--grid", "64", "--report", str(report)]) == OK
         assert hashlib.sha256(report.read_bytes()).hexdigest() == self.REPORT_SHA256[name]
+
+    # sections stdout, which pins each witness as the first attaining candidate
+    # in the order head, n+1, n+2, inf (or 1..M, inf under --brute M).  In
+    # SECTIONS_TEXT, u1, slices 3 and 4 and inf all attain h(0) = 0.  The tie
+    # specs add duplicate head slices, a zero tail whose slices n+1, n+2 and
+    # inf all equal the limit, and an alternating tail whose slice n+1 repeats
+    # a head slice.
+    SECTIONS_TEXTS = {
+        "sections": SECTIONS_TEXT,
+        "ties_zero_tail": (
+            "u1 = x - 1/2\nu2 = x - 1/2\nu3 = 0\nu4 = 1/2 - x\nu5 = 0\n"
+            "limit 1/4\ntail 0\ngrid 8\n"
+        ),
+        "ties_alternating": (
+            "u1 = 0\nu2 = 1/8 * x - 1/16\nu3 = 0\n"
+            "limit 0\ntail 2 * -1/2^n * (x - 1/2)\ngrid 8\n"
+        ),
+    }
+    SECTIONS_SHA256 = {
+        ("sections", None): "b8eda4bce325083ec5bb5feb286a9fa06c48c63071cca39c045fb1ced8753faa",
+        ("sections", "6"): "cec5c05a74775ba579ec204716068d3bc47172343f89fd7f65a5c8229c079397",
+        ("ties_zero_tail", None): "0e3b02c6b11bbacfbe7d64717ad96a3a30fdead58f11c7db1e733738d83fca1d",
+        ("ties_zero_tail", "9"): "68b3544a4c2a6a5e33a339a35192c494d5741013ffb63f694f0cb137fa69d64d",
+        ("ties_alternating", None): "9e5de83522af9ed2031a761d7de5a709c3759f339c73d9dc650918580b0b6271",
+        ("ties_alternating", "9"): "e652f7f5d256f8fec324656ed1c6b143bde8965c5e492c53e489256687fefd9f",
+    }
+
+    @pytest.mark.parametrize("name, brute", sorted(SECTIONS_SHA256, key=str))
+    def test_sections_stdout(self, name: str, brute: str | None, tmp_path: Path, capsys):
+        spec = tmp_path / f"{name}.hf"
+        spec.write_text(self.SECTIONS_TEXTS[name], encoding="utf-8")
+        extra = [] if brute is None else ["--brute", brute]
+        assert main(["sections", str(spec), *extra]) == OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == self.SECTIONS_SHA256[name, brute]
 
 
 

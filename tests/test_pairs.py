@@ -18,6 +18,7 @@ from hahnforge.plalg import (
     pl_min,
     pl_scale,
 )
+from hahnforge.builder import synthesize
 from hahnforge.pairs import (
     HahnPair,
     StableFamily,
@@ -58,6 +59,27 @@ class TestEnvelopes:
                 assert dominates(u, pair.h).ok
 
 
+def running_envelope_witness(family: StableFamily, x: Fraction) -> int:
+    """Oracle: fold the partial envelopes until both reach (g(x), h(x))."""
+    values = [u(x) for u in family.members]
+    g, h = min(values), max(values)
+    lo = hi = values[0]
+    for k, v in enumerate(values, start=1):
+        lo = min(lo, v)
+        hi = max(hi, v)
+        if lo == g and hi == h:
+            return k
+    raise AssertionError("envelopes are attained within the family")
+
+
+def family_with_ties(rng: random.Random) -> StableFamily:
+    """A random family that, every other time, repeats one of its members."""
+    members = list(random_family(rng))
+    if rng.random() < 0.5:
+        members.insert(rng.randint(0, len(members)), rng.choice(members))
+    return StableFamily(tuple(members))
+
+
 class TestStabilityWitness:
     def test_three_quarters(self):
         assert stability_witness(SP1, "3/4") == 2
@@ -80,6 +102,24 @@ class TestStabilityWitness:
                 for k in range(k_x, len(fam) + 1):
                     assert min(values[:k]) == g
                     assert max(values[:k]) == h
+
+    def test_matches_running_envelope_oracle(self, rng: random.Random):
+        for _ in range(100):
+            fam = family_with_ties(rng)
+            for x in dyadic_grid(4):
+                assert stability_witness(fam, x) == running_envelope_witness(fam, x)
+
+    def test_first_of_equal_members_counts(self):
+        fam = StableFamily((X_MINUS_HALF, ZERO_F, X_MINUS_HALF, ZERO_F))
+        assert [stability_witness(fam, x) for x in ("0", "1/2", "1")] == [2, 1, 2]
+
+    def test_equals_active_stage_of_synthesis(self, rng: random.Random):
+        # The block active at x is where the partial envelopes stop changing.
+        for _ in range(60):
+            fam = family_with_ties(rng)
+            f = synthesize(fam)
+            for x in dyadic_grid(5):
+                assert f.active_stage(x) == stability_witness(fam, x)
 
 
 class TestInsertIntermediate:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_plfunc, random_value
 from hahnforge.pairs import StableFamily, envelopes
-from hahnforge.plalg import PLFunc, dyadic_grid, pl_equal, pl_neg, pl_scale
+from hahnforge.plalg import PLFunc, dyadic_grid, pl_equal, pl_neg, pl_scale, pl_sum
 from hahnforge.sections import INFINITY, SectionPair, TailFamily, brute_sections, tail_sections
 from hahnforge.tailrules import TailRule
 
@@ -58,6 +58,47 @@ def assert_witnesses_attain(family: TailFamily, pair: SectionPair) -> None:
         hi = family.limit(x) if hi_w == INFINITY else family.member(hi_w)(x)
         assert lo == pair.g.value(x)
         assert hi == pair.h.value(x)
+
+
+def oracle_witness(candidates, x: Fraction, target: Fraction):
+    """Evaluate-and-compare: the first candidate, in order, whose value at x is target."""
+    for idx, f in candidates:
+        if f(x) == target:
+            return idx
+    raise AssertionError("envelope value must be attained by a candidate")
+
+
+def tail_candidates(family: TailFamily):
+    """The candidates of tail_sections, in witness order: head, n+1, n+2, inf."""
+    n = family.head_size
+    return [
+        *enumerate(family.head, start=1),
+        (n + 1, family.member(n + 1)),
+        (n + 2, family.member(n + 2)),
+        (INFINITY, family.limit),
+    ]
+
+
+def brute_candidates(family: TailFamily, m: int):
+    """The candidates of brute_sections, in witness order: 1..m, inf."""
+    return [(i, family.member(i)) for i in range(1, m + 1)] + [(INFINITY, family.limit)]
+
+
+def assert_oracle_witnesses(candidates, pair: SectionPair) -> None:
+    for x, (lo_w, hi_w) in pair.witnesses.items():
+        assert lo_w == oracle_witness(candidates, x, pair.g.value(x))
+        assert hi_w == oracle_witness(candidates, x, pair.h.value(x))
+
+
+def tied_tail_family(rng: random.Random) -> TailFamily:
+    """A random family whose head repeats a head slice, the limit and the first
+    tail slice, so that several candidates attain the envelopes at once."""
+    fam = random_tail_family(rng, allow_alternating=True)
+    size = fam.head_size + 3  # the first tail slice follows the extended head
+    first_tail = pl_sum((fam.limit, pl_scale(fam.tail_coeff.value(size + 1), fam.tail_shape)))
+    head = [*fam.head, fam.limit, first_tail, rng.choice(fam.head or (fam.limit,))]
+    rng.shuffle(head)
+    return TailFamily(tuple(head), fam.limit, fam.tail_coeff, fam.tail_shape)
 
 
 class TestCanonicalFamily:
@@ -159,6 +200,37 @@ class TestOracleEquivalence:
                 for x in GRID:
                     assert abs(exact.g.value(x) - approx.g.value(x)) <= bound
                     assert abs(exact.h.value(x) - approx.h.value(x)) <= bound
+
+
+class TestWitnessRule:
+    """Witnesses are the first attaining candidate in candidate order."""
+
+    def test_canonical_ties_at_zero(self):
+        # u1, slices 3 and 4 and inf all attain h(0) = 0; u1 comes first.
+        pair = tail_sections(CANONICAL, GRID)
+        assert pair.witnesses[Fraction(0)] == (2, 1)
+        assert_oracle_witnesses(tail_candidates(CANONICAL), pair)
+
+    def test_tail_sections_match_oracle_on_ties(self, rng: random.Random):
+        for _ in range(30):
+            fam = tied_tail_family(rng)
+            assert_oracle_witnesses(tail_candidates(fam), tail_sections(fam, GRID))
+
+    def test_brute_sections_match_oracle_on_ties(self, rng: random.Random):
+        for _ in range(20):
+            fam = tied_tail_family(rng)
+            m = fam.head_size + rng.randint(1, 4)
+            brute, _ = brute_sections(fam, m, GRID)
+            assert_oracle_witnesses(brute_candidates(fam, m), brute)
+
+    def test_zero_tail_prefers_first_tail_slice(self):
+        # n+1, n+2 and inf all equal the limit 1/4, which tops the head on (1/4, 3/4).
+        fam = TailFamily((X_MINUS_HALF, pl_neg(X_MINUS_HALF)), PLFunc.constant("1/4"), TailRule.zero(), X)
+        pair = tail_sections(fam, GRID)
+        assert pair.witnesses[Fraction(1, 2)][1] == 3
+        assert pair.witnesses[Fraction(1, 4)][1] == 2
+        brute, _ = brute_sections(fam, 5, GRID)
+        assert brute.witnesses == pair.witnesses
 
 
 class TestStructure:
