@@ -25,20 +25,21 @@ The pipeline shifts the family by its first member, so the shifted first
 member is identically 0 and every running envelope straddles 0.  One pass
 folds the stage envelopes g_n = min(g_{n-1}, u_n) and h_n = max(h_{n-1}, u_n)
 from g_1 = h_1 = 0, whose last pair is the shifted envelope pair (g, h); it
-builds block n from (g_n, h_n) and the previous stage set on the n-th member
-of the canonical partition of the naturals, and takes the stage set
-F_n = {g_n = g} intersect {h_n = h}.  The shift is added back at the end.
-Stage envelopes lie between the global envelopes everywhere and equal them
-on F_n.
+builds block n from (g_n, h_n) and the previous stage set on the odd
+multiples of 2^(n-1), its member of the dyadic partition of the naturals,
+and takes the stage set F_n = {g_n = g} intersect {h_n = h}.  The shift is
+added back at the end.  Stage envelopes lie between the global envelopes
+everywhere and equal them on F_n.
 
 The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
 theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) at most once
-and only when first needed; since the block supports are disjoint residue
-classes, each natural y is sent to the one block that owns it, so
-f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) costs one block, not n.
-``f.value(x, y)`` is ``f.slice(x).value(y)``, and sampling, the report
-entries, sections and continuity certificates all take one slice per grid x.
-Each PL point value is one affine map from pieces the function derived once.
+and only when first needed; since no two blocks share a power of two,
+each natural y is sent by its 2-adic valuation v2(y) to the one block that
+owns it, so f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) costs one
+block, not n.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, and sampling,
+the report entries, sections and continuity certificates all take one slice
+per grid x.  Each PL point value is one affine map from pieces the function
+derived once.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: four dominance bounds per block and two exact
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Sequence
 
 from .pairs import StableFamily, envelopes
@@ -70,7 +71,7 @@ from .plalg import (
 )
 from .rational import rat, rat_float, rat_str
 from .sections import INFINITY, Witness
-from .spaces import NatSet, Pow2OddSet, ResidueSet, disjoint_opens, residue_classes_meet
+from .spaces import NatSet, Pow2OddSet
 
 
 def schwartz(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
@@ -202,56 +203,47 @@ def hahn_block(g_blk: PLFunc, h_blk: PLFunc, a: RatSet, support: NatSet) -> Schw
     return SchwartzBlock(g_blk, h_blk, distance_function(a), oscillating_bump(support))
 
 
-def _support_json(s: NatSet) -> dict:
-    if isinstance(s, Pow2OddSet):
-        return {"kind": "pow2odd", "power": s.power}
-    if isinstance(s, ResidueSet):
-        return {"kind": "residue", "modulus": s.modulus, "residue": s.residue}
-    raise TypeError(f"cannot serialize support {s!r}")
-
-
-def _support_from_json(data: dict) -> NatSet:
-    if data["kind"] == "pow2odd":
-        return Pow2OddSet(data["power"])
-    if data["kind"] == "residue":
-        return ResidueSet(data["modulus"], data["residue"])
-    raise ValueError(f"unknown support kind {data['kind']!r}")
+def _support_from_json(data: dict) -> Pow2OddSet:
+    if data["kind"] != "pow2odd":
+        raise ValueError(f"unknown support kind {data['kind']!r}")
+    return Pow2OddSet(data["power"])
 
 
 @dataclass(frozen=True)
 class BlockProductFunc:
     """f(x, y) = theta(x) + sum of block values; the sum vanishes at infinity.
 
-    Block supports are pairwise disjoint residue classes, so at most one
-    summand is nonzero at any natural y: the block owning y.  The stage sets
-    F_1 <= ... <= F_N record where each stage's envelopes already agree with
-    the global ones; the last one is all of [0, 1].
+    Each block's support is a Pow2OddSet, the odd multiples of 2**power, and
+    no two blocks share a power.  These sets are pairwise disjoint, so at
+    most one summand is nonzero at any natural y: the block on power v2(y),
+    if there is one.  The stage sets F_1 <= ... <= F_N record where each
+    stage's envelopes already agree with the global ones; the last one is
+    all of [0, 1].
     """
 
     blocks: tuple[SchwartzBlock, ...]
     stage_sets: tuple[RatSet, ...]
     theta: PLFunc
-    # (modulus, {residue: block index}) per distinct support modulus.
-    _owners: tuple[tuple[int, dict[int, int]], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # {power: block index} over the block supports.
+    _owners: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.blocks) != len(self.stage_sets):
             raise ValueError("one stage set per block")
         if not self.blocks:
             raise ValueError("need at least one block")
-        supports = [b.beta.support for b in self.blocks]
-        for (i, s), (j, t) in combinations(enumerate(supports, start=1), 2):
-            if residue_classes_meet(s, t):
+        owners: dict[int, int] = {}
+        for i, b in enumerate(self.blocks):
+            s = b.beta.support
+            if not isinstance(s, Pow2OddSet):
+                raise ValueError(f"block {i + 1}: support {s!r} is not a Pow2OddSet")
+            if s.power in owners:
                 raise ValueError(
-                    f"block supports must be pairwise disjoint (blocks {i} and {j} meet)"
+                    "block supports must be pairwise disjoint "
+                    f"(blocks {owners[s.power] + 1} and {i + 1} meet)"
                 )
-        owners: dict[int, dict[int, int]] = {}
-        for i, s in enumerate(supports):
-            modulus, residue = s.residue_class()
-            owners.setdefault(modulus, {})[residue] = i
-        object.__setattr__(self, "_owners", tuple(sorted(owners.items())))
+            owners[s.power] = i
+        object.__setattr__(self, "_owners", owners)
         for n, (cur, nxt) in enumerate(zip(self.stage_sets, self.stage_sets[1:]), start=1):
             v = subset(cur, nxt)
             if not v.ok:
@@ -267,14 +259,11 @@ class BlockProductFunc:
         return len(self.blocks)
 
     def owner(self, m: int) -> int | None:
-        """Index of the block whose support holds the natural m, if any."""
+        """Index of the block whose support holds the natural m, if any:
+        the block on power v2(m)."""
         if m < 1:
             return None
-        for modulus, table in self._owners:
-            i = table.get(m % modulus)
-            if i is not None:
-                return i
-        return None
+        return self._owners.get((m & -m).bit_length() - 1)
 
     def slice(self, x: int | str | Fraction) -> "ProductSlice":
         return ProductSlice(self, rat(x))
@@ -287,7 +276,10 @@ class BlockProductFunc:
 
     def active_stage(self, x: int | str | Fraction) -> int:
         """Least n with x in F_n; block n attains the envelopes at x."""
-        return first_containing(self.stage_sets, rat(x)) + 1
+        x = rat(x)
+        if x < 0 or x > 1:
+            raise ValueError(f"argument {x} outside the domain [0, 1]")
+        return first_containing(self.stage_sets, x) + 1
 
     def section_values(
         self, x: int | str | Fraction
@@ -325,7 +317,7 @@ class BlockProductFunc:
                     "g": b.g_blk.to_json(),
                     "h": b.h_blk.to_json(),
                     "alpha": b.alpha.to_json(),
-                    "support": _support_json(b.beta.support),
+                    "support": {"kind": "pow2odd", "power": b.beta.support.power},
                 }
                 for b in self.blocks
             ],
@@ -418,7 +410,7 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     envelopes g_n = min(g_{n-1}, u_n) and h_n = max(h_{n-1}, u_n) start from
     g_1 = h_1 = u_1 and end at the shifted envelope pair (g, h) = (g_N, h_N).
     Block n is built from g_n <= 0 <= h_n, the distance to F_{n-1}, and the
-    n-th member of the power-of-two partition of the naturals; then
+    odd multiples of 2^(n-1) (``Pow2OddSet(n - 1)``); then
     F_n = {g_n = g} intersect {h_n = h}.
 
     This F_n is the union over j, k <= n of {u_j = g} intersect {u_k = h}
@@ -433,12 +425,11 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     lowers = list(accumulate(shifted, lambda g, u: pl_min((g, u))))
     uppers = list(accumulate(shifted, lambda h, u: pl_max((h, u))))
     g_sh, h_sh = lowers[-1], uppers[-1]
-    partition = disjoint_opens("alphaN", None)
     blocks = []
     stage_sets = []
     stage = EMPTY_SET  # F_{n-1} while block n is built
     for n, (g_n, h_n) in enumerate(zip(lowers, uppers), start=1):
-        blocks.append(hahn_block(g_n, h_n, stage, partition.nat_member(n)))
+        blocks.append(hahn_block(g_n, h_n, stage, Pow2OddSet(n - 1)))
         stage = equality_set(g_n, g_sh).intersect(equality_set(h_n, h_sh))
         stage_sets.append(stage)
     return BlockProductFunc(tuple(blocks), tuple(stage_sets), theta)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,6 @@ class NatSet:
     def index_of(self, m: int) -> int | None:
         raise NotImplementedError
 
-    def residue_class(self) -> tuple[int, int]:
-        """(modulus, residue) with self = {m >= 1 : m % modulus == residue}."""
-        raise NotImplementedError
-
     def __contains__(self, m: int) -> bool:
         return self.index_of(m) is not None
 
@@ -200,7 +195,7 @@ class Pow2OddSet(NatSet):
     power: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.power, int) or self.power < 0:
+        if not isinstance(self.power, int) or isinstance(self.power, bool) or self.power < 0:
             raise ValueError(f"power must be a natural number, got {self.power!r}")
 
     def element(self, j: int) -> int:
@@ -218,9 +213,6 @@ class Pow2OddSet(NatSet):
         if q % 2 == 0:
             return None
         return (q + 1) // 2
-
-    def residue_class(self) -> tuple[int, int]:
-        return 2 ** (self.power + 1), 2**self.power
 
 
 @dataclass(frozen=True)
@@ -247,20 +239,6 @@ class ResidueSet(NatSet):
         if m < base:
             return None
         return (m - base) // self.modulus + 1
-
-    def residue_class(self) -> tuple[int, int]:
-        return self.modulus, self.residue
-
-
-def residue_classes_meet(a: NatSet, b: NatSet) -> bool:
-    """Whether two residue-class sets of naturals share an element.
-
-    r1 mod m1 and r2 mod m2 meet iff r1 = r2 mod gcd(m1, m2) (Chinese
-    remainder theorem); the common solutions then form a class mod
-    lcm(m1, m2), which holds infinitely many positive naturals.
-    """
-    (m1, r1), (m2, r2) = a.residue_class(), b.residue_class()
-    return (r1 - r2) % gcd(m1, m2) == 0
 
 
 @dataclass(frozen=True)

@@ -368,15 +368,33 @@ def test_json_roundtrip():
 
 
 def test_mixed_support_disjointness_check():
-    with pytest.raises(ValueError, match="disjoint"):
+    # Block supports live on the dyadic partition: a residue class is rejected
+    # even where it is disjoint from the other supports (2 mod 4 is the set
+    # of Pow2OddSet(1)), and a stored "residue" support does not load.
+    with pytest.raises(ValueError, match="block 2"):
         BlockProductFunc(
             (
-                hahn_block(ZERO_F, ZERO_F, RatSet(()), ResidueSet(2, 1)),
-                hahn_block(ZERO_F, ZERO_F, RatSet(()), ResidueSet(4, 1)),
+                hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(0)),
+                hahn_block(ZERO_F, ZERO_F, RatSet(()), ResidueSet(4, 2)),
             ),
             (FULL_SET, FULL_SET),
             ZERO_F,
         )
+    data = synthesize(SP1).to_json()
+    data["blocks"][1]["support"] = {"kind": "residue", "modulus": 4, "residue": 2}
+    with pytest.raises(ValueError, match="unknown support kind 'residue'"):
+        BlockProductFunc.from_json(data)
+
+
+def test_active_stage_domain():
+    # SP1 has F_1 = {1/2} and F_2 = [0, 1].
+    f = synthesize(SP1)
+    assert [f.active_stage(x) for x in (0, "1/2", 1)] == [2, 1, 2]
+    for x in ("2", "-1"):
+        message = f"argument {x} outside the domain [0, 1]"
+        for call in (f.active_stage, f.slice):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(x)
 
 
 # -- slice evaluation against the sum over all blocks -------------------------
@@ -539,22 +557,18 @@ class TestSliceEvaluation:
             assert [s.value(y) for y in range(1, 101)] == [f.value(x, y) for y in range(1, 101)]
 
     def test_owner_is_the_unique_support(self):
-        f = synthesize(StableFamily(tuple(PLFunc.constant(i) for i in range(6))))
-        for y in range(-8, 2001):
-            holders = [i for i, b in enumerate(f.blocks) if y in b.beta.support]
-            assert f.owner(y) == (holders[0] if holders else None)
-
-    def test_mixed_residue_owners(self):
-        # Pow2OddSet(1) is 2 mod 4; it is disjoint from 1 mod 4 and 3 mod 8.
-        supports = (ResidueSet(4, 1), Pow2OddSet(1), ResidueSet(8, 3))
-        f = BlockProductFunc(
-            tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), s) for s in supports),
+        synthesized = synthesize(StableFamily(tuple(PLFunc.constant(i) for i in range(6))))
+        # Powers out of order and with gaps: naturals whose power no block has
+        # belong to no block.
+        hand_built = BlockProductFunc(
+            tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(p)) for p in (3, 0, 7)),
             (FULL_SET,) * 3,
             ZERO_F,
         )
-        for y in range(-8, 500):
-            holders = [i for i, s in enumerate(supports) if y in s]
-            assert f.owner(y) == (holders[0] if holders else None)
+        for f in (synthesized, hand_built):
+            for y in range(-8, 2001):
+                holders = [i for i, b in enumerate(f.blocks) if y in b.beta.support]
+                assert f.owner(y) == (holders[0] if holders else None)
 
     def test_sample_rows_match_oracle(self, rng: random.Random):
         for fam in self.families(rng):
@@ -647,33 +661,21 @@ class TestSupportDisjointness:
             ZERO_F,
         )
 
-    def test_equal_sets_in_two_forms_rejected(self):
-        # Pow2OddSet(9) and 512 mod 1024 are the same set; its first point is 512.
-        assert Pow2OddSet(9).element(1) == ResidueSet(1024, 512).element(1) == 512
-        with pytest.raises(ValueError, match="disjoint"):
-            self.build(Pow2OddSet(9), ResidueSet(1024, 512))
-
-    def test_late_meeting_classes_rejected(self):
-        a, b = ResidueSet(300, 299), ResidueSet(301, 300)
-        assert next(y for y in range(1, 100_000) if y in a and y in b) == 90_299
-        with pytest.raises(ValueError, match="disjoint"):
-            self.build(a, b)
-
-    def test_disjoint_mixed_supports_accepted(self):
-        f = self.build(ResidueSet(4, 1), Pow2OddSet(1), Pow2OddSet(2), ResidueSet(8, 7))
-        assert f.size == 4
+    def test_same_power_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("(blocks 1 and 3 meet)")):
+            self.build(Pow2OddSet(3), Pow2OddSet(0), Pow2OddSet(3))
 
     def test_from_json_rejects_non_natural_power(self):
         data = synthesize(SP1).to_json()
-        for power in (-1, 1.0):
+        for power in (-1, 1.0, True):
             data["blocks"][1]["support"] = {"kind": "pow2odd", "power": power}
             with pytest.raises(ValueError, match="natural"):
                 BlockProductFunc.from_json(data)
 
     def test_from_json_rejects_overlap(self):
         data = synthesize(SP1).to_json()
-        data["blocks"][1]["support"] = {"kind": "residue", "modulus": 4, "residue": 3}
-        with pytest.raises(ValueError, match="disjoint"):
+        data["blocks"][1]["support"] = dict(data["blocks"][0]["support"])
+        with pytest.raises(ValueError, match=re.escape("disjoint (blocks 1 and 2 meet)")):
             BlockProductFunc.from_json(data)
 
 

@@ -18,7 +18,6 @@ from hahnforge.spaces import (
     closures_disjoint,
     disjoint_opens,
     parse_ordinal,
-    residue_classes_meet,
     scattered_rank,
 )
 
@@ -204,21 +203,3 @@ class TestDisjointOpens:
         assert g2.index_of(30) == 8
         assert g2.index_of(5) is None
         assert ResidueSet(3, 0).first(3) == [3, 6, 9]
-
-
-class TestResidueClasses:
-    def test_classes_describe_the_sets(self):
-        for s in (Pow2OddSet(0), Pow2OddSet(3), ResidueSet(6, 0), ResidueSet(7, 4)):
-            modulus, residue = s.residue_class()
-            assert [y for y in range(1, 400) if y in s] == [
-                y for y in range(1, 400) if y % modulus == residue
-            ]
-
-    def test_meet_matches_scan(self):
-        # Two classes with moduli <= 9 meet, if at all, below lcm + max residue < 81.
-        sets = [ResidueSet(m, r) for m in range(1, 10) for r in range(m)]
-        sets += [Pow2OddSet(p) for p in range(3)]
-        for a in sets:
-            for b in sets:
-                scanned = any(y in a and y in b for y in range(1, 81))
-                assert residue_classes_meet(a, b) == scanned, (a, b)
