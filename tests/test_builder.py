@@ -556,19 +556,27 @@ class TestSliceEvaluation:
             assert s.theta == f.value_at_infinity(x) == f.theta(x)
             assert [s.value(y) for y in range(1, 101)] == [f.value(x, y) for y in range(1, 101)]
 
+    @staticmethod
+    def assert_owner_is_the_holder(f: BlockProductFunc) -> None:
+        for y in range(-8, 2001):
+            holders = [i for i, b in enumerate(f.blocks) if y in b.beta.support]
+            assert f.owner(y) == (holders[0] if holders else None)
+
     def test_owner_is_the_unique_support(self):
-        synthesized = synthesize(StableFamily(tuple(PLFunc.constant(i) for i in range(6))))
-        # Powers out of order and with gaps: naturals whose power no block has
-        # belong to no block.
-        hand_built = BlockProductFunc(
+        self.assert_owner_is_the_holder(
+            synthesize(StableFamily(tuple(PLFunc.constant(i) for i in range(6))))
+        )
+
+    def test_mixed_residue_owners(self):
+        # Pow2OddSet(p) is the class 2^p mod 2^(p + 1): here 8 mod 16, 1 mod 2
+        # and 128 mod 256, with the powers out of order and with gaps, so
+        # naturals whose power no block has belong to no block.
+        f = BlockProductFunc(
             tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(p)) for p in (3, 0, 7)),
             (FULL_SET,) * 3,
             ZERO_F,
         )
-        for f in (synthesized, hand_built):
-            for y in range(-8, 2001):
-                holders = [i for i, b in enumerate(f.blocks) if y in b.beta.support]
-                assert f.owner(y) == (holders[0] if holders else None)
+        self.assert_owner_is_the_holder(f)
 
     def test_sample_rows_match_oracle(self, rng: random.Random):
         for fam in self.families(rng):
