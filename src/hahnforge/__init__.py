@@ -3,8 +3,8 @@
 Subsystems:
 
 * :mod:`hahnforge.plalg` - exact piecewise-linear function algebra on [0, 1];
-* :mod:`hahnforge.spaces` - ordinal compacta, Cantor-Bendixson rank, disjoint
-  open families on [0, 1] and on the one-point compactification of N;
+* :mod:`hahnforge.spaces` - ordinal compacta, Cantor-Bendixson rank and the
+  dyadic partition ``Pow2OddSet`` of N;
 * :mod:`hahnforge.alphat` - function algebra on one-point compactifications of
   (possibly uncountable) discrete spaces;
 * :mod:`hahnforge.pairs` - envelope pairs of finite continuous families and

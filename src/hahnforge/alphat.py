@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .plalg import Verdict
 from .rational import rat, rat_str
@@ -109,12 +109,6 @@ class CountableSet:
 
     atoms: tuple[str, ...] = ()
     tail_prefixes: tuple[str, ...] = ()
-
-    def union(self, other: "CountableSet") -> "CountableSet":
-        return CountableSet(
-            tuple(dict.fromkeys(self.atoms + other.atoms)),
-            tuple(dict.fromkeys(self.tail_prefixes + other.tail_prefixes)),
-        )
 
     @property
     def is_empty(self) -> bool:
@@ -235,27 +229,3 @@ def at_sections(f: DiagProductFunc) -> tuple[AlphaTFunc, AlphaTFunc]:
         AlphaTFunc(Fraction(0), tuple(lo_blocks)),
         AlphaTFunc(Fraction(0), tuple(hi_blocks)),
     )
-
-
-class StabilizationError(ValueError):
-    """Some family member is not constant off a countable set."""
-
-    def __init__(self, index: int):
-        super().__init__(f"family member {index} has an uncountable exception block")
-        self.index = index
-
-
-def stabilizing_set(family: Sequence[AlphaTFunc]) -> CountableSet:
-    """Union of the members' countable constancy sets.
-
-    Off the returned set every member is constant at its own limit value.
-    Raises :class:`StabilizationError` with the offending index if a member
-    fails the cocountable-constancy test.
-    """
-    total = CountableSet()
-    for i, f in enumerate(family):
-        s = at_baire_one_cocountable(f)
-        if s is None:
-            raise StabilizationError(i)
-        total = total.union(s)
-    return total

@@ -1,4 +1,4 @@
-"""Ordinal compacta, Cantor-Bendixson rank, and disjoint open families.
+"""Ordinal compacta, Cantor-Bendixson rank, and the dyadic partition of N.
 
 Ordinals below omega**omega are kept in Cantor normal form, written in the
 CLI grammar as e.g. ``w^2*3 + w + 4``.  The compact space attached to an
@@ -7,18 +7,14 @@ set of limit ordinals <= lam, which is again order-isomorphic to an interval
 of ordinals, so the Cantor-Bendixson derivative stays inside the model and
 every rank is a finite natural.
 
-The disjoint open families come in two canonical flavours mirroring the two
-classical cases of the construction: a space of isolated points (alphaN,
-where members are infinite sets of naturals) and a space without isolated
-points ([0, 1], where members are open intervals with pairwise disjoint
-closures).
+The dyadic partition ``Pow2OddSet(p)``, p = 0, 1, 2, ..., splits the
+naturals into pairwise disjoint infinite sets, one per synthesis block.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -166,26 +162,8 @@ def scattered_rank(k: OrdinalCompact) -> int:
     return terms[0][0] + 1 if terms else 1
 
 
-class NatSet:
-    """Infinite subset of {1, 2, 3, ...} with an increasing enumeration."""
-
-    is_infinite = True
-
-    def element(self, j: int) -> int:
-        raise NotImplementedError
-
-    def index_of(self, m: int) -> int | None:
-        raise NotImplementedError
-
-    def __contains__(self, m: int) -> bool:
-        return self.index_of(m) is not None
-
-    def first(self, n: int) -> list[int]:
-        return [self.element(j) for j in range(1, n + 1)]
-
-
 @dataclass(frozen=True)
-class Pow2OddSet(NatSet):
+class Pow2OddSet:
     """Odd multiples of 2**power: {2**power * (2j - 1) : j >= 1}.
 
     Over all powers these sets partition the naturals, each natural landing in
@@ -213,93 +191,3 @@ class Pow2OddSet(NatSet):
         if q % 2 == 0:
             return None
         return (q + 1) // 2
-
-
-@dataclass(frozen=True)
-class ResidueSet(NatSet):
-    """Naturals congruent to residue modulo modulus."""
-
-    modulus: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1 or not (0 <= self.residue < self.modulus):
-            raise ValueError("need modulus >= 1 and 0 <= residue < modulus")
-
-    def element(self, j: int) -> int:
-        if j < 1:
-            raise ValueError("enumeration is 1-based")
-        base = self.residue if self.residue > 0 else self.modulus
-        return base + (j - 1) * self.modulus
-
-    def index_of(self, m: int) -> int | None:
-        if m < 1 or m % self.modulus != self.residue % self.modulus:
-            return None
-        base = self.residue if self.residue > 0 else self.modulus
-        if m < base:
-            return None
-        return (m - base) // self.modulus + 1
-
-
-@dataclass(frozen=True)
-class OpenFamily:
-    """Pairwise disjoint nonempty open sets in [0, 1] or in alphaN.
-
-    For [0, 1] even the closures are pairwise disjoint.  ``count`` is None for
-    the infinite families, whose members are produced on demand.
-    """
-
-    space: str
-    count: int | None
-
-    def interval_member(self, k: int) -> tuple[Fraction, Fraction]:
-        if self.space != "unitInterval":
-            raise ValueError("interval members exist only on the unit interval")
-        if k < 1 or (self.count is not None and k > self.count):
-            raise ValueError(f"member index {k} out of range")
-        if self.count is None:
-            # Middle third of the dyadic gap (2^-(k+1), 2^-k).
-            den = 3 * 2 ** (k + 1)
-            return (Fraction(4, den), Fraction(5, den))
-        den = 3 * self.count
-        return (Fraction(3 * (k - 1) + 1, den), Fraction(3 * (k - 1) + 2, den))
-
-    def nat_member(self, k: int) -> NatSet:
-        if self.space != "alphaN":
-            raise ValueError("natural-number members exist only on alphaN")
-        if k < 1 or (self.count is not None and k > self.count):
-            raise ValueError(f"member index {k} out of range")
-        if self.count is None:
-            return Pow2OddSet(k - 1)
-        return ResidueSet(self.count, k % self.count)
-
-
-def disjoint_opens(space: str, count: int | str | None) -> OpenFamily:
-    """Canonical disjoint open family of the requested size.
-
-    alphaN with count=None (or "infinite") yields the partition of the
-    naturals into odd multiples of powers of two; finite alphaN counts split
-    by residue classes; the unit interval uses evenly spaced open intervals
-    (finite case) or middle thirds of dyadic gaps (infinite case), both with
-    pairwise disjoint closures.
-    """
-    if count == "infinite":
-        count = None
-    if space not in ("unitInterval", "alphaN"):
-        raise ValueError(f"unknown space {space!r}")
-    if count is not None:
-        if not isinstance(count, int) or count < 1:
-            raise ValueError("count must be a positive integer or 'infinite'")
-    return OpenFamily(space, count)
-
-
-def closures_disjoint(family: OpenFamily, upto: int) -> bool:
-    """Exact pairwise-disjointness of interval closures for the first members."""
-    n = upto if family.count is None else min(upto, family.count)
-    closures = [family.interval_member(k) for k in range(1, n + 1)]
-    for i in range(len(closures)):
-        for j in range(i + 1, len(closures)):
-            (a, b), (c, d) = closures[i], closures[j]
-            if max(a, c) <= min(b, d):
-                return False
-    return True

@@ -12,14 +12,12 @@ from hahnforge.alphat import (
     DiagBlock,
     DiagProductFunc,
     FiniteBlock,
-    StabilizationError,
     TailBlock,
     UncountableBlock,
     at_baire_one_cocountable,
     at_is_continuous,
     at_sections,
     diag_example,
-    stabilizing_set,
 )
 from hahnforge.tailrules import TailRule
 
@@ -125,29 +123,6 @@ class TestDiagExample:
         lo, hi = at_sections(diag_example())
         assert all(b.value <= 0 for b in lo.blocks)
         assert all(b.value >= 0 for b in hi.blocks)
-
-
-class TestStabilizingSet:
-    def test_finite_union(self):
-        fam = [
-            AlphaTFunc(Fraction(0), (FiniteBlock(("t1",), Fraction(1)),)),
-            AlphaTFunc(Fraction(0), (FiniteBlock(("t2",), Fraction(2)),)),
-        ]
-        assert stabilizing_set(fam) == CountableSet(("t1", "t2"), ())
-
-    def test_hundred_tail_rules(self):
-        fam = [
-            AlphaTFunc(Fraction(0), (TailBlock(f"t{i}", TailRule.harmonic(i + 1)),))
-            for i in range(100)
-        ]
-        s = stabilizing_set(fam)
-        assert len(s.tail_prefixes) == 100
-
-    def test_uncountable_member_reports_index(self):
-        fam = [AlphaTFunc.const(0), CHI_T1, AlphaTFunc.const(1)]
-        with pytest.raises(StabilizationError) as exc:
-            stabilizing_set(fam)
-        assert exc.value.index == 1
 
 
 def test_json_roundtrip():

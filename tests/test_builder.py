@@ -15,10 +15,10 @@ from conftest import random_family, random_plfunc, random_value
 from hahnforge import builder
 from hahnforge.builder import (
     BlockProductFunc,
+    BumpMap,
     bump_witness_index,
     continuity_certificate,
     hahn_block,
-    oscillating_bump,
     phi,
     schwartz,
     stage_envelopes,
@@ -40,7 +40,7 @@ from hahnforge.plalg import (
     pl_scale,
 )
 from hahnforge.sections import INFINITY
-from hahnforge.spaces import Pow2OddSet, ResidueSet
+from hahnforge.spaces import Pow2OddSet
 
 ZERO_F = PLFunc.constant(0)
 X_MINUS_HALF = PLFunc.affine(1, "-1/2")
@@ -116,14 +116,14 @@ class TestKernel:
 
 class TestBump:
     def test_enumeration_of_double_odds(self):
-        bump = oscillating_bump(Pow2OddSet(1))
+        bump = BumpMap(Pow2OddSet(1))
         assert bump.point(1) == 2 and bump.value(2) == 1
         assert bump.point(2) == 6 and bump.value(6) == -1
         assert bump.point(3) == 10 and bump.value(10) == Fraction(1, 2)
         assert bump.point(4) == 14 and bump.value(14) == Fraction(-1, 2)
 
     def test_off_support_and_decay(self):
-        bump = oscillating_bump(Pow2OddSet(1))
+        bump = BumpMap(Pow2OddSet(1))
         assert bump.value(5) == 0
         assert max(abs(bump.value(bump.point(j))) for j in range(1, 40)) == 1
         assert abs(bump.value(bump.point(39))) == Fraction(1, 20)
@@ -169,13 +169,6 @@ class TestHahnBlock:
             data["blocks"][1][key] = PLFunc.from_pairs(pairs).to_json()
             with pytest.raises(ValueError, match=message):
                 BlockProductFunc.from_json(data)
-
-    def test_finite_support_rejected(self):
-        class TwoPoints(Pow2OddSet):
-            is_infinite = False
-
-        with pytest.raises(ValueError):
-            oscillating_bump(TwoPoints(0))
 
     def test_attainment_on_random_blocks(self, rng: random.Random):
         for _ in range(25):
@@ -371,11 +364,18 @@ def test_mixed_support_disjointness_check():
     # Block supports live on the dyadic partition: a residue class is rejected
     # even where it is disjoint from the other supports (2 mod 4 is the set
     # of Pow2OddSet(1)), and a stored "residue" support does not load.
-    with pytest.raises(ValueError, match="block 2"):
+    class TwoModFour:
+        def element(self, j: int) -> int:
+            return 4 * j - 2
+
+        def index_of(self, m: int) -> int | None:
+            return (m + 2) // 4 if m % 4 == 2 else None
+
+    with pytest.raises(ValueError, match="block 2: support .* is not a Pow2OddSet"):
         BlockProductFunc(
             (
                 hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(0)),
-                hahn_block(ZERO_F, ZERO_F, RatSet(()), ResidueSet(4, 2)),
+                hahn_block(ZERO_F, ZERO_F, RatSet(()), TwoModFour()),
             ),
             (FULL_SET, FULL_SET),
             ZERO_F,
@@ -383,6 +383,41 @@ def test_mixed_support_disjointness_check():
     data = synthesize(SP1).to_json()
     data["blocks"][1]["support"] = {"kind": "residue", "modulus": 4, "residue": 2}
     with pytest.raises(ValueError, match="unknown support kind 'residue'"):
+        BlockProductFunc.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "path, replacement",
+    [
+        *(((key,), None) for key in ("theta", "blocks", "stage_sets")),
+        *((("blocks", 1, key), None) for key in ("g", "h", "alpha", "support")),
+        *((("blocks", 1, "support", key), None) for key in ("kind", "power")),
+        ((), []),
+        ((), "x"),
+        (("blocks", 1), "x"),
+        (("blocks", 1, "support"), []),
+    ],
+    ids=lambda v: "/".join(map(str, v)) or "top" if isinstance(v, tuple) else repr(v),
+)
+def test_from_json_malformed_input_is_a_value_error(path, replacement):
+    # SP1's stored form with the key at path deleted (replacement None) or
+    # replaced: a missing key is named, a list or string where an object
+    # belongs is named by its type.
+    data = synthesize(SP1).to_json()
+    message = f"got {type(replacement).__name__}"
+    if not path:
+        data = replacement
+    else:
+        *parents, key = path
+        holder = data
+        for part in parents:
+            holder = holder[part]
+        if replacement is None:
+            del holder[key]
+            message = f"missing key {key!r}"
+        else:
+            holder[key] = replacement
+    with pytest.raises(ValueError, match=re.escape(message)):
         BlockProductFunc.from_json(data)
 
 
@@ -559,7 +594,9 @@ class TestSliceEvaluation:
     @staticmethod
     def assert_owner_is_the_holder(f: BlockProductFunc) -> None:
         for y in range(-8, 2001):
-            holders = [i for i, b in enumerate(f.blocks) if y in b.beta.support]
+            holders = [
+                i for i, b in enumerate(f.blocks) if b.beta.support.index_of(y) is not None
+            ]
             assert f.owner(y) == (holders[0] if holders else None)
 
     def test_owner_is_the_unique_support(self):

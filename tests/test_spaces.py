@@ -1,9 +1,8 @@
-"""Ordinal derivatives/rank against a second implementation, plus open families."""
+"""Ordinal derivatives/rank against a second implementation, plus the dyadic partition."""
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -13,10 +12,7 @@ from hahnforge.spaces import (
     OrdinalCNF,
     OrdinalCompact,
     Pow2OddSet,
-    ResidueSet,
     cb_derivative,
-    closures_disjoint,
-    disjoint_opens,
     parse_ordinal,
     scattered_rank,
 )
@@ -160,46 +156,17 @@ class TestOrdinalLiterals:
 
 class TestDisjointOpens:
     def test_alphan_infinite_partitions_naturals(self):
-        fam = disjoint_opens("alphaN", "infinite")
-        members = [fam.nat_member(k) for k in range(1, 15)]
+        members = [Pow2OddSet(p) for p in range(14)]
         for m in range(1, 10_001):
-            hits = [k for k, s in enumerate(members, start=1) if m in s]
+            hits = [p for p, s in enumerate(members) if s.index_of(m) is not None]
             assert len(hits) == 1
         # Enumerations agree with membership.
         for s in members[:6]:
             for j in range(1, 50):
                 assert s.index_of(s.element(j)) == j
 
-    def test_alphan_two_is_parity_split(self):
-        fam = disjoint_opens("alphaN", 2)
-        odds, evens = fam.nat_member(1), fam.nat_member(2)
-        assert odds.first(4) == [1, 3, 5, 7]
-        assert evens.first(4) == [2, 4, 6, 8]
-
-    def test_alphan_finite_members_disjoint_and_infinite(self):
-        fam = disjoint_opens("alphaN", 5)
-        members = [fam.nat_member(k) for k in range(1, 6)]
-        for m in range(1, 2001):
-            assert sum(1 for s in members if m in s) == 1
-
-    def test_unit_interval_three(self):
-        fam = disjoint_opens("unitInterval", 3)
-        assert closures_disjoint(fam, 3)
-        for k in range(1, 4):
-            a, b = fam.interval_member(k)
-            assert Fraction(0) < a < b < Fraction(1)
-
-    def test_unit_interval_infinite_closures_disjoint(self):
-        fam = disjoint_opens("unitInterval", "infinite")
-        assert closures_disjoint(fam, 25)
-
-    def test_count_zero_rejected(self):
-        with pytest.raises(ValueError):
-            disjoint_opens("alphaN", 0)
-
     def test_first_powers(self):
         g2 = Pow2OddSet(1)
-        assert g2.first(4) == [2, 6, 10, 14]
+        assert [g2.element(j) for j in range(1, 5)] == [2, 6, 10, 14]
         assert g2.index_of(30) == 8
         assert g2.index_of(5) is None
-        assert ResidueSet(3, 0).first(3) == [3, 6, 9]
