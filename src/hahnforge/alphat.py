@@ -1,6 +1,6 @@
 """Function algebra on one-point compactifications of discrete spaces.
 
-A discrete set T of arbitrary cardinality plus a point at infinity, whose
+A discrete set T of any size plus a point at infinity, whose
 neighborhoods are the cofinite sets, carries exactly one interesting piece of
 analysis: a function is continuous iff for every eps > 0 only finitely many
 points differ from the value at infinity by eps or more, and a pointwise
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 from .plalg import Verdict
-from .rational import rat, rat_str
+from .rational import rat
 from .tailrules import TailRule
 
 
@@ -74,33 +74,6 @@ class AlphaTFunc:
     @staticmethod
     def const(c: int | str | Fraction) -> "AlphaTFunc":
         return AlphaTFunc(rat(c))
-
-    def to_json(self) -> dict:
-        blocks = []
-        for b in self.blocks:
-            if isinstance(b, FiniteBlock):
-                blocks.append(
-                    {"kind": "finite", "atoms": list(b.atoms), "value": rat_str(b.value)}
-                )
-            elif isinstance(b, TailBlock):
-                blocks.append({"kind": "tail", "prefix": b.prefix, "rule": b.rule.to_json()})
-            else:
-                blocks.append({"kind": "uncountable", "tag": b.tag, "value": rat_str(b.value)})
-        return {"limit": rat_str(self.limit_value), "blocks": blocks}
-
-    @staticmethod
-    def from_json(data: dict) -> "AlphaTFunc":
-        blocks: list[Block] = []
-        for b in data.get("blocks", []):
-            if b["kind"] == "finite":
-                blocks.append(FiniteBlock(tuple(b["atoms"]), rat(b["value"])))
-            elif b["kind"] == "tail":
-                blocks.append(TailBlock(b["prefix"], TailRule.from_json(b["rule"])))
-            elif b["kind"] == "uncountable":
-                blocks.append(UncountableBlock(b["tag"], rat(b["value"])))
-            else:
-                raise ValueError(f"unknown block kind {b['kind']!r}")
-        return AlphaTFunc(rat(data["limit"]), tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -156,11 +129,6 @@ def at_baire_one_cocountable(f: AlphaTFunc) -> CountableSet | None:
 class DiagBlock:
     tag: str
     diag_value: Fraction
-    cardinality: str = "uncountable"  # "uncountable" | "empty"
-
-    def __post_init__(self) -> None:
-        if self.cardinality not in ("uncountable", "empty"):
-            raise ValueError(f"unknown cardinality {self.cardinality!r}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +153,6 @@ class DiagProductFunc:
         if region == "infinity":
             return AlphaTFunc.const(0)
         b = self.block_of(region)
-        if b.cardinality == "empty":
-            raise ValueError(f"region {region!r} is empty")
         if b.diag_value == 0:
             return AlphaTFunc.const(0)
         return AlphaTFunc(Fraction(0), (FiniteBlock((f"x@{b.tag}",), b.diag_value),))
@@ -218,8 +184,6 @@ def at_sections(f: DiagProductFunc) -> tuple[AlphaTFunc, AlphaTFunc]:
     lo_blocks: list[Block] = []
     hi_blocks: list[Block] = []
     for b in f.blocks:
-        if b.cardinality == "empty":
-            continue
         lo, hi = min(b.diag_value, Fraction(0)), max(b.diag_value, Fraction(0))
         if lo != 0:
             lo_blocks.append(UncountableBlock(b.tag, lo))

@@ -63,6 +63,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: Path, data) -> None:
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples needs a non-negative integer, got {args.samples}")
@@ -72,9 +76,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     f = synthesize(family)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "function.json").write_text(
-        json.dumps(f.to_json(), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "function.json", f.to_json())
     _write_csv(
         out / "samples.csv",
         ["x", "y", "value", "value_float"],
@@ -90,9 +92,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = _grid(ast, args.grid)
     report = verify_synthesis(synthesize(family), family, grid)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(Path(args.report), report.to_json())
     for failure in report.failures:
         print(f"FAIL {failure}")
     print(
@@ -120,7 +120,7 @@ def cmd_sections(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "sections.json").write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        _write_json(out / "sections.json", data)
         _write_csv(out / "sections.csv", ["x", "g", "h", "min_witness", "max_witness"], pair.rows())
         print(f"wrote {out / 'sections.json'} and {out / 'sections.csv'}")
     else:

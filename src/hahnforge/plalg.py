@@ -128,8 +128,17 @@ class PLFunc:
         return [[rat_str(x), rat_str(v)] for x, v in zip(self.breakpoints, self.values)]
 
     @staticmethod
-    def from_json(data: Sequence[Sequence[str]]) -> "PLFunc":
-        return PLFunc.from_pairs((x, v) for x, v in data)
+    def from_json(data: object) -> "PLFunc":
+        return PLFunc.from_pairs(_string_pairs(data))
+
+
+def _string_pairs(data: object) -> list[list[str]]:
+    """What to_json writes, a list of [a, b] string pairs; else a ValueError."""
+    if not isinstance(data, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p) for p in data
+    ):
+        raise ValueError('expected a list of two-element lists of "num/den" strings')
+    return data
 
 
 def _walk(f: PLFunc, g: PLFunc) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
@@ -300,8 +309,8 @@ class RatSet:
         return [[rat_str(lo), rat_str(hi)] for lo, hi in self.intervals]
 
     @staticmethod
-    def from_json(data: Sequence[Sequence[str]]) -> "RatSet":
-        return RatSet.of((a, b) for a, b in data)
+    def from_json(data: object) -> "RatSet":
+        return RatSet.of(_string_pairs(data))
 
 
 EMPTY_SET = RatSet(())
@@ -473,8 +482,7 @@ def semicontinuity_check(f: PwFunc, kind: str) -> Verdict:
 
 def dyadic_grid(level: int) -> list[Fraction]:
     """The 2**level + 1 dyadic rationals k / 2**level in [0, 1]."""
-    n = 2**level
-    return [Fraction(k, n) for k in range(n + 1)]
+    return uniform_grid(2**level)
 
 
 def uniform_grid(denominator: int) -> list[Fraction]:

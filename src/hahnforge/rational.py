@@ -27,7 +27,7 @@ def rat(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-def _int_str(n: int) -> str:
+def int_str(n: int) -> str:
     """The decimal digits of n, exact at any length: divmod by 10**500."""
     sign, n = ("-", -n) if n < 0 else ("", n)
     chunks = []
@@ -42,7 +42,7 @@ def rat_str(q: Fraction) -> str:
     n, d = q.numerator, q.denominator
     if (abs(n) | d).bit_length() <= _STR_MAX_BITS:
         return f"{n}/{d}"
-    return f"{_int_str(n)}/{_int_str(d)}"
+    return f"{int_str(n)}/{int_str(d)}"
 
 
 def rat_float(q: Fraction) -> str:

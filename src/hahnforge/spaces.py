@@ -182,12 +182,6 @@ class Pow2OddSet:
         return 2**self.power * (2 * j - 1)
 
     def index_of(self, m: int) -> int | None:
-        if m < 1:
+        if m < 1 or m & -m != 1 << self.power:
             return None
-        q, scale = m, 2**self.power
-        if q % scale != 0:
-            return None
-        q //= scale
-        if q % 2 == 0:
-            return None
-        return (q + 1) // 2
+        return (m >> self.power + 1) + 1

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .pairs import StableFamily
 from .plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum, uniform_grid
+from .rational import int_str
 from .sections import TailFamily
 from .tailrules import TailRule
 
@@ -458,8 +459,8 @@ def parse_spec(text: str) -> SpecAST:
 
 def _lit_str(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return int_str(value.numerator)
+    return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
 
 
 def pp_expr(e: Expr) -> str:
@@ -483,6 +484,8 @@ def pp_expr(e: Expr) -> str:
 
 
 def pp_spec(ast: SpecAST) -> str:
+    """The spec as text; parse_spec(pp_spec(ast)) == ast while folded constants
+    stay within MAX_DIGITS (a longer one prints but parses to a SpecError)."""
     lines = [f"{name} = {pp_expr(expr)}" for name, expr in ast.decls]
     if ast.limit is not None:
         lines.append(f"limit {pp_expr(ast.limit)}")

@@ -59,14 +59,3 @@ class TailRule:
 
     def limit(self) -> Fraction:
         return Fraction(0) if self.kind in ("harmonic", "geometric") else self.c
-
-    def to_json(self) -> dict:
-        data = {"kind": self.kind, "c": f"{self.c.numerator}/{self.c.denominator}"}
-        if self.q is not None:
-            data["q"] = f"{self.q.numerator}/{self.q.denominator}"
-        return data
-
-    @staticmethod
-    def from_json(data: dict) -> "TailRule":
-        q = data.get("q")
-        return TailRule(data["kind"], rat(data["c"]), rat(q) if q is not None else None)

@@ -7,7 +7,9 @@ the randomized suites.  Everything is seeded for reproducibility.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -49,3 +51,14 @@ def random_ratset(rng: random.Random, max_components: int = 3) -> RatSet:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA1FA)
+
+
+@contextlib.contextmanager
+def int_str_digits(limit: int):
+    """Python's int-to-str digit limit set to limit, and restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

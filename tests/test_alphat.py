@@ -107,36 +107,10 @@ class TestDiagExample:
         assert lo == AlphaTFunc.const(0)
         assert hi == AlphaTFunc.const(0)
 
-    def test_empty_t1_drops_max(self):
-        f = DiagProductFunc(
-            (
-                DiagBlock("T0", Fraction(0)),
-                DiagBlock("T1", Fraction(1), "empty"),
-                DiagBlock("T2", Fraction(-1)),
-            )
-        )
-        lo, hi = at_sections(f)
-        assert hi == AlphaTFunc.const(0)
-        assert lo.blocks == (UncountableBlock("T2", Fraction(-1)),)
-
     def test_min_below_zero_below_max(self):
         lo, hi = at_sections(diag_example())
         assert all(b.value <= 0 for b in lo.blocks)
         assert all(b.value >= 0 for b in hi.blocks)
-
-
-def test_json_roundtrip():
-    f = AlphaTFunc(
-        Fraction(0),
-        (
-            FiniteBlock(("a",), Fraction(5)),
-            TailBlock("t", TailRule.geometric("1/2", "1/3")),
-            UncountableBlock("T1", Fraction(1)),
-        ),
-    )
-    data = f.to_json()
-    assert data["limit"] == "0/1"
-    assert AlphaTFunc.from_json(data) == f
 
 
 def test_block_disjointness_enforced():

@@ -386,25 +386,47 @@ def test_mixed_support_disjointness_check():
         BlockProductFunc.from_json(data)
 
 
+DELETED = object()  # marks a key removed from the stored form
+PAIR_SHAPE = 'expected a list of two-element lists of "num/den" strings'
+
+
+def malformed(path: tuple, replacement, message: str | None = None):
+    """SP1's stored form with the key at path deleted or replaced, and the
+    text of the ValueError it must raise: by default a missing key is named,
+    and a value of the wrong kind is named by its type."""
+    if replacement is DELETED:
+        message, shown = f"missing key {path[-1]!r}", "None"
+    else:
+        message = message or f"got {type(replacement).__name__}"
+        shown = "null" if replacement is None else repr(replacement)
+    where = "/".join(map(str, path)) or "top"
+    return pytest.param(path, replacement, message, id=f"{where}-{shown}")
+
+
 @pytest.mark.parametrize(
-    "path, replacement",
+    "path, replacement, message",
     [
-        *(((key,), None) for key in ("theta", "blocks", "stage_sets")),
-        *((("blocks", 1, key), None) for key in ("g", "h", "alpha", "support")),
-        *((("blocks", 1, "support", key), None) for key in ("kind", "power")),
-        ((), []),
-        ((), "x"),
-        (("blocks", 1), "x"),
-        (("blocks", 1, "support"), []),
+        *(malformed((key,), DELETED) for key in ("theta", "blocks", "stage_sets")),
+        *(malformed(("blocks", 1, key), DELETED) for key in ("g", "h", "alpha", "support")),
+        *(malformed(("blocks", 1, "support", key), DELETED) for key in ("kind", "power")),
+        malformed((), []),
+        malformed((), "x"),
+        malformed(("blocks", 1), "x"),
+        malformed(("blocks", 1, "support"), []),
+        malformed(("blocks",), 3),
+        malformed(("blocks",), {}),
+        malformed(("stage_sets",), None),
+        malformed(("theta",), 5, PAIR_SHAPE),
+        malformed(("theta",), [["0"], ["1", "0"]], PAIR_SHAPE),
+        malformed(("blocks", 1, "g"), {"0": "0"}, PAIR_SHAPE),
+        malformed(("stage_sets", 1), [[None, "1"]], PAIR_SHAPE),
+        malformed(("stage_sets", 1), [[False, True]], PAIR_SHAPE),
+        malformed(("stage_sets", 1), [[0.0, 1.0]], PAIR_SHAPE),
+        malformed(("stage_sets", 1), [["0", "1/2", "1"]], PAIR_SHAPE),
     ],
-    ids=lambda v: "/".join(map(str, v)) or "top" if isinstance(v, tuple) else repr(v),
 )
-def test_from_json_malformed_input_is_a_value_error(path, replacement):
-    # SP1's stored form with the key at path deleted (replacement None) or
-    # replaced: a missing key is named, a list or string where an object
-    # belongs is named by its type.
+def test_from_json_malformed_input_is_a_value_error(path, replacement, message):
     data = synthesize(SP1).to_json()
-    message = f"got {type(replacement).__name__}"
     if not path:
         data = replacement
     else:
@@ -412,9 +434,8 @@ def test_from_json_malformed_input_is_a_value_error(path, replacement):
         holder = data
         for part in parents:
             holder = holder[part]
-        if replacement is None:
+        if replacement is DELETED:
             del holder[key]
-            message = f"missing key {key!r}"
         else:
             holder[key] = replacement
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import int_str_digits
 from hahnforge.builder import SectionReport
 from hahnforge.cli import IO_ERROR, OK, PARSE_ERROR, VERIFY_FAILED, main
 from hahnforge.plalg import PLFunc, pl_equal
@@ -435,17 +436,6 @@ class TestGoldenOutputs:
 
 
 
-@contextlib.contextmanager
-def int_str_digits(limit: int):
-    """Python's int-to-str digit limit set to limit, and restored afterwards."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 class TestHugeValues:
     """Exact values past the float range or past Python's 4,300-digit
     int-to-str limit are written in full, with no traceback."""
@@ -544,7 +534,11 @@ class TestRank:
 class TestAlphaTDemo:
     def test_report(self, capsys):
         assert main(["alphat-demo"]) == OK
-        out = capsys.readouterr().out
-        assert "x-section over T1: continuous" in out
-        assert "h = χ_{T1}: not Baire-one" in out
-        assert "g = -χ_{T2}: not Baire-one" in out
+        assert capsys.readouterr().out == (
+            "x-section over T0: continuous\n"
+            "x-section over T1: continuous\n"
+            "x-section over T2: continuous\n"
+            "x-section over infinity: continuous\n"
+            "h = χ_{T1}: not Baire-one\n"
+            "g = -χ_{T2}: not Baire-one\n"
+        )

@@ -154,7 +154,7 @@ class TestOrdinalLiterals:
             parse_ordinal("w ** 2")
 
 
-class TestDisjointOpens:
+class TestPow2OddSet:
     def test_alphan_infinite_partitions_naturals(self):
         members = [Pow2OddSet(p) for p in range(14)]
         for m in range(1, 10_001):
@@ -170,3 +170,15 @@ class TestDisjointOpens:
         assert [g2.element(j) for j in range(1, 5)] == [2, 6, 10, 14]
         assert g2.index_of(30) == 8
         assert g2.index_of(5) is None
+
+    def test_index_of_matches_division(self):
+        # The textbook form: m = 2**power * q with q odd, and q = 2j - 1.
+        def oracle(power: int, m: int) -> int | None:
+            if m < 1 or m % 2**power != 0 or (m // 2**power) % 2 == 0:
+                return None
+            return (m // 2**power + 1) // 2
+
+        for power in range(12):
+            s = Pow2OddSet(power)
+            for m in range(-20, 20_001):
+                assert s.index_of(m) == oracle(power, m), (power, m)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import int_str_digits
 from hahnforge.plalg import PLFunc, pl_equal, pl_min, pl_scale
 from hahnforge.specdsl import (
     MAX_DEPTH,
@@ -161,6 +162,22 @@ class TestBounds:
         with pytest.raises(SpecError, match="longer than") as exc:
             parse_spec("u1 = 1/" + "3" * (MAX_DIGITS + 1) + "\n")
         assert (exc.value.kind, exc.value.line, exc.value.col) == ("syntax", 1, 8)
+
+    def test_pp_spec_prints_huge_folded_constant(self):
+        # Constant factors fold: five literals at the bound make one 5,000-digit
+        # factor, past Python's default int-to-str limit of 4,300 digits.
+        a = int("7" * MAX_DIGITS)
+        printed = pp_spec(parse_spec("u1 = " + " * ".join([str(a)] * 5) + " * x\n"))
+        with int_str_digits(0):
+            assert printed == f"u1 = ({a**5} * x)\n"
+
+    def test_folded_constant_past_bound_does_not_reparse(self):
+        a = "7" * 600
+        printed = pp_spec(parse_spec(f"u1 = {a} * {a} * x\n"))
+        assert printed == f"u1 = ({int(a) ** 2} * x)\n"
+        with pytest.raises(SpecError, match="longer than") as exc:
+            parse_spec(printed)
+        assert (exc.value.kind, exc.value.line, exc.value.col) == ("syntax", 1, 7)
 
     def test_non_decimal_digit_rejected(self):
         # "²" is a Unicode digit that int() cannot read.
