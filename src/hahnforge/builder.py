@@ -29,7 +29,8 @@ builds block n from (g_n, h_n) and the previous stage set on the odd
 multiples of 2^(n-1), its member of the dyadic partition of the naturals,
 and takes the stage set F_n = {g_n = g} intersect {h_n = h}.  The shift is
 added back at the end.  Stage envelopes lie between the global envelopes
-everywhere and equal them on F_n.
+everywhere and equal them on F_n.  F_{n-1} = {alpha_n = 0}, so the stored
+form is the blocks and theta.
 
 The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
 theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) at most once
@@ -42,9 +43,9 @@ per grid x.  Each PL point value is one affine map from pieces the function
 derived once.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
-in [0, 1], not on a sample: two envelope bounds per block and two exact
-RatSet containments per stage, with an x witness for each failure.  The grid
-only chooses the x where the report lists evaluated witnesses y.
+in [0, 1], not on a sample: two envelope bounds and one exact RatSet
+containment per block, with an x witness for each failure.  The grid only
+chooses the x where the report lists evaluated witnesses y.
 """
 
 from __future__ import annotations
@@ -221,20 +222,17 @@ class BlockProductFunc:
     Each block's support is a Pow2OddSet, the odd multiples of 2**power, and
     no two blocks share a power.  These sets are pairwise disjoint, so at
     most one summand is nonzero at any natural y: the block on power v2(y),
-    if there is one.  The stage sets F_1 <= ... <= F_N record where each
-    stage's envelopes already agree with the global ones; the last one is
-    all of [0, 1].
+    if there is one.  The blocks and theta are the whole stored form; the
+    stage sets, where each stage's envelopes already agree with the global
+    ones, are derived from the alphas.
     """
 
     blocks: tuple[SchwartzBlock, ...]
-    stage_sets: tuple[RatSet, ...]
     theta: PLFunc
     # {power: block index} over the block supports.
     _owners: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.blocks) != len(self.stage_sets):
-            raise ValueError("one stage set per block")
         if not self.blocks:
             raise ValueError("need at least one block")
         owners: dict[int, int] = {}
@@ -249,15 +247,12 @@ class BlockProductFunc:
                 )
             owners[s.power] = i
         object.__setattr__(self, "_owners", owners)
-        for n, (cur, nxt) in enumerate(zip(self.stage_sets, self.stage_sets[1:]), start=1):
-            v = subset(cur, nxt)
-            if not v.ok:
-                raise ValueError(
-                    f"stage sets must increase: x={v.witness} is in F_{n} but not in F_{n + 1}"
-                )
-        v = subset(FULL_SET, self.stage_sets[-1])
-        if not v.ok:
-            raise ValueError(f"the last stage set must cover [0, 1], but misses x={v.witness}")
+
+    @cached_property
+    def stage_sets(self) -> tuple[RatSet, ...]:
+        """F_n = {alpha_{n+1} = 0}, as alpha_{n+1} = min(1, dist(., F_n)); F_N = [0, 1]."""
+        zero = PLFunc.constant(0)
+        return tuple(equality_set(b.alpha, zero) for b in self.blocks[1:]) + (FULL_SET,)
 
     @property
     def size(self) -> int:
@@ -326,15 +321,14 @@ class BlockProductFunc:
                 }
                 for b in self.blocks
             ],
-            "stage_sets": [s.to_json() for s in self.stage_sets],
         }
 
     @staticmethod
     def from_json(data: dict) -> "BlockProductFunc":
-        stored_blocks, stored_sets = _field(data, "blocks"), _field(data, "stage_sets")
-        for key, value in (("blocks", stored_blocks), ("stage_sets", stored_sets)):
-            if not isinstance(value, list):
-                raise ValueError(f"expected a list under key {key!r}, got {type(value).__name__}")
+        """Read what to_json writes; a "stage_sets" key of older files is ignored."""
+        stored = _field(data, "blocks")
+        if not isinstance(stored, list):
+            raise ValueError(f"expected a list under key 'blocks', got {type(stored).__name__}")
         blocks = tuple(
             SchwartzBlock(
                 PLFunc.from_json(_field(b, "g")),
@@ -342,10 +336,9 @@ class BlockProductFunc:
                 PLFunc.from_json(_field(b, "alpha")),
                 BumpMap(_support_from_json(_field(b, "support"))),
             )
-            for b in stored_blocks
+            for b in stored
         )
-        stage_sets = tuple(RatSet.from_json(s) for s in stored_sets)
-        return BlockProductFunc(blocks, stage_sets, PLFunc.from_json(_field(data, "theta")))
+        return BlockProductFunc(blocks, PLFunc.from_json(_field(data, "theta")))
 
     def sample_rows(
         self, grid: Sequence[Fraction], max_y: int
@@ -428,7 +421,7 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     is attained, g_n(x) = g(x) exactly when some u_j(x) = g(x), so the union
     of the {u_j = g} is {g_n = g}; likewise for h, and intersection
     distributes over the two unions.  F_N = {g = g} intersect {h = h} is all
-    of [0, 1] by construction.
+    of [0, 1] by construction.  F_n is not kept: it is {alpha_{n+1} = 0}.
     """
     theta = family.members[0]
     shifted = [u - theta for u in family.members]
@@ -436,13 +429,11 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     uppers = list(accumulate(shifted, lambda h, u: pl_max((h, u))))
     g_sh, h_sh = lowers[-1], uppers[-1]
     blocks = []
-    stage_sets = []
     stage = EMPTY_SET  # F_{n-1} while block n is built
     for n, (g_n, h_n) in enumerate(zip(lowers, uppers), start=1):
         blocks.append(hahn_block(g_n, h_n, stage, Pow2OddSet(n - 1)))
         stage = equality_set(g_n, g_sh).intersect(equality_set(h_n, h_sh))
-        stage_sets.append(stage)
-    return BlockProductFunc(tuple(blocks), tuple(stage_sets), theta)
+    return BlockProductFunc(tuple(blocks), theta)
 
 
 def continuity_certificate(
@@ -518,26 +509,24 @@ def verify_synthesis(
 ) -> SectionReport:
     """Decide that the sections of f equal the family's envelopes at every x.
 
-    With g_sh and h_sh the family's envelopes minus theta, and F_0 empty,
-    three exact checks per block n decide the claim on all of [0, 1]:
+    With g_sh, h_sh the envelopes minus theta, F_0 empty and F_n = {alpha_{n+1} = 0}
+    (``BlockProductFunc.stage_sets``), these exact checks decide all of [0, 1]:
 
-    * the bounds g_sh <= g_blk_n and h_blk_n <= h_sh (the zero bounds
-      g_blk_n <= 0 <= h_blk_n are checked when SchwartzBlock is built);
-    * {alpha_n = 0} is contained in F_{n-1};
-    * F_n is contained in {g_blk_n = g_sh} intersect {h_blk_n = h_sh}.
+    * per block n, the bounds g_sh <= g_blk_n and h_blk_n <= h_sh (the zero
+      bounds g_blk_n <= 0 <= h_blk_n are checked when SchwartzBlock is built);
+    * {alpha_1 = 0} is contained in F_0, that is, empty;
+    * per block n, F_n is contained in {g_blk_n = g_sh} intersect {h_blk_n = h_sh}.
 
     Why they suffice: the block supports are disjoint, so f(x, y) is theta(x)
     plus one block's g_blk_n(x) or h_blk_n(x) scaled by phi in [0, 1], or
     theta(x) alone (y = inf included); by the bounds every value lies in
-    [g(x), h(x)].  BlockProductFunc guarantees F_1 <= ... <= F_N = [0, 1], so
-    every x has a least n with x in F_n.  Then x is not in F_{n-1}, so
-    alpha_n(x) > 0 (alpha takes values in [0, 1]), and by the kernel
-    saturation lemma block n takes h_blk_n(x) = h_sh(x) at bump index
-    m = floor(1/alpha_n(x)) and g_blk_n(x) = g_sh(x) at its partner: both
-    envelopes are attained.  ``synthesize`` makes both containments
-    equalities.  Each failure names an x witness: the first knot where a
-    bound breaks, or a point of the left set outside the right one (see
-    ``plalg.subset``).
+    [g(x), h(x)].  As F_N = [0, 1], every x has a least n with x in F_n; x
+    is not in F_{n-1}, which holds {alpha_n = 0}, so alpha_n(x) > 0 (alpha
+    is never negative), and by the kernel saturation lemma block n takes
+    h_blk_n(x) = h_sh(x) at bump index m = floor(1/alpha_n(x)) and
+    g_blk_n(x) = g_sh(x) at its partner: both envelopes are attained.  Each
+    failure names an x witness: the first knot where a bound breaks, or a
+    point of the left set outside the right one (see ``plalg.subset``).
 
     The grid only sets the report entries: per grid x the active stage n,
     the witnesses y_lo = point(2m) and y_hi = point(2m-1) of block n, and
@@ -545,26 +534,22 @@ def verify_synthesis(
     misses its envelope is a failure with its x and y.
     """
     pair = envelopes(family)
-    g_sh = pair.g - f.theta
-    h_sh = pair.h - f.theta
-    zero = PLFunc.constant(0)
+    g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
     failures: list[str] = []
-    previous = EMPTY_SET  # F_{n-1}
+    v = subset(equality_set(f.blocks[0].alpha, PLFunc.constant(0)), EMPTY_SET)
+    if not v.ok:
+        failures.append(f"block 1: alpha vanishes outside F_0 at x={v.witness}")
     for n, (block, stage) in enumerate(zip(f.blocks, f.stage_sets), start=1):
         for name, lo, hi in (("lower", g_sh, block.g_blk), ("upper", block.h_blk, h_sh)):
             v = dominates(lo, hi)
             if not v.ok:
                 failures.append(f"block {n}: {name} envelope bound fails at x={v.witness}")
-        v = subset(equality_set(block.alpha, zero), previous)
-        if not v.ok:
-            failures.append(f"block {n}: alpha vanishes outside F_{n - 1} at x={v.witness}")
         attained = equality_set(block.g_blk, g_sh).intersect(equality_set(block.h_blk, h_sh))
         v = subset(stage, attained)
         if not v.ok:
             failures.append(
                 f"block {n}: stage envelopes leave the envelopes on F_{n} at x={v.witness}"
             )
-        previous = stage
     entries: list[SectionEntry] = []
     for x_raw in grid:
         s = f.slice(x_raw)

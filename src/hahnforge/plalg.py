@@ -129,16 +129,13 @@ class PLFunc:
 
     @staticmethod
     def from_json(data: object) -> "PLFunc":
-        return PLFunc.from_pairs(_string_pairs(data))
-
-
-def _string_pairs(data: object) -> list[list[str]]:
-    """What to_json writes, a list of [a, b] string pairs; else a ValueError."""
-    if not isinstance(data, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p) for p in data
-    ):
-        raise ValueError('expected a list of two-element lists of "num/den" strings')
-    return data
+        """What to_json writes, a list of [a, b] string pairs; else a ValueError."""
+        if not isinstance(data, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p)
+            for p in data
+        ):
+            raise ValueError('expected a list of two-element lists of "num/den" strings')
+        return PLFunc.from_pairs(data)
 
 
 def _walk(f: PLFunc, g: PLFunc) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
@@ -304,13 +301,6 @@ class RatSet:
             else:
                 j += 1
         return RatSet.of(out)
-
-    def to_json(self) -> list[list[str]]:
-        return [[rat_str(lo), rat_str(hi)] for lo, hi in self.intervals]
-
-    @staticmethod
-    def from_json(data: object) -> "RatSet":
-        return RatSet.of(_string_pairs(data))
 
 
 EMPTY_SET = RatSet(())

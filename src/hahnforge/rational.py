@@ -21,10 +21,25 @@ _CHUNK = 10**_CHUNK_DIGITS
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Build a rational from an int, a Fraction, or a "num/den" string."""
+    """Build a rational from an int, a Fraction, or a "num/den" string of any length."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and len(value) > _DIGIT_LIMIT > 0:
+        num, _, den = value.partition("/")
+        if num.removeprefix("-").isdecimal() and den.isdecimal():
+            return Fraction(_int_of(num), _int_of(den))
     return Fraction(value)
+
+
+def _int_of(digits: str) -> int:
+    """int(digits) at any length, the inverse of int_str: two halves joined
+    by a power of ten, down to int() calls of at most 500 digits."""
+    if digits.startswith("-"):
+        return -_int_of(digits[1:])
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_of(digits[:-half]) * 10**half + _int_of(digits[-half:])
 
 
 def int_str(n: int) -> str:

@@ -295,9 +295,20 @@ class TestVerify:
         bad_block = dataclasses.replace(
             f.blocks[1], g_blk=f.blocks[1].g_blk - PLFunc.constant(1)
         )
-        tampered = BlockProductFunc((f.blocks[0], bad_block), f.stage_sets, f.theta)
+        tampered = BlockProductFunc((f.blocks[0], bad_block), f.theta)
         report = verify_synthesis(tampered, SP1, GRID65)
         assert not report.passed
+
+    def test_block1_alpha_vanishing_is_reported(self):
+        # Block 1 blends against F_0, the empty set, so its alpha must have no
+        # zero; SP1's active block at x=1/2 is then block 1, which vanishes.
+        f = synthesize(SP1)
+        bad = dataclasses.replace(f.blocks[0], alpha=distance_function(RatSet.point("1/2")))
+        report = verify_synthesis(BlockProductFunc((bad, f.blocks[1]), f.theta), SP1, GRID65)
+        assert report.failures == (
+            "block 1: alpha vanishes outside F_0 at x=1/2",
+            "x=1/2: active block 1 has vanished (alpha=0)",
+        )
 
     def test_singleton_report(self, rng: random.Random):
         member = random_family(rng, 1)[0]
@@ -377,7 +388,6 @@ def test_mixed_support_disjointness_check():
                 hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(0)),
                 hahn_block(ZERO_F, ZERO_F, RatSet(()), TwoModFour()),
             ),
-            (FULL_SET, FULL_SET),
             ZERO_F,
         )
     data = synthesize(SP1).to_json()
@@ -406,7 +416,7 @@ def malformed(path: tuple, replacement, message: str | None = None):
 @pytest.mark.parametrize(
     "path, replacement, message",
     [
-        *(malformed((key,), DELETED) for key in ("theta", "blocks", "stage_sets")),
+        *(malformed((key,), DELETED) for key in ("theta", "blocks")),
         *(malformed(("blocks", 1, key), DELETED) for key in ("g", "h", "alpha", "support")),
         *(malformed(("blocks", 1, "support", key), DELETED) for key in ("kind", "power")),
         malformed((), []),
@@ -415,14 +425,13 @@ def malformed(path: tuple, replacement, message: str | None = None):
         malformed(("blocks", 1, "support"), []),
         malformed(("blocks",), 3),
         malformed(("blocks",), {}),
-        malformed(("stage_sets",), None),
         malformed(("theta",), 5, PAIR_SHAPE),
         malformed(("theta",), [["0"], ["1", "0"]], PAIR_SHAPE),
         malformed(("blocks", 1, "g"), {"0": "0"}, PAIR_SHAPE),
-        malformed(("stage_sets", 1), [[None, "1"]], PAIR_SHAPE),
-        malformed(("stage_sets", 1), [[False, True]], PAIR_SHAPE),
-        malformed(("stage_sets", 1), [[0.0, 1.0]], PAIR_SHAPE),
-        malformed(("stage_sets", 1), [["0", "1/2", "1"]], PAIR_SHAPE),
+        malformed(("theta",), [[None, "1"]], PAIR_SHAPE),
+        malformed(("theta",), [[False, True]], PAIR_SHAPE),
+        malformed(("theta",), [[0.0, 1.0]], PAIR_SHAPE),
+        malformed(("theta",), [["0", "1/2", "1"]], PAIR_SHAPE),
     ],
 )
 def test_from_json_malformed_input_is_a_value_error(path, replacement, message):
@@ -586,7 +595,7 @@ def tampered_blocks(f: BlockProductFunc):
             variants.append(("alpha = dist(F_n)", dataclasses.replace(block, alpha=alpha)))
         for label, bad in variants:
             blocks = f.blocks[:i] + (bad,) + f.blocks[i + 1 :]
-            yield f"block {i + 1}: {label}", BlockProductFunc(blocks, f.stage_sets, f.theta)
+            yield f"block {i + 1}: {label}", BlockProductFunc(blocks, f.theta)
 
 
 GRID33 = dyadic_grid(5)
@@ -631,7 +640,6 @@ class TestSliceEvaluation:
         # naturals whose power no block has belong to no block.
         f = BlockProductFunc(
             tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(p)) for p in (3, 0, 7)),
-            (FULL_SET,) * 3,
             ZERO_F,
         )
         self.assert_owner_is_the_holder(f)
@@ -647,7 +655,7 @@ class TestSliceEvaluation:
         # the same bound, the same missed envelope values, and F_2 at x=0.
         f = synthesize(SP1)
         bad = dataclasses.replace(f.blocks[1], h_blk=f.blocks[1].h_blk + PLFunc.constant("1/8"))
-        tampered = BlockProductFunc((f.blocks[0], bad), f.stage_sets, f.theta)
+        tampered = BlockProductFunc((f.blocks[0], bad), f.theta)
         oracle = oracle_grid_failures(tampered, SP1, GRID33)
         structural = [m for m in oracle if m.startswith("block ")]
         assert structural == ["block 2: upper envelope bound fails at x=0"]
@@ -693,7 +701,7 @@ class TestExactDecision:
             [(0, 0), ("1/2", 0), (lo, h(lo)), (mid, h(mid) - Fraction(1, 1000)), (hi, h(hi)), (1, h(1))]
         )
         bad = dataclasses.replace(f.blocks[1], h_blk=dipped)
-        tampered = BlockProductFunc((f.blocks[0], bad), f.stage_sets, f.theta)
+        tampered = BlockProductFunc((f.blocks[0], bad), f.theta)
         assert oracle_grid_failures(tampered, SP1, GRID65) == []
         report = verify_synthesis(tampered, SP1, GRID65)
         assert report.entries == verify_synthesis(f, SP1, GRID65).entries
@@ -723,7 +731,6 @@ class TestSupportDisjointness:
     def build(*supports):
         return BlockProductFunc(
             tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), s) for s in supports),
-            (FULL_SET,) * len(supports),
             ZERO_F,
         )
 
@@ -746,33 +753,14 @@ class TestSupportDisjointness:
 
 
 class TestStageSetInvariants:
-    """from_json re-checks the stage sets of a stored function; SP1 has
-    F_1 = {1/2} and F_2 = [0, 1]."""
-
-    @staticmethod
-    def rejected(data: dict, message: str) -> None:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            BlockProductFunc.from_json(data)
-
-    def test_one_stage_set_per_block(self):
-        data = synthesize(SP1).to_json()
-        data["stage_sets"].pop()
-        self.rejected(data, "one stage set per block")
+    """The stage sets are derived from the alphas, so the only invariant a
+    stored function carries for them is that it has a block."""
 
     def test_at_least_one_block(self):
         data = synthesize(SP1).to_json()
-        data["blocks"], data["stage_sets"] = [], []
-        self.rejected(data, "need at least one block")
-
-    def test_increasing_with_witness(self):
-        data = synthesize(SP1).to_json()
-        data["stage_sets"] = [[["0", "1"]], [["1/2", "1/2"]]]
-        self.rejected(data, "stage sets must increase: x=0 is in F_1 but not in F_2")
-
-    def test_last_set_covers_with_witness(self):
-        data = synthesize(SP1).to_json()
-        data["stage_sets"][1] = [["0", "1/4"], ["1/2", "1"]]
-        self.rejected(data, "the last stage set must cover [0, 1], but misses x=3/8")
+        data["blocks"] = []
+        with pytest.raises(ValueError, match=re.escape("need at least one block")):
+            BlockProductFunc.from_json(data)
 
 
 # -- single-pass synthesis against the definitional stage code ----------------

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import int_str_digits
-from hahnforge.builder import SectionReport
+from hahnforge.builder import BlockProductFunc, SectionReport, synthesize
 from hahnforge.cli import IO_ERROR, OK, PARSE_ERROR, VERIFY_FAILED, main
-from hahnforge.plalg import PLFunc, pl_equal
-from hahnforge.rational import rat_str
+from hahnforge.plalg import PLFunc, RatSet, pl_equal
+from hahnforge.rational import rat, rat_str
+from hahnforge.specdsl import family_from_spec, parse_spec
 
 SP1_TEXT = "u1 = 0\nu2 = x - 1/2\n"
 SECTIONS_TEXT = "u1 = 0\nu2 = x - 1/2\nlimit 0\ntail 1/n * (0 - x)\ngrid 16\n"
@@ -316,7 +317,8 @@ class TestSynth:
         assert main(["synth", str(sp1_spec), "--grid", "8", "--out", str(out)]) == OK
         data = json.loads((out / "function.json").read_text(encoding="utf-8"))
         assert len(data["blocks"]) == 2
-        assert data["stage_sets"][0] == [["1/2", "1/2"]]
+        assert "stage_sets" not in data
+        assert BlockProductFunc.from_json(data).stage_sets[0] == RatSet.point("1/2")
         csv_text = (out / "samples.csv").read_text(encoding="utf-8")
         assert csv_text.splitlines()[0] == "x,y,value,value_float"
         assert ",inf," in csv_text
@@ -327,11 +329,11 @@ class TestGoldenOutputs:
 
     SHA256 = {
         "sp1": {
-            "function.json": "b6851cde4a58627a7ec1b521daf79bea332a148474e70e88cee76806b42a4fa0",
+            "function.json": "c2bf594ec3780df26ffadcc1ab964abec415f86ba97a2d9b1dffd921190154e8",
             "samples.csv": "d4aafe7db1f10002a0d1978c026d6fba2e0a8693406198dd681b67168cc753f5",
         },
         "seeded": {
-            "function.json": "9d3f4bee8e9eb7bba1987c6e6f77c6d2b308d892839ae5c84d6206994e5b7702",
+            "function.json": "576cfe3a40e5d814a7ac877e7a6065c5ce796e6e6973d7e7cf8f3997a1c06437",
             "samples.csv": "db65e97d1dc3bf8cc70888f250cc1f96782b58e29b54be241b65d6e914134400",
         },
     }
@@ -356,7 +358,8 @@ class TestGoldenOutputs:
 
     def test_seeded_function_matches_pre_canonical(self, tmp_path: Path):
         """The re-pinned seeded function.json holds the same functions, with no
-        more knots, and the same stage sets and supports byte for byte."""
+        more knots, and the same supports byte for byte; the stage sets its
+        alphas give are the ones the old file stored, and the old file loads."""
         raw = self.SEEDED_BEFORE_CANONICAL.read_bytes()
         assert hashlib.sha256(raw).hexdigest() == self.SEEDED_BEFORE_CANONICAL_SHA256
         old = json.loads(raw)
@@ -364,7 +367,9 @@ class TestGoldenOutputs:
         spec.write_text(SEEDED_TEXT, encoding="utf-8")
         assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == OK
         new = json.loads((tmp_path / "out" / "function.json").read_text(encoding="utf-8"))
-        assert new["stage_sets"] == old["stage_sets"]
+        stored = tuple(RatSet.of(s) for s in old["stage_sets"])
+        assert BlockProductFunc.from_json(new).stage_sets == stored
+        assert BlockProductFunc.from_json(old).stage_sets == stored
         assert len(new["blocks"]) == len(old["blocks"])
         pairs = [(new["theta"], old["theta"])]
         for nb, ob in zip(new["blocks"], old["blocks"]):
@@ -474,6 +479,17 @@ class TestHugeValues:
             ("1/1", expected, expected),
         ]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("digits", [5000, 10000])
+    def test_rat_reads_back_rat_str(self, digits: int):
+        n, d = 10**digits - 3, 3 ** (2 * digits)  # both past the limit
+        for q in (Fraction(n, d), Fraction(-n, d), Fraction(n)):
+            assert rat(rat_str(q)) == q
+
+    def test_function_json_past_str_limit_loads(self):
+        a = "7" * 1000
+        f = synthesize(family_from_spec(parse_spec("u1 = " + " * ".join([a] * 5) + " * x\n")))
+        assert BlockProductFunc.from_json(json.loads(json.dumps(f.to_json()))) == f
 
     @pytest.mark.parametrize("digits", [1, 499, 500, 501, 1000, 4300, 4301, 9001])
     def test_rat_str_digits(self, digits: int):

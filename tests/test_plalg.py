@@ -519,4 +519,3 @@ def test_dyadic_grid():
 def test_ratset_normalization():
     s = RatSet.of([("1/2", "3/4"), ("0", "1/2")])
     assert s.intervals == ((Fraction(0), Fraction(3, 4)),)
-    assert RatSet.from_json(s.to_json()) == s
