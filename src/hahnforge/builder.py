@@ -34,13 +34,13 @@ form is the blocks and theta.
 
 The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
 theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) at most once
-and only when first needed; since no two blocks share a power of two,
-each natural y is sent by its 2-adic valuation v2(y) to the one block that
-owns it, so f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) costs one
-block, not n.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, and sampling,
-the report entries, sections and continuity certificates all take one slice
-per grid x.  Each PL point value is one affine map from pieces the function
-derived once.
+and only when first needed; block n sits on Pow2OddSet(n - 1), so each
+natural y is sent by its 2-adic valuation v2(y) to block v2(y) + 1, the one
+block that owns it, and f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y))
+costs one block, not n.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, and
+sampling, the report entries, sections and continuity certificates all take
+one slice per grid x.  Each PL point value is one affine map from pieces
+the function derived once.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -50,7 +50,7 @@ chooses the x where the report lists evaluated witnesses y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -219,34 +219,24 @@ def _support_from_json(data: dict) -> Pow2OddSet:
 class BlockProductFunc:
     """f(x, y) = theta(x) + sum of block values; the sum vanishes at infinity.
 
-    Each block's support is a Pow2OddSet, the odd multiples of 2**power, and
-    no two blocks share a power.  These sets are pairwise disjoint, so at
-    most one summand is nonzero at any natural y: the block on power v2(y),
-    if there is one.  The blocks and theta are the whole stored form; the
-    stage sets, where each stage's envelopes already agree with the global
-    ones, are derived from the alphas.
+    Block n (1-based) sits on Pow2OddSet(n - 1), the odd multiples of
+    2**(n - 1), and on nothing else.  These sets are pairwise disjoint, so at
+    most one summand is nonzero at any natural y: block v2(y) + 1, if there
+    is one.  The blocks and theta are the whole stored form; the stage sets,
+    where each stage's envelopes already agree with the global ones, are
+    derived from the alphas.
     """
 
     blocks: tuple[SchwartzBlock, ...]
     theta: PLFunc
-    # {power: block index} over the block supports.
-    _owners: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("need at least one block")
-        owners: dict[int, int] = {}
-        for i, b in enumerate(self.blocks):
+        for n, b in enumerate(self.blocks, start=1):
             s = b.beta.support
-            if not isinstance(s, Pow2OddSet):
-                raise ValueError(f"block {i + 1}: support {s!r} is not a Pow2OddSet")
-            if s.power in owners:
-                raise ValueError(
-                    "block supports must be pairwise disjoint "
-                    f"(blocks {owners[s.power] + 1} and {i + 1} meet)"
-                )
-            owners[s.power] = i
-        object.__setattr__(self, "_owners", owners)
+            if s != Pow2OddSet(n - 1):
+                raise ValueError(f"block {n}: support {s!r} is not Pow2OddSet({n - 1})")
 
     @cached_property
     def stage_sets(self) -> tuple[RatSet, ...]:
@@ -259,11 +249,10 @@ class BlockProductFunc:
         return len(self.blocks)
 
     def owner(self, m: int) -> int | None:
-        """Index of the block whose support holds the natural m, if any:
-        the block on power v2(m)."""
-        if m < 1:
-            return None
-        return self._owners.get((m & -m).bit_length() - 1)
+        """Index of the block whose support holds the natural m, if any: the
+        block at index i sits on Pow2OddSet(i), so it is v2(m) when v2(m) < size."""
+        p = (m & -m).bit_length() - 1
+        return p if m > 0 and p < len(self.blocks) else None
 
     def slice(self, x: int | str | Fraction) -> "ProductSlice":
         return ProductSlice(self, rat(x))
@@ -421,7 +410,8 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     is attained, g_n(x) = g(x) exactly when some u_j(x) = g(x), so the union
     of the {u_j = g} is {g_n = g}; likewise for h, and intersection
     distributes over the two unions.  F_N = {g = g} intersect {h = h} is all
-    of [0, 1] by construction.  F_n is not kept: it is {alpha_{n+1} = 0}.
+    of [0, 1] by construction and not computed, as no block reads it.  F_n
+    is not kept: it is {alpha_{n+1} = 0}.
     """
     theta = family.members[0]
     shifted = [u - theta for u in family.members]
@@ -432,7 +422,8 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     stage = EMPTY_SET  # F_{n-1} while block n is built
     for n, (g_n, h_n) in enumerate(zip(lowers, uppers), start=1):
         blocks.append(hahn_block(g_n, h_n, stage, Pow2OddSet(n - 1)))
-        stage = equality_set(g_n, g_sh).intersect(equality_set(h_n, h_sh))
+        if n < len(lowers):
+            stage = equality_set(g_n, g_sh).intersect(equality_set(h_n, h_sh))
     return BlockProductFunc(tuple(blocks), theta)
 
 

@@ -24,11 +24,14 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Build a rational from an int, a Fraction, or a "num/den" string of any length."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and len(value) > _DIGIT_LIMIT > 0:
-        num, _, den = value.partition("/")
-        if num.removeprefix("-").isdecimal() and den.isdecimal():
-            return Fraction(_int_of(num), _int_of(den))
-    return Fraction(value)
+    try:
+        if isinstance(value, str) and len(value) > _DIGIT_LIMIT > 0:
+            num, _, den = value.partition("/")
+            if num.removeprefix("-").isdecimal() and den.isdecimal():
+                return Fraction(_int_of(num), _int_of(den))
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _int_of(digits: str) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -372,9 +373,9 @@ def test_json_roundtrip():
 
 
 def test_mixed_support_disjointness_check():
-    # Block supports live on the dyadic partition: a residue class is rejected
-    # even where it is disjoint from the other supports (2 mod 4 is the set
-    # of Pow2OddSet(1)), and a stored "residue" support does not load.
+    # Block n sits on Pow2OddSet(n - 1): a residue class is rejected even
+    # where it is that set (2 mod 4 is the set of Pow2OddSet(1)), and a
+    # stored "residue" support does not load.
     class TwoModFour:
         def element(self, j: int) -> int:
             return 4 * j - 2
@@ -382,7 +383,7 @@ def test_mixed_support_disjointness_check():
         def index_of(self, m: int) -> int | None:
             return (m + 2) // 4 if m % 4 == 2 else None
 
-    with pytest.raises(ValueError, match="block 2: support .* is not a Pow2OddSet"):
+    with pytest.raises(ValueError, match=r"block 2: support .* is not Pow2OddSet\(1\)$"):
         BlockProductFunc(
             (
                 hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(0)),
@@ -432,6 +433,13 @@ def malformed(path: tuple, replacement, message: str | None = None):
         malformed(("theta",), [[False, True]], PAIR_SHAPE),
         malformed(("theta",), [[0.0, 1.0]], PAIR_SHAPE),
         malformed(("theta",), [["0", "1/2", "1"]], PAIR_SHAPE),
+        malformed(("theta",), [["0", "1/0"], ["1", "0"]], "zero denominator in '1/0'"),
+        pytest.param(
+            ("theta",),
+            [["0", "1/" + "0" * 5000], ["1", "0"]],
+            "zero denominator in '1/000",
+            id="theta-5000-digit-zero-denominator",
+        ),
     ],
 )
 def test_from_json_malformed_input_is_a_value_error(path, replacement, message):
@@ -621,28 +629,17 @@ class TestSliceEvaluation:
             assert s.theta == f.value_at_infinity(x) == f.theta(x)
             assert [s.value(y) for y in range(1, 101)] == [f.value(x, y) for y in range(1, 101)]
 
-    @staticmethod
-    def assert_owner_is_the_holder(f: BlockProductFunc) -> None:
+    def test_owner_is_the_unique_support(self):
+        # The owner is the block whose support holds y, found by search; no
+        # block holds y <= 0 or a y with v2(y) >= N, the number of blocks.
+        f = synthesize(StableFamily(tuple(PLFunc.constant(i) for i in range(6))))
         for y in range(-8, 2001):
             holders = [
                 i for i, b in enumerate(f.blocks) if b.beta.support.index_of(y) is not None
             ]
             assert f.owner(y) == (holders[0] if holders else None)
-
-    def test_owner_is_the_unique_support(self):
-        self.assert_owner_is_the_holder(
-            synthesize(StableFamily(tuple(PLFunc.constant(i) for i in range(6))))
-        )
-
-    def test_mixed_residue_owners(self):
-        # Pow2OddSet(p) is the class 2^p mod 2^(p + 1): here 8 mod 16, 1 mod 2
-        # and 128 mod 256, with the powers out of order and with gaps, so
-        # naturals whose power no block has belong to no block.
-        f = BlockProductFunc(
-            tuple(hahn_block(ZERO_F, ZERO_F, RatSet(()), Pow2OddSet(p)) for p in (3, 0, 7)),
-            ZERO_F,
-        )
-        self.assert_owner_is_the_holder(f)
+        assert [f.owner(y) for y in (0, -1, -2, -64, -(2**100))] == [None] * 5
+        assert [f.owner(2**p * k) for p in (6, 7, 100) for k in (1, 3)] == [None] * 6
 
     def test_sample_rows_match_oracle(self, rng: random.Random):
         for fam in self.families(rng):
@@ -735,7 +732,8 @@ class TestSupportDisjointness:
         )
 
     def test_same_power_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("(blocks 1 and 3 meet)")):
+        message = "block 1: support Pow2OddSet(power=3) is not Pow2OddSet(0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             self.build(Pow2OddSet(3), Pow2OddSet(0), Pow2OddSet(3))
 
     def test_from_json_rejects_non_natural_power(self):
@@ -748,8 +746,21 @@ class TestSupportDisjointness:
     def test_from_json_rejects_overlap(self):
         data = synthesize(SP1).to_json()
         data["blocks"][1]["support"] = dict(data["blocks"][0]["support"])
-        with pytest.raises(ValueError, match=re.escape("disjoint (blocks 1 and 2 meet)")):
+        message = "block 2: support Pow2OddSet(power=0) is not Pow2OddSet(1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             BlockProductFunc.from_json(data)
+
+    @pytest.mark.parametrize("power", [0, 2, 10**30], ids=["repeated", "out-of-order", "huge"])
+    def test_from_json_rejects_power_out_of_position(self, power):
+        # Block 2 sits on Pow2OddSet(1) and nowhere else; a huge power is
+        # rejected on load, before any evaluation could build 2**power.
+        data = synthesize(SP1).to_json()
+        data["blocks"][1]["support"]["power"] = power
+        message = f"block 2: support Pow2OddSet(power={power}) is not Pow2OddSet(1)"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BlockProductFunc.from_json(data)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStageSetInvariants:
@@ -807,7 +818,8 @@ class TestSinglePass:
 
     def test_call_counts(self, monkeypatch):
         # N members: N - 1 folds per envelope side and two equality sets per
-        # stage, with no call to the quadratic stage code or to envelopes.
+        # stage but the last, whose set F_N = [0, 1] no block reads, with no
+        # call to the quadratic stage code or to envelopes.
         calls = Counter()
 
         def counted(name, func):
@@ -826,5 +838,5 @@ class TestSinglePass:
             synthesize(fam)
             size = len(fam.members)
             assert calls["pl_min"] + calls["pl_max"] <= 2 * (size - 1)
-            assert calls["equality_set"] <= 2 * size
+            assert calls["equality_set"] <= 2 * (size - 1)
             assert not calls["stage_envelopes"] + calls["stage_sets_of"] + calls["envelopes"]
