@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .alphat import at_baire_one_cocountable, at_is_continuous, at_sections, diag_example
 from .builder import synthesize, verify_synthesis
-from .rational import rat_str
+from .rational import int_str, rat_str
 from .sections import brute_sections, tail_sections
 from .spaces import OrdinalCompact, parse_ordinal, scattered_rank
 from .specdsl import (
@@ -42,10 +42,10 @@ class UsageError(Exception):
 def _load_spec(path: str):
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        col = exc.start - (data.rfind(b"\n", 0, exc.start) + 1) + 1
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        col = exc.start - (exc.object.rfind(b"\n", 0, exc.start) + 1) + 1
         raise SpecError("spec is not valid UTF-8", line, col, "encoding") from None
     return parse_spec(text)
 
@@ -134,7 +134,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    print(scattered_rank(OrdinalCompact(top)))
+    print(int_str(scattered_rank(OrdinalCompact(top))))
     return OK
 
 

@@ -3,50 +3,53 @@
 Every numeric value in this package is a :class:`fractions.Fraction`, which
 keeps numerator/denominator in reduced form with a positive denominator.  No
 floats enter any computation; they appear only in lossy CSV export columns.
+Decimal text becomes an ``int`` only through :func:`int_of` and is written
+only through :func:`int_str` and :func:`rat_str`, in chunks of at most 500
+digits, so no result depends on Python's int-to-str digit limit.  ``rat``
+reads the form ``rat_str`` writes, ``-?digits/digits``, or ``-?digits``.
 """
 
 from __future__ import annotations
 
-import sys
+import re
 from fractions import Fraction
 
-# str(int) refuses integers with more digits than sys.get_int_max_str_digits()
-# (4,300 by default, never below 640, 0 for no limit).  At most 3 bits per
-# permitted digit stays below the limit, so only longer integers are cut into
-# base-10**500 chunks, each of which is within every permitted limit.
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_STR_MAX_BITS = 3 * _DIGIT_LIMIT if _DIGIT_LIMIT else sys.maxsize
+# Python permits no int-to-str digit limit below 640: 500-digit chunks always convert.
 _CHUNK_DIGITS = 500
 _CHUNK = 10**_CHUNK_DIGITS
+_RAT_FORM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Build a rational from an int, a Fraction, or a "num/den" string of any length."""
+    """Build a rational from an int, a Fraction, or a "num/den" or integer string of any length."""
     if isinstance(value, Fraction):
         return value
-    try:
-        if isinstance(value, str) and len(value) > _DIGIT_LIMIT > 0:
-            num, _, den = value.partition("/")
-            if num.removeprefix("-").isdecimal() and den.isdecimal():
-                return Fraction(_int_of(num), _int_of(den))
+    if not isinstance(value, str):
         return Fraction(value)
+    form = _RAT_FORM.fullmatch(value)
+    if form is None:
+        raise ValueError(f'expected "num/den" or an integer, got {value!r}')
+    try:
+        return Fraction(int_of(form[1]), int_of(form[2] or "1"))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
-def _int_of(digits: str) -> int:
+def int_of(digits: str) -> int:
     """int(digits) at any length, the inverse of int_str: two halves joined
     by a power of ten, down to int() calls of at most 500 digits."""
     if digits.startswith("-"):
-        return -_int_of(digits[1:])
+        return -int_of(digits[1:])
     if len(digits) <= _CHUNK_DIGITS:
         return int(digits)
     half = len(digits) // 2
-    return _int_of(digits[:-half]) * 10**half + _int_of(digits[-half:])
+    return int_of(digits[:-half]) * 10**half + int_of(digits[-half:])
 
 
 def int_str(n: int) -> str:
     """The decimal digits of n, exact at any length: divmod by 10**500."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
     sign, n = ("-", -n) if n < 0 else ("", n)
     chunks = []
     while n >= _CHUNK:
@@ -57,10 +60,7 @@ def int_str(n: int) -> str:
 
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" rendering, always with an explicit denominator."""
-    n, d = q.numerator, q.denominator
-    if (abs(n) | d).bit_length() <= _STR_MAX_BITS:
-        return f"{n}/{d}"
-    return f"{int_str(n)}/{int_str(d)}"
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 def rat_float(q: Fraction) -> str:

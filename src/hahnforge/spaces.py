@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .rational import int_of, int_str
+
 
 @dataclass(frozen=True)
 class OrdinalCNF:
@@ -81,10 +83,10 @@ class OrdinalCNF:
         parts = []
         for e, c in self.terms:
             if e == 0:
-                parts.append(str(c))
+                parts.append(int_str(c))
             else:
-                head = "w" if e == 1 else f"w^{e}"
-                parts.append(head if c == 1 else f"{head}*{c}")
+                head = "w" if e == 1 else f"w^{int_str(e)}"
+                parts.append(head if c == 1 else f"{head}*{int_str(c)}")
         return " + ".join(parts)
 
 
@@ -100,10 +102,10 @@ def parse_ordinal(text: str) -> OrdinalCNF:
         if not m:
             raise ValueError(f"bad ordinal term {part!r}")
         if m.group(3) is not None:
-            term = OrdinalCNF.from_int(int(m.group(3)))
+            term = OrdinalCNF.from_int(int_of(m.group(3)))
         else:
-            exp = int(m.group(1)) if m.group(1) else 1
-            coeff = int(m.group(2)) if m.group(2) else 1
+            exp = int_of(m.group(1)) if m.group(1) else 1
+            coeff = int_of(m.group(2)) if m.group(2) else 1
             if coeff == 0:
                 raise ValueError("coefficients must be positive")
             term = OrdinalCNF(((exp, coeff),))

@@ -22,7 +22,8 @@ Every diagnostic carries a 1-based line and column.
 A sum is one ``Sum`` node over its terms, a subtracted term stored negated, so
 a long sum or a run of minus signs costs no recursion.  Only parentheses
 nest: an open ``(`` more than ``MAX_DEPTH`` (100) deep on a line, and an
-integer literal longer than ``MAX_DIGITS`` (1000) digits, are syntax errors.
+integer literal longer than ``MAX_DIGITS`` (1000) digits, are syntax errors;
+literals are read and printed through ``rational`` under any digit limit.
 
 Elaboration turns expressions into exact ``PLFunc`` values; the declarations,
 in order, form the function family of the spec.
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 from .pairs import StableFamily
 from .plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum, uniform_grid
-from .rational import int_str
+from .rational import int_of, rat_str
 from .sections import TailFamily
 from .tailrules import TailRule
 
@@ -43,7 +44,7 @@ KEYWORDS = {"x", "min", "max", "abs", "grid", "tail", "limit", "n"}
 DEFAULT_GRID = 64  # grid denominator when neither the spec nor the command line sets one
 # Parsing, elaboration, printing and AST equality recurse once per open "(",
 # so its depth is bounded well inside Python's recursion limit.  Literals are
-# bounded well inside its limit on converting digit strings to integers.
+# bounded because reading one costs more than linear time in its length.
 MAX_DEPTH = 100
 MAX_DIGITS = 1000
 
@@ -229,8 +230,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "INT":
             raise SpecError("expected a rational literal", tok.line, tok.col)
-        self.advance()
-        num = int(tok.text)
+        num = int_of(self.advance().text)
         den = 1
         # "/" belongs to the literal only when an integer denominator follows;
         # otherwise it is left for the caller (tail rules parse "/ n" there,
@@ -238,7 +238,7 @@ class _Parser:
         if self.at_op("/") and self.peek(1).kind == "INT":
             self.advance()
             den_tok = self.advance()
-            den = int(den_tok.text)
+            den = int_of(den_tok.text)
             if den == 0:
                 raise SpecError("zero denominator", den_tok.line, den_tok.col)
         return Fraction(sign * num, den)
@@ -418,10 +418,10 @@ class _Parser:
                     raise SpecError("duplicate grid directive", tok.line, tok.col)
                 self.advance()
                 num = self.peek()
-                if num.kind != "INT" or int(num.text) < 1:
+                grid = int_of(num.text) if num.kind == "INT" else 0
+                if grid < 1:
                     raise SpecError("grid needs a positive integer", num.line, num.col)
                 self.advance()
-                grid = int(num.text)
             elif tok.text == "limit":
                 if limit is not None:
                     raise SpecError("duplicate limit directive", tok.line, tok.col)
@@ -458,9 +458,7 @@ def parse_spec(text: str) -> SpecAST:
 
 
 def _lit_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return int_str(value.numerator)
-    return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
+    return rat_str(value).removesuffix("/1")
 
 
 def pp_expr(e: Expr) -> str:

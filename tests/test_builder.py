@@ -399,6 +399,7 @@ def test_mixed_support_disjointness_check():
 
 DELETED = object()  # marks a key removed from the stored form
 PAIR_SHAPE = 'expected a list of two-element lists of "num/den" strings'
+NUM_DEN = 'expected "num/den" or an integer'
 
 
 def malformed(path: tuple, replacement, message: str | None = None):
@@ -434,6 +435,11 @@ def malformed(path: tuple, replacement, message: str | None = None):
         malformed(("theta",), [[0.0, 1.0]], PAIR_SHAPE),
         malformed(("theta",), [["0", "1/2", "1"]], PAIR_SHAPE),
         malformed(("theta",), [["0", "1/0"], ["1", "0"]], "zero denominator in '1/0'"),
+        # Fraction() reads these; a stored value has only the form rat_str writes.
+        *(
+            malformed(("theta",), [["0", value], ["1", "0"]], f"{NUM_DEN}, got {value!r}")
+            for value in ("1e5", "1.5", " 1/2", "+1/2", "1_000")
+        ),
         pytest.param(
             ("theta",),
             [["0", "1/" + "0" * 5000], ["1", "0"]],

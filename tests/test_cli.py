@@ -52,6 +52,15 @@ class TestVerify:
         assert "65 grid points" in out
         assert "all sections match" in out
 
+    def test_utf8_bom_is_skipped(self, sp1_spec: Path, tmp_path: Path, capsys):
+        # Editors that save "UTF-8 with BOM" prefix the file with U+FEFF.
+        bom = tmp_path / "bom.hf"
+        bom.write_bytes(b"\xef\xbb\xbf" + sp1_spec.read_bytes())
+        assert main(["verify", str(sp1_spec)]) == OK
+        plain = capsys.readouterr()
+        assert main(["verify", str(bom)]) == OK
+        assert capsys.readouterr() == plain
+
     def test_parse_error_exit(self, tmp_path: Path, capsys):
         bad = tmp_path / "bad.hf"
         bad.write_text("u1 = x / x\n", encoding="utf-8")
@@ -141,10 +150,11 @@ class TestUsageErrors:
 
     def test_spec_not_utf8(self, tmp_path: Path, capsys):
         bad = tmp_path / "latin1.hf"
-        bad.write_bytes(b"u1 = 0\nu2 = x \xff- 1/2\n")
-        assert main(["verify", str(bad)]) == PARSE_ERROR
-        err = self.one_line_error(capsys)
-        assert "line 2, col 8" in err and "UTF-8" in err
+        for bom in (b"", b"\xef\xbb\xbf"):  # a byte-order mark shifts no column
+            bad.write_bytes(bom + b"u1 = 0\nu2 = x \xff- 1/2\n")
+            assert main(["verify", str(bad)]) == PARSE_ERROR
+            err = self.one_line_error(capsys)
+            assert "line 2, col 8" in err and "UTF-8" in err
 
     def test_brute_not_above_head(self, tmp_path: Path, capsys):
         spec = tmp_path / "tail.hf"
@@ -486,6 +496,11 @@ class TestHugeValues:
         for q in (Fraction(n, d), Fraction(-n, d), Fraction(n)):
             assert rat(rat_str(q)) == q
 
+    def test_rat_reads_back_rat_str_at_lowest_limit(self):
+        q = Fraction(10**1000 + 7, 3)  # 1,001 digits, past the lowest permitted limit
+        with int_str_digits(640):
+            assert rat(rat_str(q)) == q
+
     def test_function_json_past_str_limit_loads(self):
         a = "7" * 1000
         f = synthesize(family_from_spec(parse_spec("u1 = " + " * ".join([a] * 5) + " * x\n")))
@@ -542,6 +557,11 @@ class TestRank:
     def test_huge_exponent(self, capsys):
         assert main(["rank", "w^200000"]) == OK
         assert capsys.readouterr().out.strip() == "200001"
+
+    def test_rank_past_str_limit(self, capsys):
+        # The rank 10**4300 has 4,301 digits, one past Python's default limit.
+        assert main(["rank", "w^" + "9" * 4300]) == OK
+        assert capsys.readouterr().out == "1" + "0" * 4300 + "\n"
 
     def test_bad_ordinal(self, capsys):
         assert main(["rank", "omega^^2"]) == PARSE_ERROR

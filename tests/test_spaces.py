@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from conftest import int_str_digits
 from hahnforge.spaces import (
     EMPTY_SPACE,
     EmptySpace,
@@ -138,6 +139,14 @@ class TestOrdinalLiterals:
     def test_parse_print_roundtrip(self):
         for text in ("w^2*3 + w + 4", "0", "7", "w", "w^5*2"):
             o = parse_ordinal(text)
+            assert parse_ordinal(str(o)) == o
+
+    def test_roundtrip_past_str_limit(self):
+        # A 700-digit exponent is past the lowest int-to-str limit Python permits.
+        text = "w^" + "9" * 700 + "*3 + w + 4"
+        with int_str_digits(640):
+            o = parse_ordinal(text)
+            assert str(o) == "w^" + "9" * 700 + "*3 + w + 4"
             assert parse_ordinal(str(o)) == o
 
     def test_canonical_star_one(self):

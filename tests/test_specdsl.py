@@ -171,6 +171,13 @@ class TestBounds:
         with int_str_digits(0):
             assert printed == f"u1 = ({a**5} * x)\n"
 
+    def test_roundtrip_past_str_limit(self):
+        # A 700-digit literal is past the lowest int-to-str limit Python permits.
+        text = "u1 = " + "7" * 700 + " * x\nu2 = 1/" + "3" * 700 + "\n"
+        with int_str_digits(640):
+            ast = parse_spec(text)
+            assert parse_spec(pp_spec(ast)) == ast
+
     def test_folded_constant_past_bound_does_not_reparse(self):
         a = "7" * 600
         printed = pp_spec(parse_spec(f"u1 = {a} * {a} * x\n"))
