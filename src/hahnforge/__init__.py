@@ -7,8 +7,7 @@ Subsystems:
   dyadic partition ``Pow2OddSet`` of N;
 * :mod:`hahnforge.alphat` - function algebra on one-point compactifications of
   (possibly uncountable) discrete spaces;
-* :mod:`hahnforge.pairs` - envelope pairs of finite continuous families and
-  their stabilization witnesses;
+* :mod:`hahnforge.pairs` - envelope pairs of finite continuous families;
 * :mod:`hahnforge.sections` - extremal sections of separately continuous
   functions with convergent-tail structure, with a brute-force twin;
 * :mod:`hahnforge.builder` - synthesis of a separately continuous function on

@@ -6,8 +6,8 @@ sections over y are exactly g and h, both attained at every x.
 
 The blending kernel is the Schwartz function sp(s, t) = 2st / (s^2 + t^2)
 (0 at the origin), clamped to phi = min(1, 2|sp|).  ``phi`` works in integers
-on the numerators and denominators of its arguments; ``schwartz`` is the
-definition the tests check it against.  The kernel's key exact property:
+on the numerators and denominators of its arguments; the tests check it
+against the definition of sp.  The kernel's key exact property:
 whenever 1/(n+1) <= a <= 1/n, sp(a, 1/n) >= n/(n+1) >= 1/2, so
 phi(a, 1/n) = 1.  Each synthesis block combines
 
@@ -73,14 +73,6 @@ from .plalg import (
 from .rational import rat, rat_float, rat_str
 from .sections import INFINITY, Witness
 from .spaces import Pow2OddSet
-
-
-def schwartz(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
-    """2st / (s^2 + t^2), extended by 0 at the origin."""
-    s, t = rat(s), rat(t)
-    if s == 0 and t == 0:
-        return Fraction(0)
-    return 2 * s * t / (s * s + t * t)
 
 
 def phi(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:

@@ -7,7 +7,8 @@ Commands: ``synth`` (build the product function and export JSON/CSV),
 ``rank`` (scattered rank of an ordinal literal), and ``alphat-demo``.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error (a spec that does
-not parse, is not UTF-8, or an option value the command cannot run with),
+not parse, is not UTF-8, or an option value the command cannot run with,
+such as a size past ``MAX_GRID``, ``MAX_SAMPLES`` or ``MAX_BRUTE``),
 3 I/O error.
 """
 
@@ -25,6 +26,7 @@ from .rational import int_str, rat_str
 from .sections import brute_sections, tail_sections
 from .spaces import OrdinalCompact, parse_ordinal, scattered_rank
 from .specdsl import (
+    MAX_GRID,
     SpecError,
     family_from_spec,
     grid_from_spec,
@@ -33,6 +35,9 @@ from .specdsl import (
 )
 
 OK, VERIFY_FAILED, PARSE_ERROR, IO_ERROR = 0, 1, 2, 3
+# Run time and memory grow with these sizes, so they are bounded like the grid.
+MAX_SAMPLES = 100
+MAX_BRUTE = 10_000
 
 
 class UsageError(Exception):
@@ -53,6 +58,8 @@ def _load_spec(path: str):
 def _grid(ast, override: int | None):
     if override is not None and override < 1:
         raise UsageError(f"--grid needs a positive integer, got {override}")
+    if override is not None and override > MAX_GRID:
+        raise UsageError(f"--grid is at most {MAX_GRID}, got {override}")
     return grid_from_spec(ast, override)
 
 
@@ -70,6 +77,8 @@ def _write_json(path: Path, data) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples needs a non-negative integer, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples is at most {MAX_SAMPLES}, got {args.samples}")
     ast = _load_spec(args.spec)
     family = family_from_spec(ast)
     grid = _grid(ast, args.grid)
@@ -111,6 +120,8 @@ def cmd_sections(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"--brute must exceed the head size {family.head_size}, got {args.brute}"
             )
+        if args.brute > MAX_BRUTE:
+            raise UsageError(f"--brute is at most {MAX_BRUTE}, got {args.brute}")
         pair, bound = brute_sections(family, args.brute, grid)
         data = pair.to_json()
         data["bound"] = rat_str(bound)

@@ -271,11 +271,6 @@ class RatSet:
                 merged.append((lo, hi))
         return RatSet(tuple(merged))
 
-    @staticmethod
-    def point(x: int | str | Fraction) -> "RatSet":
-        x = rat(x)
-        return RatSet(((x, x),))
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -412,16 +407,6 @@ class PwFunc:
     def from_pl(f: PLFunc) -> "PwFunc":
         return PwFunc(f.breakpoints, f.pieces, f.values)
 
-    @staticmethod
-    def step(jump_at: int | str | Fraction, left: Fraction, right: Fraction, at_jump: Fraction) -> "PwFunc":
-        """Two-piece step with an explicit value at the jump point."""
-        c = rat(jump_at)
-        return PwFunc(
-            (ZERO, c, ONE),
-            ((ZERO, left), (ZERO, right)),
-            (left, at_jump, right),
-        )
-
     def value(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)
         if x < 0 or x > 1:
@@ -444,13 +429,6 @@ class PwFunc:
             out.append(s * x + c)
         return out
 
-    def negate(self) -> "PwFunc":
-        return PwFunc(
-            self.partition,
-            tuple((-s, -c) for s, c in self.pieces),
-            tuple(-v for v in self.point_values),
-        )
-
 
 def semicontinuity_check(f: PwFunc, kind: str) -> Verdict:
     """Decide upper ("usc") or lower ("lsc") semicontinuity of a PwFunc.
@@ -468,11 +446,6 @@ def semicontinuity_check(f: PwFunc, kind: str) -> Verdict:
             if kind == "lsc" and v > lim:
                 return Verdict(False, f.partition[i])
     return Verdict(True)
-
-
-def dyadic_grid(level: int) -> list[Fraction]:
-    """The 2**level + 1 dyadic rationals k / 2**level in [0, 1]."""
-    return uniform_grid(2**level)
 
 
 def uniform_grid(denominator: int) -> list[Fraction]:

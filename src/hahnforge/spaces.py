@@ -5,7 +5,7 @@ CLI grammar as e.g. ``w^2*3 + w + 4``.  The compact space attached to an
 ordinal lam is the order-topology interval [0, lam]; its derived set is the
 set of limit ordinals <= lam, which is again order-isomorphic to an interval
 of ordinals, so the Cantor-Bendixson derivative stays inside the model and
-every rank is a finite natural.
+every rank is a finite natural, which ``scattered_rank`` gives in closed form.
 
 The dyadic partition ``Pow2OddSet(p)``, p = 0, 1, 2, ..., splits the
 naturals into pairwise disjoint infinite sets, one per synthesis block.
@@ -44,16 +44,6 @@ class OrdinalCNF:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
-
-    @property
-    def finite_value(self) -> int:
-        if not self.is_finite:
-            raise ValueError("ordinal is infinite")
-        return self.terms[0][1] if self.terms else 0
-
     def add(self, other: "OrdinalCNF") -> "OrdinalCNF":
         """Ordinal addition: lower-order terms of the left summand are absorbed."""
         if other.is_zero:
@@ -65,17 +55,6 @@ class OrdinalCNF:
             c = next(c for e, c in self.terms if e == lead)
             merged[0] = (lead, merged[0][1] + c)
         return OrdinalCNF(tuple(kept + merged))
-
-    def omega_quotient(self) -> "OrdinalCNF":
-        """The largest q with omega*q <= self: shift every infinite term down."""
-        return OrdinalCNF(tuple((e - 1, c) for e, c in self.terms if e >= 1))
-
-    def key(self) -> tuple[tuple[int, int], ...]:
-        """Order-comparison key: CNF term lists compare lexicographically."""
-        return self.terms
-
-    def __lt__(self, other: "OrdinalCNF") -> bool:
-        return self.key() < other.key()
 
     def __str__(self) -> str:
         if not self.terms:
@@ -118,39 +97,6 @@ class OrdinalCompact:
     """The order-topology interval [0, top]."""
 
     top: OrdinalCNF
-
-
-class EmptySpace:
-    """Distinguished result of deriving a finite space; [0, 0] stays the singleton."""
-
-    _instance: "EmptySpace | None" = None
-
-    def __new__(cls) -> "EmptySpace":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EmptySpace()"
-
-
-EMPTY_SPACE = EmptySpace()
-
-
-def cb_derivative(k: OrdinalCompact) -> OrdinalCompact | EmptySpace:
-    """Derived set of [0, top], re-indexed in its own order type.
-
-    The limit points of [0, lam] are the limit ordinals omega*b <= lam, i.e.
-    1 <= b <= q where q is the omega-quotient of lam.  For infinite q the set
-    [1, q] is order-isomorphic to [0, q]; for finite q = m >= 1 it is the
-    m-element space [0, m-1]; for q = 0 the space was discrete.
-    """
-    q = k.top.omega_quotient()
-    if q.is_zero:
-        return EMPTY_SPACE
-    if q.is_finite:
-        return OrdinalCompact(OrdinalCNF.from_int(q.finite_value - 1))
-    return OrdinalCompact(q)
 
 
 def scattered_rank(k: OrdinalCompact) -> int:

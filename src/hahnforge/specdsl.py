@@ -1,4 +1,4 @@
-"""Parser and pretty-printer for the family-specification DSL.
+"""Parser and elaborator for the family-specification DSL.
 
 Grammar (one statement per line, ``#`` starts a comment):
 
@@ -23,7 +23,8 @@ A sum is one ``Sum`` node over its terms, a subtracted term stored negated, so
 a long sum or a run of minus signs costs no recursion.  Only parentheses
 nest: an open ``(`` more than ``MAX_DEPTH`` (100) deep on a line, and an
 integer literal longer than ``MAX_DIGITS`` (1000) digits, are syntax errors;
-literals are read and printed through ``rational`` under any digit limit.
+literals are read through ``rational`` under any digit limit.  A ``grid``
+denominator above ``MAX_GRID`` (10,000) is a syntax error too.
 
 Elaboration turns expressions into exact ``PLFunc`` values; the declarations,
 in order, form the function family of the spec.
@@ -36,17 +37,20 @@ from fractions import Fraction
 
 from .pairs import StableFamily
 from .plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum, uniform_grid
-from .rational import int_of, rat_str
+from .rational import int_of
 from .sections import TailFamily
 from .tailrules import TailRule
 
 KEYWORDS = {"x", "min", "max", "abs", "grid", "tail", "limit", "n"}
 DEFAULT_GRID = 64  # grid denominator when neither the spec nor the command line sets one
-# Parsing, elaboration, printing and AST equality recurse once per open "(",
-# so its depth is bounded well inside Python's recursion limit.  Literals are
+# Parsing, elaboration and AST equality recurse once per open "(", so its
+# depth is bounded well inside Python's recursion limit.  Literals are
 # bounded because reading one costs more than linear time in its length.
+# Every command evaluates at each grid point, so the grid denominator, from
+# the directive or --grid, is bounded, and with it a run's time and memory.
 MAX_DEPTH = 100
 MAX_DIGITS = 1000
+MAX_GRID = 10_000
 
 
 class SpecError(Exception):
@@ -176,7 +180,8 @@ class SpecAST:
     limit: Expr | None = None
     tail: TailSpec | None = None
     # (line, col) just past the last character: where semantic errors about
-    # what the whole spec lacks point.  Not compared, so pp_spec round trips.
+    # what the whole spec lacks point.  Not compared, so two layouts of the
+    # same spec parse to equal ASTs.
     end: tuple[int, int] = field(default=(1, 1), compare=False)
 
 
@@ -421,6 +426,8 @@ class _Parser:
                 grid = int_of(num.text) if num.kind == "INT" else 0
                 if grid < 1:
                     raise SpecError("grid needs a positive integer", num.line, num.col)
+                if grid > MAX_GRID:
+                    raise SpecError(f"grid denominator above {MAX_GRID}", num.line, num.col)
                 self.advance()
             elif tok.text == "limit":
                 if limit is not None:
@@ -452,56 +459,6 @@ class _Parser:
 
 def parse_spec(text: str) -> SpecAST:
     return _Parser(tokenize(text)).parse()
-
-
-# -- pretty printer ----------------------------------------------------------
-
-
-def _lit_str(value: Fraction) -> str:
-    return rat_str(value).removesuffix("/1")
-
-
-def pp_expr(e: Expr) -> str:
-    if isinstance(e, Lit):
-        return _lit_str(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Ref):
-        return e.name
-    if isinstance(e, Sum):
-        return "(" + " + ".join(pp_expr(t) for t in e.terms) + ")"
-    if isinstance(e, Scale):
-        return f"({_lit_str(e.factor)} * {pp_expr(e.body)})"
-    if isinstance(e, MinE):
-        return "min(" + ", ".join(pp_expr(a) for a in e.args) + ")"
-    if isinstance(e, MaxE):
-        return "max(" + ", ".join(pp_expr(a) for a in e.args) + ")"
-    if isinstance(e, Abs):
-        return f"abs({pp_expr(e.body)})"
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def pp_spec(ast: SpecAST) -> str:
-    """The spec as text; parse_spec(pp_spec(ast)) == ast while folded constants
-    stay within MAX_DIGITS (a longer one prints but parses to a SpecError)."""
-    lines = [f"{name} = {pp_expr(expr)}" for name, expr in ast.decls]
-    if ast.limit is not None:
-        lines.append(f"limit {pp_expr(ast.limit)}")
-    if ast.tail is not None:
-        rule = ast.tail.rule
-        if rule.kind == "harmonic":
-            head = f"tail {_lit_str(rule.c)}/n"
-        elif rule.kind == "geometric":
-            assert rule.q is not None
-            head = f"tail {_lit_str(rule.c)} * {_lit_str(rule.q)}^n"
-        else:
-            head = "tail 0"
-        if ast.tail.shape is not None:
-            head += f" * {pp_expr(ast.tail.shape)}"
-        lines.append(head)
-    if ast.grid is not None:
-        lines.append(f"grid {ast.grid}")
-    return "\n".join(lines) + "\n"
 
 
 # -- elaboration -------------------------------------------------------------

@@ -14,7 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from hahnforge.plalg import PLFunc, RatSet
+from hahnforge.plalg import PLFunc, RatSet, uniform_grid
+
+
+def dyadic_grid(level: int) -> list[Fraction]:
+    """The 2**level + 1 dyadic rationals k / 2**level in [0, 1]."""
+    return uniform_grid(2**level)
 
 
 def random_value(rng: random.Random, lo: int = -2, hi: int = 2, max_den: int = 16) -> Fraction:

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_family, random_ratset
+from conftest import dyadic_grid, random_family, random_ratset
 from test_sections import assert_witnesses_attain, random_tail_family
-from test_specdsl import random_spec
+from test_specdsl import pp_spec, random_spec
 
 from hahnforge.alphat import (
     AlphaTFunc,
@@ -38,10 +38,10 @@ from hahnforge.builder import (
 )
 from hahnforge.cli import OK, PARSE_ERROR, main
 from hahnforge.pairs import StableFamily, envelopes
-from hahnforge.plalg import PLFunc, dominates, dyadic_grid, pl_max, pl_min
+from hahnforge.plalg import PLFunc, dominates, pl_max, pl_min
 from hahnforge.sections import brute_sections, tail_sections
 from hahnforge.spaces import OrdinalCNF, OrdinalCompact, Pow2OddSet, scattered_rank
-from hahnforge.specdsl import SpecError, parse_spec, pp_spec
+from hahnforge.specdsl import SpecError, parse_spec
 from hahnforge.tailrules import TailRule
 
 GRID65 = dyadic_grid(6)

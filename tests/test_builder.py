@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_family, random_plfunc, random_value
+from conftest import dyadic_grid, random_family, random_plfunc, random_value
 from hahnforge import builder
 from hahnforge.builder import (
     BlockProductFunc,
@@ -21,7 +21,6 @@ from hahnforge.builder import (
     continuity_certificate,
     hahn_block,
     phi,
-    schwartz,
     stage_envelopes,
     stage_sets_of,
     synthesize,
@@ -34,12 +33,12 @@ from hahnforge.plalg import (
     RatSet,
     distance_function,
     dominates,
-    dyadic_grid,
     pl_equal,
     pl_max,
     pl_min,
     pl_scale,
 )
+from hahnforge.rational import rat
 from hahnforge.sections import INFINITY
 from hahnforge.spaces import Pow2OddSet
 
@@ -49,6 +48,14 @@ SP1 = StableFamily((ZERO_F, X_MINUS_HALF))
 GRID65 = dyadic_grid(6)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=64)
+
+
+def schwartz(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
+    """2st / (s^2 + t^2), extended by 0 at the origin."""
+    s, t = rat(s), rat(t)
+    if s == 0 and t == 0:
+        return Fraction(0)
+    return 2 * s * t / (s * s + t * t)
 
 
 class TestKernel:
@@ -133,7 +140,7 @@ class TestBump:
 SP1_STAGE2 = hahn_block(
     pl_min((ZERO_F, X_MINUS_HALF)),
     pl_max((ZERO_F, X_MINUS_HALF)),
-    RatSet.point("1/2"),
+    RatSet.of([("1/2", "1/2")]),
     Pow2OddSet(1),
 )
 
@@ -200,7 +207,7 @@ def brute_slice_extrema(f: BlockProductFunc, x, j_max: int):
 class TestSynthesize:
     def test_sp1_stage_sets(self):
         f = synthesize(SP1)
-        assert f.stage_sets[0] == RatSet.point("1/2")
+        assert f.stage_sets[0] == RatSet.of([("1/2", "1/2")])
         assert f.stage_sets[1] == FULL_SET
 
     def test_sp1_block1_trivial(self):
@@ -304,7 +311,7 @@ class TestVerify:
         # Block 1 blends against F_0, the empty set, so its alpha must have no
         # zero; SP1's active block at x=1/2 is then block 1, which vanishes.
         f = synthesize(SP1)
-        bad = dataclasses.replace(f.blocks[0], alpha=distance_function(RatSet.point("1/2")))
+        bad = dataclasses.replace(f.blocks[0], alpha=distance_function(RatSet.of([("1/2", "1/2")])))
         report = verify_synthesis(BlockProductFunc((bad, f.blocks[1]), f.theta), SP1, GRID65)
         assert report.failures == (
             "block 1: alpha vanishes outside F_0 at x=1/2",

@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import int_str_digits
 from hahnforge.builder import BlockProductFunc, SectionReport, synthesize
-from hahnforge.cli import IO_ERROR, OK, PARSE_ERROR, VERIFY_FAILED, main
+from hahnforge.cli import IO_ERROR, MAX_BRUTE, MAX_SAMPLES, OK, PARSE_ERROR, VERIFY_FAILED, main
 from hahnforge.plalg import PLFunc, RatSet, pl_equal
 from hahnforge.rational import rat, rat_str
-from hahnforge.specdsl import family_from_spec, parse_spec
+from hahnforge.specdsl import MAX_GRID, family_from_spec, parse_spec
 
 SP1_TEXT = "u1 = 0\nu2 = x - 1/2\n"
 SECTIONS_TEXT = "u1 = 0\nu2 = x - 1/2\nlimit 0\ntail 1/n * (0 - x)\ngrid 16\n"
@@ -146,6 +146,19 @@ class TestUsageErrors:
         out = tmp_path / "never"
         assert main(["synth", str(sp1_spec), "--samples", "-1", "--out", str(out)]) == PARSE_ERROR
         assert "--samples" in self.one_line_error(capsys)
+        assert not out.exists()
+
+    def test_sizes_past_bounds(self, sp1_spec: Path, tmp_path: Path, capsys):
+        spec = tmp_path / "tail.hf"
+        spec.write_text(SECTIONS_TEXT, encoding="utf-8")
+        out = tmp_path / "never"
+        for argv in (
+            ["verify", str(sp1_spec), "--grid", str(MAX_GRID + 1)],
+            ["synth", str(sp1_spec), "--samples", str(MAX_SAMPLES + 1), "--out", str(out)],
+            ["sections", str(spec), "--brute", str(MAX_BRUTE + 1)],
+        ):
+            assert main(argv) == PARSE_ERROR
+            assert argv[2] in self.one_line_error(capsys)
         assert not out.exists()
 
     def test_spec_not_utf8(self, tmp_path: Path, capsys):
@@ -328,7 +341,7 @@ class TestSynth:
         data = json.loads((out / "function.json").read_text(encoding="utf-8"))
         assert len(data["blocks"]) == 2
         assert "stage_sets" not in data
-        assert BlockProductFunc.from_json(data).stage_sets[0] == RatSet.point("1/2")
+        assert BlockProductFunc.from_json(data).stage_sets[0] == RatSet.of([("1/2", "1/2")])
         csv_text = (out / "samples.csv").read_text(encoding="utf-8")
         assert csv_text.splitlines()[0] == "x,y,value,value_float"
         assert ",inf," in csv_text

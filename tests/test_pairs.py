@@ -7,22 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_family
+from conftest import dyadic_grid, random_family
 from hahnforge.plalg import (
     PLFunc,
     dominates,
-    dyadic_grid,
     pl_equal,
     pl_max,
     pl_min,
 )
 from hahnforge.builder import synthesize
-from hahnforge.pairs import (
-    HahnPair,
-    StableFamily,
-    envelopes,
-    stability_witness,
-)
+from hahnforge.pairs import HahnPair, StableFamily, envelopes
 
 ZERO_F = PLFunc.constant(0)
 X_MINUS_HALF = PLFunc.affine(1, "-1/2")
@@ -52,6 +46,17 @@ class TestEnvelopes:
             for u in fam.members:
                 assert dominates(pair.g, u).ok
                 assert dominates(u, pair.h).ok
+
+
+def stability_witness(family: StableFamily, x: int | str | Fraction) -> int:
+    """Smallest k such that both partial envelopes at x already equal (g(x), h(x)).
+
+    It is the larger of the first indices attaining g(x) and h(x).  From this
+    k on, the partial-envelope sequences at x are constant, which is the
+    pointwise-stabilization property of finite-envelope pairs.
+    """
+    values = [u(x) for u in family.members]
+    return max(values.index(min(values)), values.index(max(values))) + 1
 
 
 def running_envelope_witness(family: StableFamily, x: Fraction) -> int:

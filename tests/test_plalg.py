@@ -10,7 +10,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_family, random_plfunc, random_ratset, random_value
+from conftest import dyadic_grid, random_family, random_plfunc, random_ratset, random_value
 from hahnforge.plalg import (
     EMPTY_SET,
     FULL_SET,
@@ -20,7 +20,6 @@ from hahnforge.plalg import (
     Verdict,
     distance_function,
     dominates,
-    dyadic_grid,
     equality_set,
     pl_abs,
     pl_equal,
@@ -180,7 +179,7 @@ class TestEqualitySet:
             assert equality_set(f, f) == FULL_SET
 
     def test_single_root(self):
-        assert equality_set(ZERO_F, X_MINUS_HALF) == RatSet.point(Fraction(1, 2))
+        assert equality_set(ZERO_F, X_MINUS_HALF) == RatSet.of([(Fraction(1, 2), Fraction(1, 2))])
 
     def test_symmetric_and_sound(self, rng: random.Random):
         # Soundness oracle: membership must match f(x) == g(x) exactly,
@@ -198,7 +197,7 @@ class TestEqualitySet:
 
 class TestDistance:
     def test_point(self):
-        f = distance_function(RatSet.point("1/2"))
+        f = distance_function(RatSet.of([("1/2", "1/2")]))
         assert f.breakpoints == (Fraction(0), Fraction(1, 2), Fraction(1))
         assert f.values == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
 
@@ -241,7 +240,7 @@ class TestSubset:
         half = RatSet.of([(0, "1/2")])
         assert subset(half, FULL_SET).ok and subset(EMPTY_SET, half).ok
         assert subset(FULL_SET, EMPTY_SET) == Verdict(False, Fraction(0))
-        assert subset(RatSet.point(1), half) == Verdict(False, Fraction(1))
+        assert subset(RatSet.of([(1, 1)]), half) == Verdict(False, Fraction(1))
         # (1/2, 1] has no least point: the witness is the midpoint of the gap.
         assert subset(FULL_SET, half) == Verdict(False, Fraction(3, 4))
         gapped = RatSet.of([(0, "1/4"), ("1/2", 1)])
@@ -458,7 +457,11 @@ class TestKernelOracle:
         assert X(Fraction(1, 2)) == Fraction(1, 2) and len(calls) == 1
 
 
-INDICATOR_HALF_ONE = PwFunc.step("1/2", Fraction(0), Fraction(1), Fraction(1))
+INDICATOR_HALF_ONE = PwFunc(
+    (Fraction(0), Fraction(1, 2), Fraction(1)),
+    ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),
+    (Fraction(0), Fraction(1), Fraction(1)),
+)
 
 
 class TestSemicontinuity:
@@ -488,9 +491,14 @@ class TestSemicontinuity:
                     for v in base.point_values
                 ),
             )
+            negated = PwFunc(
+                jumped.partition,
+                tuple((-s, -c) for s, c in jumped.pieces),
+                tuple(-v for v in jumped.point_values),
+            )
             assert (
                 semicontinuity_check(jumped, "usc").ok
-                == semicontinuity_check(jumped.negate(), "lsc").ok
+                == semicontinuity_check(negated, "lsc").ok
             )
 
     def test_pw_values(self):

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_plfunc, random_value
+from conftest import dyadic_grid, random_plfunc, random_value
 from hahnforge.pairs import StableFamily, envelopes
-from hahnforge.plalg import PLFunc, dyadic_grid, pl_equal, pl_neg, pl_scale, pl_sum
+from hahnforge.plalg import PLFunc, pl_equal, pl_neg, pl_scale, pl_sum
 from hahnforge.sections import INFINITY, SectionPair, TailFamily, brute_sections, tail_sections
 from hahnforge.tailrules import TailRule
 

@@ -1,4 +1,4 @@
-"""Ordinal derivatives/rank against a second implementation, plus the dyadic partition."""
+"""Scattered rank against an iteration of the derivative, plus the dyadic partition."""
 
 from __future__ import annotations
 
@@ -8,12 +8,9 @@ import pytest
 
 from conftest import int_str_digits
 from hahnforge.spaces import (
-    EMPTY_SPACE,
-    EmptySpace,
     OrdinalCNF,
     OrdinalCompact,
     Pow2OddSet,
-    cb_derivative,
     parse_ordinal,
     scattered_rank,
 )
@@ -24,8 +21,8 @@ def interval(text: str) -> OrdinalCompact:
 
 
 # -- independent oracle ------------------------------------------------------
-# Second implementation of the derivative iteration on a different data
-# structure: the top ordinal as a descending list of exponents repeated by
+# The derivative iterated on a different data structure from the closed
+# form's: the top ordinal as a descending list of exponents repeated by
 # coefficient (w^2*3 + 4 -> [2, 2, 2, 0, 0, 0, 0]).
 
 
@@ -47,53 +44,11 @@ def oracle_rank(exps: list[int]) -> int:
     return steps
 
 
-def iterated_rank(k: OrdinalCompact) -> int:
-    """Rank by applying cb_derivative until the space vanishes."""
-    steps = 0
-    current: OrdinalCompact | EmptySpace = k
-    while not isinstance(current, EmptySpace):
-        current = cb_derivative(current)
-        steps += 1
-    return steps
-
-
 def expand(o: OrdinalCNF) -> list[int]:
     out: list[int] = []
     for e, c in o.terms:
         out.extend([e] * c)
     return out
-
-
-class TestDerivative:
-    def test_omega(self):
-        d = cb_derivative(interval("w"))
-        assert isinstance(d, OrdinalCompact)
-        assert d.top == OrdinalCNF.from_int(0)
-
-    def test_omega_squared(self):
-        d = cb_derivative(interval("w^2"))
-        assert d == interval("w")
-
-    def test_finite_is_empty(self):
-        assert cb_derivative(interval("5")) is EMPTY_SPACE
-        assert cb_derivative(interval("0")) is EMPTY_SPACE
-
-    def test_empty_is_distinguished_from_singleton(self):
-        assert not isinstance(EMPTY_SPACE, OrdinalCompact)
-        assert isinstance(cb_derivative(interval("w")), OrdinalCompact)
-
-    def test_matches_oracle_stepwise(self):
-        for text in ("w^3*2 + w*4 + 7", "w^2*5", "w + 1", "w^3 + w^2 + w + 1"):
-            k = interval(text)
-            exps = expand(k.top)
-            while True:
-                nxt = cb_derivative(k)
-                oracle_nxt = _oracle_derive(exps)
-                if isinstance(nxt, EmptySpace):
-                    assert oracle_nxt is None
-                    break
-                assert expand(nxt.top) == oracle_nxt
-                k, exps = nxt, oracle_nxt
 
 
 class TestRank:
@@ -119,20 +74,10 @@ class TestRank:
         # Every ordinal with leading exponent <= 6 and coefficients <= 3.
         for coeffs in itertools.product(range(4), repeat=7):
             top = OrdinalCNF(tuple((e, c) for e, c in zip(range(6, -1, -1), coeffs) if c))
-            assert scattered_rank(OrdinalCompact(top)) == iterated_rank(OrdinalCompact(top))
+            assert scattered_rank(OrdinalCompact(top)) == oracle_rank(expand(top))
 
     def test_huge_exponent_is_immediate(self):
         assert scattered_rank(interval("w^200000000*3 + w + 1")) == 200_000_001
-
-    def test_derivative_decreases_cnf_key(self):
-        k = interval("w^3*2 + w + 9")
-        prev = k.top.key()
-        while True:
-            nxt = cb_derivative(k)
-            if isinstance(nxt, EmptySpace):
-                break
-            assert nxt.top.key() < prev
-            prev, k = nxt.top.key(), nxt
 
 
 class TestOrdinalLiterals:

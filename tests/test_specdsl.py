@@ -13,6 +13,7 @@ from hahnforge.plalg import PLFunc, pl_equal, pl_min, pl_scale
 from hahnforge.specdsl import (
     MAX_DEPTH,
     MAX_DIGITS,
+    MAX_GRID,
     Abs,
     Expr,
     Lit,
@@ -27,10 +28,61 @@ from hahnforge.specdsl import (
     Var,
     family_from_spec,
     parse_spec,
-    pp_spec,
     tail_family_from_spec,
 )
+from hahnforge.rational import rat_str
 from hahnforge.tailrules import TailRule
+
+# -- pretty printer ----------------------------------------------------------
+# Prints a spec back as text, so parsing can be checked as a fixpoint.
+
+
+def _lit_str(value: Fraction) -> str:
+    return rat_str(value).removesuffix("/1")
+
+
+def pp_expr(e: Expr) -> str:
+    if isinstance(e, Lit):
+        return _lit_str(e.value)
+    if isinstance(e, Var):
+        return "x"
+    if isinstance(e, Ref):
+        return e.name
+    if isinstance(e, Sum):
+        return "(" + " + ".join(pp_expr(t) for t in e.terms) + ")"
+    if isinstance(e, Scale):
+        return f"({_lit_str(e.factor)} * {pp_expr(e.body)})"
+    if isinstance(e, MinE):
+        return "min(" + ", ".join(pp_expr(a) for a in e.args) + ")"
+    if isinstance(e, MaxE):
+        return "max(" + ", ".join(pp_expr(a) for a in e.args) + ")"
+    if isinstance(e, Abs):
+        return f"abs({pp_expr(e.body)})"
+    raise TypeError(f"unknown expression {e!r}")
+
+
+def pp_spec(ast: SpecAST) -> str:
+    """The spec as text; parse_spec(pp_spec(ast)) == ast while folded constants
+    stay within MAX_DIGITS (a longer one prints but parses to a SpecError)."""
+    lines = [f"{name} = {pp_expr(expr)}" for name, expr in ast.decls]
+    if ast.limit is not None:
+        lines.append(f"limit {pp_expr(ast.limit)}")
+    if ast.tail is not None:
+        rule = ast.tail.rule
+        if rule.kind == "harmonic":
+            head = f"tail {_lit_str(rule.c)}/n"
+        elif rule.kind == "geometric":
+            assert rule.q is not None
+            head = f"tail {_lit_str(rule.c)} * {_lit_str(rule.q)}^n"
+        else:
+            head = "tail 0"
+        if ast.tail.shape is not None:
+            head += f" * {pp_expr(ast.tail.shape)}"
+        lines.append(head)
+    if ast.grid is not None:
+        lines.append(f"grid {ast.grid}")
+    return "\n".join(lines) + "\n"
+
 
 SP1_TEXT = "u1 = 0\nu2 = x - 1/2\n"
 
@@ -134,8 +186,9 @@ class TestDiagnostics:
 
 
 class TestBounds:
-    """Nesting depth and literal length are bounded in the tokenizer; sums and
-    runs of minus signs are flat, so their length is not."""
+    """Nesting depth and literal length are bounded in the tokenizer, the grid
+    denominator in the parser; sums and runs of minus signs are flat, so their
+    length is not."""
 
     def test_depth_at_bound_parses(self):
         text = "u1 = " + "abs(" * (MAX_DEPTH - 1) + "(x)" + ")" * (MAX_DEPTH - 1) + "\n"
@@ -155,8 +208,16 @@ class TestBounds:
         assert len(ast.decls[0][1].terms) == 3 * MAX_DEPTH
 
     def test_digits_at_bound(self):
-        ast = parse_spec("u1 = " + "7" * MAX_DIGITS + "\ngrid " + "9" * MAX_DIGITS + "\n")
+        ast = parse_spec("u1 = " + "7" * MAX_DIGITS + "\n")
         assert ast.decls[0][1] == Lit(Fraction(int("7" * MAX_DIGITS)))
+
+    def test_grid_bound(self):
+        assert parse_spec(f"grid {MAX_GRID}\nu1 = x\n").grid == MAX_GRID
+        # A grid literal at the digit bound is read, then rejected at its position.
+        for digits in (str(MAX_GRID + 1), "9" * MAX_DIGITS):
+            with pytest.raises(SpecError, match="grid denominator above") as exc:
+                parse_spec(f"grid {digits}\nu1 = x\n")
+            assert (exc.value.kind, exc.value.line, exc.value.col) == ("syntax", 1, 6)
 
     def test_digits_past_bound_rejected_at_the_literal(self):
         with pytest.raises(SpecError, match="longer than") as exc:
