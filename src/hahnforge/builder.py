@@ -33,14 +33,17 @@ everywhere and equal them on F_n.  F_{n-1} = {alpha_n = 0}, so the stored
 form is the blocks and theta.
 
 The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
-theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) at most once
-and only when first needed; block n sits on Pow2OddSet(n - 1), so each
+theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) once, when a y
+first reaches that block; block n sits on Pow2OddSet(n - 1), so each
 natural y is sent by its 2-adic valuation v2(y) to block v2(y) + 1, the one
 block that owns it, and f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y))
 costs one block, not n.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, and
-sampling, the report entries, sections and continuity certificates all take
-one slice per grid x.  Each PL point value is one affine map from pieces
-the function derived once.
+sections and continuity certificates take one slice per x.  A grid is not
+evaluated point by point: ``f.slices(xs, reads)`` builds the slices of
+non-decreasing xs from one forward pass (``plalg.sample``) of theta and of
+each listed block's alpha, g_blk and h_blk over the xs that list it, so the
+CSV export samples the blocks its y can reach and the report entries sample
+each block only where it is the active stage.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
+from typing import Collection, Iterator, Sequence
 
 from .pairs import StableFamily, envelopes
 from .plalg import (
@@ -68,6 +71,7 @@ from .plalg import (
     first_containing,
     pl_max,
     pl_min,
+    sample,
     subset,
 )
 from .rational import rat, rat_float, rat_str
@@ -146,28 +150,25 @@ class SchwartzBlock:
                 raise ValueError(f"upper stage envelope is negative at x={x}")
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
-        return BlockSlice(self, rat(x)).value(m)
+        x = rat(x)
+        if self.beta.value(m) == 0:  # off the support: no point value is needed
+            return Fraction(0)
+        return BlockSlice.at(self, x).value(m)
 
 
 class BlockSlice:
-    """One block at a fixed x; alpha(x), g_blk(x) and h_blk(x) are each
-    evaluated at most once, and only when first read."""
+    """One block at a fixed x: alpha(x), g_blk(x) and h_blk(x)."""
 
-    def __init__(self, block: SchwartzBlock, x: Fraction):
+    def __init__(self, block: SchwartzBlock, alpha: Fraction, g: Fraction, h: Fraction):
         self.block = block
-        self.x = x
+        self.alpha = alpha
+        self.g = g
+        self.h = h
 
-    @cached_property
-    def alpha(self) -> Fraction:
-        return self.block.alpha(self.x)
-
-    @cached_property
-    def g(self) -> Fraction:
-        return self.block.g_blk(self.x)
-
-    @cached_property
-    def h(self) -> Fraction:
-        return self.block.h_blk(self.x)
+    @staticmethod
+    def at(block: SchwartzBlock, x: Fraction) -> "BlockSlice":
+        """The block at x, from three point values."""
+        return BlockSlice(block, block.alpha(x), block.g_blk(x), block.h_blk(x))
 
     def value(self, m: int) -> Fraction:
         b = self.block.beta.value(m)
@@ -247,7 +248,35 @@ class BlockProductFunc:
         return p if m > 0 and p < len(self.blocks) else None
 
     def slice(self, x: int | str | Fraction) -> "ProductSlice":
-        return ProductSlice(self, rat(x))
+        x = rat(x)
+        return ProductSlice(self, x, self.theta(x), {})
+
+    def slices(
+        self, xs: Sequence[int | str | Fraction], reads: Sequence[Collection[int]]
+    ) -> Iterator["ProductSlice"]:
+        """The slices at the non-decreasing xs, in order, from one forward
+        pass per function.
+
+        reads[k] lists the blocks (0-based) that the k-th slice will read.
+        theta is sampled over all of xs, and block i's alpha, g_blk and h_blk
+        over the xs whose entry lists i (``plalg.sample``).  The passes run
+        in step with the slices yielded, so no sampled value is held past its
+        slice.  A block a slice does not list is evaluated at its x when a y
+        first reaches it, as in ``slice``.  A decreasing or out-of-domain x
+        is a ValueError when reached.
+        """
+        xs = [rat(x) for x in xs]
+        at: dict[int, list[Fraction]] = {}
+        for x, listed in zip(xs, reads):
+            for i in listed:
+                at.setdefault(i, []).append(x)
+        sampled = {}
+        for i, points in at.items():
+            b = self.blocks[i]
+            sampled[i] = zip(sample(b.alpha, points), sample(b.g_blk, points), sample(b.h_blk, points))
+        for x, theta, listed in zip(xs, sample(self.theta, xs), reads):
+            blocks = {i: BlockSlice(self.blocks[i], *next(sampled[i])) for i in listed}
+            yield ProductSlice(self, x, theta, blocks)
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         return self.slice(x).value(m)
@@ -257,10 +286,7 @@ class BlockProductFunc:
 
     def active_stage(self, x: int | str | Fraction) -> int:
         """Least n with x in F_n; block n attains the envelopes at x."""
-        x = rat(x)
-        if x < 0 or x > 1:
-            raise ValueError(f"argument {x} outside the domain [0, 1]")
-        return first_containing(self.stage_sets, x) + 1
+        return first_containing(self.stage_sets, [rat(x)])[0] + 1
 
     def section_values(
         self, x: int | str | Fraction
@@ -324,10 +350,12 @@ class BlockProductFunc:
     def sample_rows(
         self, grid: Sequence[Fraction], max_y: int
     ) -> list[tuple[str, str, str, str]]:
-        """(x, y, value, value_float) rows for plotting; y = "inf" included."""
+        """(x, y, value, value_float) rows for plotting at the non-decreasing
+        grid; y = "inf" included.  A y <= max_y has v2(y) < max_y.bit_length(),
+        so only the blocks below that index are sampled."""
+        reach = range(min(self.size, max_y.bit_length()))
         rows = []
-        for x in grid:
-            s = self.slice(x)
+        for s in self.slices(grid, [reach] * len(grid)):
             x_str = rat_str(s.x)
             for y in range(1, max_y + 1):
                 v = s.value(y)
@@ -337,20 +365,22 @@ class BlockProductFunc:
 
 
 class ProductSlice:
-    """f(x, .) for one x: theta(x) once, one lazily built BlockSlice per
-    block, and each natural y sent to the one block that owns it."""
+    """f(x, .) for one x: theta(x), the BlockSlices given or built so far by
+    block index, and each natural y sent to the one block that owns it."""
 
-    def __init__(self, f: BlockProductFunc, x: Fraction):
+    def __init__(
+        self, f: BlockProductFunc, x: Fraction, theta: Fraction, blocks: dict[int, BlockSlice]
+    ):
         self.f = f
         self.x = x
-        self.theta = f.theta(x)
-        self._blocks: list[BlockSlice | None] = [None] * f.size
+        self.theta = theta
+        self._blocks = blocks
 
     def block(self, i: int) -> BlockSlice:
-        """The slice of block i (0-based)."""
-        bs = self._blocks[i]
+        """The slice of block i (0-based), built at x when first read."""
+        bs = self._blocks.get(i)
         if bs is None:
-            bs = self._blocks[i] = BlockSlice(self.f.blocks[i], self.x)
+            bs = self._blocks[i] = BlockSlice.at(self.f.blocks[i], self.x)
         return bs
 
     def value(self, m: int) -> Fraction:
@@ -511,10 +541,14 @@ def verify_synthesis(
     failure names an x witness: the first knot where a bound breaks, or a
     point of the left set outside the right one (see ``plalg.subset``).
 
-    The grid only sets the report entries: per grid x the active stage n,
-    the witnesses y_lo = point(2m) and y_hi = point(2m-1) of block n, and
-    g(x), h(x).  f.slice(x) is evaluated at both witnesses, and a value that
-    misses its envelope is a failure with its x and y.
+    The grid, non-decreasing, only sets the report entries: per grid x the
+    active stage n, the witnesses y_lo = point(2m) and y_hi = point(2m-1) of
+    block n, and g(x), h(x).  The slice of f at x is evaluated at both
+    witnesses, and a value that misses its envelope is a failure with its x
+    and y.  The grid is walked forward once: g, h and theta are sampled over
+    all of it (``plalg.sample``), the active stages come from one
+    ``first_containing`` pass, and block n's alpha, g_blk and h_blk are
+    sampled only at the x where n is active (``f.slices``).
     """
     pair = envelopes(family)
     g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
@@ -533,14 +567,14 @@ def verify_synthesis(
             failures.append(
                 f"block {n}: stage envelopes leave the envelopes on F_{n} at x={v.witness}"
             )
+    xs = [rat(x) for x in grid]
+    stages = first_containing(f.stage_sets, xs)
+    slices = f.slices(xs, [(i,) for i in stages])
     entries: list[SectionEntry] = []
-    for x_raw in grid:
-        s = f.slice(x_raw)
-        x = s.x
-        g_x, h_x = pair.g(x), pair.h(x)
-        n = f.active_stage(x)
-        block = f.blocks[n - 1]
-        a = s.block(n - 1).alpha
+    for s, g_x, h_x, i in zip(slices, sample(pair.g, xs), sample(pair.h, xs), stages):
+        x, n = s.x, i + 1
+        block = f.blocks[i]
+        a = s.block(i).alpha
         if a == 0:
             failures.append(f"x={x}: active block {n} has vanished (alpha=0)")
             continue

@@ -70,8 +70,26 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _json_text(data, depth: int = 0) -> str:
+    """json.dumps(data, indent=2) with every int written through int_str: json
+    writes an int with int.__repr__, which stops at Python's int-to-str limit,
+    and a witness natural of a report can pass it."""
+    if isinstance(data, int) and not isinstance(data, bool):
+        return int_str(data)
+    if not isinstance(data, (dict, list)) or not data:
+        return json.dumps(data)
+    if isinstance(data, dict):
+        items = [json.dumps(k) + ": " + _json_text(v, depth + 1) for k, v in data.items()]
+    else:
+        items = [_json_text(v, depth + 1) for v in data]
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    brackets = "{}" if isinstance(data, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
 def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_json_text(data) + "\n", encoding="utf-8")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -135,7 +153,7 @@ def cmd_sections(args: argparse.Namespace) -> int:
         _write_csv(out / "sections.csv", ["x", "g", "h", "min_witness", "max_witness"], pair.rows())
         print(f"wrote {out / 'sections.json'} and {out / 'sections.csv'}")
     else:
-        print(json.dumps(data, indent=2))
+        print(_json_text(data))
     return OK
 
 

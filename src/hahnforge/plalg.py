@@ -8,8 +8,11 @@ Each binary operation is one linear merge-walk over the knots of both inputs
 (envelopes add the crossing points; n-ary envelopes and sums fold walks), and
 envelope and sum results keep only 0, 1 and the slope changes as knots, so
 equal functions have equal knots.  Evaluation derives each segment's (slope,
-intercept) once per function, on first use, so a point value costs a
-bisection, one product and one sum.
+intercept) once per function, on first use, so a point value ``f(x)`` costs
+a bisection, one product and one sum.  A grid is evaluated by ``sample(f,
+xs)``: one forward pass over non-decreasing xs that yields the values in
+turn, a cursor over the breakpoints compared with x in integers, and one
+``Fraction(num, den)`` per value.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -21,7 +24,8 @@ Finite unions of closed rational intervals (singletons included) are
 functions and as zero sets of distance functions, and ``subset`` decides
 containment between two of them with a witness point.  ``first_containing``
 is the one "who attains it" rule: over the equality sets {f_i = envelope},
-or over increasing stage sets, the least index whose set holds x.
+or over increasing stage sets, the least index whose set holds x, found for
+all of a non-decreasing list of xs with one cursor per set.
 """
 
 from __future__ import annotations
@@ -325,9 +329,77 @@ def subset(a: RatSet, b: RatSet) -> Verdict:
     return Verdict(True)
 
 
-def first_containing(sets: Sequence[RatSet], x: Fraction) -> int | None:
-    """The least i with x in sets[i], or None if no set holds x."""
-    return next((i for i, s in enumerate(sets) if x in s), None)
+def _forward(xs: Iterable[Fraction]) -> Iterator[tuple[int, int]]:
+    """(numerator, denominator) of each x in turn; a ValueError at the first
+    x outside [0, 1] or below the x before it."""
+    last = ZERO
+    for x in xs:
+        p, q = x.numerator, x.denominator
+        if p < 0 or p > q:
+            raise ValueError(f"argument {x} outside the domain [0, 1]")
+        if p * last.denominator < last.numerator * q:
+            raise ValueError(f"arguments must not decrease: {x} after {last}")
+        last = x
+        yield p, q
+
+
+def sample(f: PLFunc, xs: Iterable[Fraction]) -> Iterator[Fraction]:
+    """Yield f(x) for each of the non-decreasing xs in [0, 1], in one
+    forward pass that holds no values.
+
+    A cursor moves over the breakpoints, each compared with x = p/q by
+    integer cross-multiplication.  The piece slope * x + intercept is held
+    as integers (a, b, d) with value (a*p + b*q) / (d*q), so each value is
+    one Fraction(num, den), normalized once: the same reduced Fraction as
+    f(x).  A decreasing or out-of-domain x is a ValueError when reached.
+    """
+    bps, pieces = f.breakpoints, f.pieces
+    last = len(pieces) - 1
+    i, piece = 0, None
+    end_p, end_q = bps[1].numerator, bps[1].denominator
+    for p, q in _forward(xs):
+        while i < last and p * end_q >= end_p * q:
+            i += 1
+            end_p, end_q = bps[i + 1].numerator, bps[i + 1].denominator
+            piece = None
+        if piece is None:
+            slope, intercept = pieces[i]
+            piece = (
+                slope.numerator * intercept.denominator,
+                intercept.numerator * slope.denominator,
+                slope.denominator * intercept.denominator,
+            )
+        a, b, d = piece
+        yield Fraction(a * p + b * q, d * q)
+
+
+def first_containing(sets: Sequence[RatSet], xs: Iterable[Fraction]) -> list[int | None]:
+    """For each of the non-decreasing xs in [0, 1], the least i with x in
+    sets[i], or None if no set holds x.
+
+    Each set keeps a cursor at its first component that does not end before
+    the last x that reached it, so every component is passed once over all
+    of xs; ends are compared with x in integers.  A decreasing or
+    out-of-domain x is a ValueError.
+    """
+    comps = [
+        [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in s.intervals]
+        for s in sets
+    ]
+    cursors = [0] * len(sets)
+    out: list[int | None] = []
+    for p, q in _forward(xs):
+        found = None
+        for i, cs in enumerate(comps):
+            j = cursors[i]
+            while j < len(cs) and cs[j][2] * q < p * cs[j][3]:
+                j += 1
+            cursors[i] = j
+            if j < len(cs) and cs[j][0] * q <= p * cs[j][1]:
+                found = i
+                break
+        out.append(found)
+    return out
 
 
 def equality_set(f: PLFunc, g: PLFunc) -> RatSet:

@@ -110,12 +110,10 @@ def _pair_from_candidates(
     labels, fs = zip(*candidates)
     g = pl_min(fs)
     h = pl_max(fs)
-    at_g = [equality_set(f, g) for f in fs]
-    at_h = [equality_set(f, h) for f in fs]
-    witnesses = {
-        x: (labels[first_containing(at_g, x)], labels[first_containing(at_h, x)])
-        for x in map(rat, grid)
-    }
+    xs = sorted(map(rat, grid))
+    at_g = first_containing([equality_set(f, g) for f in fs], xs)
+    at_h = first_containing([equality_set(f, h) for f in fs], xs)
+    witnesses = {x: (labels[i], labels[j]) for x, i, j in zip(xs, at_g, at_h)}
     return SectionPair(g.to_pw(), h.to_pw(), witnesses)
 
 

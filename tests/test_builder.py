@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import dyadic_grid, random_family, random_plfunc, random_value
 from hahnforge import builder
@@ -641,6 +641,21 @@ class TestSliceEvaluation:
             s = f.slice(x)
             assert s.theta == f.value_at_infinity(x) == f.theta(x)
             assert [s.value(y) for y in range(1, 101)] == [f.value(x, y) for y in range(1, 101)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_slices_match_slice(self, data):
+        # Slices from one forward pass, at points on the grid and on the ends
+        # of the stage sets, whatever blocks each lists: the same values as
+        # the single-point slice at every y <= 100, which reaches every block.
+        f = synthesize(StableFamily(random_family(random.Random(data.draw(st.integers(0, 2**32))), 5)))
+        ends = sorted({q for s in f.stage_sets for iv in s.intervals for q in iv} | set(GRID33))
+        xs = sorted(data.draw(st.lists(st.sampled_from(ends), max_size=4)))
+        reads = [data.draw(st.sets(st.integers(0, f.size - 1))) for _ in xs]
+        for x, s in zip(xs, f.slices(xs, reads)):
+            one = f.slice(x)
+            assert (s.x, s.theta) == (x, one.theta)
+            assert [s.value(y) for y in range(1, 101)] == [one.value(y) for y in range(1, 101)]
 
     def test_owner_is_the_unique_support(self):
         # The owner is the block whose support holds y, found by search; no

@@ -503,6 +503,31 @@ class TestHugeValues:
         ]
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "limit-640"])
+    def test_report_witnesses_past_str_limit(self, limit: int | None, tmp_path: Path):
+        # The witness naturals at x = 0 have 1,401 digits, past the lowest
+        # permitted limit: the report writes them as JSON numbers, with the
+        # bytes json.dumps gives when no limit applies.
+        spec = tmp_path / "witness.hf"
+        spec.write_text(f"u1 = {'7' * 700} * x\nu2 = 1/{'3' * 700}\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = str(limit)
+        done = subprocess.run(
+            [sys.executable, "-m", "hahnforge.cli", "verify", str(spec), "--grid", "4", "--report", str(report)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (done.returncode, done.stderr) == (OK, ""), done.stderr
+        with int_str_digits(0):
+            data = json.loads(report.read_text(encoding="utf-8"))
+            assert report.read_text(encoding="utf-8") == json.dumps(data, indent=2) + "\n"
+            first = data["entries"][0]
+            assert [len(str(first[key])) for key in ("min_witness", "max_witness")] == [1401, 1401]
+
     @pytest.mark.parametrize("digits", [5000, 10000])
     def test_rat_reads_back_rat_str(self, digits: int):
         n, d = 10**digits - 3, 3 ** (2 * digits)  # both past the limit

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import dyadic_grid, random_family, random_plfunc, random_ratset, random_value
 from hahnforge.plalg import (
@@ -21,6 +22,7 @@ from hahnforge.plalg import (
     distance_function,
     dominates,
     equality_set,
+    first_containing,
     pl_abs,
     pl_equal,
     pl_max,
@@ -28,6 +30,7 @@ from hahnforge.plalg import (
     pl_neg,
     pl_scale,
     pl_sum,
+    sample,
     semicontinuity_check,
     subset,
 )
@@ -254,6 +257,86 @@ class TestSubset:
             assert v.ok == (a.intersect(b) == a), (a, b)
             if not v.ok:
                 assert v.witness in a and v.witness not in b, (a, b, v)
+
+
+# -- forward passes over non-decreasing points, against point evaluation -------
+
+BATCH = settings(max_examples=300, deadline=None)
+
+
+def unit_rationals(bits: int):
+    """Rationals in [0, 1] with denominators of up to the given bit length."""
+    return st.builds(
+        lambda num, den: Fraction(num % (den + 1), den),
+        st.integers(0, 2**bits),
+        st.integers(1, 2**bits),
+    )
+
+
+@st.composite
+def functions_and_points(draw, sizes=(4, 64, 4000)):
+    """A PL function and non-decreasing points in [0, 1] that hit its
+    breakpoints, 0, 1 and repeated points; numbers have up to one of the
+    given bit sizes."""
+    bits = draw(st.sampled_from(sizes))
+    knots = sorted({Fraction(0), Fraction(1), *draw(st.lists(unit_rationals(bits), max_size=6))})
+    value = st.builds(Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits))
+    f = PLFunc(tuple(knots), tuple(draw(value) for _ in knots))
+    xs = draw(st.lists(st.one_of(st.sampled_from(knots), unit_rationals(bits)), max_size=24))
+    repeats = draw(st.lists(st.sampled_from(xs), max_size=4)) if xs else []
+    return f, sorted(xs + repeats)
+
+
+@st.composite
+def ratsets_and_points(draw):
+    """Sets that need not be nested, with singletons and empty sets, and
+    non-decreasing points in [0, 1] that hit their ends."""
+    point = unit_rationals(4)
+    sets = []
+    for _ in range(draw(st.integers(0, 6))):
+        comps = []
+        for a, b, single in draw(st.lists(st.tuples(point, point, st.booleans()), max_size=4)):
+            lo, hi = min(a, b), max(a, b)
+            comps.append((lo, lo if single else hi))
+        sets.append(RatSet.of(comps))
+    ends = [q for s in sets for iv in s.intervals for q in iv]
+    xs = draw(st.lists(st.one_of(point, st.sampled_from(ends)) if ends else point, max_size=30))
+    return sets, sorted(xs)
+
+
+class TestForwardPasses:
+    @BATCH
+    @given(functions_and_points())
+    def test_sample_matches_point_evaluation(self, case):
+        f, xs = case
+        assert list(sample(f, xs)) == [f(x) for x in xs]
+
+    @BATCH
+    @given(functions_and_points(sizes=(4, 64)), st.data())
+    def test_out_of_domain_or_decreasing_is_a_value_error(self, case, data):
+        f, xs = case
+        step = data.draw(st.builds(Fraction, st.integers(1, 64), st.integers(1, 64)))
+        outside = data.draw(st.sampled_from((-step, 1 + step)))
+        with pytest.raises(ValueError) as point:
+            f(outside)
+        message = re.escape(str(point.value))
+        assert "outside the domain [0, 1]" in str(point.value)
+        with pytest.raises(ValueError, match=message):
+            list(sample(f, sorted(xs + [outside])))
+        with pytest.raises(ValueError, match=message):
+            first_containing([FULL_SET], sorted(xs + [outside]))
+        a, b = sorted(data.draw(st.lists(unit_rationals(8), min_size=2, max_size=2, unique=True)))
+        falling = sorted(xs + [b]) + [a]
+        for batch in (lambda: list(sample(f, falling)), lambda: first_containing([FULL_SET], falling)):
+            with pytest.raises(ValueError, match=re.escape(f"arguments must not decrease: {a} after")):
+                batch()
+
+    @BATCH
+    @given(ratsets_and_points())
+    def test_first_containing_matches_definition(self, case):
+        sets, xs = case
+        expected = [next((i for i, s in enumerate(sets) if x in s), None) for x in xs]
+        assert first_containing(sets, xs) == expected
 
 
 # The grid-and-bisect algebra, kept as the oracle for the merge-walk kernel:
