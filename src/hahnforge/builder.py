@@ -34,16 +34,26 @@ form is the blocks and theta.
 
 The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
 theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) once, when a y
-first reaches that block; block n sits on Pow2OddSet(n - 1), so each
-natural y is sent by its 2-adic valuation v2(y) to block v2(y) + 1, the one
-block that owns it, and f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y))
-costs one block, not n.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, and
-sections and continuity certificates take one slice per x.  A grid is not
-evaluated point by point: ``f.slices(xs, reads)`` builds the slices of
-non-decreasing xs from one forward pass (``plalg.sample``) of theta and of
-each listed block's alpha, g_blk and h_blk over the xs that list it, so the
-CSV export samples the blocks its y can reach and the report entries sample
-each block only where it is the active stage.
+first reaches that block.  Block n sits on Pow2OddSet(n - 1), so each natural
+y = 2^i (2j - 1) is sent by its 2-adic valuation i to block i + 1, the one
+block that owns it, with bump beta(y) = 1/k on the side h_blk for odd j and
+-1/k on the side g_blk for even j, k = ceil(j/2) (``locate``).  The value
+f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) is then one integer
+kernel, ``slice_value``: with theta = a/b, alpha = p/q and side = c/d, it
+forms N = 4|p|qk and D = (pk)^2 + q^2, the clamp N >= D (scale 1) is one
+integer comparison, and (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd.
+The kernel assumes no saturation: it evaluates phi at every y, so the values
+verify_synthesis reads at its witnesses check the saturation lemma rather
+than restate it.  ``phi`` stays the definitional form, and the tests hold
+the kernel to it.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, the
+kernel's pair as a Fraction, and sections and continuity certificates take
+one slice per x.  A grid is not evaluated point by point: ``f.slices(xs,
+reads)`` builds the slices of non-decreasing xs from one forward pass
+(``plalg.sample``) of theta and of each listed block's alpha, g_blk and
+h_blk over the xs that list it, so the CSV export samples the blocks its y
+can reach and the report entries sample each block only where it is the
+active stage.  The CSV export locates each y once per call and writes each
+value from the kernel's integer pair, with no Fraction built per value.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -57,7 +67,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Collection, Iterator, Sequence
+from math import gcd
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .pairs import StableFamily, envelopes
 from .plalg import (
@@ -74,7 +85,7 @@ from .plalg import (
     sample,
     subset,
 )
-from .rational import rat, rat_float, rat_str
+from .rational import int_str, rat, rat_str, rat_text, ratio_float, ratio_str
 from .sections import INFINITY, Witness
 from .spaces import Pow2OddSet
 
@@ -96,10 +107,30 @@ def phi(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
     return Fraction(1) if num >= den else Fraction(num, den)
 
 
+def slice_value(a: int, b: int, p: int, q: int, c: int, d: int, k: int) -> tuple[int, int]:
+    """theta + side * phi(alpha, +-1/k) in lowest terms, as (num, den) with
+    den > 0, for theta = a/b, alpha = p/q and side = c/d with b, q, d > 0.
+
+    phi(p/q, +-1/k) = min(1, N/D) with N = 4|p|qk and D = (pk)^2 + q^2, as
+    ``phi`` computes it with r/w = +-1/k; the clamp is one integer
+    comparison, and the sum (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd.
+    """
+    if p == 0 or c == 0:
+        return a, b
+    num = 4 * abs(p) * q * k
+    den = (p * k) ** 2 + q * q
+    if num >= den:
+        num = den = 1
+    top = a * d * den + c * num * b
+    bottom = b * d * den
+    common = gcd(top, bottom)
+    return top // common, bottom // common
+
+
 def bump_witness_index(a: Fraction) -> int:
     """The n with 1/(n+1) <= a <= 1/n, for 0 < a <= 1; phi(a, 1/n) = 1 there."""
     if not 0 < a <= 1:
-        raise ValueError(f"need 0 < a <= 1, got {a}")
+        raise ValueError(f"need 0 < a <= 1, got {rat_text(a)}")
     return a.denominator // a.numerator
 
 
@@ -114,13 +145,19 @@ class BumpMap:
 
     support: Pow2OddSet
 
-    def value(self, m: int) -> Fraction:
+    def bump(self, m: int) -> tuple[int, bool] | None:
+        """(k, upper) with beta(m) = 1/k if upper else -1/k; None off the support."""
         j = self.support.index_of(m)
         if j is None:
+            return None
+        return (j + 1) // 2, j % 2 == 1
+
+    def value(self, m: int) -> Fraction:
+        bump = self.bump(m)
+        if bump is None:
             return Fraction(0)
-        if j % 2 == 1:
-            return Fraction(1, (j + 1) // 2)
-        return Fraction(-1, j // 2)
+        k, upper = bump
+        return Fraction(1 if upper else -1, k)
 
     def point(self, j: int) -> int:
         """The j-th support point (1-based)."""
@@ -144,40 +181,43 @@ class SchwartzBlock:
         # first knot that breaks it is the witness.
         for x, v in zip(self.g_blk.breakpoints, self.g_blk.values):
             if v > 0:
-                raise ValueError(f"lower stage envelope is positive at x={x}")
+                raise ValueError(f"lower stage envelope is positive at x={rat_text(x)}")
         for x, v in zip(self.h_blk.breakpoints, self.h_blk.values):
             if v < 0:
-                raise ValueError(f"upper stage envelope is negative at x={x}")
+                raise ValueError(f"upper stage envelope is negative at x={rat_text(x)}")
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
-        x = rat(x)
-        if self.beta.value(m) == 0:  # off the support: no point value is needed
+        """side(x) * phi(alpha(x), beta(m)): ``slice_value`` with theta = 0."""
+        bump = self.beta.bump(m)
+        if bump is None:  # off the support: no point value is needed
             return Fraction(0)
-        return BlockSlice.at(self, x).value(m)
+        k, upper = bump
+        return BlockSlice.at(self, rat(x)).value(Fraction(0), k, upper)
 
 
-class BlockSlice:
+class BlockSlice(NamedTuple):
     """One block at a fixed x: alpha(x), g_blk(x) and h_blk(x)."""
 
-    def __init__(self, block: SchwartzBlock, alpha: Fraction, g: Fraction, h: Fraction):
-        self.block = block
-        self.alpha = alpha
-        self.g = g
-        self.h = h
+    alpha: Fraction
+    g: Fraction
+    h: Fraction
 
     @staticmethod
     def at(block: SchwartzBlock, x: Fraction) -> "BlockSlice":
         """The block at x, from three point values."""
-        return BlockSlice(block, block.alpha(x), block.g_blk(x), block.h_blk(x))
+        return BlockSlice(block.alpha(x), block.g_blk(x), block.h_blk(x))
 
-    def value(self, m: int) -> Fraction:
-        b = self.block.beta.value(m)
-        if b == 0:
-            return Fraction(0)
-        scale = phi(self.alpha, b)
-        if scale == 0:
-            return Fraction(0)
-        return (self.g if b < 0 else self.h) * scale
+    def value(self, theta: Fraction, k: int, upper: bool) -> Fraction:
+        """theta + side * phi(alpha, +-1/k), side h if upper else g (``slice_value``)."""
+        a, side = self.alpha, self.h if upper else self.g
+        return Fraction(
+            *slice_value(
+                theta.numerator, theta.denominator,
+                a.numerator, a.denominator,
+                side.numerator, side.denominator,
+                k,
+            )
+        )
 
 
 def hahn_block(g_blk: PLFunc, h_blk: PLFunc, a: RatSet, support: Pow2OddSet) -> SchwartzBlock:
@@ -247,6 +287,14 @@ class BlockProductFunc:
         p = (m & -m).bit_length() - 1
         return p if m > 0 and p < len(self.blocks) else None
 
+    def locate(self, m: int) -> tuple[int, int, bool] | None:
+        """(i, k, upper) for the natural m: block i (0-based) owns m, and its
+        bump is beta(m) = 1/k if upper else -1/k; None if no block owns m."""
+        i = self.owner(m)
+        if i is None:
+            return None
+        return (i, *self.blocks[i].beta.bump(m))
+
     def slice(self, x: int | str | Fraction) -> "ProductSlice":
         x = rat(x)
         return ProductSlice(self, x, self.theta(x), {})
@@ -275,7 +323,7 @@ class BlockProductFunc:
             b = self.blocks[i]
             sampled[i] = zip(sample(b.alpha, points), sample(b.g_blk, points), sample(b.h_blk, points))
         for x, theta, listed in zip(xs, sample(self.theta, xs), reads):
-            blocks = {i: BlockSlice(self.blocks[i], *next(sampled[i])) for i in listed}
+            blocks = {i: BlockSlice(*next(sampled[i])) for i in listed}
             yield ProductSlice(self, x, theta, blocks)
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
@@ -352,21 +400,42 @@ class BlockProductFunc:
     ) -> list[tuple[str, str, str, str]]:
         """(x, y, value, value_float) rows for plotting at the non-decreasing
         grid; y = "inf" included.  A y <= max_y has v2(y) < max_y.bit_length(),
-        so only the blocks below that index are sampled."""
+        so only the blocks below that index are sampled.
+
+        Each y is located once per call (``locate``).  Per x, theta and each
+        block's alpha, g_blk and h_blk are taken apart into integers once,
+        and every value is written from its ``slice_value`` pair, with no
+        Fraction built; a value equal to theta reuses theta's cells.
+        """
         reach = range(min(self.size, max_y.bit_length()))
+        plan = [(int_str(y), self.locate(y)) for y in range(1, max_y + 1)]
         rows = []
         for s in self.slices(grid, [reach] * len(grid)):
             x_str = rat_str(s.x)
-            for y in range(1, max_y + 1):
-                v = s.value(y)
-                rows.append((x_str, str(y), rat_str(v), rat_float(v)))
-            rows.append((x_str, INFINITY, rat_str(s.theta), rat_float(s.theta)))
+            a, b = s.theta.numerator, s.theta.denominator
+            at_theta = (ratio_str(a, b), ratio_float(a, b))
+            terms = []  # per block: alpha's num and den, and (g_blk, h_blk) as (num, den)
+            for alpha, g, h in map(s.block, reach):
+                sides = ((g.numerator, g.denominator), (h.numerator, h.denominator))
+                terms.append((alpha.numerator, alpha.denominator, sides))
+            for y_str, where in plan:
+                cells = at_theta
+                if where is not None:
+                    i, k, upper = where
+                    p, q, sides = terms[i]
+                    c, d = sides[upper]
+                    num, den = slice_value(a, b, p, q, c, d, k)
+                    if num != a or den != b:
+                        cells = (ratio_str(num, den), ratio_float(num, den))
+                rows.append((x_str, y_str, *cells))
+            rows.append((x_str, INFINITY, *at_theta))
         return rows
 
 
 class ProductSlice:
     """f(x, .) for one x: theta(x), the BlockSlices given or built so far by
-    block index, and each natural y sent to the one block that owns it."""
+    block index, and each natural y sent to the one block that owns it,
+    where ``slice_value`` gives f(x, y) as one reduced integer pair."""
 
     def __init__(
         self, f: BlockProductFunc, x: Fraction, theta: Fraction, blocks: dict[int, BlockSlice]
@@ -384,11 +453,13 @@ class ProductSlice:
         return bs
 
     def value(self, m: int) -> Fraction:
-        """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m."""
-        i = self.f.owner(m)
-        if i is None:
+        """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m,
+        the Fraction of the ``slice_value`` pair; theta(x) if no block owns m."""
+        where = self.f.locate(m)
+        if where is None:
             return self.theta
-        return self.theta + self.block(i).value(m)
+        i, k, upper = where
+        return self.block(i).value(self.theta, k, upper)
 
 
 # The definitional forms of the stage envelopes and stage sets, recomputed
@@ -555,17 +626,20 @@ def verify_synthesis(
     failures: list[str] = []
     v = subset(equality_set(f.blocks[0].alpha, PLFunc.constant(0)), EMPTY_SET)
     if not v.ok:
-        failures.append(f"block 1: alpha vanishes outside F_0 at x={v.witness}")
+        failures.append(f"block 1: alpha vanishes outside F_0 at x={rat_text(v.witness)}")
     for n, (block, stage) in enumerate(zip(f.blocks, f.stage_sets), start=1):
         for name, lo, hi in (("lower", g_sh, block.g_blk), ("upper", block.h_blk, h_sh)):
             v = dominates(lo, hi)
             if not v.ok:
-                failures.append(f"block {n}: {name} envelope bound fails at x={v.witness}")
+                failures.append(
+                    f"block {n}: {name} envelope bound fails at x={rat_text(v.witness)}"
+                )
         attained = equality_set(block.g_blk, g_sh).intersect(equality_set(block.h_blk, h_sh))
         v = subset(stage, attained)
         if not v.ok:
             failures.append(
-                f"block {n}: stage envelopes leave the envelopes on F_{n} at x={v.witness}"
+                f"block {n}: stage envelopes leave the envelopes on F_{n}"
+                f" at x={rat_text(v.witness)}"
             )
     xs = [rat(x) for x in grid]
     stages = first_containing(f.stage_sets, xs)
@@ -576,16 +650,17 @@ def verify_synthesis(
         block = f.blocks[i]
         a = s.block(i).alpha
         if a == 0:
-            failures.append(f"x={x}: active block {n} has vanished (alpha=0)")
+            failures.append(f"x={rat_text(x)}: active block {n} has vanished (alpha=0)")
             continue
         m = bump_witness_index(a)
         y_hi = block.beta.point(2 * m - 1)
         y_lo = block.beta.point(2 * m)
-        v_hi = s.value(y_hi)
-        v_lo = s.value(y_lo)
-        if v_hi != h_x:
-            failures.append(f"x={x}: f(x, {y_hi})={v_hi} misses the upper envelope {h_x}")
-        if v_lo != g_x:
-            failures.append(f"x={x}: f(x, {y_lo})={v_lo} misses the lower envelope {g_x}")
+        for name, y, env in (("upper", y_hi, h_x), ("lower", y_lo, g_x)):
+            v = s.value(y)
+            if v != env:
+                failures.append(
+                    f"x={rat_text(x)}: f(x, {int_str(y)})={rat_text(v)}"
+                    f" misses the {name} envelope {rat_text(env)}"
+                )
         entries.append(SectionEntry(x, g_x, h_x, y_lo, y_hi))
     return SectionReport(tuple(entries), tuple(failures))

@@ -4,9 +4,11 @@ Every numeric value in this package is a :class:`fractions.Fraction`, which
 keeps numerator/denominator in reduced form with a positive denominator.  No
 floats enter any computation; they appear only in lossy CSV export columns.
 Decimal text becomes an ``int`` only through :func:`int_of` and is written
-only through :func:`int_str` and :func:`rat_str`, in chunks of at most 500
-digits, so no result depends on Python's int-to-str digit limit.  ``rat``
-reads the form ``rat_str`` writes, ``-?digits/digits``, or ``-?digits``.
+only through :func:`int_str`, in chunks of at most 500 digits, so no result
+depends on Python's int-to-str digit limit: ``rat_str`` writes the stored
+and exported form, and ``rat_text`` the form ``str(Fraction)`` prints, for
+messages.  ``rat`` reads the form ``rat_str`` writes, ``-?digits/digits``,
+or ``-?digits``.
 """
 
 from __future__ import annotations
@@ -60,13 +62,31 @@ def int_str(n: int) -> str:
 
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" rendering, always with an explicit denominator."""
-    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
+    return ratio_str(q.numerator, q.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """rat_str of num/den, given in lowest terms with den > 0."""
+    return f"{int_str(num)}/{int_str(den)}"
+
+
+def rat_text(q: Fraction) -> str:
+    """What str(q) prints ("3/4", "0", "-2"), at any length."""
+    if q.denominator == 1:
+        return int_str(q.numerator)
+    return ratio_str(q.numerator, q.denominator)
 
 
 def rat_float(q: Fraction) -> str:
     """Lossy decimal rendering (17 significant digits) for CSV plotting; a
     value past the float range renders as inf or -inf, as IEEE rounding does."""
+    return ratio_float(q.numerator, q.denominator)
+
+
+def ratio_float(num: int, den: int) -> str:
+    """rat_float of num/den, for den > 0: num / den is correctly rounded, as
+    float(Fraction) is."""
     try:
-        return format(float(q), ".17g")
+        return format(num / den, ".17g")
     except OverflowError:
-        return "inf" if q > 0 else "-inf"
+        return "inf" if num > 0 else "-inf"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .plalg import PLFunc, PwFunc, equality_set, first_containing, pl_max, pl_min, pl_scale, pl_sum
@@ -76,15 +77,19 @@ class SectionPair:
     h: PwFunc
     witnesses: Mapping[Fraction, tuple[Witness, Witness]]
 
-    def _points(self):
-        """(x, g(x), h(x), min witness, max witness) per grid point, in order."""
-        for x in sorted(self.witnesses):
-            yield (x, self.g.value(x), self.h.value(x), *self.witnesses[x])
+    @cached_property
+    def _points(self) -> tuple[tuple[Fraction, Fraction, Fraction, Witness, Witness], ...]:
+        """(x, g(x), h(x), min witness, max witness) per grid point, in order;
+        computed once, as ``rows`` and ``to_json`` both read it."""
+        return tuple(
+            (x, self.g.value(x), self.h.value(x), *self.witnesses[x])
+            for x in sorted(self.witnesses)
+        )
 
     def rows(self) -> list[tuple[str, str, str, str, str]]:
         return [
             (rat_str(x), rat_str(g), rat_str(h), str(lo_w), str(hi_w))
-            for x, g, h, lo_w, hi_w in self._points()
+            for x, g, h, lo_w, hi_w in self._points
         ]
 
     def to_json(self) -> dict:
@@ -99,7 +104,7 @@ class SectionPair:
                     "min_witness": lo_w,
                     "max_witness": hi_w,
                 }
-                for x, g, h, lo_w, hi_w in self._points()
+                for x, g, h, lo_w, hi_w in self._points
             ]
         }
 

@@ -12,15 +12,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dyadic_grid, random_family, random_plfunc, random_value
+from conftest import dyadic_grid, int_str_digits, random_family, random_plfunc, random_value
 from hahnforge import builder
 from hahnforge.builder import (
     BlockProductFunc,
     BumpMap,
+    SchwartzBlock,
     bump_witness_index,
     continuity_certificate,
     hahn_block,
     phi,
+    slice_value,
     stage_envelopes,
     stage_sets_of,
     synthesize,
@@ -38,7 +40,8 @@ from hahnforge.plalg import (
     pl_min,
     pl_scale,
 )
-from hahnforge.rational import rat
+from hahnforge.cli import MAX_SAMPLES
+from hahnforge.rational import rat, rat_float, rat_str
 from hahnforge.sections import INFINITY
 from hahnforge.spaces import Pow2OddSet
 
@@ -669,10 +672,85 @@ class TestSliceEvaluation:
         assert [f.owner(y) for y in (0, -1, -2, -64, -(2**100))] == [None] * 5
         assert [f.owner(2**p * k) for p in (6, 7, 100) for k in (1, 3)] == [None] * 6
 
-    def test_sample_rows_match_oracle(self, rng: random.Random):
+    @pytest.mark.parametrize("max_y", [0, 1, 40, MAX_SAMPLES])
+    def test_sample_rows_match_oracle(self, max_y: int, rng: random.Random):
         for fam in self.families(rng):
             f = synthesize(fam)
-            assert f.sample_rows(GRID33, 40) == oracle_rows(f, GRID33, 40)
+            assert f.sample_rows(GRID33, max_y) == oracle_rows(f, GRID33, max_y)
+
+    def test_sample_rows_past_float_range(self):
+        # Values of about 10**400 with both signs, and values near 0 where
+        # theta vanishes: the float column is rat_float of the exact value,
+        # which oracle_rows cannot give, as float() overflows.
+        big = 10**400
+        fam = StableFamily((PLFunc.affine(2 * big, -big), ZERO_F, PLFunc.identity()))
+        f = synthesize(fam)
+        rows = f.sample_rows(GRID33, MAX_SAMPLES)
+        assert len(rows) == len(GRID33) * (MAX_SAMPLES + 1)
+        floats = set()
+        for x, y, value, value_float in rows:
+            v = f.theta(Fraction(x)) if y == INFINITY else oracle_value(f, Fraction(x), int(y))
+            assert (value, value_float) == (rat_str(v), rat_float(v))
+            floats.add(value_float)
+        assert {"inf", "-inf", "0"} <= floats and len(floats) > 3
+
+    @staticmethod
+    def big_fractions(lo: int, hi: int, bits: int = 4000):
+        """Fractions in [lo, hi], lo + (hi - lo) * n / (d * 2**bits) for `bits`-bit n and d."""
+        return st.builds(
+            lambda n, d: lo + (hi - lo) * Fraction(n, d) / 2**bits,
+            st.integers(0, 2**bits),
+            st.integers(1, 2**bits),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_oracle_at_4000_bits(self, data):
+        # theta, alpha, g_blk and h_blk affine with 4000-bit values, alpha
+        # also 0 and 1, a side also 0, and y up to 2**64, also with
+        # v2(y) >= the number of blocks: the kernel's pair is the reduced
+        # oracle value, and f.value is its Fraction.
+        big = 2**4000
+        values = st.one_of(st.integers(-big, big), self.big_fractions(-big, big))
+        unit = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), self.big_fractions(0, 1))
+        sides = st.one_of(st.just(Fraction(0)), self.big_fractions(0, big))
+
+        def affine(values):
+            return PLFunc.from_pairs([(0, data.draw(values)), (1, data.draw(values))])
+
+        size = data.draw(st.integers(1, 4))
+        blocks = tuple(
+            SchwartzBlock(
+                pl_scale(-1, affine(sides)), affine(sides), affine(unit), BumpMap(Pow2OddSet(i))
+            )
+            for i in range(size)
+        )
+        f = BlockProductFunc(blocks, affine(values))
+        x = data.draw(st.sampled_from([0, Fraction(1, 3), 1]) | self.big_fractions(0, 1, 64))
+        ys = st.one_of(
+            st.integers(1, 2**64),
+            st.builds(lambda v, j: 2**v * (2 * j - 1), st.integers(0, 70), st.integers(1, 2**20)),
+            st.builds(lambda v, j: 2**v * (2 * j - 1), st.integers(size, 70), st.integers(1, 2**20)),
+        )
+        s = f.slice(x)
+        theta = f.theta(x)
+        for y in data.draw(st.lists(ys, min_size=1, max_size=6)):
+            v = oracle_value(f, x, y)
+            assert f.value(x, y) == v
+            where = f.locate(y)
+            if where is None:
+                assert v == theta
+                continue
+            i, k, upper = where
+            alpha, g, h = s.block(i)
+            side = h if upper else g
+            pair = slice_value(
+                theta.numerator, theta.denominator,
+                alpha.numerator, alpha.denominator,
+                side.numerator, side.denominator,
+                k,
+            )
+            assert pair == (v.numerator, v.denominator)
 
     def test_tampered_upper_block_reports_oracle_failures(self):
         # Block 2 of SP1 with h_blk raised by 1/8: the grid oracle finds the
@@ -750,6 +828,41 @@ class TestExactDecision:
                     rejected += 1
                     assert exact, label
         assert rejected >= 40
+
+
+class TestFailureLinesPastStrLimit:
+    """Failure lines print every number in full: values, x witnesses and y
+    witnesses of 700 digits, past Python's lowest int-to-str limit."""
+
+    @staticmethod
+    def tampered():
+        # SP1 with its kink moved to 1/D, D of 700 digits, and block 2's
+        # h_blk or g_blk halved.
+        fam = StableFamily((ZERO_F, PLFunc.affine(1, Fraction(-1, int("3" * 700)))))
+        f = synthesize(fam)
+        block = f.blocks[1]
+        for bad in (
+            dataclasses.replace(block, h_blk=pl_scale("1/2", block.h_blk)),
+            dataclasses.replace(block, g_blk=pl_scale("1/2", block.g_blk)),
+        ):
+            yield fam, BlockProductFunc((f.blocks[0], bad), f.theta)
+
+    def test_failure_lines_at_lowest_limit(self, monkeypatch):
+        grid = dyadic_grid(3)
+        longest = 0
+        for fam, tampered in self.tampered():
+            with int_str_digits(640):
+                lines = verify_synthesis(tampered, fam, grid).failures
+            # The same lines written with str(), at the default limit.
+            monkeypatch.setattr(builder, "rat_text", str)
+            monkeypatch.setattr(builder, "int_str", str)
+            assert lines == verify_synthesis(tampered, fam, grid).failures
+            monkeypatch.undo()
+            misses = [m for m in oracle_pointwise_failures(tampered, fam, grid) if "misses" in m]
+            assert [m for m in lines if m.startswith("x=")] == misses
+            longest = max(longest, *map(len, lines))
+        assert longest > 1400
+
 
 class TestSupportDisjointness:
     @staticmethod

@@ -21,7 +21,7 @@ from conftest import int_str_digits
 from hahnforge.builder import BlockProductFunc, SectionReport, synthesize
 from hahnforge.cli import IO_ERROR, MAX_BRUTE, MAX_SAMPLES, OK, PARSE_ERROR, VERIFY_FAILED, main
 from hahnforge.plalg import PLFunc, RatSet, pl_equal
-from hahnforge.rational import rat, rat_str
+from hahnforge.rational import rat, rat_str, rat_text
 from hahnforge.specdsl import MAX_GRID, family_from_spec, parse_spec
 
 SP1_TEXT = "u1 = 0\nu2 = x - 1/2\n"
@@ -374,6 +374,22 @@ class TestGoldenOutputs:
         }
         assert digests == self.SHA256[name]
 
+    # samples.csv of the seeded family at the --samples bounds, pinned from the
+    # export that built each value as a chain of Fractions.
+    SAMPLES_SHA256 = {
+        "100": "8377c442f96c247211c6d760e1b30157dc3d4fc33a59853c0808499b32a23da8",
+        "0": "e0b2bd6c4e109ffcdc504ee7c7d36c528f08be42833249f6d3ac469c6da05790",
+    }
+
+    @pytest.mark.parametrize("samples", sorted(SAMPLES_SHA256))
+    def test_seeded_samples_at_bounds(self, samples: str, tmp_path: Path):
+        spec = tmp_path / "seeded.hf"
+        spec.write_text(SEEDED_TEXT, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", str(spec), "--samples", samples, "--out", str(out)]) == OK
+        digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+        assert digest == self.SAMPLES_SHA256[samples]
+
     # function.json of the seeded family as written before envelope and sum
     # results dropped their collinear knots, and its SHA-256 as pinned then.
     SEEDED_BEFORE_CANONICAL = Path(__file__).parent / "fixtures" / "seeded_function_pre_canonical.json"
@@ -551,6 +567,16 @@ class TestHugeValues:
             expected = [f"{n}/{d}", f"-{n}/{d}", f"{n}/1"]
         got = [rat_str(Fraction(n, d)), rat_str(Fraction(-n, d)), rat_str(Fraction(n))]
         assert got == expected
+
+    @pytest.mark.parametrize("digits", [1, 500, 501, 4301])
+    def test_rat_text_prints_what_str_prints(self, digits: int):
+        # At the lowest permitted limit, the bytes str(Fraction) gives with no limit.
+        n, d = 10**digits - 3, 3 ** (2 * digits)
+        values = [Fraction(3, 4), Fraction(0), Fraction(-2), Fraction(n, d), Fraction(-n, d), Fraction(-n)]
+        with int_str_digits(0):
+            expected = [str(q) for q in values]
+        with int_str_digits(640):
+            assert [rat_text(q) for q in values] == expected
 
 
 class TestSections:
