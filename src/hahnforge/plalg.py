@@ -4,20 +4,32 @@ Continuous functions are :class:`PLFunc`: affine interpolation between
 strictly increasing rational breakpoints covering [0, 1].  The lattice
 operations (min, max, sum, scaling, absolute value) are closed on this class
 and computed exactly, with no tolerance parameter anywhere in this module.
-Each binary operation is one linear merge-walk over the knots of both inputs
-(envelopes add the crossing points; n-ary envelopes and sums fold walks), and
-envelope and sum results keep only 0, 1 and the slope changes as knots, so
-equal functions have equal knots.  Evaluation derives each segment's (slope,
-intercept) once per function, on first use, so a point value ``f(x)`` costs
-a bisection, one product and one sum.  A grid is evaluated by ``sample(f,
-xs)``: one forward pass over non-decreasing xs that yields the values in
-turn, a cursor over the breakpoints compared with x in integers, and one
-``Fraction(num, den)`` per value.
+
+Every operation reads one integer form of its inputs (``line_form``), derived
+once per function and cached: each knot is a reduced pair (p, q) for x = p/q,
+and each segment is one reduced line (a, b, d), with d > 0 and
+gcd(a, b, d) = 1, whose value at x = p/q is (a*p + b*q) / (d*q); equal affine
+maps have equal line tuples.  Each binary operation is one linear walk over
+the cells between the merged knots of its two inputs (``_cells``), on each
+of which both inputs are a single line.  Two lines are compared at a point
+by cross-multiplication; an envelope keeps the lower (upper) line of a cell
+unless the comparison changes sign between its two ends, and then splits it
+at the crossing (b2*d1 - b1*d2) / (a1*d2 - a2*d1), reduced with one gcd.
+n-ary envelopes fold walks pairwise (divide and conquer) and sums left to
+right, on integer forms; consecutive equal lines merge (``_joined``), so a
+result keeps only 0, 1 and the slope changes as knots, and equal functions
+have equal knots.  Each result becomes a :class:`PLFunc` once, with its
+line form cached.  A grid is evaluated by ``sample(f, xs)``: one forward pass
+over non-decreasing xs that yields the values in turn, a cursor over the
+knots compared with x in integers, and one ``Fraction(num, den)`` per value
+off a knot.  A point value ``f(x)`` is the single-point oracle: a bisection
+and the (slope, intercept) ``pieces`` derived from the lines.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
 point.  On this representation upper/lower semicontinuity is decidable by
-comparing point values against one-sided limits.
+comparing point values against one-sided limits, and ``sample`` reads the
+point values at partition points.
 
 Finite unions of closed rational intervals (singletons included) are
 :class:`RatSet`; they arise as equality sets {x : f(x) = g(x)} of PL
@@ -34,12 +46,20 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .rational import rat, rat_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# A knot (p, q) is x = p/q in lowest terms with q > 0; a line (a, b, d) has
+# value (a*p + b*q) / (d*q) at x = p/q, with d > 0 and gcd(a, b, d) = 1.  A
+# form is (knots, lines), one more knot than lines, from (0, 1) to (1, 1).
+Knot = tuple[int, int]
+Line = tuple[int, int, int]
+Form = tuple[Sequence[Knot], Sequence[Line]]
 
 
 @dataclass(frozen=True)
@@ -51,6 +71,12 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _line(a: int, b: int, d: int) -> Line:
+    """(a, b, d) in lowest terms, for d > 0."""
+    g = gcd(a, b, d)
+    return (a // g, b // g, d // g) if g > 1 else (a, b, d)
 
 
 @dataclass(frozen=True)
@@ -89,18 +115,31 @@ class PLFunc:
         return PLFunc(tuple(x for x, _ in pts), tuple(v for _, v in pts))
 
     @cached_property
-    def pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """(slope, intercept) of each segment, derived once per function.
+    def line_form(self) -> tuple[tuple[Knot, ...], tuple[Line, ...]]:
+        """(knots, lines), derived once per function; a kernel result gets it
+        cached when built.  A cached attribute, not a field: equality,
+        hashing, repr and JSON see only the breakpoints and values.
 
-        A cached attribute, not a field: equality, hashing, repr and JSON
-        see only the breakpoints and values.
+        Through (p0/q0, n0/m0) and (p1/q1, n1/m1), with w = p1*q0 - p0*q1 > 0,
+        the line is ((n1*m0 - n0*m1)*q0*q1, n0*m1*p1*q0 - n1*m0*p0*q1, m0*m1*w).
         """
-        bps, vals = self.breakpoints, self.values
-        out = []
-        for a, b, va, vb in zip(bps, bps[1:], vals, vals[1:]):
-            slope = (vb - va) / (b - a)
-            out.append((slope, va - slope * a))
-        return tuple(out)
+        knots = tuple((x.numerator, x.denominator) for x in self.breakpoints)
+        ends = [(v.numerator, v.denominator) for v in self.values]
+        lines = tuple(
+            _line(
+                (n1 * m0 - n0 * m1) * q0 * q1,
+                n0 * m1 * p1 * q0 - n1 * m0 * p0 * q1,
+                m0 * m1 * (p1 * q0 - p0 * q1),
+            )
+            for (p0, q0), (p1, q1), (n0, m0), (n1, m1) in zip(knots, knots[1:], ends, ends[1:])
+        )
+        return knots, lines
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(slope, intercept) of each segment, read off the lines: the form
+        ``__call__`` and :class:`PwFunc` use."""
+        return tuple((Fraction(a, d), Fraction(b, d)) for a, b, d in self.line_form[1])
 
     def __call__(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)
@@ -142,83 +181,143 @@ class PLFunc:
         return PLFunc.from_pairs(data)
 
 
-def _walk(f: PLFunc, g: PLFunc) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """Yield (x, f(x), g(x)) at each merged breakpoint of f and g, left to right,
-    reading values off the current affine pieces: linear time, no bisection."""
-    fb, fv, fp = f.breakpoints, f.values, f.pieces
-    gb, gv, gp = g.breakpoints, g.values, g.pieces
+def _built(
+    knots: Sequence[Knot], lines: Sequence[Line], breakpoints: tuple[Fraction, ...] | None = None
+) -> PLFunc:
+    """The PLFunc of a form, with the form cached on it; the value at each
+    knot is read off the line that starts there (the last line at x = 1).
+    A caller whose knots are those of an existing PLFunc passes its
+    breakpoints, so they are not built again."""
+    if breakpoints is None:
+        breakpoints = tuple(Fraction(p, q) for p, q in knots)
+    values = [Fraction(a * p + b * q, d * q) for (p, q), (a, b, d) in zip(knots, lines)]
+    (p, q), (a, b, d) = knots[-1], lines[-1]
+    values.append(Fraction(a * p + b * q, d * q))
+    f = PLFunc(breakpoints, tuple(values))
+    f.__dict__["line_form"] = (tuple(knots), tuple(lines))
+    return f
+
+
+def _cells(f: Form, g: Form) -> Iterator[tuple[Knot, Knot, Line, Line]]:
+    """(lo, hi, f's line, g's line) for each cell between consecutive merged
+    knots of f and g, left to right: linear time, knots compared in integers."""
+    fk, fl = f
+    gk, gl = g
     i = j = 0
+    lo = fk[0]
     while True:
-        a, b = fb[i], gb[j]
-        if a == b:
-            yield a, fv[i], gv[j]
-            if a == 1:
-                return
-            i, j = i + 1, j + 1
-        elif a < b:
-            yield a, fv[i], gp[j - 1][0] * a + gp[j - 1][1]
+        (fp, fq), (gp, gq) = fk[i + 1], gk[j + 1]
+        c = fp * gq - gp * fq
+        hi = fk[i + 1] if c <= 0 else gk[j + 1]
+        yield lo, hi, fl[i], gl[j]
+        if hi[0] == hi[1]:
+            return
+        if c <= 0:
             i += 1
-        else:
-            yield b, fp[i - 1][0] * b + fp[i - 1][1], gv[j]
+        if c >= 0:
             j += 1
+        lo = hi
 
 
-def _canonical(points: Iterable[tuple[Fraction, Fraction]]) -> PLFunc:
-    """The PL function through the points without collinear interior knots: only
-    0, 1 and the slope changes remain, so equal functions get equal knots."""
-    xs: list[Fraction] = []
-    vs: list[Fraction] = []
-    for x, v in points:
-        if len(xs) >= 2 and (vs[-1] - vs[-2]) * (x - xs[-1]) == (v - vs[-1]) * (xs[-1] - xs[-2]):
-            xs[-1], vs[-1] = x, v
+def _side(f: Line, g: Line, x: Knot) -> int:
+    """An integer with the sign of f(x) - g(x)."""
+    (a1, b1, d1), (a2, b2, d2), (p, q) = f, g, x
+    return (a1 * p + b1 * q) * d2 - (a2 * p + b2 * q) * d1
+
+
+def _crossing(f: Line, g: Line) -> Knot:
+    """Where f and g meet, for lines that cross: x = (b2*d1 - b1*d2) / (a1*d2 - a2*d1)."""
+    (a1, b1, d1), (a2, b2, d2) = f, g
+    num, den = b2 * d1 - b1 * d2, a1 * d2 - a2 * d1
+    if den < 0:
+        num, den = -num, -den
+    k = gcd(num, den)
+    return num // k, den // k
+
+
+def _joined(pieces: Iterable[tuple[Line, Knot]]) -> tuple[list[Knot], list[Line]]:
+    """The form of consecutive (line, right end) pieces from x = 0, with
+    consecutive equal lines merged: only 0, 1 and slope changes stay knots."""
+    knots: list[Knot] = [(0, 1)]
+    lines: list[Line] = []
+    for line, hi in pieces:
+        if lines and lines[-1] == line:
+            knots[-1] = hi
         else:
-            xs.append(x)
-            vs.append(v)
-    return PLFunc(tuple(xs), tuple(vs))
+            lines.append(line)
+            knots.append(hi)
+    return knots, lines
 
 
-def _envelope(fs: Sequence[PLFunc], pick) -> PLFunc:
-    """Exact envelope, folded pairwise (divide and conquer).
+def _merged(form: Form) -> tuple[list[Knot], list[Line]]:
+    """The form with consecutive equal lines merged."""
+    knots, lines = form
+    return _joined(zip(lines, knots[1:]))
 
-    Between merged knots the difference of two functions is affine, so it
-    changes sign at most once, at the crossing point inserted there.
-    """
+
+def _crossed(f: Form, g: Form, lower: bool) -> Iterator[tuple[Line, Knot]]:
+    """Pieces of min(f, g) (max(f, g) unless lower): a cell keeps one line
+    unless the comparison changes sign between its ends; then it splits at
+    the crossing."""
+    for lo, hi, l1, l2 in _cells(f, g):
+        if l1 == l2:
+            yield l1, hi
+            continue
+        s_lo, s_hi = _side(l1, l2, lo), _side(l1, l2, hi)
+        if s_lo < 0 < s_hi or s_hi < 0 < s_lo:
+            first, second = (l1, l2) if (s_lo < 0) == lower else (l2, l1)
+            yield first, _crossing(l1, l2)
+            yield second, hi
+        else:
+            # the lines differ, so at most one end is a tie: s_lo + s_hi != 0
+            yield (l1 if (s_lo + s_hi < 0) == lower else l2), hi
+
+
+def _envelope(fs: Sequence[PLFunc], lower: bool) -> PLFunc:
+    """Exact envelope, folded pairwise (divide and conquer) on integer forms."""
     if not fs:
         raise ValueError("pointwise envelopes need at least one function")
+
+    def fold(lo: int, hi: int) -> Form:
+        if hi - lo == 1:
+            return fs[lo].line_form
+        mid = (lo + hi) // 2
+        return _joined(_crossed(fold(lo, mid), fold(mid, hi), lower))
+
     if len(fs) == 1:
-        return _canonical(zip(fs[0].breakpoints, fs[0].values))
-    mid = len(fs) // 2
-    points, da = [], 0  # da = 0 before the first point: no crossing there
-    for x, fx, gx in _walk(_envelope(fs[:mid], pick), _envelope(fs[mid:], pick)):
-        d = fx - gx
-        if d < 0 < da or da < 0 < d:
-            t = da / (da - d)
-            points.append((xa + (x - xa) * t, fa + (fx - fa) * t))
-        points.append((x, pick(fx, gx)))
-        xa, fa, da = x, fx, d
-    return _canonical(points)
+        return _built(*_merged(fs[0].line_form))
+    return _built(*fold(0, len(fs)))
 
 
 def pl_min(fs: Sequence[PLFunc]) -> PLFunc:
-    return _envelope(fs, min)
+    return _envelope(fs, True)
 
 
 def pl_max(fs: Sequence[PLFunc]) -> PLFunc:
-    return _envelope(fs, max)
+    return _envelope(fs, False)
+
+
+def _added(f: Form, g: Form) -> Iterator[tuple[Line, Knot]]:
+    """Pieces of f + g: on each cell, the sum of the two lines."""
+    for _, hi, (a1, b1, d1), (a2, b2, d2) in _cells(f, g):
+        yield _line(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2), hi
 
 
 def pl_sum(fs: Sequence[PLFunc]) -> PLFunc:
     if not fs:
         raise ValueError("sum needs at least one function")
-    acc = _canonical(zip(fs[0].breakpoints, fs[0].values))
+    acc: Form = _merged(fs[0].line_form)
     for f in fs[1:]:
-        acc = _canonical((x, a + b) for x, a, b in _walk(acc, f))
-    return acc
+        acc = _joined(_added(acc, f.line_form))
+    return _built(*acc)
 
 
 def pl_scale(c: int | str | Fraction, f: PLFunc) -> PLFunc:
+    """c * f on the knots of f."""
     c = rat(c)
-    return PLFunc(f.breakpoints, tuple(c * v for v in f.values))
+    n, m = c.numerator, c.denominator
+    knots, lines = f.line_form
+    return _built(knots, [_line(a * n, b * n, d * m) for a, b, d in lines], f.breakpoints)
 
 
 def pl_neg(f: PLFunc) -> PLFunc:
@@ -230,8 +329,8 @@ def pl_abs(f: PLFunc) -> PLFunc:
 
 
 def pl_equal(f: PLFunc, g: PLFunc) -> bool:
-    """Pointwise equality, decided at the merged breakpoints."""
-    return all(fx == gx for _, fx, gx in _walk(f, g))
+    """Pointwise equality: the same line on every cell of the merged knots."""
+    return all(l1 == l2 for _, _, l1, l2 in _cells(f.line_form, g.line_form))
 
 
 def dominates(f: PLFunc, g: PLFunc) -> Verdict:
@@ -240,8 +339,13 @@ def dominates(f: PLFunc, g: PLFunc) -> Verdict:
     The difference g - f is affine between merged breakpoints, so checking
     them decides the global inequality; the witness is the first violating one.
     """
-    x = next((x for x, fx, gx in _walk(f, g) if fx > gx), None)
-    return Verdict(x is None, x)
+    for lo, hi, l1, l2 in _cells(f.line_form, g.line_form):
+        if _side(l1, l2, lo) > 0:
+            return Verdict(False, Fraction(*lo))
+    # the last cell ends at x = 1
+    if _side(l1, l2, hi) > 0:
+        return Verdict(False, ONE)
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -343,34 +447,33 @@ def _forward(xs: Iterable[Fraction]) -> Iterator[tuple[int, int]]:
         yield p, q
 
 
-def sample(f: PLFunc, xs: Iterable[Fraction]) -> Iterator[Fraction]:
-    """Yield f(x) for each of the non-decreasing xs in [0, 1], in one
-    forward pass that holds no values.
+def sample(f: PLFunc | PwFunc, xs: Iterable[Fraction]) -> Iterator[Fraction]:
+    """Yield f(x) (``f.value(x)`` for a PwFunc) for each of the non-decreasing
+    xs in [0, 1], in one forward pass that holds no values.
 
-    A cursor moves over the breakpoints, each compared with x = p/q by
-    integer cross-multiplication.  The piece slope * x + intercept is held
-    as integers (a, b, d) with value (a*p + b*q) / (d*q), so each value is
-    one Fraction(num, den), normalized once: the same reduced Fraction as
-    f(x).  A decreasing or out-of-domain x is a ValueError when reached.
+    A cursor moves over the knots, each compared with x = p/q by integer
+    cross-multiplication.  At a knot the value is the stored one (the point
+    value of a PwFunc); elsewhere it is the segment's line (a, b, d) at x,
+    one Fraction(a*p + b*q, d*q), normalized once: the same reduced Fraction
+    as the point evaluation.  A decreasing or out-of-domain x is a
+    ValueError when reached.
     """
-    bps, pieces = f.breakpoints, f.pieces
-    last = len(pieces) - 1
-    i, piece = 0, None
-    end_p, end_q = bps[1].numerator, bps[1].denominator
+    knots, lines = f.line_form
+    values = f.values if isinstance(f, PLFunc) else f.point_values
+    last = len(lines) - 1
+    i = 0
+    end_p, end_q = knots[1]
     for p, q in _forward(xs):
         while i < last and p * end_q >= end_p * q:
             i += 1
-            end_p, end_q = bps[i + 1].numerator, bps[i + 1].denominator
-            piece = None
-        if piece is None:
-            slope, intercept = pieces[i]
-            piece = (
-                slope.numerator * intercept.denominator,
-                intercept.numerator * slope.denominator,
-                slope.denominator * intercept.denominator,
-            )
-        a, b, d = piece
-        yield Fraction(a * p + b * q, d * q)
+            end_p, end_q = knots[i + 1]
+        if p == q:
+            yield values[-1]
+        elif (p, q) == knots[i]:
+            yield values[i]
+        else:
+            a, b, d = lines[i]
+            yield Fraction(a * p + b * q, d * q)
 
 
 def first_containing(sets: Sequence[RatSet], xs: Iterable[Fraction]) -> list[int | None]:
@@ -405,20 +508,32 @@ def first_containing(sets: Sequence[RatSet], xs: Iterable[Fraction]) -> list[int
 def equality_set(f: PLFunc, g: PLFunc) -> RatSet:
     """Exact {x : f(x) = g(x)} as a finite union of intervals and points.
 
-    The difference is affine between merged breakpoints, so on each such
-    segment it is identically zero, has one interior root, or has no zero.
+    On each cell of the merged knots the difference is affine: it is
+    identically zero (the same line), has a zero at an end, one interior
+    root, or no zero.  Components arrive in order, so one that starts where
+    the last ends extends it.
     """
-    pieces: list[tuple[Fraction, Fraction]] = []
-    a, da = ZERO, ZERO  # a zero placed before x = 0 can add only the point 0
-    for b, fb, gb in _walk(f, g):
-        db = fb - gb
-        if db == 0:
-            pieces.append((a, b) if da == 0 else (b, b))
-        elif db < 0 < da or da < 0 < db:
-            r = a + (b - a) * da / (da - db)
-            pieces.append((r, r))
-        a, da = b, db
-    return RatSet.of(pieces)
+    comps: list[list[Knot]] = []
+
+    def add(lo: Knot, hi: Knot) -> None:
+        if comps and comps[-1][1] == lo:
+            comps[-1][1] = hi
+        else:
+            comps.append([lo, hi])
+
+    for lo, hi, l1, l2 in _cells(f.line_form, g.line_form):
+        if l1 == l2:
+            add(lo, hi)
+            continue
+        s_lo, s_hi = _side(l1, l2, lo), _side(l1, l2, hi)
+        if s_lo == 0:
+            add(lo, lo)
+        if s_hi == 0:
+            add(hi, hi)
+        elif s_lo < 0 < s_hi or s_hi < 0 < s_lo:
+            r = _crossing(l1, l2)
+            add(r, r)
+    return RatSet(tuple((Fraction(*lo), Fraction(*hi)) for lo, hi in comps))
 
 
 def dist_to(x: Fraction, s: RatSet) -> Fraction:
@@ -478,6 +593,14 @@ class PwFunc:
     @staticmethod
     def from_pl(f: PLFunc) -> "PwFunc":
         return PwFunc(f.breakpoints, f.pieces, f.values)
+
+    @cached_property
+    def line_form(self) -> tuple[tuple[Knot, ...], tuple[Line, ...]]:
+        """(knots, lines) of the partition and the pieces, as for PLFunc."""
+        knots = tuple((x.numerator, x.denominator) for x in self.partition)
+        ends = [(s.numerator, s.denominator, c.numerator, c.denominator) for s, c in self.pieces]
+        lines = tuple(_line(sn * cd, cn * sd, sd * cd) for sn, sd, cn, cd in ends)
+        return knots, lines
 
     def value(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)

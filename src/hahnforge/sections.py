@@ -27,7 +27,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .plalg import PLFunc, PwFunc, equality_set, first_containing, pl_max, pl_min, pl_scale, pl_sum
+from .plalg import (
+    PLFunc,
+    PwFunc,
+    equality_set,
+    first_containing,
+    pl_max,
+    pl_min,
+    pl_scale,
+    pl_sum,
+    sample,
+)
 from .rational import rat, rat_float, rat_str
 from .tailrules import TailRule
 
@@ -79,11 +89,13 @@ class SectionPair:
 
     @cached_property
     def _points(self) -> tuple[tuple[Fraction, Fraction, Fraction, Witness, Witness], ...]:
-        """(x, g(x), h(x), min witness, max witness) per grid point, in order;
-        computed once, as ``rows`` and ``to_json`` both read it."""
+        """(x, g(x), h(x), min witness, max witness) per grid point, in order:
+        one forward pass over g and h (``plalg.sample``), computed once, as
+        ``rows`` and ``to_json`` both read it."""
+        xs = sorted(self.witnesses)
         return tuple(
-            (x, self.g.value(x), self.h.value(x), *self.witnesses[x])
-            for x in sorted(self.witnesses)
+            (x, gx, hx, *self.witnesses[x])
+            for x, gx, hx in zip(xs, sample(self.g, xs), sample(self.h, xs))
         )
 
     def rows(self) -> list[tuple[str, str, str, str, str]]:

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -332,6 +333,33 @@ def test_sections_exit_code_contract(fuzz_spec: Path, data: bytes, brute: bool):
     """The same contract for `sections --grid 4`, with and without --brute 9."""
     extra = ["--brute", "9"] if brute else []
     run_under_contract(fuzz_spec, data, "sections", "--grid", "4", *extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_spec_bytes)
+def test_synth_exit_code_contract(fuzz_spec: Path, data: bytes):
+    """The contract for `synth --grid 4 --samples 4`; on exit 0 the written
+    function.json loads back to the same JSON."""
+    out = fuzz_spec.parent / "synth-out"
+    shutil.rmtree(out, ignore_errors=True)
+    code = run_under_contract(
+        fuzz_spec, data, "synth", "--grid", "4", "--samples", "4", "--out", str(out)
+    )
+    if code == OK:
+        written = json.loads((out / "function.json").read_text(encoding="utf-8"))
+        assert BlockProductFunc.from_json(written).to_json() == written
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_spec_bytes)
+def test_verify_report_exit_code_contract(fuzz_spec: Path, data: bytes):
+    """The contract for `verify --grid 4 --report PATH`; a report written
+    says it passed exactly when the exit code does."""
+    report = fuzz_spec.parent / "report.json"
+    report.unlink(missing_ok=True)
+    code = run_under_contract(fuzz_spec, data, "verify", "--grid", "4", "--report", str(report))
+    if code in (OK, VERIFY_FAILED):
+        assert json.loads(report.read_text(encoding="utf-8"))["passed"] is (code == OK)
 
 
 class TestSynth:

@@ -273,6 +273,11 @@ def unit_rationals(bits: int):
     )
 
 
+def rationals(bits: int):
+    """Rationals with numerator and denominator of up to the given bit length."""
+    return st.builds(Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits))
+
+
 @st.composite
 def functions_and_points(draw, sizes=(4, 64, 4000)):
     """A PL function and non-decreasing points in [0, 1] that hit its
@@ -280,7 +285,7 @@ def functions_and_points(draw, sizes=(4, 64, 4000)):
     given bit sizes."""
     bits = draw(st.sampled_from(sizes))
     knots = sorted({Fraction(0), Fraction(1), *draw(st.lists(unit_rationals(bits), max_size=6))})
-    value = st.builds(Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits))
+    value = rationals(bits)
     f = PLFunc(tuple(knots), tuple(draw(value) for _ in knots))
     xs = draw(st.lists(st.one_of(st.sampled_from(knots), unit_rationals(bits)), max_size=24))
     repeats = draw(st.lists(st.sampled_from(xs), max_size=4)) if xs else []
@@ -304,12 +309,31 @@ def ratsets_and_points(draw):
     return sets, sorted(xs)
 
 
+@st.composite
+def jumping_functions_and_points(draw):
+    """A PwFunc whose point values may jump off its pieces, and non-decreasing
+    points in [0, 1] that hit its partition points."""
+    bits = draw(st.sampled_from((4, 64, 4000)))
+    f, xs = draw(functions_and_points(sizes=(bits,)))
+    pieces = f.pieces
+    if draw(st.booleans()):
+        pieces = tuple((draw(rationals(bits)), draw(rationals(bits))) for _ in pieces)
+    point_values = tuple(draw(st.one_of(st.just(v), rationals(bits))) for v in f.values)
+    return PwFunc(f.breakpoints, pieces, point_values), xs
+
+
 class TestForwardPasses:
     @BATCH
     @given(functions_and_points())
     def test_sample_matches_point_evaluation(self, case):
         f, xs = case
         assert list(sample(f, xs)) == [f(x) for x in xs]
+
+    @BATCH
+    @given(jumping_functions_and_points())
+    def test_sample_matches_pw_value(self, case):
+        f, xs = case
+        assert list(sample(f, xs)) == [f.value(x) for x in xs]
 
     @BATCH
     @given(functions_and_points(sizes=(4, 64)), st.data())
@@ -339,9 +363,10 @@ class TestForwardPasses:
         assert first_containing(sets, xs) == expected
 
 
-# The grid-and-bisect algebra, kept as the oracle for the merge-walk kernel:
+# The grid-and-bisect algebra, kept as the oracle for the integer line kernel:
 # every operation evaluates its inputs through PLFunc.__call__ at each point
-# of a merged grid, and the equality set subtracts with the oracle sum.
+# of a merged grid, in Fraction arithmetic, and the equality set subtracts
+# with the oracle sum.
 
 
 def oracle_merged_grid(fs: Sequence[PLFunc]) -> list[Fraction]:
@@ -394,6 +419,10 @@ def oracle_sum(fs: Sequence[PLFunc]) -> PLFunc:
         raise ValueError("sum needs at least one function")
     grid = oracle_merged_grid(fs)
     return PLFunc(tuple(grid), tuple(sum(f(x) for f in fs) for x in grid))
+
+
+def oracle_scale(c: Fraction, f: PLFunc) -> PLFunc:
+    return PLFunc(f.breakpoints, tuple(c * f(x) for x in f.breakpoints))
 
 
 def oracle_equal(f: PLFunc, g: PLFunc) -> bool:
@@ -538,6 +567,50 @@ class TestKernelOracle:
             pl_equal(f, g)
         assert calls == []
         assert X(Fraction(1, 2)) == Fraction(1, 2) and len(calls) == 1
+
+
+@st.composite
+def big_families(draw):
+    """Families with knots and values of up to 4,000 bits: random members, a
+    member plus and minus a tent that touches it at one point, and repeated
+    members; and a scale that is zero, negative or positive."""
+    bits = draw(st.sampled_from((4, 64, 4000)))
+    fs = [draw(functions_and_points(sizes=(bits,)))[0] for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        k, d = draw(st.integers(0)), draw(st.integers(1, 2**bits))
+        p = Fraction(1 + k % d, d + 1)  # in (0, 1)
+        c = abs(draw(rationals(bits))) or Fraction(1)
+        fs += [oracle_sum((fs[0], tent(p, c))), oracle_sum((fs[0], tent(p, -c)))]
+    fs += draw(st.lists(st.sampled_from(fs), max_size=2))
+    fs = draw(st.permutations(fs))
+    negative = rationals(bits).map(lambda q: -abs(q))
+    scale = draw(st.one_of(st.just(Fraction(0)), negative, rationals(bits)))
+    return tuple(fs), scale
+
+
+def fresh_form(f: PLFunc):
+    return PLFunc(f.breakpoints, f.values).line_form
+
+
+class TestKernelAtLargeBitSizes:
+    """The integer line kernel against the oracle at up to 4,000 bits."""
+
+    @BATCH
+    @given(big_families())
+    def test_matches_oracle(self, case):
+        fs, c = case
+        f, g = fs[0], fs[-1]
+        envelopes = (pl_min(fs), oracle_envelope(fs, min)), (pl_max(fs), oracle_envelope(fs, max))
+        for new, old in (*envelopes, (pl_sum(fs), oracle_sum(fs))):
+            assert new == canonical(old)
+            assert vars(new)["line_form"] == fresh_form(new)
+        scaled = pl_scale(c, f)
+        assert scaled == oracle_scale(c, f) and vars(scaled)["line_form"] == fresh_form(scaled)
+        pairs = [(f, g), (g, f), (f, f), *((m, env) for m in fs for env, _ in envelopes)]
+        for a, b in pairs:
+            assert equality_set(a, b) == oracle_equality_set(a, b)
+            assert dominates(a, b) == oracle_dominates(a, b)
+            assert pl_equal(a, b) == oracle_equal(a, b)
 
 
 INDICATOR_HALF_ONE = PwFunc(

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import dyadic_grid, random_plfunc, random_value
+from hahnforge import sections
 from hahnforge.pairs import StableFamily, envelopes
-from hahnforge.plalg import PLFunc, PwFunc, pl_equal, pl_neg, pl_scale, pl_sum
+from hahnforge.plalg import PLFunc, pl_equal, pl_neg, pl_scale, pl_sum
 from hahnforge.sections import INFINITY, SectionPair, TailFamily, brute_sections, tail_sections
 from hahnforge.tailrules import TailRule
 
@@ -258,17 +259,18 @@ class TestStructure:
         assert rows[0][0] == "0/1"
 
     def test_points_evaluated_once(self, monkeypatch):
-        # sections --out writes both to_json and rows: g and h are evaluated
-        # once per grid point, not once per output.
+        # sections --out writes both to_json and rows: the forward passes over
+        # g and h yield one value per grid point each, not one per output.
         pair = tail_sections(CANONICAL, GRID)
         calls = []
-        value = PwFunc.value
+        forward = sections.sample
 
-        def counted(f, x):
-            calls.append(x)
-            return value(f, x)
+        def counted(f, xs):
+            for v in forward(f, xs):
+                calls.append(v)
+                yield v
 
-        monkeypatch.setattr(PwFunc, "value", counted)
+        monkeypatch.setattr(sections, "sample", counted)
         data, rows = pair.to_json(), pair.rows()
         assert len(calls) == 2 * len(GRID)
         assert [r[:3] for r in rows] == [(e["x"], e["g"], e["h"]) for e in data["grid"]]
