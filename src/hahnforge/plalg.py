@@ -110,6 +110,14 @@ class PLFunc:
         return PLFunc((ZERO, ONE), (b, a + b))
 
     @staticmethod
+    def from_line(a: int, b: int, d: int) -> "PLFunc":
+        """x -> (a*x + b) / d for integers with d > 0: two knots, with the
+        line, in lowest terms, cached as its form."""
+        if d <= 0:
+            raise ValueError("a line's denominator must be positive")
+        return _built(((0, 1), (1, 1)), (_line(a, b, d),), (ZERO, ONE))
+
+    @staticmethod
     def from_pairs(pairs: Iterable[tuple[int | str | Fraction, int | str | Fraction]]) -> "PLFunc":
         pts = [(rat(x), rat(v)) for x, v in pairs]
         return PLFunc(tuple(x for x, _ in pts), tuple(v for _, v in pts))

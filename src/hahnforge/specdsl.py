@@ -19,21 +19,32 @@ only inside rational literals; violations are reported as non-PL constructs
 rather than plain syntax errors.  Identifiers refer to earlier declarations.
 Every diagnostic carries a 1-based line and column.
 
-A sum is one ``Sum`` node over its terms, a subtracted term stored negated, so
-a long sum or a run of minus signs costs no recursion.  Only parentheses
-nest: an open ``(`` more than ``MAX_DEPTH`` (100) deep on a line, and an
-integer literal longer than ``MAX_DIGITS`` (1000) digits, are syntax errors;
-literals are read through ``rational`` under any digit limit.  A ``grid``
-denominator above ``MAX_GRID`` (10,000) is a syntax error too.
+Reading a spec is one pass from text to ``PLFunc`` values.  ``tokenize``
+scans each line with one compiled pattern.  The parser keeps, beside the
+tokens, one list of keys (an operator's text, or else the token kind), so
+each lookahead is one list index.  A sum is one ``Sum`` node over its terms,
+a subtracted term stored negated, so a long sum or a run of minus signs costs
+no recursion.  Only parentheses nest: an open ``(`` more than ``MAX_DEPTH``
+(100) deep on a line, and an integer literal longer than ``MAX_DIGITS``
+(1000) digits, are syntax errors; literals are read through ``rational``
+under any digit limit.  A ``grid`` denominator above ``MAX_GRID`` (10,000) is
+a syntax error too.
 
 Elaboration turns expressions into exact ``PLFunc`` values; the declarations,
-in order, form the function family of the spec.
+in order, form the function family of the spec.  A subtree of literals,
+``x``, sums and scalings is affine: it folds into one reduced integer line
+and is built once, as a two-knot ``PLFunc``.  References, ``min``, ``max``
+and ``abs`` go through the ``plalg`` operations, and a sum of affine and
+other terms calls ``pl_sum`` once, with its affine terms as one line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from .pairs import StableFamily
 from .plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum, uniform_grid
@@ -64,58 +75,55 @@ class SpecError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME | INT | OP | NEWLINE | EOF
     text: str
     line: int
     col: int
 
 
-_OPS = set("=+-*/^(),")
+# One token after optional blanks: a decimal integer (\d is exactly
+# str.isdecimal, what int() reads), a name (\w is exactly isalnum() or "_"),
+# an operator, a comment, or any other non-blank character, an error.  A name
+# must start with a letter or "_", but [^\W\d] also admits digits that are
+# not decimal, such as "²", so its first character is checked after the match.
+# Trailing blanks are cut before a line is scanned, so every scan matches: a
+# failed scan would be retried at each later blank, quadratic in their number.
+_TOKEN = re.compile(r"[ \t\r]*(?:(\d+)|([^\W\d]\w*)|([=+\-*/^(),])|(#)|([^ \t\r]))")
+_INT, _NAME, _OP, _COMMENT = 1, 2, 3, 4
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of each line, scanned by one pattern, then its NEWLINE; EOF last."""
     tokens: list[Token] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        i = depth = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            if ch == "#":
+        depth = 0
+        for m in _TOKEN.finditer(raw.rstrip(" \t\r")):
+            group = m.lastindex
+            if group == _COMMENT:
                 break
-            col = i + 1
-            if ch.isdecimal():  # what int() reads; "²" is a digit but not decimal
-                j = i
-                while j < len(raw) and raw[j].isdecimal():
-                    j += 1
-                if j - i > MAX_DIGITS:
+            tok = m[group]
+            col = m.start(group) + 1
+            if group == _INT:
+                if len(tok) > MAX_DIGITS:
                     raise SpecError(
                         f"integer literal longer than {MAX_DIGITS} digits", line_no, col
                     )
-                tokens.append(Token("INT", raw[i:j], line_no, col))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(raw) and (raw[j].isalnum() or raw[j] == "_"):
-                    j += 1
-                tokens.append(Token("NAME", raw[i:j], line_no, col))
-                i = j
-            elif ch in _OPS:
-                if ch == "(":
+                tokens.append(Token("INT", tok, line_no, col))
+            elif group == _NAME and (tok[0].isalpha() or tok[0] == "_"):
+                tokens.append(Token("NAME", tok, line_no, col))
+            elif group == _OP:
+                if tok == "(":
                     depth += 1
                     if depth > MAX_DEPTH:
                         raise SpecError(
                             f"parentheses nested deeper than {MAX_DEPTH}", line_no, col
                         )
-                elif ch == ")":
+                elif tok == ")":
                     depth = max(depth - 1, 0)
-                tokens.append(Token("OP", ch, line_no, col))
-                i += 1
+                tokens.append(Token("OP", tok, line_no, col))
             else:
-                raise SpecError(f"unexpected character {ch!r}", line_no, col)
+                raise SpecError(f"unexpected character {tok[0]!r}", line_no, col)
         tokens.append(Token("NEWLINE", "", line_no, len(raw) + 1))
     last_line = text[text.rfind("\n") + 1 :]
     tokens.append(Token("EOF", "", text.count("\n") + 1, len(last_line) + 1))
@@ -194,13 +202,23 @@ def _negate(e: Expr) -> Expr:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  ``keys[i]`` is token i's operator
+    text, or else its kind, so every lookahead is one list index.  EOF is the
+    last token and no lookahead passes it, so no index runs off the list."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.keys = [tok.text if tok.kind == "OP" else tok.kind for tok in tokens]
         self.pos = 0
         self.declared: set[str] = set()
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def at(self, key: str, ahead: int = 0) -> bool:
+        """Whether the token ``ahead`` past the current one is the operator
+        ``key``, or of kind ``key``."""
+        return self.keys[self.pos + ahead] == key
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -209,39 +227,36 @@ class _Parser:
         return tok
 
     def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != text:
+        if self.keys[self.pos] != text:
+            tok = self.peek()
             raise SpecError(f"expected {text!r}", tok.line, tok.col)
         return self.advance()
 
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == text
-
     def end_line(self) -> None:
-        tok = self.peek()
-        if tok.kind == "NEWLINE":
-            self.advance()
-        elif tok.kind != "EOF":
+        key = self.keys[self.pos]
+        if key == "NEWLINE":
+            self.pos += 1
+        elif key != "EOF":
+            tok = self.peek()
             raise SpecError(f"unexpected {tok.text!r}", tok.line, tok.col)
 
     # -- expressions --------------------------------------------------------
 
     def parse_rational(self) -> Fraction:
         sign = 1
-        while self.at_op("-"):
-            self.advance()
+        while self.at("-"):
+            self.pos += 1
             sign = -sign
-        tok = self.peek()
-        if tok.kind != "INT":
+        if not self.at("INT"):
+            tok = self.peek()
             raise SpecError("expected a rational literal", tok.line, tok.col)
         num = int_of(self.advance().text)
         den = 1
         # "/" belongs to the literal only when an integer denominator follows;
         # otherwise it is left for the caller (tail rules parse "/ n" there,
         # expressions report it as a non-PL construct).
-        if self.at_op("/") and self.peek(1).kind == "INT":
-            self.advance()
+        if self.at("/") and self.at("INT", 1):
+            self.pos += 1
             den_tok = self.advance()
             den = int_of(den_tok.text)
             if den == 0:
@@ -250,33 +265,25 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         terms = [self.parse_term()]
-        while self.at_op("+") or self.at_op("-"):
-            minus = self.advance().text == "-"
+        keys = self.keys
+        while (key := keys[self.pos]) == "+" or key == "-":
+            self.pos += 1
             term = self.parse_term()
-            terms.append(_negate(term) if minus else term)
+            terms.append(_negate(term) if key == "-" else term)
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def parse_term(self) -> Expr:
         factors = [self.parse_unary()]
-        while True:
-            if self.at_op("*"):
-                self.advance()
-                factors.append(self.parse_unary())
-            elif self.at_op("/"):
-                tok = self.peek()
-                raise SpecError(
-                    "non-PL construct: division outside a rational literal",
-                    tok.line,
-                    tok.col,
-                    kind="non-pl",
-                )
-            elif self.at_op("^"):
-                tok = self.peek()
-                raise SpecError(
-                    "non-PL construct: exponentiation", tok.line, tok.col, kind="non-pl"
-                )
-            else:
-                break
+        keys = self.keys
+        while (key := keys[self.pos]) == "*":
+            self.pos += 1
+            factors.append(self.parse_unary())
+        if key == "/" or key == "^":
+            tok = self.peek()
+            message = "division outside a rational literal" if key == "/" else "exponentiation"
+            raise SpecError(f"non-PL construct: {message}", tok.line, tok.col, kind="non-pl")
+        if len(factors) == 1:
+            return factors[0]
         constant = Fraction(1)
         body: Expr | None = None
         for factor in factors:
@@ -292,46 +299,42 @@ class _Parser:
                     tok.col,
                     kind="non-pl",
                 )
-        if body is None:
-            return Lit(constant)
-        if len(factors) == 1:
-            return body
-        return Scale(constant, body)
+        return Lit(constant) if body is None else Scale(constant, body)
 
     def parse_unary(self) -> Expr:
         minus = False
-        while self.at_op("-"):
-            self.advance()
+        while self.keys[self.pos] == "-":
+            self.pos += 1
             minus = not minus
         primary = self.parse_primary()
         return _negate(primary) if minus else primary
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            value = self.parse_rational()
-            return Lit(value)
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
+        key = self.keys[self.pos]
+        if key == "INT":
+            return Lit(self.parse_rational())
+        if key == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if tok.kind == "NAME":
+        tok = self.peek()
+        if key == "NAME":
             name = tok.text
             if name == "x":
-                self.advance()
+                self.pos += 1
                 return Var()
             if name in ("min", "max"):
-                self.advance()
+                self.pos += 1
                 self.expect_op("(")
                 args = [self.parse_expr()]
-                while self.at_op(","):
-                    self.advance()
+                while self.at(","):
+                    self.pos += 1
                     args.append(self.parse_expr())
                 self.expect_op(")")
                 return MinE(tuple(args)) if name == "min" else MaxE(tuple(args))
             if name == "abs":
-                self.advance()
+                self.pos += 1
                 self.expect_op("(")
                 inner = self.parse_expr()
                 self.expect_op(")")
@@ -342,7 +345,7 @@ class _Parser:
                 raise SpecError(
                     f"undeclared name {name!r}", tok.line, tok.col, kind="undeclared"
                 )
-            self.advance()
+            self.pos += 1
             return Ref(name)
         raise SpecError("expected an expression", tok.line, tok.col)
 
@@ -352,21 +355,21 @@ class _Parser:
         start = self.peek()
         c = self.parse_rational()
         rule: TailRule | None = None
-        if self.at_op("/"):
-            self.advance()
+        if self.at("/"):
+            self.pos += 1
             n_tok = self.peek()
             if n_tok.kind != "NAME" or n_tok.text != "n":
                 raise SpecError("expected 'n' after '/'", n_tok.line, n_tok.col)
-            self.advance()
+            self.pos += 1
             rule = TailRule.harmonic(c)
-        elif self.at_op("*") and self._geometric_ahead():
-            self.advance()
+        elif self.at("*") and self._geometric_ahead():
+            self.pos += 1
             q = self.parse_rational()
             self.expect_op("^")
             n_tok = self.peek()
             if n_tok.kind != "NAME" or n_tok.text != "n":
                 raise SpecError("expected 'n' after '^'", n_tok.line, n_tok.col)
-            self.advance()
+            self.pos += 1
             if abs(q) >= 1:
                 raise SpecError(
                     f"geometric ratio {q} must satisfy |q| < 1",
@@ -385,24 +388,24 @@ class _Parser:
                 kind="semantic",
             )
         shape: Expr | None = None
-        if self.at_op("*"):
-            self.advance()
+        if self.at("*"):
+            self.pos += 1
             shape = self.parse_expr()
         return TailSpec(rule, shape)
 
     def _geometric_ahead(self) -> bool:
         """After a leading rational and '*': does a ratio of the form q^n follow?"""
-        i = 1  # token after '*'
-        while self.peek(i).kind == "OP" and self.peek(i).text == "-":
+        keys, i = self.keys, self.pos + 1  # the token after '*'
+        while keys[i] == "-":
             i += 1
-        if self.peek(i).kind != "INT":
+        if keys[i] != "INT":
             return False
         i += 1
-        if self.peek(i).kind == "OP" and self.peek(i).text == "/":
-            if self.peek(i + 1).kind != "INT":
+        if keys[i] == "/":
+            if keys[i + 1] != "INT":
                 return False
             i += 2
-        return self.peek(i).kind == "OP" and self.peek(i).text == "^"
+        return keys[i] == "^"
 
     def parse(self) -> SpecAST:
         decls: list[tuple[str, Expr]] = []
@@ -410,34 +413,35 @@ class _Parser:
         limit: Expr | None = None
         tail: TailSpec | None = None
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
+            key = self.keys[self.pos]
+            if key == "EOF":
                 break
-            if tok.kind == "NEWLINE":
-                self.advance()
+            if key == "NEWLINE":
+                self.pos += 1
                 continue
-            if tok.kind != "NAME":
+            tok = self.peek()
+            if key != "NAME":
                 raise SpecError("expected a declaration or directive", tok.line, tok.col)
             if tok.text == "grid":
                 if grid is not None:
                     raise SpecError("duplicate grid directive", tok.line, tok.col)
-                self.advance()
+                self.pos += 1
                 num = self.peek()
                 grid = int_of(num.text) if num.kind == "INT" else 0
                 if grid < 1:
                     raise SpecError("grid needs a positive integer", num.line, num.col)
                 if grid > MAX_GRID:
                     raise SpecError(f"grid denominator above {MAX_GRID}", num.line, num.col)
-                self.advance()
+                self.pos += 1
             elif tok.text == "limit":
                 if limit is not None:
                     raise SpecError("duplicate limit directive", tok.line, tok.col)
-                self.advance()
+                self.pos += 1
                 limit = self.parse_expr()
             elif tok.text == "tail":
                 if tail is not None:
                     raise SpecError("duplicate tail directive", tok.line, tok.col)
-                self.advance()
+                self.pos += 1
                 tail = self.parse_tail_rule()
             else:
                 name = tok.text
@@ -447,7 +451,7 @@ class _Parser:
                     )
                 if name in self.declared:
                     raise SpecError(f"duplicate declaration {name!r}", tok.line, tok.col)
-                self.advance()
+                self.pos += 1
                 self.expect_op("=")
                 expr = self.parse_expr()
                 decls.append((name, expr))
@@ -464,17 +468,49 @@ def parse_spec(text: str) -> SpecAST:
 # -- elaboration -------------------------------------------------------------
 
 
-def elaborate_expr(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
+# An affine subtree folds, bottom up, into one line (a, b, d): the map
+# x -> (a*x + b) / d, with d > 0 and gcd(a, b, d) = 1.  It becomes a PLFunc
+# only where a reference, an envelope or abs needs one.  pl_sum returns its
+# result with consecutive equal lines merged, so a sum whose affine terms are
+# folded first has the same knots and values as the sum term by term.
+Line = tuple[int, int, int]
+
+
+def _reduced(a: int, b: int, d: int) -> Line:
+    g = gcd(a, b, d)
+    return (a // g, b // g, d // g)
+
+
+def _fold(e: Expr, env: dict[str, PLFunc]) -> Line | PLFunc:
+    """The value of e: its line if e is affine, else its PLFunc."""
     if isinstance(e, Lit):
-        return PLFunc.constant(e.value)
+        return (0, e.value.numerator, e.value.denominator)
     if isinstance(e, Var):
-        return PLFunc.identity()
+        return (1, 0, 1)
     if isinstance(e, Ref):
         return env[e.name]
     if isinstance(e, Sum):
-        return pl_sum([elaborate_expr(t, env) for t in e.terms])
+        line: Line | None = None
+        funcs: list[PLFunc] = []
+        for term in e.terms:
+            value = _fold(term, env)
+            if isinstance(value, PLFunc):
+                funcs.append(value)
+            elif line is None:
+                line = value
+            else:
+                (a1, b1, d1), (a2, b2, d2) = line, value
+                line = _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        if not funcs:
+            return line
+        return pl_sum(funcs if line is None else [PLFunc.from_line(*line), *funcs])
     if isinstance(e, Scale):
-        return pl_scale(e.factor, elaborate_expr(e.body, env))
+        body = _fold(e.body, env)
+        if isinstance(body, PLFunc):
+            return pl_scale(e.factor, body)
+        a, b, d = body
+        n, m = e.factor.numerator, e.factor.denominator
+        return _reduced(a * n, b * n, d * m)
     if isinstance(e, MinE):
         return pl_min([elaborate_expr(a, env) for a in e.args])
     if isinstance(e, MaxE):
@@ -482,6 +518,11 @@ def elaborate_expr(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
     if isinstance(e, Abs):
         return pl_abs(elaborate_expr(e.body, env))
     raise TypeError(f"unknown expression {e!r}")
+
+
+def elaborate_expr(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
+    value = _fold(e, env)
+    return value if isinstance(value, PLFunc) else PLFunc.from_line(*value)
 
 
 def elaborate(ast: SpecAST) -> dict[str, PLFunc]:

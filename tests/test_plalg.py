@@ -125,6 +125,16 @@ class TestAffinePieces:
             assert f == fresh and hash(f) == hash(fresh)
             assert repr(f) == repr(fresh) and f.to_json() == fresh.to_json()
 
+    def test_from_line_caches_the_reduced_line(self):
+        f = PLFunc.from_line(-4, 6, 12)
+        assert f == PLFunc.affine("-1/3", "1/2")
+        assert vars(f)["line_form"] == ((((0, 1), (1, 1)), ((-2, 3, 6),)))
+        assert f.line_form == PLFunc(f.breakpoints, f.values).line_form
+        assert PLFunc.from_line(0, 0, 5).line_form[1] == ((0, 0, 1),)
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="denominator"):
+                PLFunc.from_line(1, 0, d)
+
 class TestLattice:
     def test_min_breakpoints(self):
         f = pl_min((ZERO_F, X_MINUS_HALF))

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import int_str_digits
-from hahnforge.plalg import PLFunc, pl_equal, pl_min, pl_scale
+from hahnforge.plalg import PLFunc, pl_abs, pl_equal, pl_max, pl_min, pl_scale, pl_sum
 from hahnforge.specdsl import (
     MAX_DEPTH,
     MAX_DIGITS,
@@ -25,10 +27,13 @@ from hahnforge.specdsl import (
     SpecError,
     Sum,
     TailSpec,
+    Token,
     Var,
+    elaborate_expr,
     family_from_spec,
     parse_spec,
     tail_family_from_spec,
+    tokenize,
 )
 from hahnforge.rational import rat_str
 from hahnforge.tailrules import TailRule
@@ -175,6 +180,32 @@ class TestDiagnostics:
         with pytest.raises(SpecError) as exc:
             parse_spec("u1 = x\ntail 1 * x\n")
         assert exc.value.kind == "semantic"
+
+    # Which Unicode characters start, continue or end a token.
+    def test_non_ascii_decimal_digit_is_read(self):
+        # "٣" is a decimal digit, and int() reads it as 3.
+        member = family_from_spec(parse_spec("u1 = ٣ * x\n")).members[0]
+        assert (member.breakpoints, member.values) == ((0, 1), (0, 3))
+
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            # "²" is a digit but not decimal, and not a letter: no token starts with it.
+            ("u1 = ²x\n", "unexpected character '²'", 6),
+            # A name continues with any letter or digit, so "²" is part of it.
+            ("u1 = x²\n", "undeclared name 'x²'", 6),
+            ("u1 = 2x\n", "unexpected 'x'", 7),
+            # The line ends past its comment.
+            ("u1 = min(x  # c", "expected ')'", 16),
+        ],
+    )
+    def test_unicode_and_comment_edges(self, text: str, message: str, col: int):
+        with pytest.raises(SpecError) as exc:
+            parse_spec(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (message, 1, col)
+
+    def test_non_ascii_name(self):
+        assert [name for name, _ in parse_spec("λ1 = x\n").decls] == ["λ1"]
 
     @given(st.text(alphabet="ux=+-*/^(),0123456789 \n#minaxbgrdtl", max_size=60))
     @settings(max_examples=300)
@@ -374,3 +405,161 @@ class TestElaboration:
         with_newline, without = parse_spec("u1 = x\n"), parse_spec("u1 = x")
         assert (with_newline.end, without.end) == ((2, 1), (1, 7))
         assert with_newline == without and hash(with_newline) == hash(without)
+
+
+# -- oracles -------------------------------------------------------------------
+# The character-by-character tokenizer and the term-by-term elaborator that
+# the scanner and the affine fold replaced, kept to hold them to.
+
+_OPS = set("=+-*/^(),")
+
+
+def oracle_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        i = depth = 0
+        while i < len(raw):
+            ch = raw[i]
+            if ch in " \t\r":
+                i += 1
+                continue
+            if ch == "#":
+                break
+            col = i + 1
+            if ch.isdecimal():  # what int() reads; "²" is a digit but not decimal
+                j = i
+                while j < len(raw) and raw[j].isdecimal():
+                    j += 1
+                if j - i > MAX_DIGITS:
+                    raise SpecError(
+                        f"integer literal longer than {MAX_DIGITS} digits", line_no, col
+                    )
+                tokens.append(Token("INT", raw[i:j], line_no, col))
+                i = j
+            elif ch.isalpha() or ch == "_":
+                j = i
+                while j < len(raw) and (raw[j].isalnum() or raw[j] == "_"):
+                    j += 1
+                tokens.append(Token("NAME", raw[i:j], line_no, col))
+                i = j
+            elif ch in _OPS:
+                if ch == "(":
+                    depth += 1
+                    if depth > MAX_DEPTH:
+                        raise SpecError(
+                            f"parentheses nested deeper than {MAX_DEPTH}", line_no, col
+                        )
+                elif ch == ")":
+                    depth = max(depth - 1, 0)
+                tokens.append(Token("OP", ch, line_no, col))
+                i += 1
+            else:
+                raise SpecError(f"unexpected character {ch!r}", line_no, col)
+        tokens.append(Token("NEWLINE", "", line_no, len(raw) + 1))
+    last_line = text[text.rfind("\n") + 1 :]
+    tokens.append(Token("EOF", "", text.count("\n") + 1, len(last_line) + 1))
+    return tokens
+
+
+def oracle_elaborate(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
+    if isinstance(e, Lit):
+        return PLFunc.constant(e.value)
+    if isinstance(e, Var):
+        return PLFunc.identity()
+    if isinstance(e, Ref):
+        return env[e.name]
+    if isinstance(e, Sum):
+        return pl_sum([oracle_elaborate(t, env) for t in e.terms])
+    if isinstance(e, Scale):
+        return pl_scale(e.factor, oracle_elaborate(e.body, env))
+    if isinstance(e, MinE):
+        return pl_min([oracle_elaborate(a, env) for a in e.args])
+    if isinstance(e, MaxE):
+        return pl_max([oracle_elaborate(a, env) for a in e.args])
+    if isinstance(e, Abs):
+        return pl_abs(oracle_elaborate(e.body, env))
+    raise TypeError(f"unknown expression {e!r}")
+
+
+def _tokens_or_error(tokenizer, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text)]
+    except SpecError as exc:
+        return (exc.message, exc.line, exc.col, exc.kind)
+
+
+# ASCII operators and blanks, letters and digits in and out of ASCII ("²",
+# "½" and "Ⅻ" are numeric but not decimal; "٣" and "७" are decimal), other
+# characters no token takes, and runs near the bounds.
+_TEXT_PIECES = st.one_of(
+    st.sampled_from(list("=+-*/^(),# \t\r\n_ux1b0") + list("éßλ²½Ⅻ٣७$\xa0\x0b")),
+    st.integers(MAX_DIGITS - 2, MAX_DIGITS + 1).map(lambda n: "7" * n),
+    st.sampled_from(["(" * MAX_DEPTH, ")" * 3, "min(", "abs(", "u1 = "]),
+)
+
+
+def _factors() -> st.SearchStrategy[Fraction]:
+    """Scale factors: zero, small of either sign, and about 4,000 bits."""
+    huge = st.builds(
+        lambda n, d, s: Fraction(s * n, d),
+        st.integers(2**3990, 2**4000),
+        st.integers(1, 2**4000),
+        st.sampled_from((1, -1)),
+    )
+    small = st.fractions(min_value=-8, max_value=8, max_denominator=8)
+    return st.one_of(st.just(Fraction(0)), small, huge)
+
+
+# "m" is min(x, 1 - x); "z" is 0 * m, which keeps the three knots of m.
+_M = pl_min((PLFunc.identity(), PLFunc.affine(-1, 1)))
+_ENV = {"m": _M, "z": pl_scale(0, _M)}
+_LEAVES = st.one_of(
+    st.builds(Lit, st.fractions(min_value=-8, max_value=8, max_denominator=8)),
+    st.just(Var()),
+    st.sampled_from([Ref("m"), Ref("z")]),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=4).map(lambda ts: Sum(tuple(ts))),
+        st.builds(Scale, _factors(), kids),
+        st.lists(kids, min_size=1, max_size=3).map(lambda ts: MinE(tuple(ts))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda ts: MaxE(tuple(ts))),
+        st.builds(Abs, kids),
+    ),
+    max_leaves=12,
+)
+
+
+class TestOracles:
+    @given(st.lists(_TEXT_PIECES, max_size=30).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_tokenize_matches_oracle(self, text: str):
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracle_tokenize, text)
+
+    @given(_TREES)
+    @settings(max_examples=300, deadline=None)
+    # 0 * m keeps the three knots of m; a sum of one term has the knots of
+    # pl_sum, which merges equal lines.
+    @example(Scale(Fraction(0), MinE((Var(), Sum((Lit(Fraction(1)), Scale(Fraction(-1), Var())))))))
+    @example(Sum((Ref("z"),)))
+    @example(Sum((Lit(Fraction(1)), Ref("z"), Scale(Fraction(-1), Lit(Fraction(1))))))
+    def test_elaborate_matches_oracle(self, tree: Expr):
+        f, expected = elaborate_expr(tree, _ENV), oracle_elaborate(tree, _ENV)
+        assert (f.breakpoints, f.values) == (expected.breakpoints, expected.values)
+        assert f.line_form == PLFunc(f.breakpoints, f.values).line_form
+
+    def test_scanner_classes_are_the_str_predicates(self):
+        # The scanner's \d and \w stand for the predicates the oracle calls.
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        decimal = "".join(c for c in chars if c.isdecimal())
+        word = "".join(c for c in chars if c.isalnum() or c == "_")
+        assert "".join(re.findall(r"\d", chars)) == decimal
+        assert "".join(re.findall(r"\w", chars)) == word
+
+    def test_trailing_blanks(self):
+        # A line's trailing blanks are cut before it is scanned, so a long run
+        # of them costs one pass, and they leave the NEWLINE column as it was.
+        text = "u1 = x" + " \t\r" * 50_000 + "\n"
+        assert tokenize(text) == oracle_tokenize(text)
+        assert tokenize(text)[3] == Token("NEWLINE", "", 1, 150_007)
