@@ -13,7 +13,10 @@ Subsystems:
 * :mod:`hahnforge.builder` - synthesis of a separately continuous function on
   [0, 1] x alphaN whose extremal sections are a prescribed envelope pair;
 * :mod:`hahnforge.specdsl` / :mod:`hahnforge.cli` - the input DSL and the
-  command-line front end.
+  command-line front end;
+* :mod:`hahnforge.record` - ``@record``, which makes the value classes of the
+  other modules frozen records without ``dataclasses``, so that importing the
+  package generates no code.
 """
 
 from .rational import rat, rat_str

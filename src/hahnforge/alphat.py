@@ -19,28 +19,28 @@ exception blocks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .plalg import Verdict
 from .rational import rat
+from .record import record
 from .tailrules import TailRule
 
 
-@dataclass(frozen=True)
+@record
 class FiniteBlock:
     atoms: tuple[str, ...]
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class TailBlock:
     prefix: str
     rule: TailRule
 
 
-@dataclass(frozen=True)
+@record
 class UncountableBlock:
     tag: str
     value: Fraction
@@ -49,7 +49,7 @@ class UncountableBlock:
 Block = Union[FiniteBlock, TailBlock, UncountableBlock]
 
 
-@dataclass(frozen=True)
+@record
 class AlphaTFunc:
     """Real function on T u {infinity}, constant off its exception blocks."""
 
@@ -76,7 +76,7 @@ class AlphaTFunc:
         return AlphaTFunc(rat(c))
 
 
-@dataclass(frozen=True)
+@record
 class CountableSet:
     """Countable subset of T: explicit atoms plus full tail supports."""
 
@@ -125,13 +125,13 @@ def at_baire_one_cocountable(f: AlphaTFunc) -> CountableSet | None:
     return CountableSet(tuple(atoms), tuple(prefixes))
 
 
-@dataclass(frozen=True)
+@record
 class DiagBlock:
     tag: str
     diag_value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class DiagProductFunc:
     """Function on the square of the compactification, supported on the diagonal.
 

@@ -63,7 +63,6 @@ chooses the x where the report lists evaluated witnesses y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -86,6 +85,7 @@ from .plalg import (
     subset,
 )
 from .rational import int_str, rat, rat_str, rat_text, ratio_float, ratio_str
+from .record import record
 from .sections import INFINITY, Witness
 from .spaces import Pow2OddSet
 
@@ -134,7 +134,7 @@ def bump_witness_index(a: Fraction) -> int:
     return a.denominator // a.numerator
 
 
-@dataclass(frozen=True)
+@record
 class BumpMap:
     """Oscillating bump on one set of the dyadic partition, null at infinity.
 
@@ -164,7 +164,7 @@ class BumpMap:
         return self.support.element(j)
 
 
-@dataclass(frozen=True)
+@record
 class SchwartzBlock:
     """One synthesis block: stage envelopes, stage distance, and a bump."""
 
@@ -248,7 +248,7 @@ def _support_from_json(data: dict) -> Pow2OddSet:
     return Pow2OddSet(_field(data, "power"))
 
 
-@dataclass(frozen=True)
+@record
 class BlockProductFunc:
     """f(x, y) = theta(x) + sum of block values; the sum vanishes at infinity.
 
@@ -553,7 +553,7 @@ def continuity_certificate(
     return tuple(sorted(exceptions))
 
 
-@dataclass(frozen=True)
+@record
 class SectionEntry:
     x: Fraction
     g: Fraction
@@ -561,8 +561,17 @@ class SectionEntry:
     min_witness: Witness
     max_witness: Witness
 
+    def __init__(
+        self, x: Fraction, g: Fraction, h: Fraction, min_witness: Witness, max_witness: Witness
+    ) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "min_witness", min_witness)
+        object.__setattr__(self, "max_witness", max_witness)
 
-@dataclass(frozen=True)
+
+@record
 class SectionReport:
     entries: tuple[SectionEntry, ...]
     failures: tuple[str, ...]

@@ -9,12 +9,11 @@ indices attaining g(x) and h(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .plalg import PLFunc, dominates, pl_max, pl_min
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class StableFamily:
     """Nonempty finite ordered family of continuous PL functions."""
 
@@ -28,7 +27,7 @@ class StableFamily:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@record
 class HahnPair:
     """A family together with its exact lower/upper envelopes g <= h."""
 

@@ -43,13 +43,13 @@ all of a non-decreasing list of xs with one cursor per set.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .rational import rat, rat_str
+from .record import record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -62,7 +62,7 @@ Line = tuple[int, int, int]
 Form = tuple[Sequence[Knot], Sequence[Line]]
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Decision with an optional witness for the failing case."""
 
@@ -79,20 +79,21 @@ def _line(a: int, b: int, d: int) -> Line:
     return (a // g, b // g, d // g) if g > 1 else (a, b, d)
 
 
-@dataclass(frozen=True)
+@record
 class PLFunc:
     """Continuous piecewise-linear function on [0, 1] with rational data."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        bps, vals = self.breakpoints, self.values
-        if len(bps) < 2 or len(bps) != len(vals):
+    def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "values", values)
+        if len(breakpoints) < 2 or len(breakpoints) != len(values):
             raise ValueError("need matching breakpoint/value lists of length >= 2")
-        if bps[0] != 0 or bps[-1] != 1:
+        if breakpoints[0] != 0 or breakpoints[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        if any(a >= b for a, b in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
     @staticmethod
@@ -356,7 +357,7 @@ def dominates(f: PLFunc, g: PLFunc) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
+@record
 class RatSet:
     """Finite union of disjoint closed rational intervals within [0, 1].
 
@@ -366,9 +367,10 @@ class RatSet:
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        object.__setattr__(self, "intervals", intervals)
         prev_hi: Fraction | None = None
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if not (0 <= lo <= hi <= 1):
                 raise ValueError(f"component [{lo}, {hi}] is not a closed interval in [0, 1]")
             if prev_hi is not None and lo <= prev_hi:
@@ -575,7 +577,7 @@ def distance_function(s: RatSet) -> PLFunc:
     return pl_min((dist, PLFunc.constant(1)))
 
 
-@dataclass(frozen=True)
+@record
 class PwFunc:
     """Piecewise-affine function on [0, 1], possibly jumping at partition points.
 

@@ -22,7 +22,6 @@ cutoff M and certifies the truncation error |coeff(M+1)| * sup|shape|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
@@ -39,13 +38,14 @@ from .plalg import (
     sample,
 )
 from .rational import rat, rat_float, rat_str
+from .record import record
 from .tailrules import TailRule
 
 INFINITY = "inf"
 Witness = Union[int, str]
 
 
-@dataclass(frozen=True)
+@record
 class TailFamily:
     """Slices of a separately continuous function on [0, 1] x alphaN."""
 
@@ -74,7 +74,7 @@ class TailFamily:
         return pl_sum((self.limit, pl_scale(c, self.tail_shape)))
 
 
-@dataclass(frozen=True)
+@record
 class SectionPair:
     """Exact envelopes of a slice family, with per-grid-point attainment data.
 

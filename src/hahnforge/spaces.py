@@ -14,12 +14,12 @@ naturals into pairwise disjoint infinite sets, one per synthesis block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .rational import int_of, int_str
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class OrdinalCNF:
     """Cantor normal form sum(omega**e * c) with strictly decreasing naturals e."""
 
@@ -92,7 +92,7 @@ def parse_ordinal(text: str) -> OrdinalCNF:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class OrdinalCompact:
     """The order-topology interval [0, top]."""
 
@@ -110,7 +110,7 @@ def scattered_rank(k: OrdinalCompact) -> int:
     return terms[0][0] + 1 if terms else 1
 
 
-@dataclass(frozen=True)
+@record
 class Pow2OddSet:
     """Odd multiples of 2**power: {2**power * (2j - 1) : j >= 1}.
 

@@ -41,7 +41,6 @@ other terms calls ``pl_sum`` once, with its affine terms as one line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -49,6 +48,7 @@ from typing import NamedTuple
 from .pairs import StableFamily
 from .plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum, uniform_grid
 from .rational import int_of
+from .record import field, record
 from .sections import TailFamily
 from .tailrules import TailRule
 
@@ -134,54 +134,65 @@ class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Lit(Expr):
     value: Fraction
 
+    def __init__(self, value: Fraction) -> None:
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
+
+@record
 class Var(Expr):
-    pass
+    def __init__(self) -> None:
+        pass
 
 
-@dataclass(frozen=True)
+@record
 class Ref(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Sum(Expr):
     terms: tuple[Expr, ...]
 
+    def __init__(self, terms: tuple[Expr, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
-@dataclass(frozen=True)
+
+@record
 class Scale(Expr):
     factor: Fraction
     body: Expr
 
+    def __init__(self, factor: Fraction, body: Expr) -> None:
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "body", body)
 
-@dataclass(frozen=True)
+
+@record
 class MinE(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class MaxE(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Abs(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@record
 class TailSpec:
     rule: TailRule
     shape: Expr | None = None
 
 
-@dataclass(frozen=True)
+@record
 class SpecAST:
     decls: tuple[tuple[str, Expr], ...]
     grid: int | None = None

@@ -10,13 +10,13 @@ in sign (magnitude still decreasing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import rat
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class TailRule:
     kind: str  # "harmonic" | "geometric" | "constant"
     c: Fraction

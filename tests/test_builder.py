@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 import time
@@ -59,6 +58,12 @@ def schwartz(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
     if s == 0 and t == 0:
         return Fraction(0)
     return 2 * s * t / (s * s + t * t)
+
+
+def replaced(block: SchwartzBlock, **changes) -> SchwartzBlock:
+    """A copy of ``block`` with some fields changed, checked as any new block is."""
+    fields = {"g_blk": block.g_blk, "h_blk": block.h_blk, "alpha": block.alpha, "beta": block.beta}
+    return SchwartzBlock(**{**fields, **changes})
 
 
 class TestKernel:
@@ -303,7 +308,7 @@ class TestVerify:
 
     def test_tampered_block_detected(self):
         f = synthesize(SP1)
-        bad_block = dataclasses.replace(
+        bad_block = replaced(
             f.blocks[1], g_blk=f.blocks[1].g_blk - PLFunc.constant(1)
         )
         tampered = BlockProductFunc((f.blocks[0], bad_block), f.theta)
@@ -314,7 +319,7 @@ class TestVerify:
         # Block 1 blends against F_0, the empty set, so its alpha must have no
         # zero; SP1's active block at x=1/2 is then block 1, which vanishes.
         f = synthesize(SP1)
-        bad = dataclasses.replace(f.blocks[0], alpha=distance_function(RatSet.of([("1/2", "1/2")])))
+        bad = replaced(f.blocks[0], alpha=distance_function(RatSet.of([("1/2", "1/2")])))
         report = verify_synthesis(BlockProductFunc((bad, f.blocks[1]), f.theta), SP1, GRID65)
         assert report.failures == (
             "block 1: alpha vanishes outside F_0 at x=1/2",
@@ -608,15 +613,15 @@ def tampered_blocks(f: BlockProductFunc):
     eighth = PLFunc.constant("1/8")
     for i, block in enumerate(f.blocks):
         variants = [
-            ("g_blk - 1/8", dataclasses.replace(block, g_blk=block.g_blk - eighth)),
-            ("h_blk + 1/8", dataclasses.replace(block, h_blk=block.h_blk + eighth)),
-            ("g_blk / 2", dataclasses.replace(block, g_blk=pl_scale("1/2", block.g_blk))),
-            ("h_blk / 2", dataclasses.replace(block, h_blk=pl_scale("1/2", block.h_blk))),
-            ("alpha = 1", dataclasses.replace(block, alpha=PLFunc.constant(1))),
+            ("g_blk - 1/8", replaced(block, g_blk=block.g_blk - eighth)),
+            ("h_blk + 1/8", replaced(block, h_blk=block.h_blk + eighth)),
+            ("g_blk / 2", replaced(block, g_blk=pl_scale("1/2", block.g_blk))),
+            ("h_blk / 2", replaced(block, h_blk=pl_scale("1/2", block.h_blk))),
+            ("alpha = 1", replaced(block, alpha=PLFunc.constant(1))),
         ]
         if i + 1 < f.size:
             alpha = distance_function(f.stage_sets[i])
-            variants.append(("alpha = dist(F_n)", dataclasses.replace(block, alpha=alpha)))
+            variants.append(("alpha = dist(F_n)", replaced(block, alpha=alpha)))
         for label, bad in variants:
             blocks = f.blocks[:i] + (bad,) + f.blocks[i + 1 :]
             yield f"block {i + 1}: {label}", BlockProductFunc(blocks, f.theta)
@@ -757,7 +762,7 @@ class TestSliceEvaluation:
         # upper bound at x=0 and pointwise failures; verify_synthesis reports
         # the same bound, the same missed envelope values, and F_2 at x=0.
         f = synthesize(SP1)
-        bad = dataclasses.replace(f.blocks[1], h_blk=f.blocks[1].h_blk + PLFunc.constant("1/8"))
+        bad = replaced(f.blocks[1], h_blk=f.blocks[1].h_blk + PLFunc.constant("1/8"))
         tampered = BlockProductFunc((f.blocks[0], bad), f.theta)
         oracle = oracle_grid_failures(tampered, SP1, GRID33)
         structural = [m for m in oracle if m.startswith("block ")]
@@ -803,7 +808,7 @@ class TestExactDecision:
         dipped = PLFunc.from_pairs(
             [(0, 0), ("1/2", 0), (lo, h(lo)), (mid, h(mid) - Fraction(1, 1000)), (hi, h(hi)), (1, h(1))]
         )
-        bad = dataclasses.replace(f.blocks[1], h_blk=dipped)
+        bad = replaced(f.blocks[1], h_blk=dipped)
         tampered = BlockProductFunc((f.blocks[0], bad), f.theta)
         assert oracle_grid_failures(tampered, SP1, GRID65) == []
         report = verify_synthesis(tampered, SP1, GRID65)
@@ -842,8 +847,8 @@ class TestFailureLinesPastStrLimit:
         f = synthesize(fam)
         block = f.blocks[1]
         for bad in (
-            dataclasses.replace(block, h_blk=pl_scale("1/2", block.h_blk)),
-            dataclasses.replace(block, g_blk=pl_scale("1/2", block.g_blk)),
+            replaced(block, h_blk=pl_scale("1/2", block.h_blk)),
+            replaced(block, g_blk=pl_scale("1/2", block.g_blk)),
         ):
             yield fam, BlockProductFunc((f.blocks[0], bad), f.theta)
 
