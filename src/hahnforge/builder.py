@@ -34,10 +34,11 @@ form is the blocks and theta.
 
 The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
 theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) once, when a y
-first reaches that block.  Block n sits on Pow2OddSet(n - 1), so each natural
-y = 2^i (2j - 1) is sent by its 2-adic valuation i to block i + 1, the one
-block that owns it, with bump beta(y) = 1/k on the side h_blk for odd j and
--1/k on the side g_blk for even j, k = ceil(j/2) (``locate``).  The value
+first reaches that block, each as a reduced (num, den) pair.  Block n sits
+on Pow2OddSet(n - 1), so each natural y = 2^i (2j - 1) is sent by its 2-adic
+valuation i to block i + 1, the one block that owns it, with bump
+beta(y) = 1/k on the side h_blk for odd j and -1/k on the side g_blk for
+even j, k = ceil(j/2) (``locate``).  The value
 f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) is then one integer
 kernel, ``slice_value``: with theta = a/b, alpha = p/q and side = c/d, it
 forms N = 4|p|qk and D = (pk)^2 + q^2, the clamp N >= D (scale 1) is one
@@ -47,13 +48,15 @@ verify_synthesis reads at its witnesses check the saturation lemma rather
 than restate it.  ``phi`` stays the definitional form, and the tests hold
 the kernel to it.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, the
 kernel's pair as a Fraction, and sections and continuity certificates take
-one slice per x.  A grid is not evaluated point by point: ``f.slices(xs,
-reads)`` builds the slices of non-decreasing xs from one forward pass
-(``plalg.sample``) of theta and of each listed block's alpha, g_blk and
-h_blk over the xs that list it, so the CSV export samples the blocks its y
-can reach and the report entries sample each block only where it is the
-active stage.  The CSV export locates each y once per call and writes each
-value from the kernel's integer pair, with no Fraction built per value.
+one slice per x.  A grid is not evaluated point by point: its xs are checked
+once (``plalg.grid_pairs``), and ``f.slices(xs, grid, reads)`` builds their
+slices from one forward pass (``plalg.sample``) of theta and of each listed
+block's alpha, g_blk and h_blk over the xs that list it, which yields
+reduced pairs.  So the CSV export samples the blocks its y can reach, and
+the report entries sample each block only where it is the active stage.
+Neither builds a Fraction per sampled value: the CSV export locates each y
+once per call and writes each value from the kernel's integer pair, and the
+report compares each witness value's pair with the envelope's.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -74,11 +77,13 @@ from .plalg import (
     EMPTY_SET,
     FULL_SET,
     PLFunc,
+    Pair,
     RatSet,
     distance_function,
     dominates,
     equality_set,
     first_containing,
+    grid_pairs,
     pl_max,
     pl_min,
     sample,
@@ -127,11 +132,12 @@ def slice_value(a: int, b: int, p: int, q: int, c: int, d: int, k: int) -> tuple
     return top // common, bottom // common
 
 
-def bump_witness_index(a: Fraction) -> int:
-    """The n with 1/(n+1) <= a <= 1/n, for 0 < a <= 1; phi(a, 1/n) = 1 there."""
-    if not 0 < a <= 1:
-        raise ValueError(f"need 0 < a <= 1, got {rat_text(a)}")
-    return a.denominator // a.numerator
+def bump_witness_index(p: int, q: int) -> int:
+    """The n with 1/(n+1) <= a <= 1/n, for a = p/q with q > 0 and
+    0 < a <= 1: floor(q/p); phi(a, 1/n) = 1 there."""
+    if not 0 < p <= q:
+        raise ValueError(f"need 0 < a <= 1, got {rat_text(Fraction(p, q))}")
+    return q // p
 
 
 @record
@@ -192,32 +198,25 @@ class SchwartzBlock:
         if bump is None:  # off the support: no point value is needed
             return Fraction(0)
         k, upper = bump
-        return BlockSlice.at(self, rat(x)).value(Fraction(0), k, upper)
+        return Fraction(*BlockSlice.at(self, rat(x)).value((0, 1), k, upper))
 
 
 class BlockSlice(NamedTuple):
-    """One block at a fixed x: alpha(x), g_blk(x) and h_blk(x)."""
+    """One block at a fixed x: alpha(x), g_blk(x) and h_blk(x) as pairs."""
 
-    alpha: Fraction
-    g: Fraction
-    h: Fraction
+    alpha: Pair
+    g: Pair
+    h: Pair
 
     @staticmethod
     def at(block: SchwartzBlock, x: Fraction) -> "BlockSlice":
         """The block at x, from three point values."""
-        return BlockSlice(block.alpha(x), block.g_blk(x), block.h_blk(x))
+        values = (block.alpha(x), block.g_blk(x), block.h_blk(x))
+        return BlockSlice(*((v.numerator, v.denominator) for v in values))
 
-    def value(self, theta: Fraction, k: int, upper: bool) -> Fraction:
+    def value(self, theta: Pair, k: int, upper: bool) -> Pair:
         """theta + side * phi(alpha, +-1/k), side h if upper else g (``slice_value``)."""
-        a, side = self.alpha, self.h if upper else self.g
-        return Fraction(
-            *slice_value(
-                theta.numerator, theta.denominator,
-                a.numerator, a.denominator,
-                side.numerator, side.denominator,
-                k,
-            )
-        )
+        return slice_value(*theta, *self.alpha, *(self.h if upper else self.g), k)
 
 
 def hahn_block(g_blk: PLFunc, h_blk: PLFunc, a: RatSet, support: Pow2OddSet) -> SchwartzBlock:
@@ -297,32 +296,32 @@ class BlockProductFunc:
 
     def slice(self, x: int | str | Fraction) -> "ProductSlice":
         x = rat(x)
-        return ProductSlice(self, x, self.theta(x), {})
+        theta = self.theta(x)
+        return ProductSlice(self, x, (theta.numerator, theta.denominator), {})
 
     def slices(
-        self, xs: Sequence[int | str | Fraction], reads: Sequence[Collection[int]]
+        self, xs: Sequence[Fraction], grid: Sequence[Pair], reads: Sequence[Collection[int]]
     ) -> Iterator["ProductSlice"]:
-        """The slices at the non-decreasing xs, in order, from one forward
-        pass per function.
+        """The slices at the xs, in order, from one forward pass per function.
 
-        reads[k] lists the blocks (0-based) that the k-th slice will read.
-        theta is sampled over all of xs, and block i's alpha, g_blk and h_blk
-        over the xs whose entry lists i (``plalg.sample``).  The passes run
-        in step with the slices yielded, so no sampled value is held past its
-        slice.  A block a slice does not list is evaluated at its x when a y
-        first reaches it, as in ``slice``.  A decreasing or out-of-domain x
-        is a ValueError when reached.
+        grid holds the xs as ``plalg.grid_pairs`` returns them, checked to be
+        non-decreasing and in [0, 1], and reads[k] lists the blocks (0-based)
+        that the k-th slice will read.  theta is sampled over all of the
+        grid, and block i's alpha, g_blk and h_blk over the points whose
+        entry lists i (``plalg.sample``).  The passes run in step with the
+        slices yielded, so no sampled pair is held past its slice.  A block a
+        slice does not list is evaluated at its x when a y first reaches it,
+        as in ``slice``.
         """
-        xs = [rat(x) for x in xs]
-        at: dict[int, list[Fraction]] = {}
-        for x, listed in zip(xs, reads):
+        at: dict[int, list[Pair]] = {}
+        for point, listed in zip(grid, reads):
             for i in listed:
-                at.setdefault(i, []).append(x)
+                at.setdefault(i, []).append(point)
         sampled = {}
         for i, points in at.items():
             b = self.blocks[i]
             sampled[i] = zip(sample(b.alpha, points), sample(b.g_blk, points), sample(b.h_blk, points))
-        for x, theta, listed in zip(xs, sample(self.theta, xs), reads):
+        for x, theta, listed in zip(xs, sample(self.theta, grid), reads):
             blocks = {i: BlockSlice(*next(sampled[i])) for i in listed}
             yield ProductSlice(self, x, theta, blocks)
 
@@ -334,7 +333,7 @@ class BlockProductFunc:
 
     def active_stage(self, x: int | str | Fraction) -> int:
         """Least n with x in F_n; block n attains the envelopes at x."""
-        return first_containing(self.stage_sets, [rat(x)])[0] + 1
+        return first_containing(self.stage_sets, grid_pairs([rat(x)]))[0] + 1
 
     def section_values(
         self, x: int | str | Fraction
@@ -346,20 +345,19 @@ class BlockProductFunc:
         blocks and all remaining y contribute the value at infinity.
         """
         s = self.slice(x)
-        base = s.theta
+        base = Fraction(*s.theta)
         lo, hi = base, base
         lo_w: Witness = INFINITY
         hi_w: Witness = INFINITY
         for i, block in enumerate(self.blocks):
-            bs = s.block(i)
-            a = bs.alpha
-            if a == 0:
+            alpha, g, h = s.block(i)
+            if alpha[0] == 0:
                 continue
-            n = bump_witness_index(a)
-            lo_cand = base + bs.g
+            n = bump_witness_index(*alpha)
+            lo_cand = base + Fraction(*g)
             if lo_cand < lo:
                 lo, lo_w = lo_cand, block.beta.point(2 * n)
-            hi_cand = base + bs.h
+            hi_cand = base + Fraction(*h)
             if hi_cand > hi:
                 hi, hi_w = hi_cand, block.beta.point(2 * n - 1)
         return lo, hi, lo_w, hi_w
@@ -403,27 +401,24 @@ class BlockProductFunc:
         so only the blocks below that index are sampled.
 
         Each y is located once per call (``locate``).  Per x, theta and each
-        block's alpha, g_blk and h_blk are taken apart into integers once,
-        and every value is written from its ``slice_value`` pair, with no
+        block's alpha, g_blk and h_blk come from the grid walk as pairs, and
+        every value is written from its ``slice_value`` pair, with no
         Fraction built; a value equal to theta reuses theta's cells.
         """
         reach = range(min(self.size, max_y.bit_length()))
         plan = [(int_str(y), self.locate(y)) for y in range(1, max_y + 1)]
         rows = []
-        for s in self.slices(grid, [reach] * len(grid)):
+        for s in self.slices(grid, grid_pairs(grid), [reach] * len(grid)):
             x_str = rat_str(s.x)
-            a, b = s.theta.numerator, s.theta.denominator
+            a, b = s.theta
             at_theta = (ratio_str(a, b), ratio_float(a, b))
-            terms = []  # per block: alpha's num and den, and (g_blk, h_blk) as (num, den)
-            for alpha, g, h in map(s.block, reach):
-                sides = ((g.numerator, g.denominator), (h.numerator, h.denominator))
-                terms.append((alpha.numerator, alpha.denominator, sides))
+            terms = [s.block(i) for i in reach]
             for y_str, where in plan:
                 cells = at_theta
                 if where is not None:
                     i, k, upper = where
-                    p, q, sides = terms[i]
-                    c, d = sides[upper]
+                    (p, q), g, h = terms[i]
+                    c, d = h if upper else g
                     num, den = slice_value(a, b, p, q, c, d, k)
                     if num != a or den != b:
                         cells = (ratio_str(num, den), ratio_float(num, den))
@@ -433,12 +428,12 @@ class BlockProductFunc:
 
 
 class ProductSlice:
-    """f(x, .) for one x: theta(x), the BlockSlices given or built so far by
-    block index, and each natural y sent to the one block that owns it,
-    where ``slice_value`` gives f(x, y) as one reduced integer pair."""
+    """f(x, .) for one x: theta(x) as a pair, the BlockSlices given or built
+    so far by block index, and each natural y sent to the one block that
+    owns it, where ``slice_value`` gives f(x, y) as one reduced integer pair."""
 
     def __init__(
-        self, f: BlockProductFunc, x: Fraction, theta: Fraction, blocks: dict[int, BlockSlice]
+        self, f: BlockProductFunc, x: Fraction, theta: Pair, blocks: dict[int, BlockSlice]
     ):
         self.f = f
         self.x = x
@@ -452,14 +447,18 @@ class ProductSlice:
             bs = self._blocks[i] = BlockSlice.at(self.f.blocks[i], self.x)
         return bs
 
-    def value(self, m: int) -> Fraction:
+    def pair(self, m: int) -> Pair:
         """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m,
-        the Fraction of the ``slice_value`` pair; theta(x) if no block owns m."""
+        the ``slice_value`` pair; theta(x) if no block owns m."""
         where = self.f.locate(m)
         if where is None:
             return self.theta
         i, k, upper = where
         return self.block(i).value(self.theta, k, upper)
+
+    def value(self, m: int) -> Fraction:
+        """f(x, m), the Fraction of ``pair``."""
+        return Fraction(*self.pair(m))
 
 
 # The definitional forms of the stage envelopes and stage sets, recomputed
@@ -538,11 +537,10 @@ def continuity_certificate(
     s = f.slice(x)
     exceptions: list[int] = []
     for i, block in enumerate(f.blocks):
-        bs = s.block(i)
-        a = bs.alpha
+        a, g, h = (Fraction(*v) for v in s.block(i))
         if a == 0:
             continue
-        for magnitude, offset in ((abs(bs.h), -1), (abs(bs.g), 0)):
+        for magnitude, offset in ((abs(h), -1), (abs(g), 0)):
             if magnitude == 0 or eps > magnitude:
                 continue
             tau = eps / magnitude
@@ -625,10 +623,15 @@ def verify_synthesis(
     active stage n, the witnesses y_lo = point(2m) and y_hi = point(2m-1) of
     block n, and g(x), h(x).  The slice of f at x is evaluated at both
     witnesses, and a value that misses its envelope is a failure with its x
-    and y.  The grid is walked forward once: g, h and theta are sampled over
-    all of it (``plalg.sample``), the active stages come from one
-    ``first_containing`` pass, and block n's alpha, g_blk and h_blk are
-    sampled only at the x where n is active (``f.slices``).
+    and y.  The grid is checked once (``plalg.grid_pairs``) and walked
+    forward once: g, h and theta are sampled over all of it
+    (``plalg.sample``), the active stages come from one ``first_containing``
+    pass, and block n's alpha, g_blk and h_blk are sampled only at the x
+    where n is active (``f.slices``).  Every sampled value is a reduced
+    pair.  The bump index comes from alpha's pair, each witness value is
+    computed as f computes it (``locate``, then ``slice_value``), and it is
+    compared with the envelope's pair; a Fraction is built only for an
+    entry's g(x) and h(x) and for a failure line.
     """
     pair = envelopes(family)
     g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
@@ -651,25 +654,26 @@ def verify_synthesis(
                 f" at x={rat_text(v.witness)}"
             )
     xs = [rat(x) for x in grid]
-    stages = first_containing(f.stage_sets, xs)
-    slices = f.slices(xs, [(i,) for i in stages])
+    points = grid_pairs(xs)
+    stages = first_containing(f.stage_sets, points)
+    slices = f.slices(xs, points, [(i,) for i in stages])
     entries: list[SectionEntry] = []
-    for s, g_x, h_x, i in zip(slices, sample(pair.g, xs), sample(pair.h, xs), stages):
+    for s, g_x, h_x, i in zip(slices, sample(pair.g, points), sample(pair.h, points), stages):
         x, n = s.x, i + 1
         block = f.blocks[i]
-        a = s.block(i).alpha
-        if a == 0:
+        p, q = s.block(i).alpha
+        if p == 0:
             failures.append(f"x={rat_text(x)}: active block {n} has vanished (alpha=0)")
             continue
-        m = bump_witness_index(a)
+        m = bump_witness_index(p, q)
         y_hi = block.beta.point(2 * m - 1)
         y_lo = block.beta.point(2 * m)
         for name, y, env in (("upper", y_hi, h_x), ("lower", y_lo, g_x)):
-            v = s.value(y)
+            v = s.pair(y)
             if v != env:
                 failures.append(
-                    f"x={rat_text(x)}: f(x, {int_str(y)})={rat_text(v)}"
-                    f" misses the {name} envelope {rat_text(env)}"
+                    f"x={rat_text(x)}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
+                    f" misses the {name} envelope {rat_text(Fraction(*env))}"
                 )
-        entries.append(SectionEntry(x, g_x, h_x, y_lo, y_hi))
+        entries.append(SectionEntry(x, Fraction(*g_x), Fraction(*h_x), y_lo, y_hi))
     return SectionReport(tuple(entries), tuple(failures))

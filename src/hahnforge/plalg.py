@@ -19,11 +19,13 @@ n-ary envelopes fold walks pairwise (divide and conquer) and sums left to
 right, on integer forms; consecutive equal lines merge (``_joined``), so a
 result keeps only 0, 1 and the slope changes as knots, and equal functions
 have equal knots.  Each result becomes a :class:`PLFunc` once, with its
-line form cached.  A grid is evaluated by ``sample(f, xs)``: one forward pass
-over non-decreasing xs that yields the values in turn, a cursor over the
-knots compared with x in integers, and one ``Fraction(num, den)`` per value
-off a knot.  A point value ``f(x)`` is the single-point oracle: a bisection
-and the (slope, intercept) ``pieces`` derived from the lines.
+line form cached.  A grid of non-decreasing xs in [0, 1] is checked once,
+by ``grid_pairs``, which turns it into reduced pairs (p, q), and evaluated
+by ``sample(f, grid)``: one forward pass that yields each value as a reduced
+(num, den) pair, with a cursor over the knots compared with x in integers
+and one gcd per value off a knot; no Fraction is built.  A point value
+``f(x)`` is the single-point oracle: a bisection and the (slope, intercept)
+``pieces`` derived from the lines.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -37,7 +39,7 @@ functions and as zero sets of distance functions, and ``subset`` decides
 containment between two of them with a witness point.  ``first_containing``
 is the one "who attains it" rule: over the equality sets {f_i = envelope},
 or over increasing stage sets, the least index whose set holds x, found for
-all of a non-decreasing list of xs with one cursor per set.
+every x of a grid from ``grid_pairs`` with one cursor per set.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ ONE = Fraction(1)
 Knot = tuple[int, int]
 Line = tuple[int, int, int]
 Form = tuple[Sequence[Knot], Sequence[Line]]
+# A value num/den in lowest terms with den > 0, as ``sample`` yields it.
+Pair = tuple[int, int]
 
 
 @record
@@ -443,57 +447,60 @@ def subset(a: RatSet, b: RatSet) -> Verdict:
     return Verdict(True)
 
 
-def _forward(xs: Iterable[Fraction]) -> Iterator[tuple[int, int]]:
-    """(numerator, denominator) of each x in turn; a ValueError at the first
-    x outside [0, 1] or below the x before it."""
-    last = ZERO
+def grid_pairs(xs: Iterable[Fraction]) -> list[Knot]:
+    """The reduced (p, q) of each x = p/q, for the forward passes of
+    ``sample`` and ``first_containing``: the xs are checked once, here; a
+    ValueError names the first x outside [0, 1] or below the x before it."""
+    pairs: list[Knot] = []
+    lp, lq = 0, 1
     for x in xs:
         p, q = x.numerator, x.denominator
         if p < 0 or p > q:
             raise ValueError(f"argument {x} outside the domain [0, 1]")
-        if p * last.denominator < last.numerator * q:
-            raise ValueError(f"arguments must not decrease: {x} after {last}")
-        last = x
-        yield p, q
+        if p * lq < lp * q:
+            raise ValueError(f"arguments must not decrease: {x} after {Fraction(lp, lq)}")
+        lp, lq = p, q
+        pairs.append((p, q))
+    return pairs
 
 
-def sample(f: PLFunc | PwFunc, xs: Iterable[Fraction]) -> Iterator[Fraction]:
-    """Yield f(x) (``f.value(x)`` for a PwFunc) for each of the non-decreasing
-    xs in [0, 1], in one forward pass that holds no values.
+def sample(f: PLFunc | PwFunc, grid: Iterable[Knot]) -> Iterator[Pair]:
+    """Yield f(x) (``f.value(x)`` for a PwFunc) as a reduced (num, den) pair
+    with den > 0, for each x = p/q of a grid from ``grid_pairs``, in one
+    forward pass that holds no values.
 
-    A cursor moves over the knots, each compared with x = p/q by integer
-    cross-multiplication.  At a knot the value is the stored one (the point
-    value of a PwFunc); elsewhere it is the segment's line (a, b, d) at x,
-    one Fraction(a*p + b*q, d*q), normalized once: the same reduced Fraction
-    as the point evaluation.  A decreasing or out-of-domain x is a
-    ValueError when reached.
+    A cursor moves over the knots, each compared with x by integer
+    cross-multiplication.  At a knot the pair is the stored value's (the
+    point value of a PwFunc); elsewhere it is the segment's line (a, b, d)
+    at x, (a*p + b*q, d*q), reduced with one gcd: the numerator and
+    denominator of the point evaluation.
     """
     knots, lines = f.line_form
     values = f.values if isinstance(f, PLFunc) else f.point_values
     last = len(lines) - 1
     i = 0
     end_p, end_q = knots[1]
-    for p, q in _forward(xs):
+    for p, q in grid:
         while i < last and p * end_q >= end_p * q:
             i += 1
             end_p, end_q = knots[i + 1]
-        if p == q:
-            yield values[-1]
-        elif (p, q) == knots[i]:
-            yield values[i]
-        else:
+        if p != q and (p, q) != knots[i]:
             a, b, d = lines[i]
-            yield Fraction(a * p + b * q, d * q)
+            num, den = a * p + b * q, d * q
+            g = gcd(num, den)
+            yield num // g, den // g
+        else:
+            v = values[-1] if p == q else values[i]
+            yield v.numerator, v.denominator
 
 
-def first_containing(sets: Sequence[RatSet], xs: Iterable[Fraction]) -> list[int | None]:
-    """For each of the non-decreasing xs in [0, 1], the least i with x in
-    sets[i], or None if no set holds x.
+def first_containing(sets: Sequence[RatSet], grid: Iterable[Knot]) -> list[int | None]:
+    """For each x = p/q of a grid from ``grid_pairs``, the least i with x
+    in sets[i], or None if no set holds x.
 
     Each set keeps a cursor at its first component that does not end before
-    the last x that reached it, so every component is passed once over all
-    of xs; ends are compared with x in integers.  A decreasing or
-    out-of-domain x is a ValueError.
+    the last x that reached it, so every component is passed once over the
+    whole grid; ends are compared with x in integers.
     """
     comps = [
         [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in s.intervals]
@@ -501,7 +508,7 @@ def first_containing(sets: Sequence[RatSet], xs: Iterable[Fraction]) -> list[int
     ]
     cursors = [0] * len(sets)
     out: list[int | None] = []
-    for p, q in _forward(xs):
+    for p, q in grid:
         found = None
         for i, cs in enumerate(comps):
             j = cursors[i]

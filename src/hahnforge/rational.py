@@ -1,8 +1,10 @@
 """Exact rational scalars.
 
 Every numeric value in this package is a :class:`fractions.Fraction`, which
-keeps numerator/denominator in reduced form with a positive denominator.  No
-floats enter any computation; they appear only in lossy CSV export columns.
+keeps numerator/denominator in reduced form with a positive denominator, or,
+where a grid is walked, the same reduced (num, den) pair of ints, which
+``ratio_str`` and ``ratio_float`` write.  No floats enter any computation;
+they appear only in lossy CSV export columns.
 Decimal text becomes an ``int`` only through :func:`int_of` and is written
 only through :func:`int_str`, in chunks of at most 500 digits, so no result
 depends on Python's int-to-str digit limit: ``rat_str`` writes the stored
@@ -77,15 +79,11 @@ def rat_text(q: Fraction) -> str:
     return ratio_str(q.numerator, q.denominator)
 
 
-def rat_float(q: Fraction) -> str:
-    """Lossy decimal rendering (17 significant digits) for CSV plotting; a
-    value past the float range renders as inf or -inf, as IEEE rounding does."""
-    return ratio_float(q.numerator, q.denominator)
-
-
 def ratio_float(num: int, den: int) -> str:
-    """rat_float of num/den, for den > 0: num / den is correctly rounded, as
-    float(Fraction) is."""
+    """Lossy decimal rendering (17 significant digits) of num/den, for
+    den > 0, for CSV plotting: num / den is correctly rounded, as
+    float(Fraction) is, and a value past the float range renders as inf or
+    -inf, as IEEE rounding does."""
     try:
         return format(num / den, ".17g")
     except OverflowError:

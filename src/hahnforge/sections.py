@@ -28,16 +28,18 @@ from typing import Mapping, Sequence, Union
 
 from .plalg import (
     PLFunc,
+    Pair,
     PwFunc,
     equality_set,
     first_containing,
+    grid_pairs,
     pl_max,
     pl_min,
     pl_scale,
     pl_sum,
     sample,
 )
-from .rational import rat, rat_float, rat_str
+from .rational import rat, rat_str, ratio_float, ratio_str
 from .record import record
 from .tailrules import TailRule
 
@@ -88,19 +90,21 @@ class SectionPair:
     witnesses: Mapping[Fraction, tuple[Witness, Witness]]
 
     @cached_property
-    def _points(self) -> tuple[tuple[Fraction, Fraction, Fraction, Witness, Witness], ...]:
-        """(x, g(x), h(x), min witness, max witness) per grid point, in order:
-        one forward pass over g and h (``plalg.sample``), computed once, as
-        ``rows`` and ``to_json`` both read it."""
+    def _points(self) -> tuple[tuple[Fraction, Pair, Pair, Witness, Witness], ...]:
+        """(x, g(x), h(x), min witness, max witness) per grid point, in order,
+        with g(x) and h(x) as reduced (num, den) pairs: one forward pass over
+        g and h (``plalg.sample``), computed once, as ``rows`` and
+        ``to_json`` both read it."""
         xs = sorted(self.witnesses)
+        grid = grid_pairs(xs)
         return tuple(
             (x, gx, hx, *self.witnesses[x])
-            for x, gx, hx in zip(xs, sample(self.g, xs), sample(self.h, xs))
+            for x, gx, hx in zip(xs, sample(self.g, grid), sample(self.h, grid))
         )
 
     def rows(self) -> list[tuple[str, str, str, str, str]]:
         return [
-            (rat_str(x), rat_str(g), rat_str(h), str(lo_w), str(hi_w))
+            (rat_str(x), ratio_str(*g), ratio_str(*h), str(lo_w), str(hi_w))
             for x, g, h, lo_w, hi_w in self._points
         ]
 
@@ -109,10 +113,10 @@ class SectionPair:
             "grid": [
                 {
                     "x": rat_str(x),
-                    "g": rat_str(g),
-                    "h": rat_str(h),
-                    "g_float": rat_float(g),
-                    "h_float": rat_float(h),
+                    "g": ratio_str(*g),
+                    "h": ratio_str(*h),
+                    "g_float": ratio_float(*g),
+                    "h_float": ratio_float(*h),
                     "min_witness": lo_w,
                     "max_witness": hi_w,
                 }
@@ -128,8 +132,9 @@ def _pair_from_candidates(
     g = pl_min(fs)
     h = pl_max(fs)
     xs = sorted(map(rat, grid))
-    at_g = first_containing([equality_set(f, g) for f in fs], xs)
-    at_h = first_containing([equality_set(f, h) for f in fs], xs)
+    points = grid_pairs(xs)
+    at_g = first_containing([equality_set(f, g) for f in fs], points)
+    at_h = first_containing([equality_set(f, h) for f in fs], points)
     witnesses = {x: (labels[i], labels[j]) for x, i, j in zip(xs, at_g, at_h)}
     return SectionPair(g.to_pw(), h.to_pw(), witnesses)
 

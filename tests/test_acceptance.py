@@ -80,7 +80,8 @@ def test_criterion_2_block_invariants():
                     assert block.value(x, y) == 0
             if in_a:
                 continue
-            n = bump_witness_index(block.alpha(x))
+            a = block.alpha(x)
+            n = bump_witness_index(a.numerator, a.denominator)
             hi = block.value(x, block.beta.point(2 * n - 1))
             lo = block.value(x, block.beta.point(2 * n))
             assert hi == h_blk(x) and lo == g_blk(x)

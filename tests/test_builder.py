@@ -17,6 +17,8 @@ from hahnforge.builder import (
     BlockProductFunc,
     BumpMap,
     SchwartzBlock,
+    SectionEntry,
+    SectionReport,
     bump_witness_index,
     continuity_certificate,
     hahn_block,
@@ -34,13 +36,14 @@ from hahnforge.plalg import (
     RatSet,
     distance_function,
     dominates,
+    grid_pairs,
     pl_equal,
     pl_max,
     pl_min,
     pl_scale,
 )
 from hahnforge.cli import MAX_SAMPLES
-from hahnforge.rational import rat, rat_float, rat_str
+from hahnforge.rational import rat, rat_str, ratio_float
 from hahnforge.sections import INFINITY
 from hahnforge.spaces import Pow2OddSet
 
@@ -123,11 +126,11 @@ class TestKernel:
         assert self.clamped(a, -hi) == 1
 
     def test_witness_index(self):
-        assert bump_witness_index(Fraction(1)) == 1
-        assert bump_witness_index(Fraction(1, 4)) == 4
-        assert bump_witness_index(Fraction(2, 7)) == 3
-        with pytest.raises(ValueError):
-            bump_witness_index(Fraction(0))
+        assert bump_witness_index(1, 1) == 1
+        assert bump_witness_index(1, 4) == 4
+        assert bump_witness_index(2, 7) == 3
+        with pytest.raises(ValueError, match=re.escape("need 0 < a <= 1, got 0")):
+            bump_witness_index(0, 1)
 
 
 class TestBump:
@@ -197,7 +200,8 @@ class TestHahnBlock:
                 if x in a_set:
                     assert block.value(x, block.beta.point(1)) == 0
                     continue
-                n = bump_witness_index(block.alpha(x))
+                a = block.alpha(x)
+                n = bump_witness_index(a.numerator, a.denominator)
                 assert block.value(x, block.beta.point(2 * n - 1)) == h_blk(x)
                 assert block.value(x, block.beta.point(2 * n)) == g_blk(x)
 
@@ -257,7 +261,7 @@ class TestSynthesize:
         f = synthesize(fam)
         grid = dyadic_grid(3)
         j_max = 2 * max(
-            bump_witness_index(b.alpha(x))
+            bump_witness_index(b.alpha(x).numerator, b.alpha(x).denominator)
             for b in f.blocks
             for x in grid
             if b.alpha(x) > 0
@@ -535,7 +539,7 @@ def oracle_pointwise_failures(f: BlockProductFunc, family: StableFamily, grid) -
         if a == 0:
             failures.append(f"x={x}: active block {n} has vanished (alpha=0)")
             continue
-        m = bump_witness_index(a)
+        m = bump_witness_index(a.numerator, a.denominator)
         y_hi, y_lo = block.beta.point(2 * m - 1), block.beta.point(2 * m)
         v_hi, v_lo = oracle_value(f, x, y_hi), oracle_value(f, x, y_lo)
         if v_hi != h_x:
@@ -545,7 +549,7 @@ def oracle_pointwise_failures(f: BlockProductFunc, family: StableFamily, grid) -
         probe_ys = {y_lo, y_hi, 1, 2, 3, 5, 8}
         for other in f.blocks:
             if other.alpha(x) > 0:
-                k = bump_witness_index(other.alpha(x))
+                k = bump_witness_index(other.alpha(x).numerator, other.alpha(x).denominator)
                 probe_ys.update((other.beta.point(2 * k - 1), other.beta.point(2 * k)))
         for y in sorted(probe_ys):
             v = oracle_value(f, x, y)
@@ -630,6 +634,55 @@ def tampered_blocks(f: BlockProductFunc):
 GRID33 = dyadic_grid(5)
 
 
+def fraction_report(f: BlockProductFunc, family: StableFamily, grid) -> SectionReport:
+    """verify_synthesis's report loop in Fraction arithmetic, as it ran
+    before the grid walk kept each value as a reduced pair: per grid x, the
+    active stage by search, the bump index floor(1/alpha(x)), each witness
+    value through the oracle and compared with g(x) and h(x) as Fractions.
+    The exact checks before the loop come from verify_synthesis on an empty
+    grid, which runs no part of the loop."""
+    pair = envelopes(family)
+    failures = list(verify_synthesis(f, family, []).failures)
+    entries = []
+    for x in map(rat, grid):
+        n = next(k for k, s in enumerate(f.stage_sets, start=1) if x in s)
+        block = f.blocks[n - 1]
+        a = block.alpha(x)
+        if a == 0:
+            failures.append(f"x={x}: active block {n} has vanished (alpha=0)")
+            continue
+        m = int(1 / a)
+        y_hi, y_lo = block.beta.point(2 * m - 1), block.beta.point(2 * m)
+        g_x, h_x = pair.g(x), pair.h(x)
+        for name, y, env in (("upper", y_hi, h_x), ("lower", y_lo, g_x)):
+            v = oracle_value(f, x, y)
+            if v != env:
+                failures.append(f"x={x}: f(x, {y})={v} misses the {name} envelope {env}")
+        entries.append(SectionEntry(x, g_x, h_x, y_lo, y_hi))
+    return SectionReport(tuple(entries), tuple(failures))
+
+
+class TestReportLoop:
+    def test_matches_fraction_loop(self):
+        # Every tampered function of SP1 and of 12 random families, on GRID33,
+        # on the ends of the stage sets and on a bare x = 1: the same entries
+        # and the same failure lines, in the same order.
+        rng = random.Random(0)
+        families = [SP1] + [StableFamily(random_family(rng, 5)) for _ in range(12)]
+        checked = missed = vanished = 0
+        for fam in families:
+            f = synthesize(fam)
+            for label, tampered in [("untampered", f), *tampered_blocks(f)]:
+                ends = sorted({q for s in tampered.stage_sets for iv in s.intervals for q in iv})
+                for grid in (GRID33, ends + [1], [1]):
+                    report = verify_synthesis(tampered, fam, grid)
+                    assert report == fraction_report(tampered, fam, grid), label
+                    missed += any("misses" in m for m in report.failures)
+                    vanished += any("vanished" in m for m in report.failures)
+                    checked += 1
+        assert checked > 600 and missed > 0 and vanished > 0
+
+
 class TestSliceEvaluation:
     def families(self, rng: random.Random):
         yield SP1
@@ -647,7 +700,7 @@ class TestSliceEvaluation:
         f = synthesize(StableFamily(random_family(rng, 5)))
         for x in GRID33[::4]:
             s = f.slice(x)
-            assert s.theta == f.value_at_infinity(x) == f.theta(x)
+            assert Fraction(*s.theta) == f.value_at_infinity(x) == f.theta(x)
             assert [s.value(y) for y in range(1, 101)] == [f.value(x, y) for y in range(1, 101)]
 
     @settings(max_examples=300, deadline=None)
@@ -660,7 +713,7 @@ class TestSliceEvaluation:
         ends = sorted({q for s in f.stage_sets for iv in s.intervals for q in iv} | set(GRID33))
         xs = sorted(data.draw(st.lists(st.sampled_from(ends), max_size=4)))
         reads = [data.draw(st.sets(st.integers(0, f.size - 1))) for _ in xs]
-        for x, s in zip(xs, f.slices(xs, reads)):
+        for x, s in zip(xs, f.slices(xs, grid_pairs(xs), reads)):
             one = f.slice(x)
             assert (s.x, s.theta) == (x, one.theta)
             assert [s.value(y) for y in range(1, 101)] == [one.value(y) for y in range(1, 101)]
@@ -685,7 +738,7 @@ class TestSliceEvaluation:
 
     def test_sample_rows_past_float_range(self):
         # Values of about 10**400 with both signs, and values near 0 where
-        # theta vanishes: the float column is rat_float of the exact value,
+        # theta vanishes: the float column is ratio_float of the exact value,
         # which oracle_rows cannot give, as float() overflows.
         big = 10**400
         fam = StableFamily((PLFunc.affine(2 * big, -big), ZERO_F, PLFunc.identity()))
@@ -695,7 +748,7 @@ class TestSliceEvaluation:
         floats = set()
         for x, y, value, value_float in rows:
             v = f.theta(Fraction(x)) if y == INFINITY else oracle_value(f, Fraction(x), int(y))
-            assert (value, value_float) == (rat_str(v), rat_float(v))
+            assert (value, value_float) == (rat_str(v), ratio_float(v.numerator, v.denominator))
             floats.add(value_float)
         assert {"inf", "-inf", "0"} <= floats and len(floats) > 3
 
@@ -749,12 +802,7 @@ class TestSliceEvaluation:
             i, k, upper = where
             alpha, g, h = s.block(i)
             side = h if upper else g
-            pair = slice_value(
-                theta.numerator, theta.denominator,
-                alpha.numerator, alpha.denominator,
-                side.numerator, side.denominator,
-                k,
-            )
+            pair = slice_value(theta.numerator, theta.denominator, *alpha, *side, k)
             assert pair == (v.numerator, v.denominator)
 
     def test_tampered_upper_block_reports_oracle_failures(self):

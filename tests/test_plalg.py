@@ -6,6 +6,7 @@ import random
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 import pytest
@@ -23,6 +24,7 @@ from hahnforge.plalg import (
     dominates,
     equality_set,
     first_containing,
+    grid_pairs,
     pl_abs,
     pl_equal,
     pl_max,
@@ -337,13 +339,30 @@ class TestForwardPasses:
     @given(functions_and_points())
     def test_sample_matches_point_evaluation(self, case):
         f, xs = case
-        assert list(sample(f, xs)) == [f(x) for x in xs]
+        assert [Fraction(*v) for v in sample(f, grid_pairs(xs))] == [f(x) for x in xs]
 
     @BATCH
     @given(jumping_functions_and_points())
     def test_sample_matches_pw_value(self, case):
         f, xs = case
-        assert list(sample(f, xs)) == [f.value(x) for x in xs]
+        assert [Fraction(*v) for v in sample(f, grid_pairs(xs))] == [f.value(x) for x in xs]
+
+    @BATCH
+    @given(st.one_of(functions_and_points(), jumping_functions_and_points()))
+    def test_sample_pairs_are_reduced(self, case):
+        # Every knot or partition point, x = 1 and repeated points included:
+        # each pair is in lowest terms with a positive denominator, and it is
+        # the numerator and denominator of the point value.
+        f, xs = case
+        knots = f.breakpoints if isinstance(f, PLFunc) else f.partition
+        xs = sorted(xs + list(knots) + [Fraction(1)])
+        value = f if isinstance(f, PLFunc) else f.value
+        pairs = list(sample(f, grid_pairs(xs)))
+        assert len(pairs) == len(xs)
+        for x, (num, den) in zip(xs, pairs):
+            assert den > 0 and gcd(num, den) == 1, (x, num, den)
+            v = value(x)
+            assert (num, den) == (v.numerator, v.denominator), x
 
     @BATCH
     @given(functions_and_points(sizes=(4, 64)), st.data())
@@ -356,12 +375,15 @@ class TestForwardPasses:
         message = re.escape(str(point.value))
         assert "outside the domain [0, 1]" in str(point.value)
         with pytest.raises(ValueError, match=message):
-            list(sample(f, sorted(xs + [outside])))
+            list(sample(f, grid_pairs(sorted(xs + [outside]))))
         with pytest.raises(ValueError, match=message):
-            first_containing([FULL_SET], sorted(xs + [outside]))
+            first_containing([FULL_SET], grid_pairs(sorted(xs + [outside])))
         a, b = sorted(data.draw(st.lists(unit_rationals(8), min_size=2, max_size=2, unique=True)))
         falling = sorted(xs + [b]) + [a]
-        for batch in (lambda: list(sample(f, falling)), lambda: first_containing([FULL_SET], falling)):
+        for batch in (
+            lambda: list(sample(f, grid_pairs(falling))),
+            lambda: first_containing([FULL_SET], grid_pairs(falling)),
+        ):
             with pytest.raises(ValueError, match=re.escape(f"arguments must not decrease: {a} after")):
                 batch()
 
@@ -370,7 +392,7 @@ class TestForwardPasses:
     def test_first_containing_matches_definition(self, case):
         sets, xs = case
         expected = [next((i for i, s in enumerate(sets) if x in s), None) for x in xs]
-        assert first_containing(sets, xs) == expected
+        assert first_containing(sets, grid_pairs(xs)) == expected
 
 
 # The grid-and-bisect algebra, kept as the oracle for the integer line kernel:
