@@ -18,8 +18,12 @@ at the crossing (b2*d1 - b1*d2) / (a1*d2 - a2*d1), reduced with one gcd.
 n-ary envelopes fold walks pairwise (divide and conquer) and sums left to
 right, on integer forms; consecutive equal lines merge (``_joined``), so a
 result keeps only 0, 1 and the slope changes as knots, and equal functions
-have equal knots.  Each result becomes a :class:`PLFunc` once, with its
-line form cached.  A grid of non-decreasing xs in [0, 1] is checked once,
+have equal knots.  ``envelope_form``, ``sum_form`` and ``scale_form`` are
+these kernels on forms, so a caller such as the DSL elaborator can chain
+them and build only the last result.  A result becomes a :class:`PLFunc`
+once, with its line form cached; its knots are checked in integers (from
+(0, 1) to (1, 1), strictly increasing), so its Fraction breakpoints are not
+compared again.  A grid of non-decreasing xs in [0, 1] is checked once,
 by ``grid_pairs``, which turns it into reduced pairs (p, q), and evaluated
 by ``sample(f, grid)``: one forward pass that yields each value as a reduced
 (num, den) pair, with a cursor over the knots compared with x in integers
@@ -123,6 +127,12 @@ class PLFunc:
         return _built(((0, 1), (1, 1)), (_line(a, b, d),), (ZERO, ONE))
 
     @staticmethod
+    def from_form(knots: Sequence[Knot], lines: Sequence[Line]) -> "PLFunc":
+        """The function of a form (knots, lines), checked in integers, with
+        the form cached."""
+        return _built(knots, lines)
+
+    @staticmethod
     def from_pairs(pairs: Iterable[tuple[int | str | Fraction, int | str | Fraction]]) -> "PLFunc":
         pts = [(rat(x), rat(v)) for x, v in pairs]
         return PLFunc(tuple(x for x, _ in pts), tuple(v for _, v in pts))
@@ -199,15 +209,29 @@ def _built(
 ) -> PLFunc:
     """The PLFunc of a form, with the form cached on it; the value at each
     knot is read off the line that starts there (the last line at x = 1).
-    A caller whose knots are those of an existing PLFunc passes its
-    breakpoints, so they are not built again."""
+
+    The form is checked in integers, with the messages of PLFunc's own
+    checks: at least two knots and one line fewer, the first knot (0, 1) and
+    the last (1, 1), and p0*q1 < p1*q0 for consecutive knots.  The Fraction
+    breakpoints are then not compared again.  A caller whose knots are those
+    of an existing PLFunc passes its breakpoints, so they are not built again.
+    """
+    if len(knots) < 2 or len(lines) != len(knots) - 1:
+        raise ValueError("need matching breakpoint/value lists of length >= 2")
+    if knots[0] != (0, 1) or knots[-1] != (1, 1):
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    for (p0, q0), (p1, q1) in zip(knots, knots[1:]):
+        if p0 * q1 >= p1 * q0:
+            raise ValueError("breakpoints must be strictly increasing")
     if breakpoints is None:
         breakpoints = tuple(Fraction(p, q) for p, q in knots)
     values = [Fraction(a * p + b * q, d * q) for (p, q), (a, b, d) in zip(knots, lines)]
     (p, q), (a, b, d) = knots[-1], lines[-1]
     values.append(Fraction(a * p + b * q, d * q))
-    f = PLFunc(breakpoints, tuple(values))
-    f.__dict__["line_form"] = (tuple(knots), tuple(lines))
+    f = object.__new__(PLFunc)
+    f.__dict__.update(
+        breakpoints=breakpoints, values=tuple(values), line_form=(tuple(knots), tuple(lines))
+    )
     return f
 
 
@@ -286,28 +310,29 @@ def _crossed(f: Form, g: Form, lower: bool) -> Iterator[tuple[Line, Knot]]:
             yield (l1 if (s_lo + s_hi < 0) == lower else l2), hi
 
 
-def _envelope(fs: Sequence[PLFunc], lower: bool) -> PLFunc:
-    """Exact envelope, folded pairwise (divide and conquer) on integer forms."""
-    if not fs:
+def envelope_form(forms: Sequence[Form], lower: bool) -> Form:
+    """The form of the exact lower (upper, unless lower) envelope of forms,
+    folded pairwise (divide and conquer)."""
+    if not forms:
         raise ValueError("pointwise envelopes need at least one function")
 
     def fold(lo: int, hi: int) -> Form:
         if hi - lo == 1:
-            return fs[lo].line_form
+            return forms[lo]
         mid = (lo + hi) // 2
         return _joined(_crossed(fold(lo, mid), fold(mid, hi), lower))
 
-    if len(fs) == 1:
-        return _built(*_merged(fs[0].line_form))
-    return _built(*fold(0, len(fs)))
+    if len(forms) == 1:
+        return _merged(forms[0])
+    return fold(0, len(forms))
 
 
 def pl_min(fs: Sequence[PLFunc]) -> PLFunc:
-    return _envelope(fs, True)
+    return _built(*envelope_form([f.line_form for f in fs], True))
 
 
 def pl_max(fs: Sequence[PLFunc]) -> PLFunc:
-    return _envelope(fs, False)
+    return _built(*envelope_form([f.line_form for f in fs], False))
 
 
 def _added(f: Form, g: Form) -> Iterator[tuple[Line, Knot]]:
@@ -316,21 +341,30 @@ def _added(f: Form, g: Form) -> Iterator[tuple[Line, Knot]]:
         yield _line(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2), hi
 
 
-def pl_sum(fs: Sequence[PLFunc]) -> PLFunc:
-    if not fs:
+def sum_form(forms: Sequence[Form]) -> Form:
+    """The form of the sum of forms, added left to right."""
+    if not forms:
         raise ValueError("sum needs at least one function")
-    acc: Form = _merged(fs[0].line_form)
-    for f in fs[1:]:
-        acc = _joined(_added(acc, f.line_form))
-    return _built(*acc)
+    acc: Form = _merged(forms[0])
+    for form in forms[1:]:
+        acc = _joined(_added(acc, form))
+    return acc
+
+
+def pl_sum(fs: Sequence[PLFunc]) -> PLFunc:
+    return _built(*sum_form([f.line_form for f in fs]))
+
+
+def scale_form(n: int, m: int, form: Form) -> Form:
+    """The form of (n/m) * f, for m > 0, on the knots of f."""
+    knots, lines = form
+    return knots, [_line(a * n, b * n, d * m) for a, b, d in lines]
 
 
 def pl_scale(c: int | str | Fraction, f: PLFunc) -> PLFunc:
     """c * f on the knots of f."""
     c = rat(c)
-    n, m = c.numerator, c.denominator
-    knots, lines = f.line_form
-    return _built(knots, [_line(a * n, b * n, d * m) for a, b, d in lines], f.breakpoints)
+    return _built(*scale_form(c.numerator, c.denominator, f.line_form), f.breakpoints)
 
 
 def pl_neg(f: PLFunc) -> PLFunc:

@@ -7,8 +7,8 @@ Grammar (one statement per line, ``#`` starts a comment):
     directive := "grid" nat | "limit" expr | "tail" tailrule ["*" expr]
     tailrule  := "0" | rational "/" "n" | rational "*" rational "^" "n"
     expr      := term {("+" | "-") term}
-    term      := unary {"*" unary}
-    unary     := {"-"} primary
+    term      := factor {"*" factor}
+    factor    := {"-"} primary
     primary   := rational | "x" | ident
                | ("min" | "max") "(" expr {"," expr} ")"
                | "abs" "(" expr ")" | "(" expr ")"
@@ -19,23 +19,30 @@ only inside rational literals; violations are reported as non-PL constructs
 rather than plain syntax errors.  Identifiers refer to earlier declarations.
 Every diagnostic carries a 1-based line and column.
 
-Reading a spec is one pass from text to ``PLFunc`` values.  ``tokenize``
-scans each line with one compiled pattern.  The parser keeps, beside the
-tokens, one list of keys (an operator's text, or else the token kind), so
-each lookahead is one list index.  A sum is one ``Sum`` node over its terms,
-a subtracted term stored negated, so a long sum or a run of minus signs costs
-no recursion.  Only parentheses nest: an open ``(`` more than ``MAX_DEPTH``
-(100) deep on a line, and an integer literal longer than ``MAX_DIGITS``
-(1000) digits, are syntax errors; literals are read through ``rational``
-under any digit limit.  A ``grid`` denominator above ``MAX_GRID`` (10,000) is
-a syntax error too.
+Reading a spec is one pass from text to ``PLFunc`` values that builds no
+object it throws away.  The whole text is scanned once, by one compiled
+pattern, into three parallel lists: each token's key (an operator's text,
+or else the token kind), its text and its start offset.  A token's (line,
+col) is computed from its offset only when a diagnostic or ``SpecAST.end``
+needs it; ``tokenize`` gives the same scan as ``Token`` objects.  Each
+lookahead is one list index.  A sum is one ``Sum`` node over its terms, a
+subtracted term stored negated, and a term is one loop over its factors, so
+a long sum, product or run of minus signs costs no recursion.  Literal
+factors multiply as integer (num, den) pairs, so a literal or a scaling
+builds one ``Fraction``.  Only parentheses nest: an open ``(`` more than
+``MAX_DEPTH`` (100) deep on a line, and an integer literal longer than
+``MAX_DIGITS`` (1000) digits, are syntax errors; literals are read through
+``rational`` under any digit limit.  A ``grid`` denominator above
+``MAX_GRID`` (10,000) is a syntax error too.
 
 Elaboration turns expressions into exact ``PLFunc`` values; the declarations,
-in order, form the function family of the spec.  A subtree of literals,
-``x``, sums and scalings is affine: it folds into one reduced integer line
-and is built once, as a two-knot ``PLFunc``.  References, ``min``, ``max``
-and ``abs`` go through the ``plalg`` operations, and a sum of affine and
-other terms calls ``pl_sum`` once, with its affine terms as one line.
+in order, form the function family of the spec.  Each subtree becomes the
+integer form (knots, lines) of ``plalg``, and only a declaration's value is
+built as a ``PLFunc``.  A subtree of literals, ``x``, sums and scalings is
+affine: its form is one reduced integer line.  ``min``, ``max`` and ``abs``
+fold their arguments' forms with the envelope kernel behind ``pl_min`` and
+``pl_max``, and a sum of affine and other terms adds its affine terms as one
+line, with the kernel behind ``pl_sum``.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .pairs import StableFamily
-from .plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum, uniform_grid
+from .plalg import Form, Line, PLFunc, envelope_form, scale_form, sum_form, uniform_grid
 from .rational import int_of
 from .record import field, record
 from .sections import TailFamily
@@ -84,49 +91,82 @@ class Token(NamedTuple):
 
 # One token after optional blanks: a decimal integer (\d is exactly
 # str.isdecimal, what int() reads), a name (\w is exactly isalnum() or "_"),
-# an operator, a comment, or any other non-blank character, an error.  A name
-# must start with a letter or "_", but [^\W\d] also admits digits that are
-# not decimal, such as "²", so its first character is checked after the match.
-# Trailing blanks are cut before a line is scanned, so every scan matches: a
-# failed scan would be retried at each later blank, quadratic in their number.
-_TOKEN = re.compile(r"[ \t\r]*(?:(\d+)|([^\W\d]\w*)|([=+\-*/^(),])|(#)|([^ \t\r]))")
-_INT, _NAME, _OP, _COMMENT = 1, 2, 3, 4
+# an operator, a line break, a comment up to the line break, or any other
+# non-blank character, an error.  A name must start with a letter or "_", but
+# [^\W\d] also admits digits that are not decimal, such as "²", so its first
+# character is checked after the match.  Trailing blanks are cut before the
+# text is scanned, so every scan matches: a failed scan would be retried at
+# each later blank, quadratic in their number.
+_TOKEN = re.compile(r"[ \t\r]*(?:(\d+)|([^\W\d]\w*)|([=+\-*/^(),])|(\n)|(#[^\n]*)|([^ \t\r]))")
+_INT, _NAME, _OP, _NEWLINE, _COMMENT = 1, 2, 3, 4, 5
+
+
+def _where(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, col) of a text offset."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The tokens of the text, in one pass, as three parallel lists: each
+    token's key (an operator's text, or else its kind: INT, NAME, NEWLINE, and
+    EOF last), its text, and its start offset."""
+    keys: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    depth = 0
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r"))):
+        group = m.lastindex
+        tok = m[group]
+        if group == _OP:
+            if tok == "(":
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise SpecError(
+                        f"parentheses nested deeper than {MAX_DEPTH}", *_where(text, m.start(group))
+                    )
+            elif tok == ")" and depth:
+                depth -= 1
+            keys.append(tok)
+        elif group == _NAME and (tok[0].isalpha() or tok[0] == "_"):
+            keys.append("NAME")
+        elif group == _INT:
+            if len(tok) > MAX_DIGITS:
+                raise SpecError(
+                    f"integer literal longer than {MAX_DIGITS} digits", *_where(text, m.start(group))
+                )
+            keys.append("INT")
+        elif group == _NEWLINE:
+            depth = 0
+            keys.append("NEWLINE")
+            tok = ""
+        elif group == _COMMENT:
+            continue
+        else:
+            raise SpecError(f"unexpected character {tok[0]!r}", *_where(text, m.start(group)))
+        texts.append(tok)
+        starts.append(m.start(group))
+    keys.append("EOF")
+    texts.append("")
+    starts.append(len(text))
+    return keys, texts, starts
 
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of each line, scanned by one pattern, then its NEWLINE; EOF last."""
+    """The scan as tokens with positions: each line's tokens, then its
+    NEWLINE; EOF last, where the last line's NEWLINE is."""
+    keys, texts, starts = _scan(text)
     tokens: list[Token] = []
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        depth = 0
-        for m in _TOKEN.finditer(raw.rstrip(" \t\r")):
-            group = m.lastindex
-            if group == _COMMENT:
-                break
-            tok = m[group]
-            col = m.start(group) + 1
-            if group == _INT:
-                if len(tok) > MAX_DIGITS:
-                    raise SpecError(
-                        f"integer literal longer than {MAX_DIGITS} digits", line_no, col
-                    )
-                tokens.append(Token("INT", tok, line_no, col))
-            elif group == _NAME and (tok[0].isalpha() or tok[0] == "_"):
-                tokens.append(Token("NAME", tok, line_no, col))
-            elif group == _OP:
-                if tok == "(":
-                    depth += 1
-                    if depth > MAX_DEPTH:
-                        raise SpecError(
-                            f"parentheses nested deeper than {MAX_DEPTH}", line_no, col
-                        )
-                elif tok == ")":
-                    depth = max(depth - 1, 0)
-                tokens.append(Token("OP", tok, line_no, col))
-            else:
-                raise SpecError(f"unexpected character {tok[0]!r}", line_no, col)
-        tokens.append(Token("NEWLINE", "", line_no, len(raw) + 1))
-    last_line = text[text.rfind("\n") + 1 :]
-    tokens.append(Token("EOF", "", text.count("\n") + 1, len(last_line) + 1))
+    line, line_start = 1, 0
+    for key, tok, start in zip(keys, texts, starts):
+        col = start - line_start + 1
+        if key == "NEWLINE":
+            tokens.append(Token("NEWLINE", "", line, col))
+            line, line_start = line + 1, start + 1
+        elif key == "EOF":
+            tokens += [Token("NEWLINE", "", line, col), Token("EOF", "", line, col)]
+        else:
+            tokens.append(Token(key if key in ("INT", "NAME") else "OP", tok, line, col))
     return tokens
 
 
@@ -204,142 +244,154 @@ class SpecAST:
     end: tuple[int, int] = field(default=(1, 1), compare=False)
 
 
+_MINUS_ONE = Fraction(-1)
+
+
 def _negate(e: Expr) -> Expr:
-    if isinstance(e, Lit):
-        return Lit(-e.value)
+    """-e, for an e that is not a literal."""
     if isinstance(e, Scale):
         return Scale(-e.factor, e.body)
-    return Scale(Fraction(-1), e)
+    return Scale(_MINUS_ONE, e)
 
 
 class _Parser:
-    """Recursive descent over the tokens.  ``keys[i]`` is token i's operator
-    text, or else its kind, so every lookahead is one list index.  EOF is the
-    last token and no lookahead passes it, so no index runs off the list."""
+    """Recursive descent over the scanned token columns.  ``keys[i]`` is
+    token i's operator text, or else its kind, so every lookahead is one list
+    index.  EOF is the last token and no lookahead passes it, so no index runs
+    off the list.  A token's (line, col) is found from its offset only when a
+    diagnostic needs it."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.keys = [tok.text if tok.kind == "OP" else tok.kind for tok in tokens]
+    def __init__(self, text: str):
+        self.text = text
+        self.keys, self.texts, self.starts = _scan(text)
         self.pos = 0
         self.declared: set[str] = set()
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int | None = None, kind: str = "syntax") -> SpecError:
+        """The diagnostic at token ``at``, the current token by default."""
+        offset = self.starts[self.pos if at is None else at]
+        return SpecError(message, *_where(self.text, offset), kind)
 
-    def at(self, key: str, ahead: int = 0) -> bool:
-        """Whether the token ``ahead`` past the current one is the operator
-        ``key``, or of kind ``key``."""
-        return self.keys[self.pos + ahead] == key
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> Token:
+    def expect_op(self, text: str) -> None:
         if self.keys[self.pos] != text:
-            tok = self.peek()
-            raise SpecError(f"expected {text!r}", tok.line, tok.col)
-        return self.advance()
+            raise self.error(f"expected {text!r}")
+        self.pos += 1
 
     def end_line(self) -> None:
         key = self.keys[self.pos]
         if key == "NEWLINE":
             self.pos += 1
         elif key != "EOF":
-            tok = self.peek()
-            raise SpecError(f"unexpected {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"unexpected {self.texts[self.pos]!r}")
 
     # -- expressions --------------------------------------------------------
 
+    def parse_literal(self) -> tuple[int, int]:
+        """The INT token here, over the integer after its "/" if one follows,
+        as (num, den).  "/" belongs to the literal only when an integer
+        denominator follows; otherwise it is left for the caller (tail rules
+        parse "/ n" there, terms report it as a non-PL construct)."""
+        keys, texts, pos = self.keys, self.texts, self.pos
+        num = int_of(texts[pos])
+        if keys[pos + 1] == "/" and keys[pos + 2] == "INT":
+            den = int_of(texts[pos + 2])
+            if den == 0:
+                raise self.error("zero denominator", pos + 2)
+            self.pos = pos + 3
+            return num, den
+        self.pos = pos + 1
+        return num, 1
+
     def parse_rational(self) -> Fraction:
         sign = 1
-        while self.at("-"):
+        while self.keys[self.pos] == "-":
             self.pos += 1
             sign = -sign
-        if not self.at("INT"):
-            tok = self.peek()
-            raise SpecError("expected a rational literal", tok.line, tok.col)
-        num = int_of(self.advance().text)
-        den = 1
-        # "/" belongs to the literal only when an integer denominator follows;
-        # otherwise it is left for the caller (tail rules parse "/ n" there,
-        # expressions report it as a non-PL construct).
-        if self.at("/") and self.at("INT", 1):
-            self.pos += 1
-            den_tok = self.advance()
-            den = int_of(den_tok.text)
-            if den == 0:
-                raise SpecError("zero denominator", den_tok.line, den_tok.col)
+        if self.keys[self.pos] != "INT":
+            raise self.error("expected a rational literal")
+        num, den = self.parse_literal()
         return Fraction(sign * num, den)
 
     def parse_expr(self) -> Expr:
-        terms = [self.parse_term()]
+        term = self.parse_term(False)
         keys = self.keys
-        while (key := keys[self.pos]) == "+" or key == "-":
+        key = keys[self.pos]
+        if key != "+" and key != "-":
+            return term
+        terms = [term]
+        while key == "+" or key == "-":
             self.pos += 1
-            term = self.parse_term()
-            terms.append(_negate(term) if key == "-" else term)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            terms.append(self.parse_term(key == "-"))
+            key = keys[self.pos]
+        return Sum(tuple(terms))
 
-    def parse_term(self) -> Expr:
-        factors = [self.parse_unary()]
+    def parse_term(self, negative: bool) -> Expr:
+        """factor {"*" factor}, negated if ``negative`` (a subtracted term);
+        a factor is a run of minus signs and a primary.  Literal factors, and
+        parenthesized constants, multiply as integers into one constant.  At
+        most one factor may be non-constant: the term is then Scale(constant,
+        that factor), or the factor itself if it is the only one; else it is
+        Lit(constant)."""
         keys = self.keys
-        while (key := keys[self.pos]) == "*":
-            self.pos += 1
-            factors.append(self.parse_unary())
-        if key == "/" or key == "^":
-            tok = self.peek()
-            message = "division outside a rational literal" if key == "/" else "exponentiation"
-            raise SpecError(f"non-PL construct: {message}", tok.line, tok.col, kind="non-pl")
-        if len(factors) == 1:
-            return factors[0]
-        constant = Fraction(1)
+        num = den = 1
         body: Expr | None = None
-        for factor in factors:
-            if isinstance(factor, Lit):
-                constant *= factor.value
-            elif body is None:
-                body = factor
+        factors = 0
+        twice = False
+        while True:
+            factors += 1
+            minus = False
+            while keys[self.pos] == "-":
+                self.pos += 1
+                minus = not minus
+            if keys[self.pos] == "INT":
+                n, d = self.parse_literal()
+                num, den = num * (-n if minus else n), den * d
             else:
-                tok = self.tokens[self.pos - 1]
-                raise SpecError(
-                    "non-PL construct: product of two non-constant expressions",
-                    tok.line,
-                    tok.col,
-                    kind="non-pl",
-                )
-        return Lit(constant) if body is None else Scale(constant, body)
-
-    def parse_unary(self) -> Expr:
-        minus = False
-        while self.keys[self.pos] == "-":
+                factor = self.parse_primary()
+                if isinstance(factor, Lit):
+                    n, d = factor.value.numerator, factor.value.denominator
+                    num, den = num * (-n if minus else n), den * d
+                elif body is None:
+                    body = _negate(factor) if minus else factor
+                else:
+                    twice = True
+            key = keys[self.pos]
+            if key != "*":
+                break
             self.pos += 1
-            minus = not minus
-        primary = self.parse_primary()
-        return _negate(primary) if minus else primary
+        # A "/" or "^" after the term is reported before a second
+        # non-constant factor, which is reported at the term's last token.
+        if key == "/" or key == "^":
+            message = "division outside a rational literal" if key == "/" else "exponentiation"
+            raise self.error(f"non-PL construct: {message}", kind="non-pl")
+        if twice:
+            raise self.error(
+                "non-PL construct: product of two non-constant expressions",
+                self.pos - 1,
+                kind="non-pl",
+            )
+        if body is not None and factors == 1:
+            return _negate(body) if negative else body
+        constant = Fraction(-num if negative else num, den)
+        return Lit(constant) if body is None else Scale(constant, body)
 
     def parse_primary(self) -> Expr:
         key = self.keys[self.pos]
-        if key == "INT":
-            return Lit(self.parse_rational())
         if key == "(":
             self.pos += 1
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        tok = self.peek()
         if key == "NAME":
-            name = tok.text
+            name = self.texts[self.pos]
             if name == "x":
                 self.pos += 1
                 return Var()
-            if name in ("min", "max"):
+            if name == "min" or name == "max":
                 self.pos += 1
                 self.expect_op("(")
                 args = [self.parse_expr()]
-                while self.at(","):
+                while self.keys[self.pos] == ",":
                     self.pos += 1
                     args.append(self.parse_expr())
                 self.expect_op(")")
@@ -351,55 +403,49 @@ class _Parser:
                 self.expect_op(")")
                 return Abs(inner)
             if name in KEYWORDS:
-                raise SpecError(f"keyword {name!r} cannot be used here", tok.line, tok.col)
+                raise self.error(f"keyword {name!r} cannot be used here")
             if name not in self.declared:
-                raise SpecError(
-                    f"undeclared name {name!r}", tok.line, tok.col, kind="undeclared"
-                )
+                raise self.error(f"undeclared name {name!r}", kind="undeclared")
             self.pos += 1
             return Ref(name)
-        raise SpecError("expected an expression", tok.line, tok.col)
+        raise self.error("expected an expression")
 
     # -- statements ---------------------------------------------------------
 
+    def expect_n(self, after: str) -> None:
+        # Only a NAME token's text can be "n".
+        if self.texts[self.pos] != "n":
+            raise self.error(f"expected 'n' after {after!r}")
+        self.pos += 1
+
     def parse_tail_rule(self) -> TailSpec:
-        start = self.peek()
+        start = self.pos
         c = self.parse_rational()
-        rule: TailRule | None = None
-        if self.at("/"):
+        key = self.keys[self.pos]
+        if key == "/":
             self.pos += 1
-            n_tok = self.peek()
-            if n_tok.kind != "NAME" or n_tok.text != "n":
-                raise SpecError("expected 'n' after '/'", n_tok.line, n_tok.col)
-            self.pos += 1
+            self.expect_n("/")
             rule = TailRule.harmonic(c)
-        elif self.at("*") and self._geometric_ahead():
+        elif key == "*" and self._geometric_ahead():
             self.pos += 1
             q = self.parse_rational()
             self.expect_op("^")
-            n_tok = self.peek()
-            if n_tok.kind != "NAME" or n_tok.text != "n":
-                raise SpecError("expected 'n' after '^'", n_tok.line, n_tok.col)
-            self.pos += 1
+            self.expect_n("^")
             if abs(q) >= 1:
-                raise SpecError(
-                    f"geometric ratio {q} must satisfy |q| < 1",
-                    start.line,
-                    start.col,
-                    kind="semantic",
+                raise self.error(
+                    f"geometric ratio {q} must satisfy |q| < 1", start, kind="semantic"
                 )
             rule = TailRule.geometric(c, q)
         elif c == 0:
             rule = TailRule.zero()
         else:
-            raise SpecError(
+            raise self.error(
                 "tail coefficients must converge to 0 (use c/n, c*q^n, or 0)",
-                start.line,
-                start.col,
+                start,
                 kind="semantic",
             )
         shape: Expr | None = None
-        if self.at("*"):
+        if self.keys[self.pos] == "*":
             self.pos += 1
             shape = self.parse_expr()
         return TailSpec(rule, shape)
@@ -423,68 +469,68 @@ class _Parser:
         grid: int | None = None
         limit: Expr | None = None
         tail: TailSpec | None = None
+        keys, texts = self.keys, self.texts
         while True:
-            key = self.keys[self.pos]
+            key = keys[self.pos]
             if key == "EOF":
                 break
             if key == "NEWLINE":
                 self.pos += 1
                 continue
-            tok = self.peek()
             if key != "NAME":
-                raise SpecError("expected a declaration or directive", tok.line, tok.col)
-            if tok.text == "grid":
+                raise self.error("expected a declaration or directive")
+            word = texts[self.pos]
+            if word == "grid":
                 if grid is not None:
-                    raise SpecError("duplicate grid directive", tok.line, tok.col)
+                    raise self.error("duplicate grid directive")
                 self.pos += 1
-                num = self.peek()
-                grid = int_of(num.text) if num.kind == "INT" else 0
+                grid = int_of(texts[self.pos]) if keys[self.pos] == "INT" else 0
                 if grid < 1:
-                    raise SpecError("grid needs a positive integer", num.line, num.col)
+                    raise self.error("grid needs a positive integer")
                 if grid > MAX_GRID:
-                    raise SpecError(f"grid denominator above {MAX_GRID}", num.line, num.col)
+                    raise self.error(f"grid denominator above {MAX_GRID}")
                 self.pos += 1
-            elif tok.text == "limit":
+            elif word == "limit":
                 if limit is not None:
-                    raise SpecError("duplicate limit directive", tok.line, tok.col)
+                    raise self.error("duplicate limit directive")
                 self.pos += 1
                 limit = self.parse_expr()
-            elif tok.text == "tail":
+            elif word == "tail":
                 if tail is not None:
-                    raise SpecError("duplicate tail directive", tok.line, tok.col)
+                    raise self.error("duplicate tail directive")
                 self.pos += 1
                 tail = self.parse_tail_rule()
             else:
-                name = tok.text
-                if name in KEYWORDS:
-                    raise SpecError(
-                        f"keyword {name!r} cannot be declared", tok.line, tok.col
-                    )
-                if name in self.declared:
-                    raise SpecError(f"duplicate declaration {name!r}", tok.line, tok.col)
+                if word in KEYWORDS:
+                    raise self.error(f"keyword {word!r} cannot be declared")
+                if word in self.declared:
+                    raise self.error(f"duplicate declaration {word!r}")
                 self.pos += 1
                 self.expect_op("=")
-                expr = self.parse_expr()
-                decls.append((name, expr))
-                self.declared.add(name)
+                decls.append((word, self.parse_expr()))
+                self.declared.add(word)
             self.end_line()
-        eof = self.tokens[-1]
-        return SpecAST(tuple(decls), grid, limit, tail, (eof.line, eof.col))
+        return SpecAST(tuple(decls), grid, limit, tail, _where(self.text, len(self.text)))
 
 
 def parse_spec(text: str) -> SpecAST:
-    return _Parser(tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 # -- elaboration -------------------------------------------------------------
 
 
-# An affine subtree folds, bottom up, into one line (a, b, d): the map
-# x -> (a*x + b) / d, with d > 0 and gcd(a, b, d) = 1.  It becomes a PLFunc
-# only where a reference, an envelope or abs needs one.  pl_sum returns its
-# result with consecutive equal lines merged, so a sum whose affine terms are
-# folded first has the same knots and values as the sum term by term.
-Line = tuple[int, int, int]
+# Every subtree elaborates, bottom up, to an integer form (knots, lines), as
+# ``plalg`` defines it, and only a declaration's value is built as a PLFunc.
+# A subtree of literals, x, sums and scalings is affine: its form has one
+# line (a, b, d), the map x -> (a*x + b) / d, with d > 0 and gcd(a, b, d) = 1.
+# Envelopes and sums fold forms with the kernels behind pl_min, pl_max and
+# pl_sum, scalings and negations map lines, so each form is the line form of
+# the PLFunc those operations would return.  A sum of forms has only 0, 1
+# and its slope changes as knots, so a sum whose affine terms are added first
+# has the same form as the sum term by term.
+_UNIT = ((0, 1), (1, 1))
+_X: Form = (_UNIT, ((1, 0, 1),))
 
 
 def _reduced(a: int, b: int, d: int) -> Line:
@@ -492,48 +538,43 @@ def _reduced(a: int, b: int, d: int) -> Line:
     return (a // g, b // g, d // g)
 
 
-def _fold(e: Expr, env: dict[str, PLFunc]) -> Line | PLFunc:
-    """The value of e: its line if e is affine, else its PLFunc."""
-    if isinstance(e, Lit):
-        return (0, e.value.numerator, e.value.denominator)
-    if isinstance(e, Var):
-        return (1, 0, 1)
-    if isinstance(e, Ref):
-        return env[e.name]
+def _fold(e: Expr, env: dict[str, PLFunc]) -> Form:
+    """The form of e."""
     if isinstance(e, Sum):
         line: Line | None = None
-        funcs: list[PLFunc] = []
+        forms: list[Form] = []
         for term in e.terms:
-            value = _fold(term, env)
-            if isinstance(value, PLFunc):
-                funcs.append(value)
+            form = _fold(term, env)
+            if len(form[1]) != 1:
+                forms.append(form)
             elif line is None:
-                line = value
+                line = form[1][0]
             else:
-                (a1, b1, d1), (a2, b2, d2) = line, value
+                (a1, b1, d1), (a2, b2, d2) = line, form[1][0]
                 line = _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-        if not funcs:
-            return line
-        return pl_sum(funcs if line is None else [PLFunc.from_line(*line), *funcs])
+        if not forms:
+            return _UNIT, (line,)
+        return sum_form(forms if line is None else [(_UNIT, (line,)), *forms])
     if isinstance(e, Scale):
-        body = _fold(e.body, env)
-        if isinstance(body, PLFunc):
-            return pl_scale(e.factor, body)
-        a, b, d = body
-        n, m = e.factor.numerator, e.factor.denominator
-        return _reduced(a * n, b * n, d * m)
+        return scale_form(e.factor.numerator, e.factor.denominator, _fold(e.body, env))
+    if isinstance(e, Lit):
+        return _UNIT, ((0, e.value.numerator, e.value.denominator),)
+    if isinstance(e, Var):
+        return _X
     if isinstance(e, MinE):
-        return pl_min([elaborate_expr(a, env) for a in e.args])
+        return envelope_form([_fold(a, env) for a in e.args], True)
     if isinstance(e, MaxE):
-        return pl_max([elaborate_expr(a, env) for a in e.args])
+        return envelope_form([_fold(a, env) for a in e.args], False)
+    if isinstance(e, Ref):
+        return env[e.name].line_form
     if isinstance(e, Abs):
-        return pl_abs(elaborate_expr(e.body, env))
+        body = _fold(e.body, env)
+        return envelope_form([body, scale_form(-1, 1, body)], False)
     raise TypeError(f"unknown expression {e!r}")
 
 
 def elaborate_expr(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
-    value = _fold(e, env)
-    return value if isinstance(value, PLFunc) else PLFunc.from_line(*value)
+    return PLFunc.from_form(*_fold(e, env))
 
 
 def elaborate(ast: SpecAST) -> dict[str, PLFunc]:

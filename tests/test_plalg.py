@@ -645,6 +645,41 @@ class TestKernelAtLargeBitSizes:
             assert pl_equal(a, b) == oracle_equal(a, b)
 
 
+class TestBuiltChecks:
+    """A kernel result is checked in integers, with the messages of PLFunc's
+    own checks, and then built without them."""
+
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            ((0, 1),),  # fewer than two knots
+            ((1, 4), (1, 1)),  # not from 0
+            ((0, 1), (3, 4)),  # not to 1
+            ((0, 1), (1, 2), (1, 2), (1, 1)),  # a repeated knot
+            ((0, 1), (2, 3), (1, 3), (1, 1)),  # a decreasing knot
+        ],
+    )
+    def test_rejected_forms(self, knots):
+        lines = [(1, 0, 1)] * (len(knots) - 1)
+        with pytest.raises(ValueError) as checked:
+            PLFunc(tuple(Fraction(p, q) for p, q in knots), (Fraction(0),) * len(knots))
+        with pytest.raises(ValueError) as built:
+            PLFunc.from_form(knots, lines)
+        assert str(built.value) == str(checked.value)
+
+    def test_line_count_must_match(self):
+        for lines in ([], [(1, 0, 1)] * 2):
+            with pytest.raises(ValueError, match="matching breakpoint/value lists"):
+                PLFunc.from_form(((0, 1), (1, 1)), lines)
+
+    @BATCH
+    @given(big_families())
+    def test_results_pass_the_fraction_checks(self, case):
+        fs, c = case
+        for f in (pl_min(fs), pl_max(fs), pl_sum(fs), pl_scale(c, fs[0]), pl_abs(fs[-1])):
+            assert f == PLFunc(f.breakpoints, f.values)
+
+
 INDICATOR_HALF_ONE = PwFunc(
     (Fraction(0), Fraction(1, 2), Fraction(1)),
     ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),

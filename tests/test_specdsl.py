@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import int_str_digits
 from hahnforge.plalg import PLFunc, pl_abs, pl_equal, pl_max, pl_min, pl_scale, pl_sum
 from hahnforge.specdsl import (
+    KEYWORDS,
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_GRID,
@@ -35,7 +36,7 @@ from hahnforge.specdsl import (
     tail_family_from_spec,
     tokenize,
 )
-from hahnforge.rational import rat_str
+from hahnforge.rational import int_of, rat_str
 from hahnforge.tailrules import TailRule
 
 # -- pretty printer ----------------------------------------------------------
@@ -408,8 +409,9 @@ class TestElaboration:
 
 
 # -- oracles -------------------------------------------------------------------
-# The character-by-character tokenizer and the term-by-term elaborator that
-# the scanner and the affine fold replaced, kept to hold them to.
+# The character-by-character tokenizer, the recursive descent over Token
+# objects and the term-by-term elaborator that the scanner, the parser over
+# token columns and the form fold replaced, kept to hold them to.
 
 _OPS = set("=+-*/^(),")
 
@@ -459,6 +461,278 @@ def oracle_tokenize(text: str) -> list[Token]:
     last_line = text[text.rfind("\n") + 1 :]
     tokens.append(Token("EOF", "", text.count("\n") + 1, len(last_line) + 1))
     return tokens
+
+
+def _oracle_negate(e: Expr) -> Expr:
+    if isinstance(e, Lit):
+        return Lit(-e.value)
+    if isinstance(e, Scale):
+        return Scale(-e.factor, e.body)
+    return Scale(Fraction(-1), e)
+
+
+class _OracleParser:
+    """The recursive descent over Token objects that parse_spec replaced:
+    one frame per unary, a Lit per literal factor, a Fraction product per
+    term, and a negated copy per subtracted term."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.keys = [tok.text if tok.kind == "OP" else tok.kind for tok in tokens]
+        self.pos = 0
+        self.declared: set[str] = set()
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def at(self, key: str, ahead: int = 0) -> bool:
+        """Whether the token ``ahead`` past the current one is the operator
+        ``key``, or of kind ``key``."""
+        return self.keys[self.pos + ahead] == key
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect_op(self, text: str) -> Token:
+        if self.keys[self.pos] != text:
+            tok = self.peek()
+            raise SpecError(f"expected {text!r}", tok.line, tok.col)
+        return self.advance()
+
+    def end_line(self) -> None:
+        key = self.keys[self.pos]
+        if key == "NEWLINE":
+            self.pos += 1
+        elif key != "EOF":
+            tok = self.peek()
+            raise SpecError(f"unexpected {tok.text!r}", tok.line, tok.col)
+
+    # -- expressions --------------------------------------------------------
+
+    def parse_rational(self) -> Fraction:
+        sign = 1
+        while self.at("-"):
+            self.pos += 1
+            sign = -sign
+        if not self.at("INT"):
+            tok = self.peek()
+            raise SpecError("expected a rational literal", tok.line, tok.col)
+        num = int_of(self.advance().text)
+        den = 1
+        # "/" belongs to the literal only when an integer denominator follows;
+        # otherwise it is left for the caller (tail rules parse "/ n" there,
+        # expressions report it as a non-PL construct).
+        if self.at("/") and self.at("INT", 1):
+            self.pos += 1
+            den_tok = self.advance()
+            den = int_of(den_tok.text)
+            if den == 0:
+                raise SpecError("zero denominator", den_tok.line, den_tok.col)
+        return Fraction(sign * num, den)
+
+    def parse_expr(self) -> Expr:
+        terms = [self.parse_term()]
+        keys = self.keys
+        while (key := keys[self.pos]) == "+" or key == "-":
+            self.pos += 1
+            term = self.parse_term()
+            terms.append(_oracle_negate(term) if key == "-" else term)
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    def parse_term(self) -> Expr:
+        factors = [self.parse_unary()]
+        keys = self.keys
+        while (key := keys[self.pos]) == "*":
+            self.pos += 1
+            factors.append(self.parse_unary())
+        if key == "/" or key == "^":
+            tok = self.peek()
+            message = "division outside a rational literal" if key == "/" else "exponentiation"
+            raise SpecError(f"non-PL construct: {message}", tok.line, tok.col, kind="non-pl")
+        if len(factors) == 1:
+            return factors[0]
+        constant = Fraction(1)
+        body: Expr | None = None
+        for factor in factors:
+            if isinstance(factor, Lit):
+                constant *= factor.value
+            elif body is None:
+                body = factor
+            else:
+                tok = self.tokens[self.pos - 1]
+                raise SpecError(
+                    "non-PL construct: product of two non-constant expressions",
+                    tok.line,
+                    tok.col,
+                    kind="non-pl",
+                )
+        return Lit(constant) if body is None else Scale(constant, body)
+
+    def parse_unary(self) -> Expr:
+        minus = False
+        while self.keys[self.pos] == "-":
+            self.pos += 1
+            minus = not minus
+        primary = self.parse_primary()
+        return _oracle_negate(primary) if minus else primary
+
+    def parse_primary(self) -> Expr:
+        key = self.keys[self.pos]
+        if key == "INT":
+            return Lit(self.parse_rational())
+        if key == "(":
+            self.pos += 1
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        tok = self.peek()
+        if key == "NAME":
+            name = tok.text
+            if name == "x":
+                self.pos += 1
+                return Var()
+            if name in ("min", "max"):
+                self.pos += 1
+                self.expect_op("(")
+                args = [self.parse_expr()]
+                while self.at(","):
+                    self.pos += 1
+                    args.append(self.parse_expr())
+                self.expect_op(")")
+                return MinE(tuple(args)) if name == "min" else MaxE(tuple(args))
+            if name == "abs":
+                self.pos += 1
+                self.expect_op("(")
+                inner = self.parse_expr()
+                self.expect_op(")")
+                return Abs(inner)
+            if name in KEYWORDS:
+                raise SpecError(f"keyword {name!r} cannot be used here", tok.line, tok.col)
+            if name not in self.declared:
+                raise SpecError(
+                    f"undeclared name {name!r}", tok.line, tok.col, kind="undeclared"
+                )
+            self.pos += 1
+            return Ref(name)
+        raise SpecError("expected an expression", tok.line, tok.col)
+
+    # -- statements ---------------------------------------------------------
+
+    def parse_tail_rule(self) -> TailSpec:
+        start = self.peek()
+        c = self.parse_rational()
+        rule: TailRule | None = None
+        if self.at("/"):
+            self.pos += 1
+            n_tok = self.peek()
+            if n_tok.kind != "NAME" or n_tok.text != "n":
+                raise SpecError("expected 'n' after '/'", n_tok.line, n_tok.col)
+            self.pos += 1
+            rule = TailRule.harmonic(c)
+        elif self.at("*") and self._geometric_ahead():
+            self.pos += 1
+            q = self.parse_rational()
+            self.expect_op("^")
+            n_tok = self.peek()
+            if n_tok.kind != "NAME" or n_tok.text != "n":
+                raise SpecError("expected 'n' after '^'", n_tok.line, n_tok.col)
+            self.pos += 1
+            if abs(q) >= 1:
+                raise SpecError(
+                    f"geometric ratio {q} must satisfy |q| < 1",
+                    start.line,
+                    start.col,
+                    kind="semantic",
+                )
+            rule = TailRule.geometric(c, q)
+        elif c == 0:
+            rule = TailRule.zero()
+        else:
+            raise SpecError(
+                "tail coefficients must converge to 0 (use c/n, c*q^n, or 0)",
+                start.line,
+                start.col,
+                kind="semantic",
+            )
+        shape: Expr | None = None
+        if self.at("*"):
+            self.pos += 1
+            shape = self.parse_expr()
+        return TailSpec(rule, shape)
+
+    def _geometric_ahead(self) -> bool:
+        """After a leading rational and '*': does a ratio of the form q^n follow?"""
+        keys, i = self.keys, self.pos + 1  # the token after '*'
+        while keys[i] == "-":
+            i += 1
+        if keys[i] != "INT":
+            return False
+        i += 1
+        if keys[i] == "/":
+            if keys[i + 1] != "INT":
+                return False
+            i += 2
+        return keys[i] == "^"
+
+    def parse(self) -> SpecAST:
+        decls: list[tuple[str, Expr]] = []
+        grid: int | None = None
+        limit: Expr | None = None
+        tail: TailSpec | None = None
+        while True:
+            key = self.keys[self.pos]
+            if key == "EOF":
+                break
+            if key == "NEWLINE":
+                self.pos += 1
+                continue
+            tok = self.peek()
+            if key != "NAME":
+                raise SpecError("expected a declaration or directive", tok.line, tok.col)
+            if tok.text == "grid":
+                if grid is not None:
+                    raise SpecError("duplicate grid directive", tok.line, tok.col)
+                self.pos += 1
+                num = self.peek()
+                grid = int_of(num.text) if num.kind == "INT" else 0
+                if grid < 1:
+                    raise SpecError("grid needs a positive integer", num.line, num.col)
+                if grid > MAX_GRID:
+                    raise SpecError(f"grid denominator above {MAX_GRID}", num.line, num.col)
+                self.pos += 1
+            elif tok.text == "limit":
+                if limit is not None:
+                    raise SpecError("duplicate limit directive", tok.line, tok.col)
+                self.pos += 1
+                limit = self.parse_expr()
+            elif tok.text == "tail":
+                if tail is not None:
+                    raise SpecError("duplicate tail directive", tok.line, tok.col)
+                self.pos += 1
+                tail = self.parse_tail_rule()
+            else:
+                name = tok.text
+                if name in KEYWORDS:
+                    raise SpecError(
+                        f"keyword {name!r} cannot be declared", tok.line, tok.col
+                    )
+                if name in self.declared:
+                    raise SpecError(f"duplicate declaration {name!r}", tok.line, tok.col)
+                self.pos += 1
+                self.expect_op("=")
+                expr = self.parse_expr()
+                decls.append((name, expr))
+                self.declared.add(name)
+            self.end_line()
+        eof = self.tokens[-1]
+        return SpecAST(tuple(decls), grid, limit, tail, (eof.line, eof.col))
+
+
+def oracle_parse_spec(text: str) -> SpecAST:
+    return _OracleParser(oracle_tokenize(text)).parse()
 
 
 def oracle_elaborate(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
@@ -531,9 +805,57 @@ _TREES = st.recursive(
 )
 
 
+def _ast_or_error(parse, text: str):
+    try:
+        ast = parse(text)
+    except SpecError as exc:
+        return (exc.message, exc.line, exc.col, exc.kind)
+    return ast, ast.end
+
+
+def _spliced(printed: str, piece: str, at: int) -> str:
+    at %= len(printed) + 1
+    return printed[:at] + piece + printed[at:]
+
+
+# Specs that parse: random specs printed back, and declarations of _TREES
+# (with their references declared) whose scale factors reach past
+# MAX_DIGITS.  Specs that do not: runs of _TEXT_PIECES, and printed specs
+# with a piece spliced in anywhere.
+_PRINTED = st.one_of(
+    st.randoms(use_true_random=False).map(lambda rng: pp_spec(random_spec(rng))),
+    _TREES.map(lambda tree: f"m = min(x, 1 - x)\nz = 0 * m\nu1 = {pp_expr(tree)}\n"),
+)
+_SPEC_TEXTS = st.one_of(
+    _PRINTED,
+    st.lists(_TEXT_PIECES, max_size=30).map("".join),
+    st.builds(_spliced, _PRINTED, _TEXT_PIECES, st.integers(0)),
+)
+
+
 class TestOracles:
+    @given(_SPEC_TEXTS)
+    @settings(max_examples=400, deadline=None)
+    # Literal factors fold as the oracle folds them: nested scalings stay
+    # nested, a lone (1 * x) keeps its factor, and a minus run on a
+    # subtracted factor negates twice.
+    @example("u1 = 2 * (3 * x) - (1 * x) + -(2 * x) * -3 - -x - (4)\n")
+    @example("u1 = x * -1/2 * (3) * -(5/7) - 2 * 3\n")
+    # Past the term: "/" and "^" are reported before a second non-constant
+    # factor, which is reported at the term's last token.
+    @example("u1 = x * x / 2\n")
+    @example("u1 = x * 2 * x ^ 2\n")
+    @example("u1 = x * x * 2 + 1\n")
+    # A comment, blanks and no final line break before the end.
+    @example("u1 = x  # c\n\t \n  ")
+    def test_parse_matches_oracle(self, text: str):
+        assert _ast_or_error(parse_spec, text) == _ast_or_error(oracle_parse_spec, text)
+
     @given(st.lists(_TEXT_PIECES, max_size=30).map("".join))
     @settings(max_examples=300, deadline=None)
+    # Depth never goes below 0, and it starts again at 0 on each line.
+    @example(")" + "(" * (MAX_DEPTH + 1))
+    @example("(" * MAX_DEPTH + "\n" + "(" * MAX_DEPTH)
     def test_tokenize_matches_oracle(self, text: str):
         assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracle_tokenize, text)
 
