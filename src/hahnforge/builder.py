@@ -49,14 +49,15 @@ than restate it.  ``phi`` stays the definitional form, and the tests hold
 the kernel to it.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, the
 kernel's pair as a Fraction, and sections and continuity certificates take
 one slice per x.  A grid is not evaluated point by point: its xs are checked
-once (``plalg.grid_pairs``), and ``f.slices(xs, grid, reads)`` builds their
-slices from one forward pass (``plalg.sample``) of theta and of each listed
-block's alpha, g_blk and h_blk over the xs that list it, which yields
-reduced pairs.  So the CSV export samples the blocks its y can reach, and
-the report entries sample each block only where it is the active stage.
-Neither builds a Fraction per sampled value: the CSV export locates each y
-once per call and writes each value from the kernel's integer pair, and the
-report compares each witness value's pair with the envelope's.
+once (``plalg.grid_pairs``), and ``f.slices(grid, reads)`` yields, per x,
+theta and the (alpha, g_blk, h_blk) of each block the x lists, from one
+forward pass (``plalg.sample``) of theta and of each block over the xs that
+list it, all as reduced pairs.  So the CSV export samples the blocks its y
+can reach, and the report entries sample each block only where it is the
+active stage.  Neither builds a Fraction or a slice object per grid point:
+the CSV export locates each y once per call and writes each value from the
+kernel's integer pair, and the report compares each witness value's pair
+with the envelope's and keeps each entry as a row of pairs.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -297,21 +298,22 @@ class BlockProductFunc:
     def slice(self, x: int | str | Fraction) -> "ProductSlice":
         x = rat(x)
         theta = self.theta(x)
-        return ProductSlice(self, x, (theta.numerator, theta.denominator), {})
+        return ProductSlice(self, x, (theta.numerator, theta.denominator))
 
     def slices(
-        self, xs: Sequence[Fraction], grid: Sequence[Pair], reads: Sequence[Collection[int]]
-    ) -> Iterator["ProductSlice"]:
-        """The slices at the xs, in order, from one forward pass per function.
+        self, grid: Sequence[Pair], reads: Sequence[Collection[int]]
+    ) -> Iterator[tuple[Pair, list[tuple[Pair, Pair, Pair]]]]:
+        """(theta, terms) at each point of the grid, in order, from one
+        forward pass per function.
 
         grid holds the xs as ``plalg.grid_pairs`` returns them, checked to be
         non-decreasing and in [0, 1], and reads[k] lists the blocks (0-based)
-        that the k-th slice will read.  theta is sampled over all of the
-        grid, and block i's alpha, g_blk and h_blk over the points whose
-        entry lists i (``plalg.sample``).  The passes run in step with the
-        slices yielded, so no sampled pair is held past its slice.  A block a
-        slice does not list is evaluated at its x when a y first reaches it,
-        as in ``slice``.
+        that the k-th point reads.  theta is sampled over all of the grid,
+        and block i's alpha, g_blk and h_blk over the points whose entry
+        lists i (``plalg.sample``); terms holds the (alpha, g_blk, h_blk)
+        pairs of the listed blocks, in the order listed, which are the
+        fields of ``BlockSlice.at`` at that x.  The passes run in step with
+        the points yielded, so no sampled pair is held past its point.
         """
         at: dict[int, list[Pair]] = {}
         for point, listed in zip(grid, reads):
@@ -321,9 +323,8 @@ class BlockProductFunc:
         for i, points in at.items():
             b = self.blocks[i]
             sampled[i] = zip(sample(b.alpha, points), sample(b.g_blk, points), sample(b.h_blk, points))
-        for x, theta, listed in zip(xs, sample(self.theta, grid), reads):
-            blocks = {i: BlockSlice(*next(sampled[i])) for i in listed}
-            yield ProductSlice(self, x, theta, blocks)
+        for theta, listed in zip(sample(self.theta, grid), reads):
+            yield theta, [next(sampled[i]) for i in listed]
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         return self.slice(x).value(m)
@@ -408,11 +409,9 @@ class BlockProductFunc:
         reach = range(min(self.size, max_y.bit_length()))
         plan = [(int_str(y), self.locate(y)) for y in range(1, max_y + 1)]
         rows = []
-        for s in self.slices(grid, grid_pairs(grid), [reach] * len(grid)):
-            x_str = rat_str(s.x)
-            a, b = s.theta
+        for x, ((a, b), terms) in zip(grid, self.slices(grid_pairs(grid), [reach] * len(grid))):
+            x_str = rat_str(x)
             at_theta = (ratio_str(a, b), ratio_float(a, b))
-            terms = [s.block(i) for i in reach]
             for y_str, where in plan:
                 cells = at_theta
                 if where is not None:
@@ -428,17 +427,15 @@ class BlockProductFunc:
 
 
 class ProductSlice:
-    """f(x, .) for one x: theta(x) as a pair, the BlockSlices given or built
-    so far by block index, and each natural y sent to the one block that
-    owns it, where ``slice_value`` gives f(x, y) as one reduced integer pair."""
+    """f(x, .) for one x: theta(x) as a pair, the BlockSlices built so far by
+    block index, and each natural y sent to the one block that owns it, where
+    ``slice_value`` gives f(x, y) as one reduced integer pair."""
 
-    def __init__(
-        self, f: BlockProductFunc, x: Fraction, theta: Pair, blocks: dict[int, BlockSlice]
-    ):
+    def __init__(self, f: BlockProductFunc, x: Fraction, theta: Pair):
         self.f = f
         self.x = x
         self.theta = theta
-        self._blocks = blocks
+        self._blocks: dict[int, BlockSlice] = {}
 
     def block(self, i: int) -> BlockSlice:
         """The slice of block i (0-based), built at x when first read."""
@@ -559,24 +556,27 @@ class SectionEntry:
     min_witness: Witness
     max_witness: Witness
 
-    def __init__(
-        self, x: Fraction, g: Fraction, h: Fraction, min_witness: Witness, max_witness: Witness
-    ) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "min_witness", min_witness)
-        object.__setattr__(self, "max_witness", max_witness)
+
+# A report entry as verify_synthesis keeps it: (x, g(x), h(x), min_witness,
+# max_witness), with g(x) and h(x) as reduced (num, den) pairs.
+SectionRow = tuple[Fraction, Pair, Pair, Witness, Witness]
 
 
 @record
 class SectionReport:
-    entries: tuple[SectionEntry, ...]
+    rows: tuple[SectionRow, ...]
     failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    @property
+    def entries(self) -> tuple[SectionEntry, ...]:
+        """The rows as SectionEntry records, built on each read."""
+        return tuple(
+            SectionEntry(x, Fraction(*g), Fraction(*h), lo, hi) for x, g, h, lo, hi in self.rows
+        )
 
     def to_json(self) -> dict:
         return {
@@ -584,13 +584,13 @@ class SectionReport:
             "failures": list(self.failures),
             "entries": [
                 {
-                    "x": rat_str(e.x),
-                    "g": rat_str(e.g),
-                    "h": rat_str(e.h),
-                    "min_witness": e.min_witness,
-                    "max_witness": e.max_witness,
+                    "x": rat_str(x),
+                    "g": ratio_str(*g),
+                    "h": ratio_str(*h),
+                    "min_witness": lo,
+                    "max_witness": hi,
                 }
-                for e in self.entries
+                for x, g, h, lo, hi in self.rows
             ],
         }
 
@@ -621,17 +621,19 @@ def verify_synthesis(
 
     The grid, non-decreasing, only sets the report entries: per grid x the
     active stage n, the witnesses y_lo = point(2m) and y_hi = point(2m-1) of
-    block n, and g(x), h(x).  The slice of f at x is evaluated at both
-    witnesses, and a value that misses its envelope is a failure with its x
-    and y.  The grid is checked once (``plalg.grid_pairs``) and walked
-    forward once: g, h and theta are sampled over all of it
-    (``plalg.sample``), the active stages come from one ``first_containing``
-    pass, and block n's alpha, g_blk and h_blk are sampled only at the x
-    where n is active (``f.slices``).  Every sampled value is a reduced
-    pair.  The bump index comes from alpha's pair, each witness value is
-    computed as f computes it (``locate``, then ``slice_value``), and it is
-    compared with the envelope's pair; a Fraction is built only for an
-    entry's g(x) and h(x) and for a failure line.
+    block n, and g(x), h(x).  f(x, .) is evaluated at both witnesses, and a
+    value that misses its envelope is a failure with its x and y.  The grid
+    is checked once (``plalg.grid_pairs``) and walked forward once: g, h and
+    theta are sampled over all of it (``plalg.sample``), the active stages
+    come from one ``first_containing`` pass, and block n's alpha, g_blk and
+    h_blk are sampled only at the x where n is active (``f.slices``).  Every
+    sampled value is a reduced pair.  The bump index comes from alpha's
+    pair, and each witness value is computed as f computes it (``locate``,
+    then ``slice_value`` on the sampled pairs, or on ``BlockSlice.at`` for a
+    block that is not active) and compared with the envelope's pair.  Each
+    entry is kept as the row (x, g(x), h(x), y_lo, y_hi) of pairs, and a
+    Fraction is built only for a failure line; ``SectionReport.entries``
+    builds the SectionEntry records when read.
     """
     pair = envelopes(family)
     g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
@@ -656,24 +658,37 @@ def verify_synthesis(
     xs = [rat(x) for x in grid]
     points = grid_pairs(xs)
     stages = first_containing(f.stage_sets, points)
-    slices = f.slices(xs, points, [(i,) for i in stages])
-    entries: list[SectionEntry] = []
-    for s, g_x, h_x, i in zip(slices, sample(pair.g, points), sample(pair.h, points), stages):
-        x, n = s.x, i + 1
-        block = f.blocks[i]
-        p, q = s.block(i).alpha
+    walk = zip(
+        xs,
+        f.slices(points, [(i,) for i in stages]),
+        sample(pair.g, points),
+        sample(pair.h, points),
+        stages,
+    )
+    rows: list[SectionRow] = []
+    for x, (theta, (term,)), g_x, h_x, i in walk:
+        p, q = term[0]
         if p == 0:
-            failures.append(f"x={rat_text(x)}: active block {n} has vanished (alpha=0)")
+            failures.append(f"x={rat_text(x)}: active block {i + 1} has vanished (alpha=0)")
             continue
         m = bump_witness_index(p, q)
-        y_hi = block.beta.point(2 * m - 1)
-        y_lo = block.beta.point(2 * m)
+        beta = f.blocks[i].beta
+        y_hi = beta.point(2 * m - 1)
+        y_lo = beta.point(2 * m)
         for name, y, env in (("upper", y_hi, h_x), ("lower", y_lo, g_x)):
-            v = s.pair(y)
+            # f(x, y) as ProductSlice.pair computes it, from the sampled
+            # term when y lands in the active block.
+            where = f.locate(y)
+            if where is None:
+                v = theta
+            else:
+                j, k, upper = where
+                alpha, g, h = term if j == i else BlockSlice.at(f.blocks[j], x)
+                v = slice_value(*theta, *alpha, *(h if upper else g), k)
             if v != env:
                 failures.append(
                     f"x={rat_text(x)}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
                     f" misses the {name} envelope {rat_text(Fraction(*env))}"
                 )
-        entries.append(SectionEntry(x, Fraction(*g_x), Fraction(*h_x), y_lo, y_hi))
-    return SectionReport(tuple(entries), tuple(failures))
+        rows.append((x, g_x, h_x, y_lo, y_hi))
+    return SectionReport(tuple(rows), tuple(failures))

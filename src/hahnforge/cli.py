@@ -123,7 +123,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for failure in report.failures:
         print(f"FAIL {failure}")
     print(
-        f"verified {len(report.entries)} grid points: "
+        f"verified {len(report.rows)} grid points: "
         + ("all sections match" if report.passed else f"{len(report.failures)} failures")
     )
     return OK if report.passed else VERIFY_FAILED

@@ -54,7 +54,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .rational import rat, rat_str
+from .rational import rat, rat_str, rat_text
 from .record import record
 
 ZERO = Fraction(0)
@@ -167,7 +167,7 @@ class PLFunc:
     def __call__(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)
         if x < 0 or x > 1:
-            raise ValueError(f"argument {x} outside the domain [0, 1]")
+            raise ValueError(f"argument {rat_text(x)} outside the domain [0, 1]")
         i = bisect_right(self.breakpoints, x) - 1
         if i == len(self.breakpoints) - 1:
             return self.values[-1]
@@ -410,7 +410,9 @@ class RatSet:
         prev_hi: Fraction | None = None
         for lo, hi in intervals:
             if not (0 <= lo <= hi <= 1):
-                raise ValueError(f"component [{lo}, {hi}] is not a closed interval in [0, 1]")
+                raise ValueError(
+                    f"component [{rat_text(lo)}, {rat_text(hi)}] is not a closed interval in [0, 1]"
+                )
             if prev_hi is not None and lo <= prev_hi:
                 raise ValueError("components must be sorted and disjoint")
             prev_hi = hi
@@ -490,9 +492,11 @@ def grid_pairs(xs: Iterable[Fraction]) -> list[Knot]:
     for x in xs:
         p, q = x.numerator, x.denominator
         if p < 0 or p > q:
-            raise ValueError(f"argument {x} outside the domain [0, 1]")
+            raise ValueError(f"argument {rat_text(x)} outside the domain [0, 1]")
         if p * lq < lp * q:
-            raise ValueError(f"arguments must not decrease: {x} after {Fraction(lp, lq)}")
+            raise ValueError(
+                f"arguments must not decrease: {rat_text(x)} after {rat_text(Fraction(lp, lq))}"
+            )
         lp, lq = p, q
         pairs.append((p, q))
     return pairs
@@ -656,7 +660,7 @@ class PwFunc:
     def value(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)
         if x < 0 or x > 1:
-            raise ValueError(f"argument {x} outside the domain [0, 1]")
+            raise ValueError(f"argument {rat_text(x)} outside the domain [0, 1]")
         i = bisect_right(self.partition, x) - 1
         if x == self.partition[i]:
             return self.point_values[i]

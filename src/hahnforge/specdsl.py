@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from .pairs import StableFamily
 from .plalg import Form, Line, PLFunc, envelope_form, scale_form, sum_form, uniform_grid
-from .rational import int_of
+from .rational import int_of, rat_text
 from .record import field, record
 from .sections import TailFamily
 from .tailrules import TailRule
@@ -433,7 +433,7 @@ class _Parser:
             self.expect_n("^")
             if abs(q) >= 1:
                 raise self.error(
-                    f"geometric ratio {q} must satisfy |q| < 1", start, kind="semantic"
+                    f"geometric ratio {rat_text(q)} must satisfy |q| < 1", start, kind="semantic"
                 )
             rule = TailRule.geometric(c, q)
         elif c == 0:

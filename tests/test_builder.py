@@ -18,7 +18,6 @@ from hahnforge.builder import (
     BumpMap,
     SchwartzBlock,
     SectionEntry,
-    SectionReport,
     bump_witness_index,
     continuity_certificate,
     hahn_block,
@@ -41,6 +40,7 @@ from hahnforge.plalg import (
     pl_max,
     pl_min,
     pl_scale,
+    uniform_grid,
 )
 from hahnforge.cli import MAX_SAMPLES
 from hahnforge.rational import rat, rat_str, ratio_float
@@ -338,6 +338,25 @@ class TestVerify:
         for e in report.entries:
             assert e.g == e.h == member(e.x)
 
+    def test_report_loop_builds_no_fraction_per_entry(self, monkeypatch):
+        # The report keeps each entry as integer pairs, so builder builds as
+        # many Fractions for 601 grid points as for 65.
+        f = synthesize(SP1)
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(builder, "Fraction", counting)
+        counts = []
+        for n in (64, 600):
+            made.clear()
+            report = verify_synthesis(f, SP1, uniform_grid(n))
+            assert report.passed and len(report.rows) == n + 1
+            counts.append(len(made))
+        assert counts[0] == counts[1]
+
     def test_report_json(self):
         report = verify_synthesis(synthesize(SP1), SP1, [Fraction(1, 4)])
         data = report.to_json()
@@ -634,13 +653,17 @@ def tampered_blocks(f: BlockProductFunc):
 GRID33 = dyadic_grid(5)
 
 
-def fraction_report(f: BlockProductFunc, family: StableFamily, grid) -> SectionReport:
+def fraction_report(
+    f: BlockProductFunc, family: StableFamily, grid
+) -> tuple[tuple[SectionEntry, ...], tuple[str, ...], dict]:
     """verify_synthesis's report loop in Fraction arithmetic, as it ran
     before the grid walk kept each value as a reduced pair: per grid x, the
     active stage by search, the bump index floor(1/alpha(x)), each witness
     value through the oracle and compared with g(x) and h(x) as Fractions.
     The exact checks before the loop come from verify_synthesis on an empty
-    grid, which runs no part of the loop."""
+    grid, which runs no part of the loop.  Returns the entries, the failure
+    lines and the report's JSON, written from the entries' Fractions with
+    rat_str."""
     pair = envelopes(family)
     failures = list(verify_synthesis(f, family, []).failures)
     entries = []
@@ -659,14 +682,28 @@ def fraction_report(f: BlockProductFunc, family: StableFamily, grid) -> SectionR
             if v != env:
                 failures.append(f"x={x}: f(x, {y})={v} misses the {name} envelope {env}")
         entries.append(SectionEntry(x, g_x, h_x, y_lo, y_hi))
-    return SectionReport(tuple(entries), tuple(failures))
+    data = {
+        "passed": not failures,
+        "failures": failures,
+        "entries": [
+            {
+                "x": rat_str(e.x),
+                "g": rat_str(e.g),
+                "h": rat_str(e.h),
+                "min_witness": e.min_witness,
+                "max_witness": e.max_witness,
+            }
+            for e in entries
+        ],
+    }
+    return tuple(entries), tuple(failures), data
 
 
 class TestReportLoop:
     def test_matches_fraction_loop(self):
         # Every tampered function of SP1 and of 12 random families, on GRID33,
-        # on the ends of the stage sets and on a bare x = 1: the same entries
-        # and the same failure lines, in the same order.
+        # on the ends of the stage sets and on a bare x = 1: the same entries,
+        # the same failure lines and the same JSON, in the same order.
         rng = random.Random(0)
         families = [SP1] + [StableFamily(random_family(rng, 5)) for _ in range(12)]
         checked = missed = vanished = 0
@@ -676,7 +713,10 @@ class TestReportLoop:
                 ends = sorted({q for s in tampered.stage_sets for iv in s.intervals for q in iv})
                 for grid in (GRID33, ends + [1], [1]):
                     report = verify_synthesis(tampered, fam, grid)
-                    assert report == fraction_report(tampered, fam, grid), label
+                    entries, failures, data = fraction_report(tampered, fam, grid)
+                    assert report.entries == entries, label
+                    assert report.failures == failures, label
+                    assert report.to_json() == data, label
                     missed += any("misses" in m for m in report.failures)
                     vanished += any("vanished" in m for m in report.failures)
                     checked += 1
@@ -706,17 +746,20 @@ class TestSliceEvaluation:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_slices_match_slice(self, data):
-        # Slices from one forward pass, at points on the grid and on the ends
-        # of the stage sets, whatever blocks each lists: the same values as
-        # the single-point slice at every y <= 100, which reaches every block.
+        # One forward pass, at points on the grid and on the ends of the
+        # stage sets, whatever blocks each lists: theta and each listed
+        # block's (alpha, g_blk, h_blk), in the order listed, as the
+        # single-point slice builds them.
         f = synthesize(StableFamily(random_family(random.Random(data.draw(st.integers(0, 2**32))), 5)))
         ends = sorted({q for s in f.stage_sets for iv in s.intervals for q in iv} | set(GRID33))
         xs = sorted(data.draw(st.lists(st.sampled_from(ends), max_size=4)))
-        reads = [data.draw(st.sets(st.integers(0, f.size - 1))) for _ in xs]
-        for x, s in zip(xs, f.slices(xs, grid_pairs(xs), reads)):
+        reads = [data.draw(st.lists(st.integers(0, f.size - 1), unique=True)) for _ in xs]
+        walked = list(f.slices(grid_pairs(xs), reads))
+        assert len(walked) == len(xs)
+        for x, listed, (theta, terms) in zip(xs, reads, walked):
             one = f.slice(x)
-            assert (s.x, s.theta) == (x, one.theta)
-            assert [s.value(y) for y in range(1, 101)] == [one.value(y) for y in range(1, 101)]
+            assert theta == one.theta
+            assert terms == [one.block(i) for i in listed]
 
     def test_owner_is_the_unique_support(self):
         # The owner is the block whose support holds y, found by search; no

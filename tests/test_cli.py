@@ -572,6 +572,18 @@ class TestHugeValues:
             first = data["entries"][0]
             assert [len(str(first[key])) for key in ("min_witness", "max_witness")] == [1401, 1401]
 
+    def test_geometric_ratio_past_str_limit_is_a_parse_error(self, tmp_path: Path, capsys):
+        # A ratio |q| >= 1 of 700 digits, past the lowest permitted limit:
+        # exit 2 and one stderr line that prints q in full, no traceback.
+        big = "7" * 700
+        spec = tmp_path / "ratio.hf"
+        spec.write_text(f"u1 = 0\nlimit 0\ntail 1 * {big}^n * (x)\n", encoding="utf-8")
+        with int_str_digits(640):
+            assert main(["sections", str(spec)]) == PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"geometric ratio {big} must satisfy |q| < 1" in err
+        assert err.endswith("[semantic]\n")
+
     @pytest.mark.parametrize("digits", [5000, 10000])
     def test_rat_reads_back_rat_str(self, digits: int):
         n, d = 10**digits - 3, 3 ** (2 * digits)  # both past the limit

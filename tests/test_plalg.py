@@ -12,7 +12,14 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dyadic_grid, random_family, random_plfunc, random_ratset, random_value
+from conftest import (
+    dyadic_grid,
+    int_str_digits,
+    random_family,
+    random_plfunc,
+    random_ratset,
+    random_value,
+)
 from hahnforge.plalg import (
     EMPTY_SET,
     FULL_SET,
@@ -386,6 +393,26 @@ class TestForwardPasses:
         ):
             with pytest.raises(ValueError, match=re.escape(f"arguments must not decrease: {a} after")):
                 batch()
+
+    def test_messages_past_str_limit(self):
+        # Each domain message prints its rationals in full, as str does with
+        # no limit, at the lowest permitted int-to-str limit.
+        tiny, big = Fraction(1, 7**6000), Fraction(7**6000 + 1, 7**6000)
+        f = PLFunc.identity()
+        pw = PwFunc((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(0)),), (Fraction(0),) * 2)
+        cases = [
+            (lambda: grid_pairs([Fraction(1, 2), tiny]), "arguments must not decrease: {} after 1/2", tiny),
+            (lambda: grid_pairs([big]), "argument {} outside the domain [0, 1]", big),
+            (lambda: f(big), "argument {} outside the domain [0, 1]", big),
+            (lambda: pw.value(big), "argument {} outside the domain [0, 1]", big),
+            (lambda: RatSet(((tiny, big),)), "component [{}, {}] is not a closed interval in [0, 1]", tiny, big),
+        ]
+        for call, template, *values in cases:
+            with int_str_digits(0):
+                expected = template.format(*map(str, values))
+            with int_str_digits(640), pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == expected
 
     @BATCH
     @given(ratsets_and_points())

@@ -136,7 +136,7 @@ class _SectionEntry:
 
 @twin(builder.SectionReport)
 class _SectionReport:
-    entries: tuple
+    rows: tuple
     failures: tuple
 
 
@@ -317,7 +317,7 @@ SAMPLES: dict[type, list[tuple]] = {
     builder.SchwartzBlock: [(B0.g_blk, B0.h_blk, B0.alpha, B0.beta), (B1.g_blk, B1.h_blk, B1.alpha, B1.beta)],
     builder.BlockProductFunc: [(SP1_F.blocks, SP1_F.theta), ((B0,), SP1_F.theta), ((B0,), ZERO_F)],
     builder.SectionEntry: [ENTRY, (F(0), F(0), F(0), 1, 2)],
-    builder.SectionReport: [((), ()), ((builder.SectionEntry(*ENTRY),), ("block 1: failure",))],
+    builder.SectionReport: [((), ()), (((F(1, 4), (-1, 4), (0, 1), 30, 31),), ("block 1: failure",))],
     pairs.StableFamily: [((ZERO_F,),), (SP1.members,)],
     pairs.HahnPair: [(SP1, SP1_PAIR.g, SP1_PAIR.h), (StableFamily((X,)), X, X)],
     sections.TailFamily: [
