@@ -404,7 +404,10 @@ class BlockProductFunc:
         Each y is located once per call (``locate``).  Per x, theta and each
         block's alpha, g_blk and h_blk come from the grid walk as pairs, and
         every value is written from its ``slice_value`` pair, with no
-        Fraction built; a value equal to theta reuses theta's cells.
+        Fraction built.  Where alpha or the block side is 0 the value is
+        theta, and the row reuses theta's cells; where both are nonzero the
+        bump term is nonzero, so the value is never theta.  Every cell is a
+        str, as the CLI's CSV writer requires.
         """
         reach = range(min(self.size, max_y.bit_length()))
         plan = [(int_str(y), self.locate(y)) for y in range(1, max_y + 1)]
@@ -418,8 +421,8 @@ class BlockProductFunc:
                     i, k, upper = where
                     (p, q), g, h = terms[i]
                     c, d = h if upper else g
-                    num, den = slice_value(a, b, p, q, c, d, k)
-                    if num != a or den != b:
+                    if p and c:
+                        num, den = slice_value(a, b, p, q, c, d, k)
                         cells = (ratio_str(num, den), ratio_float(num, den))
                 rows.append((x_str, y_str, *cells))
             rows.append((x_str, INFINITY, *at_theta))

@@ -6,6 +6,14 @@ Commands: ``synth`` (build the product function and export JSON/CSV),
 ``sections`` (exact tail sections of a spec with limit/tail directives),
 ``rank`` (scattered rank of an ordinal literal), and ``alphat-demo``.
 
+Output formats: a CSV file (``samples.csv``, ``sections.csv``) is written
+as comma-joined, unquoted fields with "\r\n" line ends, the bytes of the
+``csv`` module's default dialect; a JSON document (``function.json``, the
+``verify`` report, ``sections.json`` and ``sections``' stdout) is written as
+``json.dumps(indent=2)`` writes it, with ints of any length.  Both are built
+from the strings the exporters make, with no per-row or per-leaf call into
+``csv`` or ``json``.
+
 Exit codes: 0 ok, 1 verification failure, 2 parse error (a spec that does
 not parse, is not UTF-8, or an option value the command cannot run with,
 such as a size past ``MAX_GRID``, ``MAX_SAMPLES`` or ``MAX_BRUTE``),
@@ -15,10 +23,11 @@ such as a size past ``MAX_GRID``, ``MAX_SAMPLES`` or ``MAX_BRUTE``),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Sequence
 
 from .alphat import at_baire_one_cocountable, at_is_continuous, at_sections, diag_example
 from .builder import synthesize, verify_synthesis
@@ -38,6 +47,8 @@ OK, VERIFY_FAILED, PARSE_ERROR, IO_ERROR = 0, 1, 2, 3
 # Run time and memory grow with these sizes, so they are bounded like the grid.
 MAX_SAMPLES = 100
 MAX_BRUTE = 10_000
+# Rows per write of a CSV file: one write for every file of up to this many rows.
+CSV_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -63,29 +74,47 @@ def _grid(ast, override: int | None):
     return grid_from_spec(ast, override)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows: Sequence[Sequence[str]]) -> None:
+    """Write the header and rows as text: each line is its fields joined by
+    ",", ending in "\r\n".  These are the bytes of ``csv.writer``'s default
+    dialect, since every field comes from ``int_str``, ``ratio_str``,
+    ``ratio_float``, ``INFINITY`` or ``str`` of a witness natural, so none is
+    empty or holds ",", '"', "\r" or "\n".  A field that is not a ``str``
+    raises TypeError: it is never passed through ``str()``, which stops at
+    Python's int-to-str digit limit.
+
+    The rows are joined and written ``CSV_BLOCK_ROWS`` at a time, so no more
+    than one block's text is held beside the rows."""
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start : start + CSV_BLOCK_ROWS]
+            handle.write("\r\n".join(map(",".join, block)) + "\r\n")
 
 
-def _json_text(data, depth: int = 0) -> str:
-    """json.dumps(data, indent=2) with every int written through int_str: json
-    writes an int with int.__repr__, which stops at Python's int-to-str limit,
-    and a witness natural of a report can pass it."""
+def _json_text(data, indent: str = "") -> str:
+    """json.dumps(data, indent=2) with every int written through int_str:
+    json writes an int with int.__repr__, which stops at Python's int-to-str
+    limit, and a witness natural of a report can pass it.  A str, the bulk of
+    every output, is written inline with json's own C escaper; bools, None
+    and floats go through json.dumps."""
+    if isinstance(data, str):
+        return _quote(data)
     if isinstance(data, int) and not isinstance(data, bool):
         return int_str(data)
     if not isinstance(data, (dict, list)) or not data:
         return json.dumps(data)
+    inner = indent + "  "
     if isinstance(data, dict):
-        items = [json.dumps(k) + ": " + _json_text(v, depth + 1) for k, v in data.items()]
+        items = [
+            _quote(k) + ": " + (_quote(v) if isinstance(v, str) else _json_text(v, inner))
+            for k, v in data.items()
+        ]
+        brackets = "{}"
     else:
-        items = [_json_text(v, depth + 1) for v in data]
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    brackets = "{}" if isinstance(data, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+        items = [_quote(v) if isinstance(v, str) else _json_text(v, inner) for v in data]
+        brackets = "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def _write_json(path: Path, data) -> None:

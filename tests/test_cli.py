@@ -20,10 +20,28 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import int_str_digits
 from hahnforge.builder import BlockProductFunc, SectionReport, synthesize
-from hahnforge.cli import IO_ERROR, MAX_BRUTE, MAX_SAMPLES, OK, PARSE_ERROR, VERIFY_FAILED, main
-from hahnforge.plalg import PLFunc, RatSet, pl_equal
+from hahnforge.cli import (
+    IO_ERROR,
+    MAX_BRUTE,
+    MAX_SAMPLES,
+    OK,
+    PARSE_ERROR,
+    VERIFY_FAILED,
+    _json_text,
+    _write_csv,
+    main,
+)
+from hahnforge.pairs import StableFamily
+from hahnforge.plalg import PLFunc, RatSet, pl_equal, uniform_grid
 from hahnforge.rational import rat, rat_str, rat_text
-from hahnforge.specdsl import MAX_GRID, family_from_spec, parse_spec
+from hahnforge.sections import brute_sections, tail_sections
+from hahnforge.specdsl import (
+    MAX_GRID,
+    family_from_spec,
+    grid_from_spec,
+    parse_spec,
+    tail_family_from_spec,
+)
 
 SP1_TEXT = "u1 = 0\nu2 = x - 1/2\n"
 SECTIONS_TEXT = "u1 = 0\nu2 = x - 1/2\nlimit 0\ntail 1/n * (0 - x)\ngrid 16\n"
@@ -506,6 +524,104 @@ class TestGoldenOutputs:
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == self.SECTIONS_SHA256[name, brute]
 
+    # sections --out of SECTIONS_TEXT, as csv.writer and the per-node JSON
+    # writer wrote it.
+    SECTIONS_OUT_SHA256 = {
+        None: {
+            "sections.json": "b8eda4bce325083ec5bb5feb286a9fa06c48c63071cca39c045fb1ced8753faa",
+            "sections.csv": "03af741724e72326c221ad3fd446ef0b7cfdd041051285eb00fc440a9e4940b9",
+        },
+        "6": {
+            "sections.json": "cec5c05a74775ba579ec204716068d3bc47172343f89fd7f65a5c8229c079397",
+            "sections.csv": "03af741724e72326c221ad3fd446ef0b7cfdd041051285eb00fc440a9e4940b9",
+        },
+    }
+
+    @pytest.mark.parametrize("brute", [None, "6"])
+    def test_sections_files(self, brute: str | None, tmp_path: Path, capsys):
+        spec = tmp_path / "tail.hf"
+        spec.write_text(SECTIONS_TEXT, encoding="utf-8")
+        extra = [] if brute is None else ["--brute", brute]
+        out = tmp_path / "out"
+        assert main(["sections", str(spec), *extra, "--out", str(out)]) == OK
+        digests = {
+            file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in self.SECTIONS_OUT_SHA256[brute]
+        }
+        assert digests == self.SECTIONS_OUT_SHA256[brute]
+        capsys.readouterr()
+        assert main(["sections", str(spec), *extra]) == OK
+        assert (out / "sections.json").read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+# Quotes, backslashes, control characters and non-ASCII text, which the JSON
+# writer escapes as json.dumps does.
+JSON_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\r\t\b\f", "é", " ", "😀", "\ud800"]),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats() | JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_STRINGS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWriters:
+    """The CSV and JSON writers give the bytes of their stdlib counterparts."""
+
+    @staticmethod
+    def stdlib_csv(path: Path, header: list[str], rows) -> None:
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def assert_csv_matches(self, tmp_path: Path, header: list[str], rows) -> None:
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        _write_csv(ours, header, rows)
+        self.stdlib_csv(theirs, header, rows)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("name", ["sp1", "seeded"])
+    @pytest.mark.parametrize("samples", [0, 100])
+    def test_sample_rows_csv(self, name: str, samples: int, tmp_path: Path):
+        ast = parse_spec({"sp1": SP1_TEXT, "seeded": SEEDED_TEXT}[name])
+        f = synthesize(family_from_spec(ast))
+        rows = f.sample_rows(grid_from_spec(ast), samples)
+        self.assert_csv_matches(tmp_path, ["x", "y", "value", "value_float"], rows)
+
+    def test_sample_rows_csv_past_float_range(self, tmp_path: Path):
+        big = 10**400
+        f = synthesize(StableFamily((PLFunc.affine(2 * big, -big), PLFunc.constant(0), PLFunc.identity())))
+        rows = f.sample_rows(uniform_grid(32), MAX_SAMPLES)
+        assert {"inf", "-inf"} <= {row[3] for row in rows}
+        self.assert_csv_matches(tmp_path, ["x", "y", "value", "value_float"], rows)
+
+    @pytest.mark.parametrize("brute", [None, 6])
+    def test_section_rows_csv(self, brute: int | None, tmp_path: Path):
+        ast = parse_spec(SECTIONS_TEXT)
+        family, grid = tail_family_from_spec(ast), grid_from_spec(ast)
+        pair = tail_sections(family, grid) if brute is None else brute_sections(family, brute, grid)[0]
+        self.assert_csv_matches(tmp_path, ["x", "g", "h", "min_witness", "max_witness"], pair.rows())
+
+    @pytest.mark.parametrize("n", [3, 10**5000], ids=["small", "past-str-limit"])
+    def test_csv_field_must_be_str(self, n: int, tmp_path: Path):
+        # csv.writer would write str(n), which stops at the int-to-str limit.
+        with pytest.raises(TypeError):
+            _write_csv(tmp_path / "ints.csv", ["x", "n"], [("0/1", n)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_json_text_is_json_dumps(self, data):
+        assert _json_text(data) == json.dumps(data, indent=2)
+
+    def test_json_int_past_str_limit(self):
+        data = {"entries": [{"x": "0/1", "min_witness": 10**4999 + 7}, []], "passed": True}
+        with int_str_digits(0):
+            expected = json.dumps(data, indent=2)
+        with int_str_digits(640):
+            assert _json_text(data) == expected
 
 
 class TestHugeValues:
