@@ -32,29 +32,27 @@ added back at the end.  Stage envelopes lie between the global envelopes
 everywhere and equal them on F_n.  F_{n-1} = {alpha_n = 0}, so the stored
 form is the blocks and theta.
 
-The result is evaluated one x-slice at a time: ``f.slice(x)`` computes
-theta(x) once and, per block, alpha(x), g_blk(x) and h_blk(x) once, when a y
-first reaches that block, each as a reduced (num, den) pair.  Block n sits
-on Pow2OddSet(n - 1), so each natural y = 2^i (2j - 1) is sent by its 2-adic
-valuation i to block i + 1, the one block that owns it, with bump
-beta(y) = 1/k on the side h_blk for odd j and -1/k on the side g_blk for
-even j, k = ceil(j/2) (``locate``).  The value
-f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) is then one integer
-kernel, ``slice_value``: with theta = a/b, alpha = p/q and side = c/d, it
-forms N = 4|p|qk and D = (pk)^2 + q^2, the clamp N >= D (scale 1) is one
-integer comparison, and (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd.
-The kernel assumes no saturation: it evaluates phi at every y, so the values
-verify_synthesis reads at its witnesses check the saturation lemma rather
-than restate it.  ``phi`` stays the definitional form, and the tests hold
-the kernel to it.  ``f.value(x, y)`` is ``f.slice(x).value(y)``, the
-kernel's pair as a Fraction, and sections and continuity certificates take
-one slice per x.  A grid is not evaluated point by point: its xs are checked
-once (``plalg.grid_pairs``), and ``f.slices(grid, reads)`` yields, per x,
-theta and the (alpha, g_blk, h_blk) of each block the x lists, from one
-forward pass (``plalg.sample``) of theta and of each block over the xs that
-list it, all as reduced pairs.  So the CSV export samples the blocks its y
-can reach, and the report entries sample each block only where it is the
-active stage.  Neither builds a Fraction or a slice object per grid point:
+The result is evaluated by one grid walk.  A grid's xs are checked once
+(``plalg.grid_pairs``), and ``f.slices(grid, reads)`` yields, per x, theta(x)
+and the (alpha, g_blk, h_blk) of each block the x lists, from one forward
+pass (``plalg.sample``) of theta and of each block over the xs that list it,
+all as reduced (num, den) pairs.  Block n sits on Pow2OddSet(n - 1), so each
+natural y = 2^i (2j - 1) is sent by its 2-adic valuation i to block i + 1,
+the one block that owns it, with bump beta(y) = 1/k on the side h_blk for
+odd j and -1/k on the side g_blk for even j, k = ceil(j/2) (``locate``).
+The value f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) is then one
+integer kernel, ``slice_value``: with theta = a/b, alpha = p/q and
+side = c/d, it forms N = 4|p|qk and D = (pk)^2 + q^2, the clamp N >= D
+(scale 1) is one integer comparison, and (a*d*D + c*N*b) / (b*d*D) is
+reduced with one gcd.  The kernel assumes no saturation: it evaluates phi
+at every y, so the values verify_synthesis reads at its witnesses check the
+saturation lemma rather than restate it.  ``phi`` stays the definitional
+form, and the tests hold the kernel to it.  A single x is the one-point
+grid (``f.at``): ``f.value(x, y)`` walks theta and the block that owns y
+there and returns the kernel's pair as a Fraction, and sections and
+continuity certificates walk every block once per x.  The CSV export
+samples the blocks its y can reach, and the report samples each block only
+where it is the active stage.  Neither builds a Fraction per grid point:
 the CSV export locates each y once per call and writes each value from the
 kernel's integer pair, and the report compares each witness value's pair
 with the envelope's and keeps each entry as a row of pairs.
@@ -71,7 +69,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .pairs import StableFamily, envelopes
 from .plalg import (
@@ -193,31 +191,19 @@ class SchwartzBlock:
             if v < 0:
                 raise ValueError(f"upper stage envelope is negative at x={rat_text(x)}")
 
+    def terms(self, grid: Sequence[Pair]) -> Iterator[tuple[Pair, Pair, Pair]]:
+        """(alpha, g_blk, h_blk) at each x of a grid from ``plalg.grid_pairs``,
+        as reduced pairs, from one forward pass of each (``plalg.sample``)."""
+        return zip(sample(self.alpha, grid), sample(self.g_blk, grid), sample(self.h_blk, grid))
+
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         """side(x) * phi(alpha(x), beta(m)): ``slice_value`` with theta = 0."""
         bump = self.beta.bump(m)
         if bump is None:  # off the support: no point value is needed
             return Fraction(0)
         k, upper = bump
-        return Fraction(*BlockSlice.at(self, rat(x)).value((0, 1), k, upper))
-
-
-class BlockSlice(NamedTuple):
-    """One block at a fixed x: alpha(x), g_blk(x) and h_blk(x) as pairs."""
-
-    alpha: Pair
-    g: Pair
-    h: Pair
-
-    @staticmethod
-    def at(block: SchwartzBlock, x: Fraction) -> "BlockSlice":
-        """The block at x, from three point values."""
-        values = (block.alpha(x), block.g_blk(x), block.h_blk(x))
-        return BlockSlice(*((v.numerator, v.denominator) for v in values))
-
-    def value(self, theta: Pair, k: int, upper: bool) -> Pair:
-        """theta + side * phi(alpha, +-1/k), side h if upper else g (``slice_value``)."""
-        return slice_value(*theta, *self.alpha, *(self.h if upper else self.g), k)
+        ((alpha, g, h),) = self.terms(grid_pairs([rat(x)]))
+        return Fraction(*slice_value(0, 1, *alpha, *(h if upper else g), k))
 
 
 def hahn_block(g_blk: PLFunc, h_blk: PLFunc, a: RatSet, support: Pow2OddSet) -> SchwartzBlock:
@@ -295,11 +281,6 @@ class BlockProductFunc:
             return None
         return (i, *self.blocks[i].beta.bump(m))
 
-    def slice(self, x: int | str | Fraction) -> "ProductSlice":
-        x = rat(x)
-        theta = self.theta(x)
-        return ProductSlice(self, x, (theta.numerator, theta.denominator))
-
     def slices(
         self, grid: Sequence[Pair], reads: Sequence[Collection[int]]
     ) -> Iterator[tuple[Pair, list[tuple[Pair, Pair, Pair]]]]:
@@ -311,23 +292,36 @@ class BlockProductFunc:
         that the k-th point reads.  theta is sampled over all of the grid,
         and block i's alpha, g_blk and h_blk over the points whose entry
         lists i (``plalg.sample``); terms holds the (alpha, g_blk, h_blk)
-        pairs of the listed blocks, in the order listed, which are the
-        fields of ``BlockSlice.at`` at that x.  The passes run in step with
-        the points yielded, so no sampled pair is held past its point.
+        pairs of the listed blocks, in the order listed (``SchwartzBlock.terms``).
+        The passes run in step with the points yielded, so no sampled pair
+        is held past its point.
         """
         at: dict[int, list[Pair]] = {}
         for point, listed in zip(grid, reads):
             for i in listed:
                 at.setdefault(i, []).append(point)
-        sampled = {}
-        for i, points in at.items():
-            b = self.blocks[i]
-            sampled[i] = zip(sample(b.alpha, points), sample(b.g_blk, points), sample(b.h_blk, points))
+        sampled = {i: self.blocks[i].terms(points) for i, points in at.items()}
         for theta, listed in zip(sample(self.theta, grid), reads):
             yield theta, [next(sampled[i]) for i in listed]
 
+    def at(
+        self, x: int | str | Fraction, listed: Collection[int]
+    ) -> tuple[Pair, list[tuple[Pair, Pair, Pair]]]:
+        """theta and the listed blocks' terms at the one x: ``slices`` on the
+        one-point grid; a ValueError names an x outside [0, 1]."""
+        (point,) = self.slices(grid_pairs([rat(x)]), [listed])
+        return point
+
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
-        return self.slice(x).value(m)
+        """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m
+        (``locate``), from ``slice_value``; theta(x) if no block owns m."""
+        where = self.locate(m)
+        theta, terms = self.at(x, () if where is None else where[:1])
+        if where is None:
+            return Fraction(*theta)
+        _, k, upper = where
+        ((alpha, g, h),) = terms
+        return Fraction(*slice_value(*theta, *alpha, *(h if upper else g), k))
 
     def value_at_infinity(self, x: int | str | Fraction) -> Fraction:
         return self.theta(x)
@@ -345,13 +339,12 @@ class BlockProductFunc:
         support with both ends attained at its bump-index points; inactive
         blocks and all remaining y contribute the value at infinity.
         """
-        s = self.slice(x)
-        base = Fraction(*s.theta)
+        theta, terms = self.at(x, range(self.size))
+        base = Fraction(*theta)
         lo, hi = base, base
         lo_w: Witness = INFINITY
         hi_w: Witness = INFINITY
-        for i, block in enumerate(self.blocks):
-            alpha, g, h = s.block(i)
+        for block, (alpha, g, h) in zip(self.blocks, terms):
             if alpha[0] == 0:
                 continue
             n = bump_witness_index(*alpha)
@@ -429,38 +422,6 @@ class BlockProductFunc:
         return rows
 
 
-class ProductSlice:
-    """f(x, .) for one x: theta(x) as a pair, the BlockSlices built so far by
-    block index, and each natural y sent to the one block that owns it, where
-    ``slice_value`` gives f(x, y) as one reduced integer pair."""
-
-    def __init__(self, f: BlockProductFunc, x: Fraction, theta: Pair):
-        self.f = f
-        self.x = x
-        self.theta = theta
-        self._blocks: dict[int, BlockSlice] = {}
-
-    def block(self, i: int) -> BlockSlice:
-        """The slice of block i (0-based), built at x when first read."""
-        bs = self._blocks.get(i)
-        if bs is None:
-            bs = self._blocks[i] = BlockSlice.at(self.f.blocks[i], self.x)
-        return bs
-
-    def pair(self, m: int) -> Pair:
-        """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m,
-        the ``slice_value`` pair; theta(x) if no block owns m."""
-        where = self.f.locate(m)
-        if where is None:
-            return self.theta
-        i, k, upper = where
-        return self.block(i).value(self.theta, k, upper)
-
-    def value(self, m: int) -> Fraction:
-        """f(x, m), the Fraction of ``pair``."""
-        return Fraction(*self.pair(m))
-
-
 # The definitional forms of the stage envelopes and stage sets, recomputed
 # from the members for every n; synthesize derives both in one pass, and the
 # tests hold it to these.
@@ -534,10 +495,10 @@ def continuity_certificate(
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    s = f.slice(x)
+    _, terms = f.at(x, range(f.size))
     exceptions: list[int] = []
-    for i, block in enumerate(f.blocks):
-        a, g, h = (Fraction(*v) for v in s.block(i))
+    for block, term in zip(f.blocks, terms):
+        a, g, h = (Fraction(*v) for v in term)
         if a == 0:
             continue
         for magnitude, offset in ((abs(h), -1), (abs(g), 0)):
@@ -549,15 +510,6 @@ def continuity_certificate(
                 if magnitude * phi(a, Fraction(1, k)) >= eps:
                     exceptions.append(block.beta.point(2 * k + offset))
     return tuple(sorted(exceptions))
-
-
-@record
-class SectionEntry:
-    x: Fraction
-    g: Fraction
-    h: Fraction
-    min_witness: Witness
-    max_witness: Witness
 
 
 # A report entry as verify_synthesis keeps it: (x, g(x), h(x), min_witness,
@@ -573,13 +525,6 @@ class SectionReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    @property
-    def entries(self) -> tuple[SectionEntry, ...]:
-        """The rows as SectionEntry records, built on each read."""
-        return tuple(
-            SectionEntry(x, Fraction(*g), Fraction(*h), lo, hi) for x, g, h, lo, hi in self.rows
-        )
 
     def to_json(self) -> dict:
         return {
@@ -630,13 +575,13 @@ def verify_synthesis(
     theta are sampled over all of it (``plalg.sample``), the active stages
     come from one ``first_containing`` pass, and block n's alpha, g_blk and
     h_blk are sampled only at the x where n is active (``f.slices``).  Every
-    sampled value is a reduced pair.  The bump index comes from alpha's
-    pair, and each witness value is computed as f computes it (``locate``,
-    then ``slice_value`` on the sampled pairs, or on ``BlockSlice.at`` for a
-    block that is not active) and compared with the envelope's pair.  Each
-    entry is kept as the row (x, g(x), h(x), y_lo, y_hi) of pairs, and a
-    Fraction is built only for a failure line; ``SectionReport.entries``
-    builds the SectionEntry records when read.
+    sampled value is a reduced pair.  The bump index m comes from alpha's
+    pair, and block n sits on Pow2OddSet(n - 1), so it owns both witnesses,
+    with bump 1/m at y_hi and -1/m at y_lo: each witness value is
+    ``slice_value`` on the sampled pairs, as f computes it, and is compared
+    with the envelope's pair.  Each entry is kept as the row
+    (x, g(x), h(x), y_lo, y_hi) of pairs, and a Fraction is built only for a
+    failure line.
     """
     pair = envelopes(family)
     g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
@@ -669,25 +614,18 @@ def verify_synthesis(
         stages,
     )
     rows: list[SectionRow] = []
-    for x, (theta, (term,)), g_x, h_x, i in walk:
-        p, q = term[0]
-        if p == 0:
+    for x, (theta, ((alpha, g, h),)), g_x, h_x, i in walk:
+        if alpha[0] == 0:
             failures.append(f"x={rat_text(x)}: active block {i + 1} has vanished (alpha=0)")
             continue
-        m = bump_witness_index(p, q)
+        m = bump_witness_index(*alpha)
         beta = f.blocks[i].beta
         y_hi = beta.point(2 * m - 1)
         y_lo = beta.point(2 * m)
-        for name, y, env in (("upper", y_hi, h_x), ("lower", y_lo, g_x)):
-            # f(x, y) as ProductSlice.pair computes it, from the sampled
-            # term when y lands in the active block.
-            where = f.locate(y)
-            if where is None:
-                v = theta
-            else:
-                j, k, upper = where
-                alpha, g, h = term if j == i else BlockSlice.at(f.blocks[j], x)
-                v = slice_value(*theta, *alpha, *(h if upper else g), k)
+        # Block i sits on Pow2OddSet(i), so it owns both witnesses, with bump
+        # 1/m at y_hi and -1/m at y_lo.
+        for name, y, side, env in (("upper", y_hi, h, h_x), ("lower", y_lo, g, g_x)):
+            v = slice_value(*theta, *alpha, *side, m)
             if v != env:
                 failures.append(
                     f"x={rat_text(x)}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"

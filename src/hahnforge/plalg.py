@@ -81,7 +81,7 @@ class Verdict:
         return self.ok
 
 
-def _line(a: int, b: int, d: int) -> Line:
+def reduced_line(a: int, b: int, d: int) -> Line:
     """(a, b, d) in lowest terms, for d > 0."""
     g = gcd(a, b, d)
     return (a // g, b // g, d // g) if g > 1 else (a, b, d)
@@ -119,14 +119,6 @@ class PLFunc:
         return PLFunc((ZERO, ONE), (b, a + b))
 
     @staticmethod
-    def from_line(a: int, b: int, d: int) -> "PLFunc":
-        """x -> (a*x + b) / d for integers with d > 0: two knots, with the
-        line, in lowest terms, cached as its form."""
-        if d <= 0:
-            raise ValueError("a line's denominator must be positive")
-        return _built(((0, 1), (1, 1)), (_line(a, b, d),), (ZERO, ONE))
-
-    @staticmethod
     def from_form(knots: Sequence[Knot], lines: Sequence[Line]) -> "PLFunc":
         """The function of a form (knots, lines), checked in integers, with
         the form cached."""
@@ -149,7 +141,7 @@ class PLFunc:
         knots = tuple((x.numerator, x.denominator) for x in self.breakpoints)
         ends = [(v.numerator, v.denominator) for v in self.values]
         lines = tuple(
-            _line(
+            reduced_line(
                 (n1 * m0 - n0 * m1) * q0 * q1,
                 n0 * m1 * p1 * q0 - n1 * m0 * p0 * q1,
                 m0 * m1 * (p1 * q0 - p0 * q1),
@@ -338,7 +330,7 @@ def pl_max(fs: Sequence[PLFunc]) -> PLFunc:
 def _added(f: Form, g: Form) -> Iterator[tuple[Line, Knot]]:
     """Pieces of f + g: on each cell, the sum of the two lines."""
     for _, hi, (a1, b1, d1), (a2, b2, d2) in _cells(f, g):
-        yield _line(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2), hi
+        yield reduced_line(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2), hi
 
 
 def sum_form(forms: Sequence[Form]) -> Form:
@@ -358,7 +350,7 @@ def pl_sum(fs: Sequence[PLFunc]) -> PLFunc:
 def scale_form(n: int, m: int, form: Form) -> Form:
     """The form of (n/m) * f, for m > 0, on the knots of f."""
     knots, lines = form
-    return knots, [_line(a * n, b * n, d * m) for a, b, d in lines]
+    return knots, [reduced_line(a * n, b * n, d * m) for a, b, d in lines]
 
 
 def pl_scale(c: int | str | Fraction, f: PLFunc) -> PLFunc:
@@ -453,7 +445,7 @@ class RatSet:
                 i += 1
             else:
                 j += 1
-        return RatSet.of(out)
+        return RatSet(tuple(out))
 
 
 EMPTY_SET = RatSet(())
@@ -654,7 +646,7 @@ class PwFunc:
         """(knots, lines) of the partition and the pieces, as for PLFunc."""
         knots = tuple((x.numerator, x.denominator) for x in self.partition)
         ends = [(s.numerator, s.denominator, c.numerator, c.denominator) for s, c in self.pieces]
-        lines = tuple(_line(sn * cd, cn * sd, sd * cd) for sn, sd, cn, cd in ends)
+        lines = tuple(reduced_line(sn * cd, cn * sd, sd * cd) for sn, sd, cn, cd in ends)
         return knots, lines
 
     def value(self, x: int | str | Fraction) -> Fraction:

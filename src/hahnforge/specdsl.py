@@ -49,11 +49,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .pairs import StableFamily
-from .plalg import Form, Line, PLFunc, envelope_form, scale_form, sum_form, uniform_grid
+from .plalg import (
+    Form,
+    Line,
+    PLFunc,
+    envelope_form,
+    reduced_line,
+    scale_form,
+    sum_form,
+    uniform_grid,
+)
 from .rational import int_of, rat_text
 from .record import field, record
 from .sections import TailFamily
@@ -533,11 +541,6 @@ _UNIT = ((0, 1), (1, 1))
 _X: Form = (_UNIT, ((1, 0, 1),))
 
 
-def _reduced(a: int, b: int, d: int) -> Line:
-    g = gcd(a, b, d)
-    return (a // g, b // g, d // g)
-
-
 def _fold(e: Expr, env: dict[str, PLFunc]) -> Form:
     """The form of e."""
     if isinstance(e, Sum):
@@ -551,7 +554,7 @@ def _fold(e: Expr, env: dict[str, PLFunc]) -> Form:
                 line = form[1][0]
             else:
                 (a1, b1, d1), (a2, b2, d2) = line, form[1][0]
-                line = _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+                line = reduced_line(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
         if not forms:
             return _UNIT, (line,)
         return sum_form(forms if line is None else [(_UNIT, (line,)), *forms])

@@ -17,7 +17,7 @@ from hahnforge.builder import (
     BlockProductFunc,
     BumpMap,
     SchwartzBlock,
-    SectionEntry,
+    SectionRow,
     bump_witness_index,
     continuity_certificate,
     hahn_block,
@@ -306,9 +306,9 @@ class TestVerify:
         f = synthesize(SP1)
         report = verify_synthesis(f, SP1, GRID65)
         assert report.passed
-        assert len(report.entries) == 65
-        by_x = {e.x: e for e in report.entries}
-        assert by_x[Fraction(1, 4)].min_witness == 30
+        assert len(report.rows) == 65
+        by_x = {row[0]: row for row in report.rows}
+        assert by_x[Fraction(1, 4)] == (Fraction(1, 4), (-1, 4), (0, 1), 30, 26)
 
     def test_tampered_block_detected(self):
         f = synthesize(SP1)
@@ -335,8 +335,9 @@ class TestVerify:
         fam = StableFamily((member,))
         report = verify_synthesis(synthesize(fam), fam, dyadic_grid(4))
         assert report.passed
-        for e in report.entries:
-            assert e.g == e.h == member(e.x)
+        for x, g, h, _, _ in report.rows:
+            v = member(x)
+            assert g == h == (v.numerator, v.denominator)
 
     def test_report_loop_builds_no_fraction_per_entry(self, monkeypatch):
         # The report keeps each entry as integer pairs, so builder builds as
@@ -509,7 +510,15 @@ def test_active_stage_domain():
     assert [f.active_stage(x) for x in (0, "1/2", 1)] == [2, 1, 2]
     for x in ("2", "-1"):
         message = f"argument {x} outside the domain [0, 1]"
-        for call in (f.active_stage, f.slice):
+        calls = (
+            f.active_stage,
+            f.section_values,
+            lambda x: f.value(x, 1),
+            lambda x: f.value(x, 2**60),
+            lambda x: continuity_certificate(f, x, "1/16"),
+            lambda x: f.blocks[1].value(x, 2),
+        )
+        for call in calls:
             with pytest.raises(ValueError, match=re.escape(message)):
                 call(x)
 
@@ -531,6 +540,10 @@ def oracle_block_value(block, x, y: int) -> Fraction:
 
 def oracle_value(f: BlockProductFunc, x, y: int) -> Fraction:
     return f.theta(x) + sum((oracle_block_value(b, x, y) for b in f.blocks), Fraction(0))
+
+
+def as_pair(v: Fraction) -> tuple[int, int]:
+    return v.numerator, v.denominator
 
 
 def oracle_rows(f: BlockProductFunc, grid, max_y: int):
@@ -655,18 +668,20 @@ GRID33 = dyadic_grid(5)
 
 def fraction_report(
     f: BlockProductFunc, family: StableFamily, grid
-) -> tuple[tuple[SectionEntry, ...], tuple[str, ...], dict]:
+) -> tuple[tuple[SectionRow, ...], tuple[str, ...], dict]:
     """verify_synthesis's report loop in Fraction arithmetic, as it ran
     before the grid walk kept each value as a reduced pair: per grid x, the
     active stage by search, the bump index floor(1/alpha(x)), each witness
     value through the oracle and compared with g(x) and h(x) as Fractions.
     The exact checks before the loop come from verify_synthesis on an empty
-    grid, which runs no part of the loop.  Returns the entries, the failure
-    lines and the report's JSON, written from the entries' Fractions with
+    grid, which runs no part of the loop.  Returns the rows
+    (x, g(x), h(x), y_lo, y_hi), with g(x) and h(x) as reduced pairs, the
+    failure lines and the report's JSON, written from the Fractions with
     rat_str."""
     pair = envelopes(family)
     failures = list(verify_synthesis(f, family, []).failures)
     entries = []
+    rows = []
     for x in map(rat, grid):
         n = next(k for k, s in enumerate(f.stage_sets, start=1) if x in s)
         block = f.blocks[n - 1]
@@ -681,28 +696,29 @@ def fraction_report(
             v = oracle_value(f, x, y)
             if v != env:
                 failures.append(f"x={x}: f(x, {y})={v} misses the {name} envelope {env}")
-        entries.append(SectionEntry(x, g_x, h_x, y_lo, y_hi))
+        entries.append((x, g_x, h_x, y_lo, y_hi))
+        rows.append((x, as_pair(g_x), as_pair(h_x), y_lo, y_hi))
     data = {
         "passed": not failures,
         "failures": failures,
         "entries": [
             {
-                "x": rat_str(e.x),
-                "g": rat_str(e.g),
-                "h": rat_str(e.h),
-                "min_witness": e.min_witness,
-                "max_witness": e.max_witness,
+                "x": rat_str(x),
+                "g": rat_str(g),
+                "h": rat_str(h),
+                "min_witness": lo,
+                "max_witness": hi,
             }
-            for e in entries
+            for x, g, h, lo, hi in entries
         ],
     }
-    return tuple(entries), tuple(failures), data
+    return tuple(rows), tuple(failures), data
 
 
 class TestReportLoop:
     def test_matches_fraction_loop(self):
         # Every tampered function of SP1 and of 12 random families, on GRID33,
-        # on the ends of the stage sets and on a bare x = 1: the same entries,
+        # on the ends of the stage sets and on a bare x = 1: the same rows,
         # the same failure lines and the same JSON, in the same order.
         rng = random.Random(0)
         families = [SP1] + [StableFamily(random_family(rng, 5)) for _ in range(12)]
@@ -713,8 +729,8 @@ class TestReportLoop:
                 ends = sorted({q for s in tampered.stage_sets for iv in s.intervals for q in iv})
                 for grid in (GRID33, ends + [1], [1]):
                     report = verify_synthesis(tampered, fam, grid)
-                    entries, failures, data = fraction_report(tampered, fam, grid)
-                    assert report.entries == entries, label
+                    rows, failures, data = fraction_report(tampered, fam, grid)
+                    assert report.rows == rows, label
                     assert report.failures == failures, label
                     assert report.to_json() == data, label
                     missed += any("misses" in m for m in report.failures)
@@ -737,19 +753,23 @@ class TestSliceEvaluation:
                     assert f.value(x, y) == oracle_value(f, x, y), (x, y)
 
     def test_slice_matches_value(self, rng: random.Random):
+        # f.value is the oracle, and theta plus the sum of the blocks' own
+        # values; with no block owning y it is the value at infinity.
         f = synthesize(StableFamily(random_family(rng, 5)))
-        for x in GRID33[::4]:
-            s = f.slice(x)
-            assert Fraction(*s.theta) == f.value_at_infinity(x) == f.theta(x)
-            assert [s.value(y) for y in range(1, 101)] == [f.value(x, y) for y in range(1, 101)]
+        for x in GRID33[::4] + [Fraction(1, 3)]:
+            assert f.value_at_infinity(x) == f.theta(x) == f.value(x, 2**f.size)
+            for y in range(1, 101):
+                v = f.value(x, y)
+                assert v == oracle_value(f, x, y), (x, y)
+                assert v == f.theta(x) + sum(b.value(x, y) for b in f.blocks), (x, y)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_slices_match_slice(self, data):
         # One forward pass, at points on the grid and on the ends of the
         # stage sets, whatever blocks each lists: theta and each listed
-        # block's (alpha, g_blk, h_blk), in the order listed, as the
-        # single-point slice builds them.
+        # block's (alpha, g_blk, h_blk), in the order listed, as the reduced
+        # pairs of the point values PLFunc.__call__ gives.
         f = synthesize(StableFamily(random_family(random.Random(data.draw(st.integers(0, 2**32))), 5)))
         ends = sorted({q for s in f.stage_sets for iv in s.intervals for q in iv} | set(GRID33))
         xs = sorted(data.draw(st.lists(st.sampled_from(ends), max_size=4)))
@@ -757,9 +777,11 @@ class TestSliceEvaluation:
         walked = list(f.slices(grid_pairs(xs), reads))
         assert len(walked) == len(xs)
         for x, listed, (theta, terms) in zip(xs, reads, walked):
-            one = f.slice(x)
-            assert theta == one.theta
-            assert terms == [one.block(i) for i in listed]
+            assert theta == as_pair(f.theta(x))
+            assert f.at(x, listed) == (theta, terms)
+            for i, term in zip(listed, terms):
+                b = f.blocks[i]
+                assert term == tuple(as_pair(u(x)) for u in (b.alpha, b.g_blk, b.h_blk))
 
     def test_owner_is_the_unique_support(self):
         # The owner is the block whose support holds y, found by search; no
@@ -772,6 +794,17 @@ class TestSliceEvaluation:
             assert f.owner(y) == (holders[0] if holders else None)
         assert [f.owner(y) for y in (0, -1, -2, -64, -(2**100))] == [None] * 5
         assert [f.owner(2**p * k) for p in (6, 7, 100) for k in (1, 3)] == [None] * 6
+
+    def test_witness_points_locate_to_their_block(self, rng: random.Random):
+        # verify_synthesis reads both witness values off the active block:
+        # the (2m-1)-st and (2m)-th points of block i's support locate to
+        # block i with bump 1/m and -1/m.
+        for _ in range(12):
+            f = synthesize(StableFamily(random_family(rng, 6)))
+            for i, block in enumerate(f.blocks):
+                for m in range(1, 65):
+                    assert f.locate(block.beta.point(2 * m - 1)) == (i, m, True)
+                    assert f.locate(block.beta.point(2 * m)) == (i, m, False)
 
     @pytest.mark.parametrize("max_y", [0, 1, 40, MAX_SAMPLES])
     def test_sample_rows_match_oracle(self, max_y: int, rng: random.Random):
@@ -810,7 +843,8 @@ class TestSliceEvaluation:
         # theta, alpha, g_blk and h_blk affine with 4000-bit values, alpha
         # also 0 and 1, a side also 0, and y up to 2**64, also with
         # v2(y) >= the number of blocks: the kernel's pair is the reduced
-        # oracle value, and f.value is its Fraction.
+        # oracle value, and f.value is its Fraction and theta plus the sum
+        # of the blocks' own values.
         big = 2**4000
         values = st.one_of(st.integers(-big, big), self.big_fractions(-big, big))
         unit = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), self.big_fractions(0, 1))
@@ -833,19 +867,19 @@ class TestSliceEvaluation:
             st.builds(lambda v, j: 2**v * (2 * j - 1), st.integers(0, 70), st.integers(1, 2**20)),
             st.builds(lambda v, j: 2**v * (2 * j - 1), st.integers(size, 70), st.integers(1, 2**20)),
         )
-        s = f.slice(x)
         theta = f.theta(x)
         for y in data.draw(st.lists(ys, min_size=1, max_size=6)):
             v = oracle_value(f, x, y)
             assert f.value(x, y) == v
+            assert theta + sum(b.value(x, y) for b in f.blocks) == v
             where = f.locate(y)
             if where is None:
                 assert v == theta
                 continue
             i, k, upper = where
-            alpha, g, h = s.block(i)
-            side = h if upper else g
-            pair = slice_value(theta.numerator, theta.denominator, *alpha, *side, k)
+            b = f.blocks[i]
+            side = b.h_blk(x) if upper else b.g_blk(x)
+            pair = slice_value(*as_pair(theta), *as_pair(b.alpha(x)), *as_pair(side), k)
             assert pair == (v.numerator, v.denominator)
 
     def test_tampered_upper_block_reports_oracle_failures(self):
@@ -903,7 +937,7 @@ class TestExactDecision:
         tampered = BlockProductFunc((f.blocks[0], bad), f.theta)
         assert oracle_grid_failures(tampered, SP1, GRID65) == []
         report = verify_synthesis(tampered, SP1, GRID65)
-        assert report.entries == verify_synthesis(f, SP1, GRID65).entries
+        assert report.rows == verify_synthesis(f, SP1, GRID65).rows
         (failure,) = report.failures
         n, what, x = EXACT_FAILURE.fullmatch(failure).groups()
         x = Fraction(x)

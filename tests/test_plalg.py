@@ -39,6 +39,7 @@ from hahnforge.plalg import (
     pl_neg,
     pl_scale,
     pl_sum,
+    reduced_line,
     sample,
     semicontinuity_check,
     subset,
@@ -134,15 +135,11 @@ class TestAffinePieces:
             assert f == fresh and hash(f) == hash(fresh)
             assert repr(f) == repr(fresh) and f.to_json() == fresh.to_json()
 
-    def test_from_line_caches_the_reduced_line(self):
-        f = PLFunc.from_line(-4, 6, 12)
-        assert f == PLFunc.affine("-1/3", "1/2")
-        assert vars(f)["line_form"] == ((((0, 1), (1, 1)), ((-2, 3, 6),)))
-        assert f.line_form == PLFunc(f.breakpoints, f.values).line_form
-        assert PLFunc.from_line(0, 0, 5).line_form[1] == ((0, 0, 1),)
-        for d in (0, -1):
-            with pytest.raises(ValueError, match="denominator"):
-                PLFunc.from_line(1, 0, d)
+    def test_reduced_line_is_lowest_terms(self):
+        assert reduced_line(-4, 6, 12) == (-2, 3, 6)
+        assert reduced_line(0, 0, 5) == (0, 0, 1)
+        assert reduced_line(3, -5, 7) == (3, -5, 7)
+        assert PLFunc.affine("-1/3", "1/2").line_form[1] == (reduced_line(-4, 6, 12),)
 
 class TestLattice:
     def test_min_breakpoints(self):
@@ -276,6 +273,25 @@ class TestSubset:
             assert v.ok == (a.intersect(b) == a), (a, b)
             if not v.ok:
                 assert v.witness in a and v.witness not in b, (a, b, v)
+
+
+class TestIntersect:
+    def test_matches_membership(self, rng: random.Random):
+        # At every component end and midpoint, and every gap midpoint, of
+        # both sets, x is in the intersection iff it is in both; the result
+        # is already normalized, so RatSet.of leaves it as it is.
+        for _ in range(300):
+            a, b = random_ratset(rng), random_ratset(rng)
+            both = a.intersect(b)
+            probes = {Fraction(0), Fraction(1)}
+            for s in (a, b):
+                ends = [q for iv in s.intervals for q in iv]
+                probes.update(ends)
+                bounds = [Fraction(0), *ends, Fraction(1)]
+                probes.update((lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:]))
+            for x in probes:
+                assert (x in both) == (x in a and x in b), (a, b, x)
+            assert both == RatSet.of(both.intervals), (a, b)
 
 
 # -- forward passes over non-decreasing points, against point evaluation -------

@@ -125,15 +125,6 @@ class _BlockProductFunc:
     __post_init__ = builder.BlockProductFunc.__post_init__
 
 
-@twin(builder.SectionEntry)
-class _SectionEntry:
-    x: Fraction
-    g: Fraction
-    h: Fraction
-    min_witness: Any
-    max_witness: Any
-
-
 @twin(builder.SectionReport)
 class _SectionReport:
     rows: tuple
@@ -307,7 +298,6 @@ class _DiagProductFunc:
 
 # Two or more valid argument tuples per class; the first two differ.
 B0, B1 = SP1_F.blocks
-ENTRY = (F(1, 4), F(-1, 4), F(0), 30, "inf")
 SAMPLES: dict[type, list[tuple]] = {
     plalg.Verdict: [(True,), (False, F(1, 2)), (False, None)],
     plalg.PLFunc: [((F(0), F(1)), (F(0), F(1))), ((F(0), F(1, 2), F(1)), (F(0), F(1), F(0)))],
@@ -316,7 +306,6 @@ SAMPLES: dict[type, list[tuple]] = {
     builder.BumpMap: [(Pow2OddSet(0),), (Pow2OddSet(1),)],
     builder.SchwartzBlock: [(B0.g_blk, B0.h_blk, B0.alpha, B0.beta), (B1.g_blk, B1.h_blk, B1.alpha, B1.beta)],
     builder.BlockProductFunc: [(SP1_F.blocks, SP1_F.theta), ((B0,), SP1_F.theta), ((B0,), ZERO_F)],
-    builder.SectionEntry: [ENTRY, (F(0), F(0), F(0), 1, 2)],
     builder.SectionReport: [((), ()), (((F(1, 4), (-1, 4), (0, 1), 30, 31),), ("block 1: failure",))],
     pairs.StableFamily: [((ZERO_F,),), (SP1.members,)],
     pairs.HahnPair: [(SP1, SP1_PAIR.g, SP1_PAIR.h), (StableFamily((X,)), X, X)],
@@ -424,7 +413,7 @@ def outcome(call) -> tuple:
 
 def test_every_record_class_has_a_twin_and_samples():
     classes = record_classes()
-    assert len(classes) == 34
+    assert len(classes) == 33
     assert set(classes) == set(TWINS) == set(SAMPLES)
 
 
