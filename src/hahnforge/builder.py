@@ -32,8 +32,10 @@ added back at the end.  Stage envelopes lie between the global envelopes
 everywhere and equal them on F_n.  F_{n-1} = {alpha_n = 0}, so the stored
 form is the blocks and theta.
 
-The result is evaluated by one grid walk.  A grid's xs are checked once
-(``plalg.grid_pairs``), and ``f.slices(grid, reads)`` yields, per x, theta(x)
+The result is evaluated by one grid walk.  A grid is the reduced (p, q) of
+each x, non-decreasing in [0, 1], as ``plalg.uniform_grid`` builds it or
+``plalg.grid_pairs`` checks xs that arrive as Fractions, and every walker
+reads it as it is.  ``f.slices(grid, reads)`` yields, per x, theta(x)
 and the (alpha, g_blk, h_blk) of each block the x lists, from one forward
 pass (``plalg.sample``) of theta and of each block over the xs that list it,
 all as reduced (num, den) pairs.  Block n sits on Pow2OddSet(n - 1), so each
@@ -88,9 +90,9 @@ from .plalg import (
     sample,
     subset,
 )
-from .rational import int_str, rat, rat_str, rat_text, ratio_float, ratio_str
+from .rational import int_str, rat, rat_text, ratio_float, ratio_str
 from .record import record
-from .sections import INFINITY, Witness
+from .sections import INFINITY, SectionRow, Witness
 from .spaces import Pow2OddSet
 
 
@@ -192,8 +194,8 @@ class SchwartzBlock:
                 raise ValueError(f"upper stage envelope is negative at x={rat_text(x)}")
 
     def terms(self, grid: Sequence[Pair]) -> Iterator[tuple[Pair, Pair, Pair]]:
-        """(alpha, g_blk, h_blk) at each x of a grid from ``plalg.grid_pairs``,
-        as reduced pairs, from one forward pass of each (``plalg.sample``)."""
+        """(alpha, g_blk, h_blk) at each x of a grid, as reduced pairs, from
+        one forward pass of each (``plalg.sample``)."""
         return zip(sample(self.alpha, grid), sample(self.g_blk, grid), sample(self.h_blk, grid))
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
@@ -287,12 +289,13 @@ class BlockProductFunc:
         """(theta, terms) at each point of the grid, in order, from one
         forward pass per function.
 
-        grid holds the xs as ``plalg.grid_pairs`` returns them, checked to be
-        non-decreasing and in [0, 1], and reads[k] lists the blocks (0-based)
-        that the k-th point reads.  theta is sampled over all of the grid,
-        and block i's alpha, g_blk and h_blk over the points whose entry
-        lists i (``plalg.sample``); terms holds the (alpha, g_blk, h_blk)
-        pairs of the listed blocks, in the order listed (``SchwartzBlock.terms``).
+        grid holds the xs as reduced pairs, non-decreasing and in [0, 1]
+        (``plalg.uniform_grid``, ``plalg.grid_pairs``), and reads[k] lists
+        the blocks (0-based) that the k-th point reads.  theta is sampled
+        over all of the grid, and block i's alpha, g_blk and h_blk over the
+        points whose entry lists i (``plalg.sample``); terms holds the
+        (alpha, g_blk, h_blk) pairs of the listed blocks, in the order listed
+        (``SchwartzBlock.terms``).
         The passes run in step with the points yielded, so no sampled pair
         is held past its point.
         """
@@ -388,25 +391,26 @@ class BlockProductFunc:
         return BlockProductFunc(blocks, PLFunc.from_json(_field(data, "theta")))
 
     def sample_rows(
-        self, grid: Sequence[Fraction], max_y: int
+        self, grid: Sequence[Pair], max_y: int
     ) -> list[tuple[str, str, str, str]]:
-        """(x, y, value, value_float) rows for plotting at the non-decreasing
-        grid; y = "inf" included.  A y <= max_y has v2(y) < max_y.bit_length(),
-        so only the blocks below that index are sampled.
+        """(x, y, value, value_float) rows for plotting at each x of the grid
+        (reduced pairs, non-decreasing in [0, 1]); y = "inf" included.  A
+        y <= max_y has v2(y) < max_y.bit_length(), so only the blocks below
+        that index are sampled.
 
         Each y is located once per call (``locate``).  Per x, theta and each
         block's alpha, g_blk and h_blk come from the grid walk as pairs, and
-        every value is written from its ``slice_value`` pair, with no
-        Fraction built.  Where alpha or the block side is 0 the value is
-        theta, and the row reuses theta's cells; where both are nonzero the
-        bump term is nonzero, so the value is never theta.  Every cell is a
-        str, as the CLI's CSV writer requires.
+        x and every value are written from their pairs, each value's from
+        ``slice_value``, with no Fraction built.  Where alpha or the block
+        side is 0 the value is theta, and the row reuses theta's cells;
+        where both are nonzero the bump term is nonzero, so the value is
+        never theta.  Every cell is a str, as the CLI's CSV writer requires.
         """
         reach = range(min(self.size, max_y.bit_length()))
         plan = [(int_str(y), self.locate(y)) for y in range(1, max_y + 1)]
         rows = []
-        for x, ((a, b), terms) in zip(grid, self.slices(grid_pairs(grid), [reach] * len(grid))):
-            x_str = rat_str(x)
+        for x, ((a, b), terms) in zip(grid, self.slices(grid, [reach] * len(grid))):
+            x_str = ratio_str(*x)
             at_theta = (ratio_str(a, b), ratio_float(a, b))
             for y_str, where in plan:
                 cells = at_theta
@@ -512,11 +516,6 @@ def continuity_certificate(
     return tuple(sorted(exceptions))
 
 
-# A report entry as verify_synthesis keeps it: (x, g(x), h(x), min_witness,
-# max_witness), with g(x) and h(x) as reduced (num, den) pairs.
-SectionRow = tuple[Fraction, Pair, Pair, Witness, Witness]
-
-
 @record
 class SectionReport:
     rows: tuple[SectionRow, ...]
@@ -532,7 +531,7 @@ class SectionReport:
             "failures": list(self.failures),
             "entries": [
                 {
-                    "x": rat_str(x),
+                    "x": ratio_str(*x),
                     "g": ratio_str(*g),
                     "h": ratio_str(*h),
                     "min_witness": lo,
@@ -544,7 +543,7 @@ class SectionReport:
 
 
 def verify_synthesis(
-    f: BlockProductFunc, family: StableFamily, grid: Sequence[Fraction]
+    f: BlockProductFunc, family: StableFamily, grid: Sequence[Pair]
 ) -> SectionReport:
     """Decide that the sections of f equal the family's envelopes at every x.
 
@@ -567,21 +566,22 @@ def verify_synthesis(
     failure names an x witness: the first knot where a bound breaks, or a
     point of the left set outside the right one (see ``plalg.subset``).
 
-    The grid, non-decreasing, only sets the report entries: per grid x the
+    The grid, reduced pairs non-decreasing in [0, 1] (``plalg.uniform_grid``,
+    ``plalg.grid_pairs``), only sets the report entries: per grid x the
     active stage n, the witnesses y_lo = point(2m) and y_hi = point(2m-1) of
     block n, and g(x), h(x).  f(x, .) is evaluated at both witnesses, and a
     value that misses its envelope is a failure with its x and y.  The grid
-    is checked once (``plalg.grid_pairs``) and walked forward once: g, h and
-    theta are sampled over all of it (``plalg.sample``), the active stages
-    come from one ``first_containing`` pass, and block n's alpha, g_blk and
-    h_blk are sampled only at the x where n is active (``f.slices``).  Every
+    is walked forward once, as it is: g, h and theta are sampled over all of
+    it (``plalg.sample``), the active stages come from one
+    ``first_containing`` pass, and block n's alpha, g_blk and h_blk are
+    sampled only at the x where n is active (``f.slices``).  Every
     sampled value is a reduced pair.  The bump index m comes from alpha's
     pair, and block n sits on Pow2OddSet(n - 1), so it owns both witnesses,
     with bump 1/m at y_hi and -1/m at y_lo: each witness value is
     ``slice_value`` on the sampled pairs, as f computes it, and is compared
     with the envelope's pair.  Each entry is kept as the row
-    (x, g(x), h(x), y_lo, y_hi) of pairs, and a Fraction is built only for a
-    failure line.
+    (x, g(x), h(x), y_lo, y_hi), with x, g(x) and h(x) as pairs, and a
+    Fraction is built only for a failure line.
     """
     pair = envelopes(family)
     g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
@@ -603,20 +603,20 @@ def verify_synthesis(
                 f"block {n}: stage envelopes leave the envelopes on F_{n}"
                 f" at x={rat_text(v.witness)}"
             )
-    xs = [rat(x) for x in grid]
-    points = grid_pairs(xs)
-    stages = first_containing(f.stage_sets, points)
+    stages = first_containing(f.stage_sets, grid)
     walk = zip(
-        xs,
-        f.slices(points, [(i,) for i in stages]),
-        sample(pair.g, points),
-        sample(pair.h, points),
+        grid,
+        f.slices(grid, [(i,) for i in stages]),
+        sample(pair.g, grid),
+        sample(pair.h, grid),
         stages,
     )
     rows: list[SectionRow] = []
     for x, (theta, ((alpha, g, h),)), g_x, h_x, i in walk:
         if alpha[0] == 0:
-            failures.append(f"x={rat_text(x)}: active block {i + 1} has vanished (alpha=0)")
+            failures.append(
+                f"x={rat_text(Fraction(*x))}: active block {i + 1} has vanished (alpha=0)"
+            )
             continue
         m = bump_witness_index(*alpha)
         beta = f.blocks[i].beta
@@ -628,7 +628,7 @@ def verify_synthesis(
             v = slice_value(*theta, *alpha, *side, m)
             if v != env:
                 failures.append(
-                    f"x={rat_text(x)}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
+                    f"x={rat_text(Fraction(*x))}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
                     f" misses the {name} envelope {rat_text(Fraction(*env))}"
                 )
         rows.append((x, g_x, h_x, y_lo, y_hi))

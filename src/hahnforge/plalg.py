@@ -23,13 +23,14 @@ these kernels on forms, so a caller such as the DSL elaborator can chain
 them and build only the last result.  A result becomes a :class:`PLFunc`
 once, with its line form cached; its knots are checked in integers (from
 (0, 1) to (1, 1), strictly increasing), so its Fraction breakpoints are not
-compared again.  A grid of non-decreasing xs in [0, 1] is checked once,
-by ``grid_pairs``, which turns it into reduced pairs (p, q), and evaluated
-by ``sample(f, grid)``: one forward pass that yields each value as a reduced
-(num, den) pair, with a cursor over the knots compared with x in integers
-and one gcd per value off a knot; no Fraction is built.  A point value
-``f(x)`` is the single-point oracle: a bisection and the (slope, intercept)
-``pieces`` derived from the lines.
+compared again.  A grid is a list of non-decreasing xs in [0, 1], each a
+reduced pair (p, q) for x = p/q: ``uniform_grid`` builds one, and
+``grid_pairs`` checks xs that arrive as Fractions once and turns them into
+one.  ``sample(f, grid)`` evaluates f on it in one forward pass that yields
+each value as a reduced (num, den) pair, with a cursor over the knots
+compared with x in integers and one gcd per value off a knot; no Fraction
+is built.  A point value ``f(x)`` is the single-point oracle: a bisection
+and the (slope, intercept) ``pieces`` derived from the lines.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -43,7 +44,7 @@ functions and as zero sets of distance functions, and ``subset`` decides
 containment between two of them with a witness point.  ``first_containing``
 is the one "who attains it" rule: over the equality sets {f_i = envelope},
 or over increasing stage sets, the least index whose set holds x, found for
-every x of a grid from ``grid_pairs`` with one cursor per set.
+every x of a grid with one cursor per set.
 """
 
 from __future__ import annotations
@@ -178,9 +179,6 @@ class PLFunc:
 
     def __neg__(self) -> "PLFunc":
         return pl_neg(self)
-
-    def to_pw(self) -> "PwFunc":
-        return PwFunc.from_pl(self)
 
     def to_json(self) -> list[list[str]]:
         return [[rat_str(x), rat_str(v)] for x, v in zip(self.breakpoints, self.values)]
@@ -476,9 +474,10 @@ def subset(a: RatSet, b: RatSet) -> Verdict:
 
 
 def grid_pairs(xs: Iterable[Fraction]) -> list[Knot]:
-    """The reduced (p, q) of each x = p/q, for the forward passes of
-    ``sample`` and ``first_containing``: the xs are checked once, here; a
-    ValueError names the first x outside [0, 1] or below the x before it."""
+    """The grid of xs that arrive as Fractions: the reduced (p, q) of each
+    x = p/q, for the forward passes of ``sample`` and ``first_containing``.
+    The xs are checked once, here; a ValueError names the first x outside
+    [0, 1] or below the x before it."""
     pairs: list[Knot] = []
     lp, lq = 0, 1
     for x in xs:
@@ -496,8 +495,8 @@ def grid_pairs(xs: Iterable[Fraction]) -> list[Knot]:
 
 def sample(f: PLFunc | PwFunc, grid: Iterable[Knot]) -> Iterator[Pair]:
     """Yield f(x) (``f.value(x)`` for a PwFunc) as a reduced (num, den) pair
-    with den > 0, for each x = p/q of a grid from ``grid_pairs``, in one
-    forward pass that holds no values.
+    with den > 0, for each x = p/q of a grid (``uniform_grid``,
+    ``grid_pairs``), in one forward pass that holds no values.
 
     A cursor moves over the knots, each compared with x by integer
     cross-multiplication.  At a knot the pair is the stored value's (the
@@ -525,8 +524,8 @@ def sample(f: PLFunc | PwFunc, grid: Iterable[Knot]) -> Iterator[Pair]:
 
 
 def first_containing(sets: Sequence[RatSet], grid: Iterable[Knot]) -> list[int | None]:
-    """For each x = p/q of a grid from ``grid_pairs``, the least i with x
-    in sets[i], or None if no set holds x.
+    """For each x = p/q of a grid (``uniform_grid``, ``grid_pairs``), the
+    least i with x in sets[i], or None if no set holds x.
 
     Each set keeps a cursor at its first component that does not end before
     the last x that reached it, so every component is passed once over the
@@ -690,8 +689,9 @@ def semicontinuity_check(f: PwFunc, kind: str) -> Verdict:
     return Verdict(True)
 
 
-def uniform_grid(denominator: int) -> list[Fraction]:
-    """The denominator + 1 points k / denominator in [0, 1]."""
+def uniform_grid(denominator: int) -> list[Knot]:
+    """The denominator + 1 points k / denominator of [0, 1] as a grid: the
+    reduced (p, q) that ``grid_pairs`` returns for them, with no Fraction built."""
     if denominator < 1:
         raise ValueError("grid denominator must be positive")
-    return [Fraction(k, denominator) for k in range(denominator + 1)]
+    return [(k // (g := gcd(k, denominator)), denominator // g) for k in range(denominator + 1)]

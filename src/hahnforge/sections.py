@@ -14,7 +14,10 @@ for an alternating ratio).  Hence the exact envelopes over the whole space
 are lattice envelopes of head + limit + the first one or two tail slices.
 
 The witness of g(x) (of h(x)) is the least candidate index, in the order head,
-n+1, n+2, inf, whose equality set with g (with h) holds x.
+n+1, n+2, inf, whose equality set with g (with h) holds x.  Both walkers take
+a grid as ``plalg.uniform_grid`` or ``plalg.grid_pairs`` returns it, reduced
+(p, q) pairs in [0, 1] that do not decrease, and walk it once as it is: one
+row of pairs per grid x, with no Fraction built.
 
 :func:`brute_sections` is the independent twin: it enumerates slices up to a
 cutoff M and certifies the truncation error |coeff(M+1)| * sup|shape|.
@@ -23,28 +26,28 @@ cutoff M and certifies the truncation error |coeff(M+1)| * sup|shape|.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .plalg import (
     PLFunc,
     Pair,
-    PwFunc,
     equality_set,
     first_containing,
-    grid_pairs,
     pl_max,
     pl_min,
     pl_scale,
     pl_sum,
     sample,
 )
-from .rational import rat, rat_str, ratio_float, ratio_str
+from .rational import ratio_float, ratio_str
 from .record import record
 from .tailrules import TailRule
 
 INFINITY = "inf"
 Witness = Union[int, str]
+# A report row: (x, g(x), h(x), min witness, max witness) at one grid x, with
+# x, g(x) and h(x) as reduced (num, den) pairs.
+SectionRow = tuple[Pair, Pair, Pair, Witness, Witness]
 
 
 @record
@@ -78,41 +81,28 @@ class TailFamily:
 
 @record
 class SectionPair:
-    """Exact envelopes of a slice family, with per-grid-point attainment data.
+    """Exact envelopes g, h of a slice family, with one row per grid point.
 
-    ``witnesses`` maps each grid point x to (index attaining the min, index
-    attaining the max); an index is a 1-based natural or "inf" for the point
-    at infinity.
+    ``points`` holds the row (x, g(x), h(x), min witness, max witness) of
+    each grid x, in grid order; a witness is the index attaining the min (the
+    max), a 1-based natural or "inf" for the point at infinity.
     """
 
-    g: PwFunc
-    h: PwFunc
-    witnesses: Mapping[Fraction, tuple[Witness, Witness]]
-
-    @cached_property
-    def _points(self) -> tuple[tuple[Fraction, Pair, Pair, Witness, Witness], ...]:
-        """(x, g(x), h(x), min witness, max witness) per grid point, in order,
-        with g(x) and h(x) as reduced (num, den) pairs: one forward pass over
-        g and h (``plalg.sample``), computed once, as ``rows`` and
-        ``to_json`` both read it."""
-        xs = sorted(self.witnesses)
-        grid = grid_pairs(xs)
-        return tuple(
-            (x, gx, hx, *self.witnesses[x])
-            for x, gx, hx in zip(xs, sample(self.g, grid), sample(self.h, grid))
-        )
+    g: PLFunc
+    h: PLFunc
+    points: tuple[SectionRow, ...]
 
     def rows(self) -> list[tuple[str, str, str, str, str]]:
         return [
-            (rat_str(x), ratio_str(*g), ratio_str(*h), str(lo_w), str(hi_w))
-            for x, g, h, lo_w, hi_w in self._points
+            (ratio_str(*x), ratio_str(*g), ratio_str(*h), str(lo_w), str(hi_w))
+            for x, g, h, lo_w, hi_w in self.points
         ]
 
     def to_json(self) -> dict:
         return {
             "grid": [
                 {
-                    "x": rat_str(x),
+                    "x": ratio_str(*x),
                     "g": ratio_str(*g),
                     "h": ratio_str(*h),
                     "g_float": ratio_float(*g),
@@ -120,26 +110,30 @@ class SectionPair:
                     "min_witness": lo_w,
                     "max_witness": hi_w,
                 }
-                for x, g, h, lo_w, hi_w in self._points
+                for x, g, h, lo_w, hi_w in self.points
             ]
         }
 
 
 def _pair_from_candidates(
-    candidates: Sequence[tuple[Witness, PLFunc]], grid: Sequence[Fraction]
+    candidates: Sequence[tuple[Witness, PLFunc]], grid: Sequence[Pair]
 ) -> SectionPair:
+    """The envelopes of the candidates and their rows, from one walk of the
+    grid: g and h are sampled once each (``plalg.sample``), and each
+    witness comes from one ``first_containing`` pass per envelope."""
     labels, fs = zip(*candidates)
     g = pl_min(fs)
     h = pl_max(fs)
-    xs = sorted(map(rat, grid))
-    points = grid_pairs(xs)
-    at_g = first_containing([equality_set(f, g) for f in fs], points)
-    at_h = first_containing([equality_set(f, h) for f in fs], points)
-    witnesses = {x: (labels[i], labels[j]) for x, i, j in zip(xs, at_g, at_h)}
-    return SectionPair(g.to_pw(), h.to_pw(), witnesses)
+    at_g = first_containing([equality_set(f, g) for f in fs], grid)
+    at_h = first_containing([equality_set(f, h) for f in fs], grid)
+    points = tuple(
+        (x, gx, hx, labels[i], labels[j])
+        for x, gx, hx, i, j in zip(grid, sample(g, grid), sample(h, grid), at_g, at_h)
+    )
+    return SectionPair(g, h, points)
 
 
-def tail_sections(family: TailFamily, grid: Sequence[Fraction]) -> SectionPair:
+def tail_sections(family: TailFamily, grid: Sequence[Pair]) -> SectionPair:
     """Exact extremal sections over all of alphaN.
 
     Candidate slices: the head, the limit (the value at infinity), and the
@@ -158,7 +152,7 @@ def tail_sections(family: TailFamily, grid: Sequence[Fraction]) -> SectionPair:
 
 
 def brute_sections(
-    family: TailFamily, m: int, grid: Sequence[Fraction]
+    family: TailFamily, m: int, grid: Sequence[Pair]
 ) -> tuple[SectionPair, Fraction]:
     """Envelopes over the slices up to index m plus infinity, with error bound.
 

@@ -21,16 +21,15 @@ Every diagnostic carries a 1-based line and column.
 
 Reading a spec is one pass from text to ``PLFunc`` values that builds no
 object it throws away.  The whole text is scanned once, by one compiled
-pattern, into three parallel lists: each token's key (an operator's text,
-or else the token kind), its text and its start offset.  A token's (line,
-col) is computed from its offset only when a diagnostic or ``SpecAST.end``
-needs it; ``tokenize`` gives the same scan as ``Token`` objects.  Each
-lookahead is one list index.  A sum is one ``Sum`` node over its terms, a
-subtracted term stored negated, and a term is one loop over its factors, so
-a long sum, product or run of minus signs costs no recursion.  Literal
-factors multiply as integer (num, den) pairs, so a literal or a scaling
-builds one ``Fraction``.  Only parentheses nest: an open ``(`` more than
-``MAX_DEPTH`` (100) deep on a line, and an integer literal longer than
+pattern, into three parallel lists: each token's key (an operator's text, or
+else the token kind), its text and its start offset.  A token's (line, col)
+is computed from its offset only when a diagnostic or ``SpecAST.end`` needs
+it.  Each lookahead is one list index.  A sum is one ``Sum`` node over its
+terms, a subtracted term stored negated, and a term is one loop over its
+factors, so a long sum, product or run of minus signs costs no recursion.
+Literal factors multiply as integer (num, den) pairs, so a literal or a
+scaling builds one ``Fraction``.  Only parentheses nest: an open ``(`` more
+than ``MAX_DEPTH`` (100) deep on a line, and an integer literal longer than
 ``MAX_DIGITS`` (1000) digits, are syntax errors; literals are read through
 ``rational`` under any digit limit.  A ``grid`` denominator above
 ``MAX_GRID`` (10,000) is a syntax error too.
@@ -49,11 +48,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .pairs import StableFamily
 from .plalg import (
     Form,
+    Knot,
     Line,
     PLFunc,
     envelope_form,
@@ -88,13 +87,6 @@ class SpecError(Exception):
         self.line = line
         self.col = col
         self.kind = kind
-
-
-class Token(NamedTuple):
-    kind: str  # NAME | INT | OP | NEWLINE | EOF
-    text: str
-    line: int
-    col: int
 
 
 # One token after optional blanks: a decimal integer (\d is exactly
@@ -158,24 +150,6 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
     texts.append("")
     starts.append(len(text))
     return keys, texts, starts
-
-
-def tokenize(text: str) -> list[Token]:
-    """The scan as tokens with positions: each line's tokens, then its
-    NEWLINE; EOF last, where the last line's NEWLINE is."""
-    keys, texts, starts = _scan(text)
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for key, tok, start in zip(keys, texts, starts):
-        col = start - line_start + 1
-        if key == "NEWLINE":
-            tokens.append(Token("NEWLINE", "", line, col))
-            line, line_start = line + 1, start + 1
-        elif key == "EOF":
-            tokens += [Token("NEWLINE", "", line, col), Token("EOF", "", line, col)]
-        else:
-            tokens.append(Token(key if key in ("INT", "NAME") else "OP", tok, line, col))
-    return tokens
 
 
 class Expr:
@@ -588,9 +562,16 @@ def elaborate(ast: SpecAST) -> dict[str, PLFunc]:
 
 
 def family_from_spec(ast: SpecAST) -> StableFamily:
-    """All declarations, in order, form the family."""
+    """All declarations, in order, form the family.  A limit or tail
+    directive describes a tail family, which only ``sections`` reads, so it
+    is an error here rather than a line silently ignored."""
     if not ast.decls:
         raise SpecError("spec declares no functions", *ast.end, kind="semantic")
+    for word, directive in (("limit", ast.limit), ("tail", ast.tail)):
+        if directive is not None:
+            raise SpecError(
+                f"a {word} directive is read only by sections", *ast.end, kind="semantic"
+            )
     env = elaborate(ast)
     return StableFamily(tuple(env[name] for name, _ in ast.decls))
 
@@ -612,6 +593,6 @@ def tail_family_from_spec(ast: SpecAST) -> TailFamily:
     return TailFamily(head, limit, ast.tail.rule, shape)
 
 
-def grid_from_spec(ast: SpecAST, override: int | None = None) -> list[Fraction]:
+def grid_from_spec(ast: SpecAST, override: int | None = None) -> list[Knot]:
     n = override if override is not None else (ast.grid if ast.grid is not None else DEFAULT_GRID)
     return uniform_grid(n)

@@ -17,8 +17,9 @@ import pytest
 from hahnforge.plalg import PLFunc, RatSet, uniform_grid
 
 
-def dyadic_grid(level: int) -> list[Fraction]:
-    """The 2**level + 1 dyadic rationals k / 2**level in [0, 1]."""
+def dyadic_grid(level: int) -> list[tuple[int, int]]:
+    """The 2**level + 1 dyadic rationals k / 2**level in [0, 1], as the grid
+    of reduced (p, q) pairs the walkers read; Fraction(*x) is the point."""
     return uniform_grid(2**level)
 
 

@@ -45,6 +45,7 @@ from hahnforge.specdsl import SpecError, parse_spec
 from hahnforge.tailrules import TailRule
 
 GRID65 = dyadic_grid(6)
+XS65 = [Fraction(*x) for x in GRID65]
 ZERO_F = PLFunc.constant(0)
 SP1 = StableFamily((ZERO_F, PLFunc.affine(1, "-1/2")))
 
@@ -73,7 +74,7 @@ def test_criterion_2_block_invariants():
         a_set = random_ratset(rng)
         support = Pow2OddSet(rng.randint(0, 5))
         block = hahn_block(g_blk, h_blk, a_set, support)
-        for x in GRID65:
+        for x in XS65:
             in_a = x in a_set
             for y in range(1, 201):
                 if in_a or support.index_of(y) is None:
@@ -108,16 +109,16 @@ def test_criterion_4_section_oracle_equivalence():
         fam = random_tail_family(rng)
         exact = tail_sections(fam, GRID65)
         brute, _ = brute_sections(fam, fam.head_size + 1, GRID65)
-        for x in GRID65:
-            assert exact.g.value(x) == brute.g.value(x)
-            assert exact.h.value(x) == brute.h.value(x)
+        for x in XS65:
+            assert exact.g(x) == brute.g(x)
+            assert exact.h(x) == brute.h(x)
         assert_witnesses_attain(fam, exact)
         assert_witnesses_attain(fam, brute)
         if i < 3:
             deep, bound = brute_sections(fam, 1000, GRID65)
-            for x in GRID65:
-                assert abs(exact.g.value(x) - deep.g.value(x)) <= bound
-                assert abs(exact.h.value(x) - deep.h.value(x)) <= bound
+            for x in XS65:
+                assert abs(exact.g(x) - deep.g(x)) <= bound
+                assert abs(exact.h(x) - deep.h(x)) <= bound
     report(4, "100 families: exact twin agreement at cutoff N+1; certified bound holds at 10^3")
 
 
@@ -274,7 +275,7 @@ def test_criterion_8_stage_envelope_replacement():
             assert dominates(ZERO_F, h_blk).ok
             assert dominates(h_blk, h_sh).ok
             stage = stages[n - 1]
-            for x in GRID65:
+            for x in XS65:
                 if x in stage:
                     assert g_blk(x) == g_sh(x)
                     assert h_blk(x) == h_sh(x)

@@ -197,6 +197,7 @@ class TestHahnBlock:
             a_set = RatSet.of([("1/3", "1/2")]) if rng.random() < 0.5 else RatSet(())
             block = hahn_block(g_blk, h_blk, a_set, Pow2OddSet(rng.randint(0, 4)))
             for x in dyadic_grid(4):
+                x = Fraction(*x)
                 if x in a_set:
                     assert block.value(x, block.beta.point(1)) == 0
                     continue
@@ -239,6 +240,7 @@ class TestSynthesize:
         member = random_family(rng, 1)[0]
         f = synthesize(StableFamily((member,)))
         for x in dyadic_grid(4):
+            x = Fraction(*x)
             lo, hi, _, _ = f.section_values(x)
             assert lo == hi == member(x)
             for y in range(1, 30):
@@ -250,6 +252,7 @@ class TestSynthesize:
             pair = envelopes(fam)
             f = synthesize(fam)
             for x in dyadic_grid(4):
+                x = Fraction(*x)
                 lo, hi, _, _ = f.section_values(x)
                 assert lo == pair.g(x)
                 assert hi == pair.h(x)
@@ -259,7 +262,7 @@ class TestSynthesize:
         # every bump witness reachable from the probe grid.
         fam = StableFamily(random_family(rng, 3))
         f = synthesize(fam)
-        grid = dyadic_grid(3)
+        grid = [Fraction(*x) for x in dyadic_grid(3)]
         j_max = 2 * max(
             bump_witness_index(b.alpha(x).numerator, b.alpha(x).denominator)
             for b in f.blocks
@@ -308,7 +311,7 @@ class TestVerify:
         assert report.passed
         assert len(report.rows) == 65
         by_x = {row[0]: row for row in report.rows}
-        assert by_x[Fraction(1, 4)] == (Fraction(1, 4), (-1, 4), (0, 1), 30, 26)
+        assert by_x[(1, 4)] == ((1, 4), (-1, 4), (0, 1), 30, 26)
 
     def test_tampered_block_detected(self):
         f = synthesize(SP1)
@@ -336,7 +339,7 @@ class TestVerify:
         report = verify_synthesis(synthesize(fam), fam, dyadic_grid(4))
         assert report.passed
         for x, g, h, _, _ in report.rows:
-            v = member(x)
+            v = member(Fraction(*x))
             assert g == h == (v.numerator, v.denominator)
 
     def test_report_loop_builds_no_fraction_per_entry(self, monkeypatch):
@@ -359,7 +362,7 @@ class TestVerify:
         assert counts[0] == counts[1]
 
     def test_report_json(self):
-        report = verify_synthesis(synthesize(SP1), SP1, [Fraction(1, 4)])
+        report = verify_synthesis(synthesize(SP1), SP1, [(1, 4)])
         data = report.to_json()
         assert data["passed"] is True
         assert data["entries"][0]["x"] == "1/4"
@@ -407,7 +410,7 @@ def test_json_roundtrip():
     f = synthesize(SP1)
     g = BlockProductFunc.from_json(f.to_json())
     assert g == f
-    rows = f.sample_rows([Fraction(1, 4)], 4)
+    rows = f.sample_rows([(1, 4)], 4)
     assert rows[-1][1] == INFINITY
 
 
@@ -549,6 +552,7 @@ def as_pair(v: Fraction) -> tuple[int, int]:
 def oracle_rows(f: BlockProductFunc, grid, max_y: int):
     rows = []
     for x in grid:
+        x = Fraction(*x)
         x_str = f"{x.numerator}/{x.denominator}"
         for y in range(1, max_y + 1):
             v = oracle_value(f, x, y)
@@ -564,6 +568,7 @@ def oracle_pointwise_failures(f: BlockProductFunc, family: StableFamily, grid) -
     pair = envelopes(family)
     failures = []
     for x in grid:
+        x = Fraction(*x)
         g_x, h_x = pair.g(x), pair.h(x)
         n = next(k for k, s in enumerate(f.stage_sets, start=1) if x in s)
         block = f.blocks[n - 1]
@@ -664,6 +669,7 @@ def tampered_blocks(f: BlockProductFunc):
 
 
 GRID33 = dyadic_grid(5)
+XS33 = [Fraction(*x) for x in GRID33]
 
 
 def fraction_report(
@@ -675,14 +681,15 @@ def fraction_report(
     value through the oracle and compared with g(x) and h(x) as Fractions.
     The exact checks before the loop come from verify_synthesis on an empty
     grid, which runs no part of the loop.  Returns the rows
-    (x, g(x), h(x), y_lo, y_hi), with g(x) and h(x) as reduced pairs, the
+    (x, g(x), h(x), y_lo, y_hi), with x, g(x) and h(x) as reduced pairs, the
     failure lines and the report's JSON, written from the Fractions with
     rat_str."""
     pair = envelopes(family)
     failures = list(verify_synthesis(f, family, []).failures)
     entries = []
     rows = []
-    for x in map(rat, grid):
+    for x in grid:
+        x = Fraction(*x)
         n = next(k for k, s in enumerate(f.stage_sets, start=1) if x in s)
         block = f.blocks[n - 1]
         a = block.alpha(x)
@@ -697,7 +704,7 @@ def fraction_report(
             if v != env:
                 failures.append(f"x={x}: f(x, {y})={v} misses the {name} envelope {env}")
         entries.append((x, g_x, h_x, y_lo, y_hi))
-        rows.append((x, as_pair(g_x), as_pair(h_x), y_lo, y_hi))
+        rows.append((as_pair(x), as_pair(g_x), as_pair(h_x), y_lo, y_hi))
     data = {
         "passed": not failures,
         "failures": failures,
@@ -727,7 +734,7 @@ class TestReportLoop:
             f = synthesize(fam)
             for label, tampered in [("untampered", f), *tampered_blocks(f)]:
                 ends = sorted({q for s in tampered.stage_sets for iv in s.intervals for q in iv})
-                for grid in (GRID33, ends + [1], [1]):
+                for grid in (GRID33, grid_pairs(ends + [Fraction(1)]), [(1, 1)]):
                     report = verify_synthesis(tampered, fam, grid)
                     rows, failures, data = fraction_report(tampered, fam, grid)
                     assert report.rows == rows, label
@@ -748,7 +755,7 @@ class TestSliceEvaluation:
     def test_value_matches_sum_over_blocks(self, rng: random.Random):
         for fam in self.families(rng):
             f = synthesize(fam)
-            for x in GRID33:
+            for x in XS33:
                 for y in range(1, 301):
                     assert f.value(x, y) == oracle_value(f, x, y), (x, y)
 
@@ -756,7 +763,7 @@ class TestSliceEvaluation:
         # f.value is the oracle, and theta plus the sum of the blocks' own
         # values; with no block owning y it is the value at infinity.
         f = synthesize(StableFamily(random_family(rng, 5)))
-        for x in GRID33[::4] + [Fraction(1, 3)]:
+        for x in XS33[::4] + [Fraction(1, 3)]:
             assert f.value_at_infinity(x) == f.theta(x) == f.value(x, 2**f.size)
             for y in range(1, 101):
                 v = f.value(x, y)
@@ -771,7 +778,7 @@ class TestSliceEvaluation:
         # block's (alpha, g_blk, h_blk), in the order listed, as the reduced
         # pairs of the point values PLFunc.__call__ gives.
         f = synthesize(StableFamily(random_family(random.Random(data.draw(st.integers(0, 2**32))), 5)))
-        ends = sorted({q for s in f.stage_sets for iv in s.intervals for q in iv} | set(GRID33))
+        ends = sorted({q for s in f.stage_sets for iv in s.intervals for q in iv} | set(XS33))
         xs = sorted(data.draw(st.lists(st.sampled_from(ends), max_size=4)))
         reads = [data.draw(st.lists(st.integers(0, f.size - 1), unique=True)) for _ in xs]
         walked = list(f.slices(grid_pairs(xs), reads))

@@ -188,6 +188,31 @@ class TestUsageErrors:
             err = self.one_line_error(capsys)
             assert "line 2, col 8" in err and "UTF-8" in err
 
+    def test_synth_rejects_tail_directives(self, tmp_path: Path, capsys):
+        # synth would build f from the head alone: its section at x = 1 would
+        # be 0, where the tail family's is -1/3 (witness 3).
+        spec = tmp_path / "tail.hf"
+        out = tmp_path / "never"
+        for text, word in ((SECTIONS_TEXT, "limit"), ("u1 = 0\ntail 0\n", "tail")):
+            spec.write_text(text, encoding="utf-8")
+            assert main(["synth", str(spec), "--out", str(out)]) == PARSE_ERROR
+            err = self.one_line_error(capsys)
+            line = text.count("\n") + 1
+            assert f"line {line}, col 1: a {word} directive is read only by sections" in err
+            assert "[semantic]" in err
+        assert not out.exists()
+
+    def test_verify_rejects_tail_directives(self, tmp_path: Path, capsys):
+        spec = tmp_path / "tail.hf"
+        report = tmp_path / "report.json"
+        for text, word in ((SECTIONS_TEXT, "limit"), ("u1 = 0\ntail 0\n", "tail")):
+            spec.write_text(text, encoding="utf-8")
+            assert main(["verify", str(spec), "--report", str(report)]) == PARSE_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert f"a {word} directive is read only by sections [semantic]" in captured.err
+        assert not report.exists()
+
     def test_brute_not_above_head(self, tmp_path: Path, capsys):
         spec = tmp_path / "tail.hf"
         spec.write_text(SECTIONS_TEXT, encoding="utf-8")

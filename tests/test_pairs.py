@@ -96,6 +96,7 @@ class TestStabilityWitness:
         for _ in range(50):
             fam = StableFamily(random_family(rng))
             for x in dyadic_grid(3):
+                x = Fraction(*x)
                 k_x = stability_witness(fam, x)
                 values = [u(x) for u in fam.members]
                 g, h = min(values), max(values)
@@ -107,6 +108,7 @@ class TestStabilityWitness:
         for _ in range(100):
             fam = family_with_ties(rng)
             for x in dyadic_grid(4):
+                x = Fraction(*x)
                 assert stability_witness(fam, x) == running_envelope_witness(fam, x)
 
     def test_first_of_equal_members_counts(self):
@@ -119,6 +121,7 @@ class TestStabilityWitness:
             fam = family_with_ties(rng)
             f = synthesize(fam)
             for x in dyadic_grid(5):
+                x = Fraction(*x)
                 assert f.active_stage(x) == stability_witness(fam, x)
 
 

@@ -43,7 +43,9 @@ from hahnforge.plalg import (
     sample,
     semicontinuity_check,
     subset,
+    uniform_grid,
 )
+from hahnforge.specdsl import MAX_GRID
 
 X = PLFunc.identity()
 ZERO_F = PLFunc.constant(0)
@@ -741,14 +743,14 @@ class TestSemicontinuity:
 
     def test_continuous_passes_both(self, rng: random.Random):
         for _ in range(20):
-            f = random_plfunc(rng).to_pw()
+            f = PwFunc.from_pl(random_plfunc(rng))
             assert semicontinuity_check(f, "usc").ok
             assert semicontinuity_check(f, "lsc").ok
 
     def test_usc_lsc_duality(self, rng: random.Random):
         # usc(F) must agree with lsc(-F), including on genuinely jumping data.
         for _ in range(30):
-            base = random_plfunc(rng).to_pw()
+            base = PwFunc.from_pl(random_plfunc(rng))
             jumped = PwFunc(
                 base.partition,
                 base.pieces,
@@ -786,8 +788,14 @@ def test_eval_affine_hypothesis(num: int, den: int):
 def test_dyadic_grid():
     g = dyadic_grid(6)
     assert len(g) == 65
-    assert g[0] == 0 and g[-1] == 1
-    assert g[32] == Fraction(1, 2)
+    assert g[0] == (0, 1) and g[-1] == (1, 1)
+    assert g[32] == (1, 2)
+
+
+def test_uniform_grid_is_the_checked_grid():
+    # The reduced pairs that grid_pairs returns for the Fractions k/n.
+    for n in [*range(1, 257), MAX_GRID]:
+        assert uniform_grid(n) == grid_pairs([Fraction(k, n) for k in range(n + 1)]), n
 
 
 def test_ratset_normalization():

@@ -24,7 +24,7 @@ import pytest
 from hahnforge import alphat, builder, pairs, plalg, sections, spaces, specdsl, tailrules
 from hahnforge.builder import synthesize
 from hahnforge.pairs import StableFamily, envelopes
-from hahnforge.plalg import PLFunc, PwFunc, RatSet
+from hahnforge.plalg import PLFunc, RatSet
 from hahnforge.spaces import OrdinalCNF, Pow2OddSet
 from hahnforge.specdsl import Lit, MaxE, MinE, Ref, Scale, Sum, TailSpec, Var
 from hahnforge.tailrules import TailRule
@@ -39,7 +39,6 @@ SP1_F = synthesize(SP1)
 SP1_PAIR = envelopes(SP1)
 HALF_ARGS = ((F(0), F(1, 2), F(1)), ((F(0), F(0)), (F(1), F(0))), (F(0), F(0), F(1)))
 FLAT_ARGS = ((F(0), F(1)), ((F(0), F(0)),), (F(0), F(0)))
-HALF, FLAT = PwFunc(*HALF_ARGS), PwFunc(*FLAT_ARGS)
 
 TWINS: dict[type, type] = {}
 
@@ -161,7 +160,7 @@ class _TailFamily:
 class _SectionPair:
     g: Any
     h: Any
-    witnesses: Any
+    points: tuple
 
 
 @twin(tailrules.TailRule)
@@ -306,14 +305,14 @@ SAMPLES: dict[type, list[tuple]] = {
     builder.BumpMap: [(Pow2OddSet(0),), (Pow2OddSet(1),)],
     builder.SchwartzBlock: [(B0.g_blk, B0.h_blk, B0.alpha, B0.beta), (B1.g_blk, B1.h_blk, B1.alpha, B1.beta)],
     builder.BlockProductFunc: [(SP1_F.blocks, SP1_F.theta), ((B0,), SP1_F.theta), ((B0,), ZERO_F)],
-    builder.SectionReport: [((), ()), (((F(1, 4), (-1, 4), (0, 1), 30, 31),), ("block 1: failure",))],
+    builder.SectionReport: [((), ()), ((((1, 4), (-1, 4), (0, 1), 30, 31),), ("block 1: failure",))],
     pairs.StableFamily: [((ZERO_F,),), (SP1.members,)],
     pairs.HahnPair: [(SP1, SP1_PAIR.g, SP1_PAIR.h), (StableFamily((X,)), X, X)],
     sections.TailFamily: [
         ((X,), ZERO_F, TailRule.harmonic(1), X),
         ((), X, TailRule.geometric(1, "1/2"), ZERO_F),
     ],
-    sections.SectionPair: [(HALF, FLAT, {F(0): (1, "inf")}), (FLAT, HALF, {})],
+    sections.SectionPair: [(ZERO_F, X, (((0, 1), (0, 1), (0, 1), 1, "inf"),)), (X, ZERO_F, ())],
     tailrules.TailRule: [("harmonic", F(1)), ("geometric", F(1), F(1, 2)), ("constant", F(0), None)],
     spaces.OrdinalCNF: [((),), (((1, 2), (0, 3)),)],
     spaces.OrdinalCompact: [(OrdinalCNF(()),), (OrdinalCNF(((2, 1),)),)],

@@ -26,6 +26,7 @@ CANONICAL = TailFamily(
 )
 
 GRID = dyadic_grid(6)
+XS = [Fraction(*x) for x in GRID]
 
 
 def random_tail_family(rng: random.Random, allow_alternating: bool = False) -> TailFamily:
@@ -49,16 +50,19 @@ def random_tail_family(rng: random.Random, allow_alternating: bool = False) -> T
 
 def assert_pairs_agree(a: SectionPair, b: SectionPair, grid) -> None:
     for x in grid:
-        assert a.g.value(x) == b.g.value(x)
-        assert a.h.value(x) == b.h.value(x)
+        x = Fraction(*x)
+        assert a.g(x) == b.g(x)
+        assert a.h(x) == b.h(x)
 
 
 def assert_witnesses_attain(family: TailFamily, pair: SectionPair) -> None:
-    for x, (lo_w, hi_w) in pair.witnesses.items():
+    # Each row's g(x) and h(x) are the envelopes' values, and its witnesses attain them.
+    for (p, q), gx, hx, lo_w, hi_w in pair.points:
+        x = Fraction(p, q)
         lo = family.limit(x) if lo_w == INFINITY else family.member(lo_w)(x)
         hi = family.limit(x) if hi_w == INFINITY else family.member(hi_w)(x)
-        assert lo == pair.g.value(x)
-        assert hi == pair.h.value(x)
+        assert lo == pair.g(x) == Fraction(*gx)
+        assert hi == pair.h(x) == Fraction(*hx)
 
 
 def oracle_witness(candidates, x: Fraction, target: Fraction):
@@ -86,9 +90,15 @@ def brute_candidates(family: TailFamily, m: int):
 
 
 def assert_oracle_witnesses(candidates, pair: SectionPair) -> None:
-    for x, (lo_w, hi_w) in pair.witnesses.items():
-        assert lo_w == oracle_witness(candidates, x, pair.g.value(x))
-        assert hi_w == oracle_witness(candidates, x, pair.h.value(x))
+    for x, _, _, lo_w, hi_w in pair.points:
+        x = Fraction(*x)
+        assert lo_w == oracle_witness(candidates, x, pair.g(x))
+        assert hi_w == oracle_witness(candidates, x, pair.h(x))
+
+
+def witnesses(pair: SectionPair) -> dict:
+    """Grid x -> (min witness, max witness), read off the rows."""
+    return {x: (lo_w, hi_w) for x, _, _, lo_w, hi_w in pair.points}
 
 
 def tied_tail_family(rng: random.Random) -> TailFamily:
@@ -106,14 +116,14 @@ class TestCanonicalFamily:
     def test_exact_envelopes(self):
         pair = tail_sections(CANONICAL, GRID)
         third_slice = pl_scale(Fraction(-1, 3), X)
-        for x in GRID:
-            assert pair.g.value(x) == min(X_MINUS_HALF(x), third_slice(x))
-            assert pair.h.value(x) == max(Fraction(0), X_MINUS_HALF(x))
+        for x in XS:
+            assert pair.g(x) == min(X_MINUS_HALF(x), third_slice(x))
+            assert pair.h(x) == max(Fraction(0), X_MINUS_HALF(x))
 
     def test_min_at_one_attained_by_third_slice(self):
-        pair = tail_sections(CANONICAL, [Fraction(1)])
-        assert pair.g.value(1) == Fraction(-1, 3)
-        assert pair.witnesses[Fraction(1)][0] == 3
+        pair = tail_sections(CANONICAL, [(1, 1)])
+        assert pair.g(1) == Fraction(-1, 3)
+        assert witnesses(pair)[(1, 1)][0] == 3
 
     def test_brute_m3_identical_with_quarter_bound(self):
         brute, bound = brute_sections(CANONICAL, 3, GRID)
@@ -134,17 +144,17 @@ class TestDegenerateFamilies:
             fam = TailFamily(head, limit, TailRule.zero(), random_plfunc(rng))
             pair = tail_sections(fam, GRID)
             ref = envelopes(StableFamily(head + (limit,)))
-            for x in GRID:
-                assert pair.g.value(x) == ref.g(x)
-                assert pair.h.value(x) == ref.h(x)
+            for x in XS:
+                assert pair.g(x) == ref.g(x)
+                assert pair.h(x) == ref.h(x)
 
     def test_empty_head_constant(self):
         c = PLFunc.constant("5/7")
         fam = TailFamily((), c, TailRule.zero(), X)
         pair = tail_sections(fam, GRID)
-        for x in GRID:
-            assert pair.g.value(x) == Fraction(5, 7)
-            assert pair.h.value(x) == Fraction(5, 7)
+        for x in XS:
+            assert pair.g(x) == Fraction(5, 7)
+            assert pair.h(x) == Fraction(5, 7)
 
     def test_zero_tail_bound_is_zero(self):
         fam = TailFamily((ZERO_F,), ZERO_F, TailRule.zero(), X)
@@ -174,15 +184,15 @@ class TestOracleEquivalence:
         # Ratio -1/2: the maximum over the tail sits at the second tail slice.
         fam = TailFamily((), ZERO_F, TailRule.geometric(2, "-1/2"), PLFunc.constant(1))
         exact = tail_sections(fam, GRID)
-        assert exact.g.value("1/2") == Fraction(-1)  # 2 * (-1/2)^1
-        assert exact.h.value("1/2") == Fraction(1, 2)  # 2 * (-1/2)^2
+        assert exact.g("1/2") == Fraction(-1)  # 2 * (-1/2)^1
+        assert exact.h("1/2") == Fraction(1, 2)  # 2 * (-1/2)^2
         brute, bound = brute_sections(fam, 6, GRID)
         assert_pairs_agree(exact, brute, GRID)
         short, bound1 = brute_sections(fam, 1, GRID)
         # The one-slice truncation misses the max but stays within its bound.
-        assert short.h.value("1/2") == 0
+        assert short.h("1/2") == 0
         assert bound1 == Fraction(1, 2)
-        assert exact.h.value("1/2") - short.h.value("1/2") <= bound1
+        assert exact.h("1/2") - short.h("1/2") <= bound1
 
     def test_alternating_random_families(self, rng: random.Random):
         for _ in range(20):
@@ -198,9 +208,9 @@ class TestOracleEquivalence:
             exact = tail_sections(fam, GRID)
             for m in (fam.head_size + 1, fam.head_size + 3):
                 approx, bound = brute_sections(fam, m, GRID)
-                for x in GRID:
-                    assert abs(exact.g.value(x) - approx.g.value(x)) <= bound
-                    assert abs(exact.h.value(x) - approx.h.value(x)) <= bound
+                for x in XS:
+                    assert abs(exact.g(x) - approx.g(x)) <= bound
+                    assert abs(exact.h(x) - approx.h(x)) <= bound
 
 
 class TestWitnessRule:
@@ -209,7 +219,7 @@ class TestWitnessRule:
     def test_canonical_ties_at_zero(self):
         # u1, slices 3 and 4 and inf all attain h(0) = 0; u1 comes first.
         pair = tail_sections(CANONICAL, GRID)
-        assert pair.witnesses[Fraction(0)] == (2, 1)
+        assert witnesses(pair)[(0, 1)] == (2, 1)
         assert_oracle_witnesses(tail_candidates(CANONICAL), pair)
 
     def test_tail_sections_match_oracle_on_ties(self, rng: random.Random):
@@ -228,10 +238,10 @@ class TestWitnessRule:
         # n+1, n+2 and inf all equal the limit 1/4, which tops the head on (1/4, 3/4).
         fam = TailFamily((X_MINUS_HALF, pl_neg(X_MINUS_HALF)), PLFunc.constant("1/4"), TailRule.zero(), X)
         pair = tail_sections(fam, GRID)
-        assert pair.witnesses[Fraction(1, 2)][1] == 3
-        assert pair.witnesses[Fraction(1, 4)][1] == 2
+        assert witnesses(pair)[(1, 2)][1] == 3
+        assert witnesses(pair)[(1, 4)][1] == 2
         brute, _ = brute_sections(fam, 5, GRID)
-        assert brute.witnesses == pair.witnesses
+        assert witnesses(brute) == witnesses(pair)
 
 
 class TestStructure:
@@ -245,13 +255,13 @@ class TestStructure:
                 fam.head + (fam.limit, fam.member(fam.head_size + 1))
             )
             ref = envelopes(finite)
-            for x in GRID:
-                assert pair.g.value(x) <= pair.h.value(x)
-                assert pair.g.value(x) == ref.g(x)
-                assert pair.h.value(x) == ref.h(x)
+            for x in XS:
+                assert pair.g(x) <= pair.h(x)
+                assert pair.g(x) == ref.g(x)
+                assert pair.h(x) == ref.h(x)
 
     def test_json_export(self):
-        pair = tail_sections(CANONICAL, [Fraction(0), Fraction(1)])
+        pair = tail_sections(CANONICAL, [(0, 1), (1, 1)])
         data = pair.to_json()
         assert data["grid"][0]["x"] == "0/1"
         assert data["grid"][1]["min_witness"] == 3
@@ -259,9 +269,9 @@ class TestStructure:
         assert rows[0][0] == "0/1"
 
     def test_points_evaluated_once(self, monkeypatch):
-        # sections --out writes both to_json and rows: the forward passes over
-        # g and h yield one value per grid point each, not one per output.
-        pair = tail_sections(CANONICAL, GRID)
+        # tail_sections builds the rows in its one walk: the forward passes
+        # over g and h yield one value per grid point each, and sections --out,
+        # which writes both to_json and rows, samples nothing more.
         calls = []
         forward = sections.sample
 
@@ -271,6 +281,9 @@ class TestStructure:
                 yield v
 
         monkeypatch.setattr(sections, "sample", counted)
+        pair = tail_sections(CANONICAL, GRID)
+        assert len(calls) == 2 * len(GRID)
         data, rows = pair.to_json(), pair.rows()
         assert len(calls) == 2 * len(GRID)
         assert [r[:3] for r in rows] == [(e["x"], e["g"], e["h"]) for e in data["grid"]]
+        assert [r[0] for r in pair.points] == GRID
