@@ -139,7 +139,8 @@ def tail_sections(family: TailFamily, grid: Sequence[Pair]) -> SectionPair:
     Candidate slices: the head, the limit (the value at infinity), and the
     first two tail slices.  Sign-constant coefficient rules need only the
     first; the second also covers an alternating geometric ratio, and is
-    redundant but harmless otherwise.
+    redundant but harmless otherwise.  The grid is reduced pairs,
+    non-decreasing in [0, 1] (``plalg.uniform_grid``, ``plalg.grid_pairs``).
     """
     n = family.head_size
     candidates: list[tuple[Witness, PLFunc]] = [
@@ -159,7 +160,8 @@ def brute_sections(
     Every omitted slice differs from the limit by at most
     B(m) = |coeff(m+1)| * sup|shape| pointwise, so the true sections lie
     within B(m) of the computed ones.  For a sign-constant coefficient rule
-    the result is already exact at m = head_size + 1.
+    the result is already exact at m = head_size + 1.  The grid is as for
+    ``tail_sections``.
     """
     if m <= family.head_size:
         raise ValueError("cutoff must exceed the head size")
