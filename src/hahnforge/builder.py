@@ -55,9 +55,10 @@ there and returns the kernel's pair as a Fraction, and sections and
 continuity certificates walk every block once per x.  The CSV export
 samples the blocks its y can reach, and the report samples each block only
 where it is the active stage.  Neither builds a Fraction per grid point:
-the CSV export locates each y once per call and writes each value from the
-kernel's integer pair, and the report compares each witness value's pair
-with the envelope's and keeps each entry as a row of pairs.
+the CSV export plans its ys once per call, by block and side, fills each
+side of a block with alpha > 0 from the kernel's integer pairs, and writes
+each distinct pair once per x; the report compares each witness value's
+pair with the envelope's and keeps each entry as a row of pairs.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
 from typing import Collection, Iterator, Sequence
 
@@ -398,31 +399,44 @@ class BlockProductFunc:
         y <= max_y has v2(y) < max_y.bit_length(), so only the blocks below
         that index are sampled.
 
-        Each y is located once per call (``locate``).  Per x, theta and each
-        block's alpha, g_blk and h_blk come from the grid walk as pairs, and
-        x and every value are written from their pairs, each value's from
-        ``slice_value``, with no Fraction built.  Where alpha or the block
-        side is 0 the value is theta, and the row reuses theta's cells;
-        where both are nonzero the bump term is nonzero, so the value is
-        never theta.  Every cell is a str, as the CLI's CSV writer requires.
+        The ys are planned once per call: ``locate`` splits those a block
+        owns into its lower (g_blk) and upper (h_blk) side, each with its
+        row and bump index k.  Per x, theta and each block's alpha, g_blk
+        and h_blk come from the grid walk as pairs, and every cell starts
+        as theta's.  A block with alpha = 0, or a side whose value is 0,
+        leaves its rows at theta; where both are nonzero the bump term is
+        nonzero, so the value is never theta, and it comes from
+        ``slice_value``.  Each distinct value pair is written once per x
+        (``ratio_str``, ``ratio_float``): a saturated value, phi = 1, is
+        theta + side for every k of its side.  No Fraction is built, and
+        every cell is a str, as the CLI's CSV writer requires.
         """
         reach = range(min(self.size, max_y.bit_length()))
-        plan = [(int_str(y), self.locate(y)) for y in range(1, max_y + 1)]
-        rows = []
+        sides: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in reach]
+        for row, y in enumerate(range(1, max_y + 1)):
+            where = self.locate(y)
+            if where is not None:
+                i, k, upper = where
+                sides[i][upper].append((row, k))
+        ys = [int_str(y) for y in range(1, max_y + 1)] + [INFINITY]
+        rows: list[tuple[str, str, str, str]] = []
         for x, ((a, b), terms) in zip(grid, self.slices(grid, [reach] * len(grid))):
-            x_str = ratio_str(*x)
-            at_theta = (ratio_str(a, b), ratio_float(a, b))
-            for y_str, where in plan:
-                cells = at_theta
-                if where is not None:
-                    i, k, upper = where
-                    (p, q), g, h = terms[i]
-                    c, d = h if upper else g
-                    if p and c:
-                        num, den = slice_value(a, b, p, q, c, d, k)
-                        cells = (ratio_str(num, den), ratio_float(num, den))
-                rows.append((x_str, y_str, *cells))
-            rows.append((x_str, INFINITY, *at_theta))
+            values = [ratio_str(a, b)] * len(ys)
+            floats = [ratio_float(a, b)] * len(ys)
+            written: dict[Pair, tuple[str, str]] = {}
+            for ((p, q), lower, upper), (on_lower, on_upper) in zip(terms, sides):
+                if p == 0:
+                    continue
+                for (c, d), on_side in ((lower, on_lower), (upper, on_upper)):
+                    if c == 0:
+                        continue
+                    for row, k in on_side:
+                        pair = slice_value(a, b, p, q, c, d, k)
+                        cells = written.get(pair)
+                        if cells is None:
+                            cells = written[pair] = (ratio_str(*pair), ratio_float(*pair))
+                        values[row], floats[row] = cells
+            rows += zip(repeat(ratio_str(*x)), ys, values, floats)
         return rows
 
 

@@ -582,35 +582,42 @@ def equality_set(f: PLFunc, g: PLFunc) -> RatSet:
     return RatSet(tuple((Fraction(*lo), Fraction(*hi)) for lo, hi in comps))
 
 
-def dist_to(x: Fraction, s: RatSet) -> Fraction:
-    """Euclidean distance from x to the set; s must be nonempty."""
-    best: Fraction | None = None
-    for lo, hi in s.intervals:
-        d = lo - x if x < lo else (x - hi if x > hi else ZERO)
-        if best is None or d < best:
-            best = d
-    assert best is not None
-    return best
-
-
 def distance_function(s: RatSet) -> PLFunc:
     """PL function x -> min(1, dist(x, s)); constant 1 for the empty set.
 
-    The zero set is exactly s when s is nonempty.  All slopes lie in
-    {-1, 0, 1}, so the result is 1-Lipschitz.
+    The zero set is exactly s when s is nonempty.  For a nonempty s in
+    [0, 1] the distance is at most 1, so the clamp never binds, and the form
+    is built from s's components as reduced pairs: slope -1 into the first
+    component (unless it starts at 0), 0 on each component of positive
+    length, +1 out to the midpoint of each gap and -1 into the next
+    component, and +1 after the last one (unless it ends at 1).  Into
+    lo = p/q the line is lo - x, (-q, p, q), and out of hi = p/q it is
+    x - hi, (q, -p, q), both already reduced.  Knots are 0, 1 and the slope
+    changes only, as a kernel result keeps them.
     """
     if s.is_empty:
         return PLFunc.constant(1)
-    knots: set[Fraction] = {ZERO, ONE}
-    comps = s.intervals
-    for lo, hi in comps:
-        knots.add(lo)
-        knots.add(hi)
-    for (_, hi), (lo, _) in zip(comps, comps[1:]):
-        knots.add((hi + lo) / 2)
-    grid = sorted(knots)
-    dist = PLFunc(tuple(grid), tuple(dist_to(x, s) for x in grid))
-    return pl_min((dist, PLFunc.constant(1)))
+    comps = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in s.intervals]
+    knots: list[Knot] = [(0, 1)]
+    lines: list[Line] = []
+    p, q = comps[0][:2]
+    if p:
+        lines.append((-q, p, q))
+        knots.append((p, q))
+    for i, (p0, q0, p1, q1) in enumerate(comps):
+        if (p0, q0) != (p1, q1):
+            lines.append((0, 0, 1))
+            knots.append((p1, q1))
+        if i + 1 < len(comps):
+            p2, q2 = comps[i + 1][:2]
+            num, den = p1 * q2 + p2 * q1, 2 * q1 * q2
+            g = gcd(num, den)
+            lines += [(q1, -p1, q1), (-q2, p2, q2)]
+            knots += [(num // g, den // g), (p2, q2)]
+        elif p1 != q1:
+            lines.append((q1, -p1, q1))
+            knots.append((1, 1))
+    return _built(knots, lines)
 
 
 @record

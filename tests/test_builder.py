@@ -819,6 +819,36 @@ class TestSliceEvaluation:
             f = synthesize(fam)
             assert f.sample_rows(GRID33, max_y) == oracle_rows(f, GRID33, max_y)
 
+    @pytest.mark.parametrize("max_y", [0, 1, 32, MAX_SAMPLES])
+    def test_sample_rows_match_oracle_on_wide_families(self, max_y: int, rng: random.Random):
+        # The shape of the synth_wide benchmark: 16 members, so 16 blocks,
+        # of which the ys up to MAX_SAMPLES reach the first seven.
+        for _ in range(2):
+            f = synthesize(StableFamily(tuple(random_plfunc(rng) for _ in range(16))))
+            assert f.size == 16
+            assert f.sample_rows(GRID33, max_y) == oracle_rows(f, GRID33, max_y)
+
+    @pytest.mark.parametrize("max_y", [0, 1, 32, MAX_SAMPLES])
+    def test_sample_rows_match_oracle_on_interval_stage_sets(self, max_y: int):
+        # Every member vanishes on [1/4, 1/2], so the stage sets are the
+        # intervals [1/4, 1/2], [1/4, 1] and [1/8, 1]: near their ends alpha
+        # is small on the grid, and many k stay below saturation.
+        fam = StableFamily(
+            (
+                ZERO_F,
+                PLFunc.from_pairs([(0, 0), ("1/2", 0), (1, "1/2")]),
+                PLFunc.from_pairs([(0, "-1/4"), ("1/4", 0), (1, 0)]),
+                PLFunc.from_pairs([(0, "1/4"), ("1/8", 0), (1, 0)]),
+            )
+        )
+        f = synthesize(fam)
+        assert [s.intervals for s in f.stage_sets[:3]] == [
+            ((Fraction(1, 4), Fraction(1, 2)),),
+            ((Fraction(1, 4), Fraction(1)),),
+            ((Fraction(1, 8), Fraction(1)),),
+        ]
+        assert f.sample_rows(GRID33, max_y) == oracle_rows(f, GRID33, max_y)
+
     def test_sample_rows_past_float_range(self):
         # Values of about 10**400 with both signs, and values near 0 where
         # theta vanishes: the float column is ratio_float of the exact value,

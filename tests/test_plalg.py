@@ -216,6 +216,55 @@ class TestEqualitySet:
                 assert (x in s) == (f(x) == g(x))
 
 
+def dist_to(x: Fraction, s: RatSet) -> Fraction:
+    """Euclidean distance from x to the nonempty set s: the pointwise oracle
+    that distance_function is held to."""
+    return min(lo - x if x < lo else (x - hi if x > hi else Fraction(0)) for lo, hi in s.intervals)
+
+
+def clamped_interpolation(s: RatSet) -> PLFunc:
+    """The definitional construction of min(1, dist(., s)) for a nonempty s:
+    dist_to interpolated on 0, 1, the component ends and the gap midpoints,
+    then clamped by pl_min with the constant 1."""
+    comps = s.intervals
+    knots = {Fraction(0), Fraction(1)}
+    for lo, hi in comps:
+        knots.update((lo, hi))
+    for (_, hi), (lo, _) in zip(comps, comps[1:]):
+        knots.add((hi + lo) / 2)
+    grid = sorted(knots)
+    dist = PLFunc(tuple(grid), tuple(dist_to(x, s) for x in grid))
+    return pl_min((dist, PLFunc.constant(1)))
+
+
+def distance_sets(rng: random.Random) -> list[RatSet]:
+    """Nonempty sets: the ends of [0, 1], components at either end, pieces
+    that touch (merged by RatSet.of), and random sets of up to five
+    components, some with 2**40-sized denominators."""
+    fixed = [
+        [(0, 0)],
+        [(1, 1)],
+        [(0, 1)],
+        [(0, 0), (1, 1)],
+        [(0, "1/3"), ("2/3", 1)],
+        [(0, 0), ("1/2", 1)],
+        [(0, "1/2"), (1, 1)],
+        [(0, "1/3"), ("1/3", "1/2")],
+        [("1/5", "1/4"), ("1/4", "1/4"), ("1/4", "3/7"), ("5/7", "5/7")],
+        [("1/2", "1/2")],
+    ]
+    sets = [RatSet.of(pairs) for pairs in fixed]
+    while len(sets) < 120:
+        den = rng.choice((12, 97, 2**40 + 15))
+        ends = sorted(Fraction(rng.randint(0, den), den) for _ in range(2 * rng.randint(1, 5)))
+        pairs = [(lo, lo if rng.random() < 0.3 else hi) for lo, hi in zip(ends[::2], ends[1::2])]
+        if rng.random() < 0.3:
+            # pieces that share an end, so RatSet.of joins them
+            pairs += [(hi, (hi + 1) / 2) for _, hi in pairs[:2]]
+        sets.append(RatSet.of(pairs))
+    return sets
+
+
 class TestDistance:
     def test_point(self):
         f = distance_function(RatSet.of([("1/2", "1/2")]))
@@ -227,6 +276,23 @@ class TestDistance:
 
     def test_full_interval(self):
         assert pl_equal(distance_function(FULL_SET), ZERO_F)
+
+    def test_matches_clamped_distance_pointwise(self, rng: random.Random):
+        # min(1, dist_to) at every knot, every component end and the 65
+        # dyadic points.
+        dyadic = [Fraction(*x) for x in dyadic_grid(6)]
+        for s in distance_sets(rng):
+            f = distance_function(s)
+            ends = [x for comp in s.intervals for x in comp]
+            for x in [*f.breakpoints, *ends, *dyadic]:
+                assert f(x) == min(Fraction(1), dist_to(x, s)), (s, x)
+
+    def test_matches_clamped_interpolation(self, rng: random.Random):
+        # The same function as the pl_min construction, with the same form.
+        for s in distance_sets(rng):
+            f, oracle = distance_function(s), clamped_interpolation(s)
+            assert f == oracle, s
+            assert f.line_form == oracle.line_form, s
 
     def test_lipschitz_and_zero_set(self, rng: random.Random):
         for _ in range(40):
