@@ -35,30 +35,33 @@ form is the blocks and theta.
 The result is evaluated by one grid walk.  A grid is the reduced (p, q) of
 each x, non-decreasing in [0, 1], as ``plalg.uniform_grid`` builds it or
 ``plalg.grid_pairs`` checks xs that arrive as Fractions, and every walker
-reads it as it is.  ``f.slices(grid, reads)`` yields, per x, theta(x)
-and the (alpha, g_blk, h_blk) of each block the x lists, from one forward
-pass (``plalg.sample``) of theta and of each block over the xs that list it,
-all as reduced (num, den) pairs.  Block n sits on Pow2OddSet(n - 1), so each
-natural y = 2^i (2j - 1) is sent by its 2-adic valuation i to block i + 1,
-the one block that owns it, with bump beta(y) = 1/k on the side h_blk for
-odd j and -1/k on the side g_blk for even j, k = ceil(j/2) (``locate``).
-The value f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) is then one
-integer kernel, ``slice_value``: with theta = a/b, alpha = p/q and
-side = c/d, it forms N = 4|p|qk and D = (pk)^2 + q^2, the clamp N >= D
-(scale 1) is one integer comparison, and (a*d*D + c*N*b) / (b*d*D) is
-reduced with one gcd.  The kernel assumes no saturation: it evaluates phi
-at every y, so the values verify_synthesis reads at its witnesses check the
-saturation lemma rather than restate it.  ``phi`` stays the definitional
-form, and the tests hold the kernel to it.  A single x is the one-point
-grid (``f.at``): ``f.value(x, y)`` walks theta and the block that owns y
-there and returns the kernel's pair as a Fraction, and sections and
-continuity certificates walk every block once per x.  The CSV export
-samples the blocks its y can reach, and the report samples each block only
-where it is the active stage.  Neither builds a Fraction per grid point:
-the CSV export plans its ys once per call, by block and side, fills each
-side of a block with alpha > 0 from the kernel's integer pairs, and writes
-each distinct pair once per x; the report compares each witness value's
-pair with the envelope's and keeps each entry as a row of pairs.
+reads it as it is.  ``plalg.cell_lines`` walks it for theta and the block
+functions a caller reads, with one cursor over the cells of their merged
+knots, and gives each x the line (a, b, d) of each function there; the
+value (a*p + b*q, d*q) is reduced only where it is written or compared with
+==.  Block n sits on Pow2OddSet(n - 1), so each natural y = 2^i (2j - 1) is
+sent by its 2-adic valuation i to block i + 1, the one block that owns it,
+with bump beta(y) = 1/k on the side h_blk for odd j and -1/k on the side
+g_blk for even j, k = ceil(j/2) (``locate``).  The value
+f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) is then one integer
+kernel, ``slice_value``: with theta = a/b, alpha = p/q and side = c/d, it
+forms N = 4|p|qk and D = (pk)^2 + q^2, the clamp N >= D (scale 1) is one
+integer comparison, and (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd.
+Scaling any pair scales N and D alike, so the kernel takes theta, alpha
+and the side unreduced.  The kernel assumes no saturation: it evaluates
+phi at every y, so the values verify_synthesis reads at its witnesses check
+the saturation lemma rather than restate it.  ``phi`` stays the
+definitional form, and the tests hold the kernel to it.  A single x is the
+one-point grid (``f.at``): ``f.value(x, y)`` walks theta and the block that
+owns y there and returns the kernel's pair as a Fraction, and sections and
+continuity certificates walk every block once per x.  The CSV export walks
+theta and the blocks its y can reach, and the report walks each run of
+grid xs with one active stage over theta, the envelopes and that stage's
+block.  Neither builds a Fraction per grid point: the CSV export plans its
+ys once per call, by block and side, fills each side of a block with
+alpha > 0 from the kernel's integer pairs, and writes each distinct pair
+once per x; the report compares each witness value's pair with the
+envelope's and keeps each entry as a row of pairs.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -70,9 +73,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from math import gcd
-from typing import Collection, Iterator, Sequence
+from operator import itemgetter
+from typing import Collection, Sequence
 
 from .pairs import StableFamily, envelopes
 from .plalg import (
@@ -81,14 +85,15 @@ from .plalg import (
     PLFunc,
     Pair,
     RatSet,
+    cell_lines,
     distance_function,
     dominates,
     equality_set,
     first_containing,
     grid_pairs,
+    line_value,
     pl_max,
     pl_min,
-    sample,
     subset,
 )
 from .rational import int_str, rat, rat_text, ratio_float, ratio_str
@@ -120,10 +125,14 @@ def slice_value(a: int, b: int, p: int, q: int, c: int, d: int, k: int) -> tuple
 
     phi(p/q, +-1/k) = min(1, N/D) with N = 4|p|qk and D = (pk)^2 + q^2, as
     ``phi`` computes it with r/w = +-1/k; the clamp is one integer
-    comparison, and the sum (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd.
+    comparison, and the sum (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd
+    (theta alone, where phi or the side is 0).  No operand need be in lowest
+    terms: scaling a pair scales N and D alike, so neither the clamp nor the
+    value changes, and the result is reduced once.
     """
     if p == 0 or c == 0:
-        return a, b
+        common = gcd(a, b)
+        return a // common, b // common
     num = 4 * abs(p) * q * k
     den = (p * k) ** 2 + q * q
     if num >= den:
@@ -194,19 +203,22 @@ class SchwartzBlock:
             if v < 0:
                 raise ValueError(f"upper stage envelope is negative at x={rat_text(x)}")
 
-    def terms(self, grid: Sequence[Pair]) -> Iterator[tuple[Pair, Pair, Pair]]:
-        """(alpha, g_blk, h_blk) at each x of a grid, as reduced pairs, from
-        one forward pass of each (``plalg.sample``)."""
-        return zip(sample(self.alpha, grid), sample(self.g_blk, grid), sample(self.h_blk, grid))
-
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         """side(x) * phi(alpha(x), beta(m)): ``slice_value`` with theta = 0."""
         bump = self.beta.bump(m)
         if bump is None:  # off the support: no point value is needed
             return Fraction(0)
         k, upper = bump
-        ((alpha, g, h),) = self.terms(grid_pairs([rat(x)]))
+        alpha, g, h = _point_values((self.alpha, self.g_blk, self.h_blk), x)
         return Fraction(*slice_value(0, 1, *alpha, *(h if upper else g), k))
+
+
+def _point_values(fs: Sequence[PLFunc], x: int | str | Fraction) -> list[Pair]:
+    """f(x) for each f of fs, as reduced pairs: ``plalg.cell_lines`` on the
+    one-point grid; a ValueError names an x outside [0, 1]."""
+    grid = grid_pairs([rat(x)])
+    (cell,) = cell_lines(fs, grid)
+    return [line_value(line, grid[0]) for line in cell]
 
 
 def hahn_block(g_blk: PLFunc, h_blk: PLFunc, a: RatSet, support: Pow2OddSet) -> SchwartzBlock:
@@ -284,37 +296,19 @@ class BlockProductFunc:
             return None
         return (i, *self.blocks[i].beta.bump(m))
 
-    def slices(
-        self, grid: Sequence[Pair], reads: Sequence[Collection[int]]
-    ) -> Iterator[tuple[Pair, list[tuple[Pair, Pair, Pair]]]]:
-        """(theta, terms) at each point of the grid, in order, from one
-        forward pass per function.
-
-        grid holds the xs as reduced pairs, non-decreasing and in [0, 1]
-        (``plalg.uniform_grid``, ``plalg.grid_pairs``), and reads[k] lists
-        the blocks (0-based) that the k-th point reads.  theta is sampled
-        over all of the grid, and block i's alpha, g_blk and h_blk over the
-        points whose entry lists i (``plalg.sample``); terms holds the
-        (alpha, g_blk, h_blk) pairs of the listed blocks, in the order listed
-        (``SchwartzBlock.terms``).
-        The passes run in step with the points yielded, so no sampled pair
-        is held past its point.
-        """
-        at: dict[int, list[Pair]] = {}
-        for point, listed in zip(grid, reads):
-            for i in listed:
-                at.setdefault(i, []).append(point)
-        sampled = {i: self.blocks[i].terms(points) for i, points in at.items()}
-        for theta, listed in zip(sample(self.theta, grid), reads):
-            yield theta, [next(sampled[i]) for i in listed]
-
     def at(
         self, x: int | str | Fraction, listed: Collection[int]
     ) -> tuple[Pair, list[tuple[Pair, Pair, Pair]]]:
-        """theta and the listed blocks' terms at the one x: ``slices`` on the
-        one-point grid; a ValueError names an x outside [0, 1]."""
-        (point,) = self.slices(grid_pairs([rat(x)]), [listed])
-        return point
+        """theta(x) and the (alpha, g_blk, h_blk) of each listed block
+        (0-based), in the order listed, as reduced pairs, from one walk of
+        the one-point grid (``_point_values``); a ValueError names an x
+        outside [0, 1]."""
+        fs = [self.theta]
+        for i in listed:
+            b = self.blocks[i]
+            fs += (b.alpha, b.g_blk, b.h_blk)
+        theta, *terms = _point_values(fs, x)
+        return theta, list(zip(terms[::3], terms[1::3], terms[2::3]))
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m
@@ -397,19 +391,20 @@ class BlockProductFunc:
         """(x, y, value, value_float) rows for plotting at each x of the grid
         (reduced pairs, non-decreasing in [0, 1]); y = "inf" included.  A
         y <= max_y has v2(y) < max_y.bit_length(), so only the blocks below
-        that index are sampled.
+        that index are walked.
 
         The ys are planned once per call: ``locate`` splits those a block
         owns into its lower (g_blk) and upper (h_blk) side, each with its
-        row and bump index k.  Per x, theta and each block's alpha, g_blk
-        and h_blk come from the grid walk as pairs, and every cell starts
-        as theta's.  A block with alpha = 0, or a side whose value is 0,
-        leaves its rows at theta; where both are nonzero the bump term is
-        nonzero, so the value is never theta, and it comes from
-        ``slice_value``.  Each distinct value pair is written once per x
-        (``ratio_str``, ``ratio_float``): a saturated value, phi = 1, is
-        theta + side for every k of its side.  No Fraction is built, and
-        every cell is a str, as the CLI's CSV writer requires.
+        row and bump index k.  One walk of the grid (``plalg.cell_lines``)
+        gives, per x, the lines of theta and of each walked block's alpha,
+        g_blk and h_blk.  theta(x) is reduced, and every cell starts as
+        theta's.  A block with alpha = 0, or a side whose value is 0, leaves
+        its rows at theta; where both are nonzero the bump term is nonzero,
+        so the value is never theta, and it comes from ``slice_value`` on
+        the unreduced alpha and side.  Each distinct value pair is written
+        once per x (``ratio_str``, ``ratio_float``): a saturated value,
+        phi = 1, is theta + side for every k of its side.  No Fraction is
+        built, and every cell is a str, as the CLI's CSV writer requires.
         """
         reach = range(min(self.size, max_y.bit_length()))
         sides: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in reach]
@@ -419,17 +414,29 @@ class BlockProductFunc:
                 i, k, upper = where
                 sides[i][upper].append((row, k))
         ys = [int_str(y) for y in range(1, max_y + 1)] + [INFINITY]
+        fs = [self.theta]
+        for i in reach:
+            b = self.blocks[i]
+            fs += (b.alpha, b.g_blk, b.h_blk)
         rows: list[tuple[str, str, str, str]] = []
-        for x, ((a, b), terms) in zip(grid, self.slices(grid, [reach] * len(grid))):
+        for x, cell in zip(grid, cell_lines(fs, grid)):
+            xp, xq = x
+            a, b = line_value(cell[0], x)
             values = [ratio_str(a, b)] * len(ys)
             floats = [ratio_float(a, b)] * len(ys)
             written: dict[Pair, tuple[str, str]] = {}
-            for ((p, q), lower, upper), (on_lower, on_upper) in zip(terms, sides):
+            for (aa, ab, ad), lower, upper, (on_lower, on_upper) in zip(
+                cell[1::3], cell[2::3], cell[3::3], sides
+            ):
+                p = aa * xp + ab * xq
                 if p == 0:
                     continue
-                for (c, d), on_side in ((lower, on_lower), (upper, on_upper)):
+                q = ad * xq
+                for (ca, cb, cd), on_side in ((lower, on_lower), (upper, on_upper)):
+                    c = ca * xp + cb * xq
                     if c == 0:
                         continue
+                    d = cd * xq
                     for row, k in on_side:
                         pair = slice_value(a, b, p, q, c, d, k)
                         cells = written.get(pair)
@@ -585,17 +592,18 @@ def verify_synthesis(
     active stage n, the witnesses y_lo = point(2m) and y_hi = point(2m-1) of
     block n, and g(x), h(x).  f(x, .) is evaluated at both witnesses, and a
     value that misses its envelope is a failure with its x and y.  The grid
-    is walked forward once, as it is: g, h and theta are sampled over all of
-    it (``plalg.sample``), the active stages come from one
-    ``first_containing`` pass, and block n's alpha, g_blk and h_blk are
-    sampled only at the x where n is active (``f.slices``).  Every
-    sampled value is a reduced pair.  The bump index m comes from alpha's
-    pair, and block n sits on Pow2OddSet(n - 1), so it owns both witnesses,
-    with bump 1/m at y_hi and -1/m at y_lo: each witness value is
-    ``slice_value`` on the sampled pairs, as f computes it, and is compared
-    with the envelope's pair.  Each entry is kept as the row
-    (x, g(x), h(x), y_lo, y_hi), with x, g(x) and h(x) as pairs, and a
-    Fraction is built only for a failure line.
+    is walked forward once, as it is: one ``first_containing`` pass gives
+    the active stages, and each run of xs with one active stage n is one
+    ``plalg.cell_lines`` walk over theta, g, h and block n's alpha, g_blk
+    and h_blk, which gives each x the six lines there.  g(x) and h(x) are
+    reduced for the row; theta, alpha and the sides go to ``slice_value``
+    unreduced, which reduces its result once.  The bump index
+    m = floor(1/alpha(x)) is q // p on alpha's pair, reduced or not.  Block
+    n sits on Pow2OddSet(n - 1), so it owns both witnesses, with bump 1/m at
+    y_hi and -1/m at y_lo: each witness value is ``slice_value``, as f
+    computes it, and its pair is compared with the envelope's.  Each entry
+    is kept as the row (x, g(x), h(x), y_lo, y_hi), with x, g(x) and h(x)
+    as pairs, and a Fraction is built only for a failure line.
     """
     pair = envelopes(family)
     g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
@@ -617,33 +625,37 @@ def verify_synthesis(
                 f"block {n}: stage envelopes leave the envelopes on F_{n}"
                 f" at x={rat_text(v.witness)}"
             )
-    stages = first_containing(f.stage_sets, grid)
-    walk = zip(
-        grid,
-        f.slices(grid, [(i,) for i in stages]),
-        sample(pair.g, grid),
-        sample(pair.h, grid),
-        stages,
-    )
     rows: list[SectionRow] = []
-    for x, (theta, ((alpha, g, h),)), g_x, h_x, i in walk:
-        if alpha[0] == 0:
-            failures.append(
-                f"x={rat_text(Fraction(*x))}: active block {i + 1} has vanished (alpha=0)"
-            )
-            continue
-        m = bump_witness_index(*alpha)
-        beta = f.blocks[i].beta
-        y_hi = beta.point(2 * m - 1)
-        y_lo = beta.point(2 * m)
-        # Block i sits on Pow2OddSet(i), so it owns both witnesses, with bump
-        # 1/m at y_hi and -1/m at y_lo.
-        for name, y, side, env in (("upper", y_hi, h, h_x), ("lower", y_lo, g, g_x)):
-            v = slice_value(*theta, *alpha, *side, m)
-            if v != env:
+    stages = first_containing(f.stage_sets, grid)
+    for i, run in groupby(zip(grid, stages), itemgetter(1)):
+        xs = [x for x, _ in run]
+        block = f.blocks[i]
+        beta = block.beta
+        fs = (f.theta, pair.g, pair.h, block.alpha, block.g_blk, block.h_blk)
+        for x, cell in zip(xs, cell_lines(fs, xs)):
+            p, q = x
+            theta, g, h, alpha, g_blk, h_blk = cell
+            a_num = alpha[0] * p + alpha[1] * q
+            if a_num == 0:
                 failures.append(
-                    f"x={rat_text(Fraction(*x))}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
-                    f" misses the {name} envelope {rat_text(Fraction(*env))}"
+                    f"x={rat_text(Fraction(*x))}: active block {i + 1} has vanished (alpha=0)"
                 )
-        rows.append((x, g_x, h_x, y_lo, y_hi))
+                continue
+            a_den = alpha[2] * q
+            m = bump_witness_index(a_num, a_den)
+            t_num, t_den = theta[0] * p + theta[1] * q, theta[2] * q
+            g_x, h_x = line_value(g, x), line_value(h, x)
+            y_hi = beta.point(2 * m - 1)
+            y_lo = beta.point(2 * m)
+            # Block i sits on Pow2OddSet(i), so it owns both witnesses, with
+            # bump 1/m at y_hi and -1/m at y_lo.
+            for name, y, side, env in (("upper", y_hi, h_blk, h_x), ("lower", y_lo, g_blk, g_x)):
+                c, e, d = side
+                v = slice_value(t_num, t_den, a_num, a_den, c * p + e * q, d * q, m)
+                if v != env:
+                    failures.append(
+                        f"x={rat_text(Fraction(*x))}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
+                        f" misses the {name} envelope {rat_text(Fraction(*env))}"
+                    )
+            rows.append((x, g_x, h_x, y_lo, y_hi))
     return SectionReport(tuple(rows), tuple(failures))

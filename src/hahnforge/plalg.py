@@ -26,11 +26,15 @@ once, with its line form cached; its knots are checked in integers (from
 compared again.  A grid is a list of non-decreasing xs in [0, 1], each a
 reduced pair (p, q) for x = p/q: ``uniform_grid`` builds one, and
 ``grid_pairs`` checks xs that arrive as Fractions once and turns them into
-one.  ``sample(f, grid)`` evaluates f on it in one forward pass that yields
-each value as a reduced (num, den) pair, with a cursor over the knots
-compared with x in integers and one gcd per value off a knot; no Fraction
-is built.  A point value ``f(x)`` is the single-point oracle: a bisection
-and the (slope, intercept) ``pieces`` derived from the lines.
+one.  ``cell_lines(fs, grid)`` walks a grid for several functions at once:
+one cursor moves over the cells of their merged knots, compared with x in
+integers, and gives each x the line of every function on its cell; the
+caller evaluates (a*p + b*q, d*q) and reduces, with one gcd
+(``line_value``), only the pairs it prints or compares with ==.  No
+Fraction is built.  ``sample(f, grid)`` is the one-function pass that
+yields reduced pairs, for a PwFunc too; the tests hold the walker to it.
+A point value ``f(x)`` is the single-point oracle: a bisection and the
+(slope, intercept) ``pieces`` derived from the lines.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -475,7 +479,7 @@ def subset(a: RatSet, b: RatSet) -> Verdict:
 
 def grid_pairs(xs: Iterable[Fraction]) -> list[Knot]:
     """The grid of xs that arrive as Fractions: the reduced (p, q) of each
-    x = p/q, for the forward passes of ``sample`` and ``first_containing``.
+    x = p/q, for the forward passes of ``cell_lines`` and ``first_containing``.
     The xs are checked once, here; a ValueError names the first x outside
     [0, 1] or below the x before it."""
     pairs: list[Knot] = []
@@ -491,6 +495,48 @@ def grid_pairs(xs: Iterable[Fraction]) -> list[Knot]:
         lp, lq = p, q
         pairs.append((p, q))
     return pairs
+
+
+def cell_lines(fs: Sequence[PLFunc], grid: Iterable[Knot]) -> Iterator[tuple[Line, ...]]:
+    """For each x = p/q of a grid (``uniform_grid``, ``grid_pairs``), the
+    line (a, b, d) of each of fs on the cell of their merged knots that holds
+    x, in one forward pass: each f(x) is (a*p + b*q) / (d*q), not reduced.
+
+    One cursor holds the cell, from the greatest merged knot at or below x
+    to the least one above it (x = 1 is in the last cell), and the same
+    tuple is yielded until an x reaches the cell's right end; then each
+    function's cursor moves past the knots at or below x, knots compared
+    with x in integers.  At a knot, the line that starts there gives the
+    stored value, as a PLFunc is continuous.
+    """
+    forms = [f.line_form for f in fs]
+    at = [0] * len(forms)
+    # The right end of the cell; (0, 1) puts the first x at or past it.
+    hp, hq = 0, 1
+    cell: tuple[Line, ...] = ()
+    for p, q in grid:
+        if p * hq >= hp * q:
+            hp = hq = 1
+            for j, (knots, _) in enumerate(forms):
+                i, last = at[j], len(knots) - 2
+                kp, kq = knots[i + 1]
+                while i < last and p * kq >= kp * q:
+                    i += 1
+                    kp, kq = knots[i + 1]
+                at[j] = i
+                if kp * hq < hp * kq:
+                    hp, hq = kp, kq
+            cell = tuple([lines[i] for (_, lines), i in zip(forms, at)])
+        yield cell
+
+
+def line_value(line: Line, x: Knot) -> Pair:
+    """The value of a line (a, b, d) at x = p/q as a reduced pair:
+    (a*p + b*q, d*q) over their gcd."""
+    (a, b, d), (p, q) = line, x
+    num, den = a * p + b * q, d * q
+    common = gcd(num, den)
+    return num // common, den // common
 
 
 def sample(f: PLFunc | PwFunc, grid: Iterable[Knot]) -> Iterator[Pair]:
@@ -529,24 +575,33 @@ def first_containing(sets: Sequence[RatSet], grid: Iterable[Knot]) -> list[int |
 
     Each set keeps a cursor at its first component that does not end before
     the last x that reached it, so every component is passed once over the
-    whole grid; ends are compared with x in integers.
+    whole grid; ends are compared with x in integers.  Only live sets are
+    scanned: an empty set never is, and a set leaves the scan once its
+    cursor passes its last component, as no later x can be in it.
     """
     comps = [
         [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in s.intervals]
         for s in sets
     ]
     cursors = [0] * len(sets)
+    live = [i for i, cs in enumerate(comps) if cs]
     out: list[int | None] = []
     for p, q in grid:
         found = None
-        for i, cs in enumerate(comps):
+        passed = False
+        for i in live:
+            cs = comps[i]
             j = cursors[i]
             while j < len(cs) and cs[j][2] * q < p * cs[j][3]:
                 j += 1
             cursors[i] = j
-            if j < len(cs) and cs[j][0] * q <= p * cs[j][1]:
+            if j == len(cs):
+                passed = True
+            elif cs[j][0] * q <= p * cs[j][1]:
                 found = i
                 break
+        if passed:
+            live = [i for i in live if cursors[i] < len(comps[i])]
         out.append(found)
     return out
 

@@ -31,13 +31,14 @@ from typing import Sequence, Union
 from .plalg import (
     PLFunc,
     Pair,
+    cell_lines,
     equality_set,
     first_containing,
+    line_value,
     pl_max,
     pl_min,
     pl_scale,
     pl_sum,
-    sample,
 )
 from .rational import ratio_float, ratio_str
 from .record import record
@@ -119,16 +120,17 @@ def _pair_from_candidates(
     candidates: Sequence[tuple[Witness, PLFunc]], grid: Sequence[Pair]
 ) -> SectionPair:
     """The envelopes of the candidates and their rows, from one walk of the
-    grid: g and h are sampled once each (``plalg.sample``), and each
-    witness comes from one ``first_containing`` pass per envelope."""
+    grid: one ``plalg.cell_lines`` pass gives the lines of g and h at each
+    x, whose values are reduced for the row, and each witness comes from
+    one ``first_containing`` pass per envelope."""
     labels, fs = zip(*candidates)
     g = pl_min(fs)
     h = pl_max(fs)
     at_g = first_containing([equality_set(f, g) for f in fs], grid)
     at_h = first_containing([equality_set(f, h) for f in fs], grid)
     points = tuple(
-        (x, gx, hx, labels[i], labels[j])
-        for x, gx, hx, i, j in zip(grid, sample(g, grid), sample(h, grid), at_g, at_h)
+        (x, line_value(g_line, x), line_value(h_line, x), labels[i], labels[j])
+        for x, (g_line, h_line), i, j in zip(grid, cell_lines((g, h), grid), at_g, at_h)
     )
     return SectionPair(g, h, points)
 

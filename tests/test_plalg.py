@@ -27,11 +27,13 @@ from hahnforge.plalg import (
     PwFunc,
     RatSet,
     Verdict,
+    cell_lines,
     distance_function,
     dominates,
     equality_set,
     first_containing,
     grid_pairs,
+    line_value,
     pl_abs,
     pl_equal,
     pl_max,
@@ -504,6 +506,71 @@ class TestForwardPasses:
         sets, xs = case
         expected = [next((i for i, s in enumerate(sets) if x in s), None) for x in xs]
         assert first_containing(sets, grid_pairs(xs)) == expected
+
+    def test_first_containing_matches_membership_oracle(self):
+        # Up to 33 sets, most of them empty as among tail_sections' equality
+        # sets, with single points and components whose ends touch across
+        # sets, at repeated xs with 0 and 1: the least set that holds x, by
+        # brute membership.
+        rng = random.Random(51)
+        ends = [Fraction(k, 8) for k in range(9)]
+        points = [Fraction(k, 16) for k in range(17)]
+        for _ in range(400):
+            sets = []
+            for _ in range(rng.randint(0, 33)):
+                comps = []
+                if rng.random() < 0.3:
+                    for _ in range(rng.randint(1, 3)):
+                        lo = rng.choice(ends)
+                        hi = lo if rng.random() < 0.4 else rng.choice(ends)
+                        comps.append((min(lo, hi), max(lo, hi)))
+                sets.append(RatSet.of(comps))
+            xs = sorted(rng.choices(points, k=rng.randint(0, 40)) + [Fraction(0), Fraction(1)] * 2)
+            expected = [next((i for i, s in enumerate(sets) if x in s), None) for x in xs]
+            assert first_containing(sets, grid_pairs(xs)) == expected
+
+    @staticmethod
+    def assert_cell_lines_are_point_values(fs: Sequence[PLFunc], xs: list[Fraction]) -> None:
+        """Each line cell_lines gives at x is one of its function's lines,
+        and its value at x, unreduced and as line_value reduces it, is the
+        function's point value."""
+        grid = grid_pairs(xs)
+        cells = list(cell_lines(fs, grid))
+        assert len(cells) == len(xs)
+        for x, (p, q), cell in zip(xs, grid, cells):
+            assert len(cell) == len(fs)
+            for f, line in zip(fs, cell):
+                a, b, d = line
+                v = f(x)
+                assert line in f.line_form[1], (x, line)
+                assert Fraction(a * p + b * q, d * q) == v, x
+                assert line_value(line, (p, q)) == (v.numerator, v.denominator), x
+
+    def test_cell_lines_match_point_evaluation(self):
+        # Random families with a constant and an envelope of two members (so
+        # knots shared across functions, and knots of one function only),
+        # at every merged knot or a sample of them, the midpoints between
+        # them, 0 and 1, and repeated xs.
+        rng = random.Random(29)
+        for _ in range(300):
+            fs = list(random_family(rng, 6)) + [PLFunc.constant(random_value(rng))]
+            fs.append(pl_max(fs[:2]))
+            rng.shuffle(fs)
+            knots = sorted({x for f in fs for x in f.breakpoints})
+            mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+            xs = rng.sample(knots + mids, rng.randint(0, len(knots) + len(mids)))
+            xs += rng.choices(knots + mids, k=3) + [Fraction(0), Fraction(1), Fraction(1)]
+            self.assert_cell_lines_are_point_values(fs, sorted(xs))
+        self.assert_cell_lines_are_point_values([X, ZERO_F], [])
+        self.assert_cell_lines_are_point_values([], [Fraction(0), Fraction(1, 2), Fraction(1)])
+
+    @BATCH
+    @given(st.lists(functions_and_points(), min_size=1, max_size=4))
+    def test_cell_lines_match_point_evaluation_at_any_size(self, cases):
+        # Up to four functions with values of up to 4000 bits, at the knots
+        # of each, at points between them and at repeated points.
+        fs = [f for f, _ in cases]
+        self.assert_cell_lines_are_point_values(fs, sorted(x for _, xs in cases for x in xs))
 
 
 # The grid-and-bisect algebra, kept as the oracle for the integer line kernel:

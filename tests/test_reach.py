@@ -61,6 +61,7 @@ NEVER_ENTERED: dict[str, str] = {
     "builder.BumpMap.value": ORACLE,
     "builder.SchwartzBlock.value": ACCEPTANCE,
     "builder._field": ITEM_1,
+    "builder._point_values": ITEM_1,
     "builder._support_from_json": ITEM_1,
     "builder.continuity_certificate": ACCEPTANCE,
     "builder.phi": ORACLE,
@@ -87,6 +88,7 @@ NEVER_ENTERED: dict[str, str] = {
     "plalg.grid_pairs": ITEM_1,
     "plalg.pl_abs": ORACLE,
     "plalg.pl_equal": TESTS,
+    "plalg.sample": ORACLE,
     "plalg.semicontinuity_check": ITEM_2,
     "record._delattr": RECORD,
     "record._setattr": RECORD,

@@ -269,18 +269,19 @@ class TestStructure:
         assert rows[0][0] == "0/1"
 
     def test_points_evaluated_once(self, monkeypatch):
-        # tail_sections builds the rows in its one walk: the forward passes
-        # over g and h yield one value per grid point each, and sections --out,
-        # which writes both to_json and rows, samples nothing more.
+        # tail_sections builds the rows in its one walk: the walker gives the
+        # lines of g and h at each grid point, two evaluations per point, and
+        # sections --out, which writes both to_json and rows, walks nothing
+        # more.
         calls = []
-        forward = sections.sample
+        walk = sections.cell_lines
 
-        def counted(f, xs):
-            for v in forward(f, xs):
-                calls.append(v)
-                yield v
+        def counted(fs, xs):
+            for cell in walk(fs, xs):
+                calls.extend(cell)
+                yield cell
 
-        monkeypatch.setattr(sections, "sample", counted)
+        monkeypatch.setattr(sections, "cell_lines", counted)
         pair = tail_sections(CANONICAL, GRID)
         assert len(calls) == 2 * len(GRID)
         data, rows = pair.to_json(), pair.rows()
