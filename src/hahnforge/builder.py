@@ -55,13 +55,13 @@ definitional form, and the tests hold the kernel to it.  A single x is the
 one-point grid (``f.at``): ``f.value(x, y)`` walks theta and the block that
 owns y there and returns the kernel's pair as a Fraction, and sections and
 continuity certificates walk every block once per x.  The CSV export walks
-theta and the blocks its y can reach, and the report walks each run of
-grid xs with one active stage over theta, the envelopes and that stage's
-block.  Neither builds a Fraction per grid point: the CSV export plans its
-ys once per call, by block and side, fills each side of a block with
-alpha > 0 from the kernel's integer pairs, and writes each distinct pair
-once per x; the report compares each witness value's pair with the
-envelope's and keeps each entry as a row of pairs.
+theta and the blocks its y can reach (``BlockProductFunc.walk``), and the
+report walks theta and the envelopes over the whole grid and each block
+over the xs where it is the active stage.  Neither builds a Fraction per
+grid point: the CSV export plans its ys once per call, by block and side,
+fills each side of a block with alpha > 0 from the kernel's integer pairs,
+and writes each distinct pair once per x; the report compares each witness
+value's pair with the envelope's and keeps each entry as a row of pairs.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -73,15 +73,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from math import gcd
-from operator import itemgetter
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .pairs import StableFamily, envelopes
 from .plalg import (
     EMPTY_SET,
     FULL_SET,
+    Line,
     PLFunc,
     Pair,
     RatSet,
@@ -296,19 +296,33 @@ class BlockProductFunc:
             return None
         return (i, *self.blocks[i].beta.bump(m))
 
-    def at(
-        self, x: int | str | Fraction, listed: Collection[int]
-    ) -> tuple[Pair, list[tuple[Pair, Pair, Pair]]]:
-        """theta(x) and the (alpha, g_blk, h_blk) of each listed block
-        (0-based), in the order listed, as reduced pairs, from one walk of
-        the one-point grid (``_point_values``); a ValueError names an x
-        outside [0, 1]."""
+    def walk(
+        self, grid: Iterable[Pair], listed: Iterable[int]
+    ) -> Iterator[tuple[Line, Iterator[tuple[Line, Line, Line]]]]:
+        """For each x of a grid (reduced pairs, non-decreasing in [0, 1]), the
+        line of theta and the lines (alpha, g_blk, h_blk) of each listed block
+        (0-based), in the order listed, on the cell that holds x: one
+        ``plalg.cell_lines`` walk over all of them."""
         fs = [self.theta]
         for i in listed:
             b = self.blocks[i]
             fs += (b.alpha, b.g_blk, b.h_blk)
-        theta, *terms = _point_values(fs, x)
-        return theta, list(zip(terms[::3], terms[1::3], terms[2::3]))
+        for cell in cell_lines(fs, grid):
+            yield cell[0], zip(cell[1::3], cell[2::3], cell[3::3])
+
+    def at(
+        self, x: int | str | Fraction, listed: Collection[int]
+    ) -> tuple[Pair, list[tuple[Pair, Pair, Pair]]]:
+        """theta(x) and the (alpha, g_blk, h_blk) of each listed block
+        (0-based), in the order listed, as reduced pairs: ``walk`` on the
+        one-point grid; a ValueError names an x outside [0, 1]."""
+        grid = grid_pairs([rat(x)])
+        ((theta, terms),) = self.walk(grid, listed)
+        (point,) = grid
+        return line_value(theta, point), [
+            (line_value(alpha, point), line_value(g, point), line_value(h, point))
+            for alpha, g, h in terms
+        ]
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         """theta(x) + side(x) * phi(alpha(x), beta(m)) of the block owning m
@@ -395,11 +409,11 @@ class BlockProductFunc:
 
         The ys are planned once per call: ``locate`` splits those a block
         owns into its lower (g_blk) and upper (h_blk) side, each with its
-        row and bump index k.  One walk of the grid (``plalg.cell_lines``)
-        gives, per x, the lines of theta and of each walked block's alpha,
-        g_blk and h_blk.  theta(x) is reduced, and every cell starts as
-        theta's.  A block with alpha = 0, or a side whose value is 0, leaves
-        its rows at theta; where both are nonzero the bump term is nonzero,
+        row and bump index k.  One walk of the grid (``walk``) gives, per
+        x, the lines of theta and of each walked block's alpha, g_blk and
+        h_blk.  theta(x) is reduced, and every cell starts as theta's.  A
+        block with alpha = 0, or a side whose value is 0, leaves its rows at
+        theta; where both are nonzero the bump term is nonzero,
         so the value is never theta, and it comes from ``slice_value`` on
         the unreduced alpha and side.  Each distinct value pair is written
         once per x (``ratio_str``, ``ratio_float``): a saturated value,
@@ -414,20 +428,14 @@ class BlockProductFunc:
                 i, k, upper = where
                 sides[i][upper].append((row, k))
         ys = [int_str(y) for y in range(1, max_y + 1)] + [INFINITY]
-        fs = [self.theta]
-        for i in reach:
-            b = self.blocks[i]
-            fs += (b.alpha, b.g_blk, b.h_blk)
         rows: list[tuple[str, str, str, str]] = []
-        for x, cell in zip(grid, cell_lines(fs, grid)):
+        for x, (theta, terms) in zip(grid, self.walk(grid, reach)):
             xp, xq = x
-            a, b = line_value(cell[0], x)
+            a, b = line_value(theta, x)
             values = [ratio_str(a, b)] * len(ys)
             floats = [ratio_float(a, b)] * len(ys)
             written: dict[Pair, tuple[str, str]] = {}
-            for (aa, ab, ad), lower, upper, (on_lower, on_upper) in zip(
-                cell[1::3], cell[2::3], cell[3::3], sides
-            ):
+            for ((aa, ab, ad), lower, upper), (on_lower, on_upper) in zip(terms, sides):
                 p = aa * xp + ab * xq
                 if p == 0:
                     continue
@@ -593,11 +601,12 @@ def verify_synthesis(
     block n, and g(x), h(x).  f(x, .) is evaluated at both witnesses, and a
     value that misses its envelope is a failure with its x and y.  The grid
     is walked forward once, as it is: one ``first_containing`` pass gives
-    the active stages, and each run of xs with one active stage n is one
-    ``plalg.cell_lines`` walk over theta, g, h and block n's alpha, g_blk
-    and h_blk, which gives each x the six lines there.  g(x) and h(x) are
-    reduced for the row; theta, alpha and the sides go to ``slice_value``
-    unreduced, which reduces its result once.  The bump index
+    the active stages, one ``plalg.cell_lines`` walk over theta, g and h
+    covers the whole grid, and one walk per block over the xs where it is
+    the active stage gives its alpha, g_blk and h_blk there, so every cursor
+    passes its knots once however often the active stage changes.  g(x)
+    and h(x) are reduced for the row; theta, alpha and the sides go to
+    ``slice_value`` unreduced, which reduces its result once.  The bump index
     m = floor(1/alpha(x)) is q // p on alpha's pair, reduced or not.  Block
     n sits on Pow2OddSet(n - 1), so it owns both witnesses, with bump 1/m at
     y_hi and -1/m at y_lo: each witness value is ``slice_value``, as f
@@ -627,35 +636,38 @@ def verify_synthesis(
             )
     rows: list[SectionRow] = []
     stages = first_containing(f.stage_sets, grid)
-    for i, run in groupby(zip(grid, stages), itemgetter(1)):
-        xs = [x for x, _ in run]
-        block = f.blocks[i]
-        beta = block.beta
-        fs = (f.theta, pair.g, pair.h, block.alpha, block.g_blk, block.h_blk)
-        for x, cell in zip(xs, cell_lines(fs, xs)):
-            p, q = x
-            theta, g, h, alpha, g_blk, h_blk = cell
-            a_num = alpha[0] * p + alpha[1] * q
-            if a_num == 0:
+    active: dict[int, list[Pair]] = {}
+    for x, i in zip(grid, stages):
+        active.setdefault(i, []).append(x)
+    walks = {}
+    for i, xs in active.items():
+        b = f.blocks[i]
+        walks[i] = cell_lines((b.alpha, b.g_blk, b.h_blk), xs)
+    for x, i, (theta, g, h) in zip(grid, stages, cell_lines((f.theta, pair.g, pair.h), grid)):
+        p, q = x
+        alpha, g_blk, h_blk = next(walks[i])
+        a_num = alpha[0] * p + alpha[1] * q
+        if a_num == 0:
+            failures.append(
+                f"x={rat_text(Fraction(*x))}: active block {i + 1} has vanished (alpha=0)"
+            )
+            continue
+        a_den = alpha[2] * q
+        m = bump_witness_index(a_num, a_den)
+        t_num, t_den = theta[0] * p + theta[1] * q, theta[2] * q
+        g_x, h_x = line_value(g, x), line_value(h, x)
+        beta = f.blocks[i].beta
+        y_hi = beta.point(2 * m - 1)
+        y_lo = beta.point(2 * m)
+        # Block i sits on Pow2OddSet(i), so it owns both witnesses, with
+        # bump 1/m at y_hi and -1/m at y_lo.
+        for name, y, side, env in (("upper", y_hi, h_blk, h_x), ("lower", y_lo, g_blk, g_x)):
+            c, e, d = side
+            v = slice_value(t_num, t_den, a_num, a_den, c * p + e * q, d * q, m)
+            if v != env:
                 failures.append(
-                    f"x={rat_text(Fraction(*x))}: active block {i + 1} has vanished (alpha=0)"
+                    f"x={rat_text(Fraction(*x))}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
+                    f" misses the {name} envelope {rat_text(Fraction(*env))}"
                 )
-                continue
-            a_den = alpha[2] * q
-            m = bump_witness_index(a_num, a_den)
-            t_num, t_den = theta[0] * p + theta[1] * q, theta[2] * q
-            g_x, h_x = line_value(g, x), line_value(h, x)
-            y_hi = beta.point(2 * m - 1)
-            y_lo = beta.point(2 * m)
-            # Block i sits on Pow2OddSet(i), so it owns both witnesses, with
-            # bump 1/m at y_hi and -1/m at y_lo.
-            for name, y, side, env in (("upper", y_hi, h_blk, h_x), ("lower", y_lo, g_blk, g_x)):
-                c, e, d = side
-                v = slice_value(t_num, t_den, a_num, a_den, c * p + e * q, d * q, m)
-                if v != env:
-                    failures.append(
-                        f"x={rat_text(Fraction(*x))}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
-                        f" misses the {name} envelope {rat_text(Fraction(*env))}"
-                    )
-            rows.append((x, g_x, h_x, y_lo, y_hi))
+        rows.append((x, g_x, h_x, y_lo, y_hi))
     return SectionReport(tuple(rows), tuple(failures))

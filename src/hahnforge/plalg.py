@@ -31,16 +31,13 @@ one cursor moves over the cells of their merged knots, compared with x in
 integers, and gives each x the line of every function on its cell; the
 caller evaluates (a*p + b*q, d*q) and reduces, with one gcd
 (``line_value``), only the pairs it prints or compares with ==.  No
-Fraction is built.  ``sample(f, grid)`` is the one-function pass that
-yields reduced pairs, for a PwFunc too; the tests hold the walker to it.
-A point value ``f(x)`` is the single-point oracle: a bisection and the
-(slope, intercept) ``pieces`` derived from the lines.
+Fraction is built.  A point value ``f(x)`` is the single-point oracle: a
+bisection and the (slope, intercept) ``pieces`` derived from the lines.
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
 point.  On this representation upper/lower semicontinuity is decidable by
-comparing point values against one-sided limits, and ``sample`` reads the
-point values at partition points.
+comparing point values against one-sided limits.
 
 Finite unions of closed rational intervals (singletons included) are
 :class:`RatSet`; they arise as equality sets {x : f(x) = g(x)} of PL
@@ -71,7 +68,7 @@ ONE = Fraction(1)
 Knot = tuple[int, int]
 Line = tuple[int, int, int]
 Form = tuple[Sequence[Knot], Sequence[Line]]
-# A value num/den in lowest terms with den > 0, as ``sample`` yields it.
+# A value num/den in lowest terms with den > 0, as ``line_value`` gives it.
 Pair = tuple[int, int]
 
 
@@ -537,36 +534,6 @@ def line_value(line: Line, x: Knot) -> Pair:
     num, den = a * p + b * q, d * q
     common = gcd(num, den)
     return num // common, den // common
-
-
-def sample(f: PLFunc | PwFunc, grid: Iterable[Knot]) -> Iterator[Pair]:
-    """Yield f(x) (``f.value(x)`` for a PwFunc) as a reduced (num, den) pair
-    with den > 0, for each x = p/q of a grid (``uniform_grid``,
-    ``grid_pairs``), in one forward pass that holds no values.
-
-    A cursor moves over the knots, each compared with x by integer
-    cross-multiplication.  At a knot the pair is the stored value's (the
-    point value of a PwFunc); elsewhere it is the segment's line (a, b, d)
-    at x, (a*p + b*q, d*q), reduced with one gcd: the numerator and
-    denominator of the point evaluation.
-    """
-    knots, lines = f.line_form
-    values = f.values if isinstance(f, PLFunc) else f.point_values
-    last = len(lines) - 1
-    i = 0
-    end_p, end_q = knots[1]
-    for p, q in grid:
-        while i < last and p * end_q >= end_p * q:
-            i += 1
-            end_p, end_q = knots[i + 1]
-        if p != q and (p, q) != knots[i]:
-            a, b, d = lines[i]
-            num, den = a * p + b * q, d * q
-            g = gcd(num, den)
-            yield num // g, den // g
-        else:
-            v = values[-1] if p == q else values[i]
-            yield v.numerator, v.denominator
 
 
 def first_containing(sets: Sequence[RatSet], grid: Iterable[Knot]) -> list[int | None]:

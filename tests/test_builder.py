@@ -36,7 +36,9 @@ from hahnforge.plalg import (
     RatSet,
     distance_function,
     dominates,
+    first_containing,
     grid_pairs,
+    pl_abs,
     pl_equal,
     pl_max,
     pl_min,
@@ -765,6 +767,37 @@ class TestReportLoop:
                     vanished += any("vanished" in m for m in report.failures)
                     checked += 1
         assert checked > 800 and missed > 0 and vanished > 0
+
+    def test_each_walk_passes_the_grid_once(self, monkeypatch):
+        # u1 = 0, u2 a sawtooth s with 64 sign changes and u3 = max(0, -s):
+        # F_2 is {s >= 0}, so the active stage switches between 2 and 3 at
+        # each of them.  theta, g and h are walked once over the whole grid and each
+        # block once over the xs where it is active, so no cursor starts
+        # again from knot 0 at a run; the rows and failure lines are the
+        # pointwise loop's.
+        s = X_MINUS_HALF
+        for k in range(2, 8):
+            s = pl_abs(s) - PLFunc.constant(Fraction(1, 2**k))
+        fam = StableFamily((ZERO_F, s, pl_max((ZERO_F, -s))))
+        f = synthesize(fam)
+        grid = uniform_grid(600)
+        stages = first_containing(f.stage_sets, grid)
+        assert sum(a != b for a, b in zip(stages, stages[1:])) == 64
+        walks = []
+        walk = builder.cell_lines
+
+        def counted(fs, xs):
+            walks.append((len(fs), len(xs)))
+            return walk(fs, xs)
+
+        monkeypatch.setattr(builder, "cell_lines", counted)
+        report = verify_synthesis(f, fam, grid)
+        monkeypatch.undo()
+        runs = [(3, n) for n in Counter(stages).values()]
+        assert sorted(walks) == sorted([(3, len(grid))] + runs)
+        rows, failures, _ = fraction_report(f, fam, grid)
+        assert report.passed
+        assert (report.rows, report.failures) == (rows, failures)
 
 
 class TestSliceEvaluation:

@@ -7,7 +7,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,9 @@ from conftest import (
 from hahnforge.plalg import (
     EMPTY_SET,
     FULL_SET,
+    Knot,
     PLFunc,
+    Pair,
     PwFunc,
     RatSet,
     Verdict,
@@ -42,7 +44,6 @@ from hahnforge.plalg import (
     pl_scale,
     pl_sum,
     reduced_line,
-    sample,
     semicontinuity_check,
     subset,
     uniform_grid,
@@ -427,6 +428,35 @@ def jumping_functions_and_points(draw):
     return PwFunc(f.breakpoints, pieces, point_values), xs
 
 
+def sample(f: PLFunc | PwFunc, grid: Iterable[Knot]) -> Iterator[Pair]:
+    """The one-function grid pass that cell_lines is held to: f(x)
+    (``f.value(x)`` for a PwFunc) as a reduced (num, den) pair with den > 0,
+    for each x = p/q of a grid, in one forward pass.
+
+    A cursor moves over the knots, each compared with x by integer
+    cross-multiplication.  At a knot the pair is the stored value's (the
+    point value of a PwFunc); elsewhere it is the segment's line (a, b, d)
+    at x, (a*p + b*q, d*q), reduced with one gcd.
+    """
+    knots, lines = f.line_form
+    values = f.values if isinstance(f, PLFunc) else f.point_values
+    last = len(lines) - 1
+    i = 0
+    end_p, end_q = knots[1]
+    for p, q in grid:
+        while i < last and p * end_q >= end_p * q:
+            i += 1
+            end_p, end_q = knots[i + 1]
+        if p != q and (p, q) != knots[i]:
+            a, b, d = lines[i]
+            num, den = a * p + b * q, d * q
+            g = gcd(num, den)
+            yield num // g, den // g
+        else:
+            v = values[-1] if p == q else values[i]
+            yield v.numerator, v.denominator
+
+
 class TestForwardPasses:
     @BATCH
     @given(functions_and_points())
@@ -468,13 +498,13 @@ class TestForwardPasses:
         message = re.escape(str(point.value))
         assert "outside the domain [0, 1]" in str(point.value)
         with pytest.raises(ValueError, match=message):
-            list(sample(f, grid_pairs(sorted(xs + [outside]))))
+            list(cell_lines([f], grid_pairs(sorted(xs + [outside]))))
         with pytest.raises(ValueError, match=message):
             first_containing([FULL_SET], grid_pairs(sorted(xs + [outside])))
         a, b = sorted(data.draw(st.lists(unit_rationals(8), min_size=2, max_size=2, unique=True)))
         falling = sorted(xs + [b]) + [a]
         for batch in (
-            lambda: list(sample(f, grid_pairs(falling))),
+            lambda: list(cell_lines([f], grid_pairs(falling))),
             lambda: first_containing([FULL_SET], grid_pairs(falling)),
         ):
             with pytest.raises(ValueError, match=re.escape(f"arguments must not decrease: {a} after")):
@@ -533,18 +563,20 @@ class TestForwardPasses:
     def assert_cell_lines_are_point_values(fs: Sequence[PLFunc], xs: list[Fraction]) -> None:
         """Each line cell_lines gives at x is one of its function's lines,
         and its value at x, unreduced and as line_value reduces it, is the
-        function's point value."""
+        function's point value and the pair the one-function pass sample
+        gives there."""
         grid = grid_pairs(xs)
         cells = list(cell_lines(fs, grid))
         assert len(cells) == len(xs)
-        for x, (p, q), cell in zip(xs, grid, cells):
+        passes = [list(sample(f, grid)) for f in fs]
+        for k, (x, (p, q), cell) in enumerate(zip(xs, grid, cells)):
             assert len(cell) == len(fs)
-            for f, line in zip(fs, cell):
+            for f, line, pairs in zip(fs, cell, passes):
                 a, b, d = line
                 v = f(x)
                 assert line in f.line_form[1], (x, line)
                 assert Fraction(a * p + b * q, d * q) == v, x
-                assert line_value(line, (p, q)) == (v.numerator, v.denominator), x
+                assert line_value(line, (p, q)) == pairs[k] == (v.numerator, v.denominator), x
 
     def test_cell_lines_match_point_evaluation(self):
         # Random families with a constant and an envelope of two members (so

@@ -88,7 +88,6 @@ NEVER_ENTERED: dict[str, str] = {
     "plalg.grid_pairs": ITEM_1,
     "plalg.pl_abs": ORACLE,
     "plalg.pl_equal": TESTS,
-    "plalg.sample": ORACLE,
     "plalg.semicontinuity_check": ITEM_2,
     "record._delattr": RECORD,
     "record._setattr": RECORD,
