@@ -94,6 +94,8 @@ from .plalg import (
     line_value,
     pl_max,
     pl_min,
+    pl_neg,
+    pl_sum,
     subset,
 )
 from .rational import int_str, rat, rat_text, ratio_float, ratio_str
@@ -191,17 +193,17 @@ class SchwartzBlock:
     beta: BumpMap
 
     def __post_init__(self) -> None:
-        lo, hi = self.alpha.bounds()
-        if lo < 0 or hi > 1:
+        # Each holds everywhere iff it holds at the knots, whose values are
+        # reduced pairs (num, den) with den > 0, so each comparison is of
+        # signs; for the envelopes the first knot that breaks it is the witness.
+        if any(n < 0 or n > d for n, d in self.alpha.knot_values):
             raise ValueError("alpha must take values in [0, 1]")
-        # g_blk <= 0 <= h_blk holds everywhere iff it holds at the knots; the
-        # first knot that breaks it is the witness.
-        for x, v in zip(self.g_blk.breakpoints, self.g_blk.values):
-            if v > 0:
-                raise ValueError(f"lower stage envelope is positive at x={rat_text(x)}")
-        for x, v in zip(self.h_blk.breakpoints, self.h_blk.values):
-            if v < 0:
-                raise ValueError(f"upper stage envelope is negative at x={rat_text(x)}")
+        for x, (n, _) in zip(self.g_blk.line_form[0], self.g_blk.knot_values):
+            if n > 0:
+                raise ValueError(f"lower stage envelope is positive at x={rat_text(Fraction(*x))}")
+        for x, (n, _) in zip(self.h_blk.line_form[0], self.h_blk.knot_values):
+            if n < 0:
+                raise ValueError(f"upper stage envelope is negative at x={rat_text(Fraction(*x))}")
 
     def value(self, x: int | str | Fraction, m: int) -> Fraction:
         """side(x) * phi(alpha(x), beta(m)): ``slice_value`` with theta = 0."""
@@ -489,7 +491,8 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     g_1 = h_1 = u_1 and end at the shifted envelope pair (g, h) = (g_N, h_N).
     Block n is built from g_n <= 0 <= h_n, the distance to F_{n-1}, and the
     odd multiples of 2^(n-1) (``Pow2OddSet(n - 1)``); then
-    F_n = {g_n = g} intersect {h_n = h}.
+    F_n = {g_n = g} intersect {h_n = h}.  The members are shifted by one sum
+    each with -theta, built once.
 
     This F_n is the union over j, k <= n of {u_j = g} intersect {u_k = h}
     (``stage_sets_of``): since g <= g_n <= u_j for j <= n, and a finite min
@@ -500,7 +503,8 @@ def synthesize(family: StableFamily) -> BlockProductFunc:
     is not kept: it is {alpha_{n+1} = 0}.
     """
     theta = family.members[0]
-    shifted = [u - theta for u in family.members]
+    minus_theta = pl_neg(theta)
+    shifted = [pl_sum((u, minus_theta)) for u in family.members]
     lowers = list(accumulate(shifted, lambda g, u: pl_min((g, u))))
     uppers = list(accumulate(shifted, lambda h, u: pl_max((h, u))))
     g_sh, h_sh = lowers[-1], uppers[-1]
@@ -609,13 +613,16 @@ def verify_synthesis(
     ``slice_value`` unreduced, which reduces its result once.  The bump index
     m = floor(1/alpha(x)) is q // p on alpha's pair, reduced or not.  Block
     n sits on Pow2OddSet(n - 1), so it owns both witnesses, with bump 1/m at
-    y_hi and -1/m at y_lo: each witness value is ``slice_value``, as f
-    computes it, and its pair is compared with the envelope's.  Each entry
-    is kept as the row (x, g(x), h(x), y_lo, y_hi), with x, g(x) and h(x)
-    as pairs, and a Fraction is built only for a failure line.
+    y_hi and -1/m at y_lo; with its unit 2^(n-1), taken once per block,
+    y_hi = unit * (4m - 3) and y_lo = unit * (4m - 1).  Each witness value is
+    ``slice_value``, as f computes it, and its pair is compared with the
+    envelope's.  Each entry is kept as the row (x, g(x), h(x), y_lo, y_hi),
+    with x, g(x) and h(x) as pairs, and a Fraction is built only for a
+    failure line.  The shift -theta is built once, for both envelopes.
     """
     pair = envelopes(family)
-    g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
+    minus_theta = pl_neg(f.theta)
+    g_sh, h_sh = pl_sum((pair.g, minus_theta)), pl_sum((pair.h, minus_theta))
     failures: list[str] = []
     v = subset(equality_set(f.blocks[0].alpha, PLFunc.constant(0)), EMPTY_SET)
     if not v.ok:
@@ -642,10 +649,11 @@ def verify_synthesis(
     walks = {}
     for i, xs in active.items():
         b = f.blocks[i]
-        walks[i] = cell_lines((b.alpha, b.g_blk, b.h_blk), xs)
+        walks[i] = cell_lines((b.alpha, b.g_blk, b.h_blk), xs), 1 << b.beta.support.power
     for x, i, (theta, g, h) in zip(grid, stages, cell_lines((f.theta, pair.g, pair.h), grid)):
         p, q = x
-        alpha, g_blk, h_blk = next(walks[i])
+        walk, unit = walks[i]
+        alpha, g_blk, h_blk = next(walk)
         a_num = alpha[0] * p + alpha[1] * q
         if a_num == 0:
             failures.append(
@@ -656,11 +664,11 @@ def verify_synthesis(
         m = bump_witness_index(a_num, a_den)
         t_num, t_den = theta[0] * p + theta[1] * q, theta[2] * q
         g_x, h_x = line_value(g, x), line_value(h, x)
-        beta = f.blocks[i].beta
-        y_hi = beta.point(2 * m - 1)
-        y_lo = beta.point(2 * m)
         # Block i sits on Pow2OddSet(i), so it owns both witnesses, with
-        # bump 1/m at y_hi and -1/m at y_lo.
+        # bump 1/m at y_hi = point(2m - 1) and -1/m at y_lo = point(2m);
+        # point(j) = unit * (2j - 1), and m >= 1.
+        y_hi = unit * (4 * m - 3)
+        y_lo = unit * (4 * m - 1)
         for name, y, side, env in (("upper", y_hi, h_blk, h_x), ("lower", y_lo, g_blk, g_x)):
             c, e, d = side
             v = slice_value(t_num, t_den, a_num, a_den, c * p + e * q, d * q, m)

@@ -21,18 +21,27 @@ result keeps only 0, 1 and the slope changes as knots, and equal functions
 have equal knots.  ``envelope_form``, ``sum_form`` and ``scale_form`` are
 these kernels on forms, so a caller such as the DSL elaborator can chain
 them and build only the last result.  A result becomes a :class:`PLFunc`
-once, with its line form cached; its knots are checked in integers (from
-(0, 1) to (1, 1), strictly increasing), so its Fraction breakpoints are not
-compared again.  A grid is a list of non-decreasing xs in [0, 1], each a
-reduced pair (p, q) for x = p/q: ``uniform_grid`` builds one, and
-``grid_pairs`` checks xs that arrive as Fractions once and turns them into
-one.  ``cell_lines(fs, grid)`` walks a grid for several functions at once:
-one cursor moves over the cells of their merged knots, compared with x in
-integers, and gives each x the line of every function on its cell; the
-caller evaluates (a*p + b*q, d*q) and reduces, with one gcd
-(``line_value``), only the pairs it prints or compares with ==.  No
-Fraction is built.  A point value ``f(x)`` is the single-point oracle: a
-bisection and the (slope, intercept) ``pieces`` derived from the lines.
+once, holding only its form, whose knots are checked in integers (from
+(0, 1) to (1, 1), strictly increasing).  A grid is a list of
+non-decreasing xs in [0, 1], each a reduced pair (p, q) for x = p/q:
+``uniform_grid`` builds one, and ``grid_pairs`` checks xs that arrive as
+Fractions once and turns them into one.  ``cell_lines(fs, grid)`` walks a
+grid for several functions at once: one cursor moves over the cells of
+their merged knots, compared with x in integers, and gives each x the line
+of every function on its cell; the caller evaluates (a*p + b*q, d*q) and
+reduces, with one gcd (``line_value``), only the pairs it prints or
+compares with ==.  No Fraction is built.  A point value ``f(x)`` is the
+single-point oracle: a bisection and the (slope, intercept) ``pieces``
+derived from the lines.
+
+The integer form is the stored state.  A kernel result's Fraction
+breakpoints and values, and a :class:`RatSet`'s Fraction intervals, are
+views built on first read and cached: equality, hashing, repr and every
+public read still see Fractions, and a result that no caller reads as
+Fractions builds none.  A function or set built from Fractions holds them
+and derives its integer form on first read.  ``to_json`` writes the reduced
+knot values (``knot_values``), and the RatSet operations read each
+component as a reduced (p0, q0, p1, q1) (``components``).
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -56,7 +65,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .rational import rat, rat_str, rat_text
+from .rational import rat, rat_text, ratio_str
 from .record import record
 
 ZERO = Fraction(0)
@@ -70,6 +79,8 @@ Line = tuple[int, int, int]
 Form = tuple[Sequence[Knot], Sequence[Line]]
 # A value num/den in lowest terms with den > 0, as ``line_value`` gives it.
 Pair = tuple[int, int]
+# A closed interval [p0/q0, p1/q1] as reduced (p0, q0, p1, q1).
+Component = tuple[int, int, int, int]
 
 
 @record
@@ -91,7 +102,13 @@ def reduced_line(a: int, b: int, d: int) -> Line:
 
 @record
 class PLFunc:
-    """Continuous piecewise-linear function on [0, 1] with rational data."""
+    """Continuous piecewise-linear function on [0, 1] with rational data.
+
+    The fields are the Fraction breakpoints and values, which equality,
+    hashing and repr read.  A function built from them holds both; a kernel
+    result holds only its ``line_form``, and each field is a view of it,
+    built on first read and cached.
+    """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
@@ -122,8 +139,8 @@ class PLFunc:
 
     @staticmethod
     def from_form(knots: Sequence[Knot], lines: Sequence[Line]) -> "PLFunc":
-        """The function of a form (knots, lines), checked in integers, with
-        the form cached."""
+        """The function of a form (knots, lines), checked in integers,
+        holding only the form."""
         return _built(knots, lines)
 
     @staticmethod
@@ -133,9 +150,9 @@ class PLFunc:
 
     @cached_property
     def line_form(self) -> tuple[tuple[Knot, ...], tuple[Line, ...]]:
-        """(knots, lines), derived once per function; a kernel result gets it
-        cached when built.  A cached attribute, not a field: equality,
-        hashing, repr and JSON see only the breakpoints and values.
+        """(knots, lines), derived once per function; a kernel result is
+        built holding it.  A cached attribute, not a field: equality,
+        hashing and repr see only the breakpoints and values.
 
         Through (p0/q0, n0/m0) and (p1/q1, n1/m1), with w = p1*q0 - p0*q1 > 0,
         the line is ((n1*m0 - n0*m1)*q0*q1, n0*m1*p1*q0 - n1*m0*p0*q1, m0*m1*w).
@@ -151,6 +168,25 @@ class PLFunc:
             for (p0, q0), (p1, q1), (n0, m0), (n1, m1) in zip(knots, knots[1:], ends, ends[1:])
         )
         return knots, lines
+
+    # The fields as views of line_form, for a kernel result; a function
+    # built from Fractions holds both, so these never run for it.
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(p, q) for p, q in self.line_form[0])
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self.knot_values)
+
+    @cached_property
+    def knot_values(self) -> tuple[Pair, ...]:
+        """The value at each knot as a reduced pair (``line_value``), read off
+        the line that starts there (the last line at x = 1)."""
+        knots, lines = self.line_form
+        out = [line_value(line, x) for x, line in zip(knots, lines)]
+        out.append(line_value(lines[-1], knots[-1]))
+        return tuple(out)
 
     @cached_property
     def pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -169,8 +205,15 @@ class PLFunc:
         return slope * x + intercept
 
     def bounds(self) -> tuple[Fraction, Fraction]:
-        """Exact (min, max) over [0, 1]; attained at breakpoints."""
-        return min(self.values), max(self.values)
+        """Exact (min, max) over [0, 1]; attained at knots, whose values are
+        compared as pairs."""
+        lo = hi = self.knot_values[0]
+        for n, d in self.knot_values[1:]:
+            if n * lo[1] < lo[0] * d:
+                lo = (n, d)
+            elif n * hi[1] > hi[0] * d:
+                hi = (n, d)
+        return Fraction(*lo), Fraction(*hi)
 
     def __add__(self, other: "PLFunc") -> "PLFunc":
         return pl_sum((self, other))
@@ -182,7 +225,10 @@ class PLFunc:
         return pl_neg(self)
 
     def to_json(self) -> list[list[str]]:
-        return [[rat_str(x), rat_str(v)] for x, v in zip(self.breakpoints, self.values)]
+        """["num/den", "num/den"] per knot, written from the reduced pairs."""
+        return [
+            [ratio_str(*x), ratio_str(*v)] for x, v in zip(self.line_form[0], self.knot_values)
+        ]
 
     @staticmethod
     def from_json(data: object) -> "PLFunc":
@@ -195,17 +241,13 @@ class PLFunc:
         return PLFunc.from_pairs(data)
 
 
-def _built(
-    knots: Sequence[Knot], lines: Sequence[Line], breakpoints: tuple[Fraction, ...] | None = None
-) -> PLFunc:
-    """The PLFunc of a form, with the form cached on it; the value at each
-    knot is read off the line that starts there (the last line at x = 1).
+def _built(knots: Sequence[Knot], lines: Sequence[Line]) -> PLFunc:
+    """The PLFunc of a form, holding only the form: its breakpoints and
+    values are built when first read.
 
     The form is checked in integers, with the messages of PLFunc's own
     checks: at least two knots and one line fewer, the first knot (0, 1) and
-    the last (1, 1), and p0*q1 < p1*q0 for consecutive knots.  The Fraction
-    breakpoints are then not compared again.  A caller whose knots are those
-    of an existing PLFunc passes its breakpoints, so they are not built again.
+    the last (1, 1), and p0*q1 < p1*q0 for consecutive knots.
     """
     if len(knots) < 2 or len(lines) != len(knots) - 1:
         raise ValueError("need matching breakpoint/value lists of length >= 2")
@@ -214,15 +256,8 @@ def _built(
     for (p0, q0), (p1, q1) in zip(knots, knots[1:]):
         if p0 * q1 >= p1 * q0:
             raise ValueError("breakpoints must be strictly increasing")
-    if breakpoints is None:
-        breakpoints = tuple(Fraction(p, q) for p, q in knots)
-    values = [Fraction(a * p + b * q, d * q) for (p, q), (a, b, d) in zip(knots, lines)]
-    (p, q), (a, b, d) = knots[-1], lines[-1]
-    values.append(Fraction(a * p + b * q, d * q))
     f = object.__new__(PLFunc)
-    f.__dict__.update(
-        breakpoints=breakpoints, values=tuple(values), line_form=(tuple(knots), tuple(lines))
-    )
+    f.__dict__["line_form"] = (tuple(knots), tuple(lines))
     return f
 
 
@@ -355,7 +390,7 @@ def scale_form(n: int, m: int, form: Form) -> Form:
 def pl_scale(c: int | str | Fraction, f: PLFunc) -> PLFunc:
     """c * f on the knots of f."""
     c = rat(c)
-    return _built(*scale_form(c.numerator, c.denominator, f.line_form), f.breakpoints)
+    return _built(*scale_form(c.numerator, c.denominator, f.line_form))
 
 
 def pl_neg(f: PLFunc) -> PLFunc:
@@ -392,6 +427,10 @@ class RatSet:
 
     Singleton points are stored as degenerate intervals.  The stored form is
     normalized: sorted, with a strict gap between consecutive components.
+    The field is the Fraction intervals, which equality, hashing and repr
+    read.  A set built from them holds them; a kernel result holds only its
+    ``components``, and ``intervals`` is their view, built on first read and
+    cached.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -408,6 +447,21 @@ class RatSet:
                 raise ValueError("components must be sorted and disjoint")
             prev_hi = hi
 
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """Each component [p0/q0, p1/q1] as reduced (p0, q0, p1, q1), in
+        order: the form every operation reads."""
+        return tuple(
+            (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+            for lo, hi in self.intervals
+        )
+
+    # The field as a view of components, for a kernel result; a set built
+    # from Fractions holds it, so this never runs for it.
+    @cached_property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(p0, q0), Fraction(p1, q1)) for p0, q0, p1, q1 in self.components)
+
     @staticmethod
     def of(pairs: Iterable[tuple[int | str | Fraction, int | str | Fraction]]) -> "RatSet":
         """Normalize arbitrary closed intervals: sort and merge overlaps."""
@@ -422,29 +476,42 @@ class RatSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.components
 
     def __contains__(self, x: int | str | Fraction) -> bool:
         x = rat(x)
-        return any(lo <= x <= hi for lo, hi in self.intervals)
+        p, q = x.numerator, x.denominator
+        return any(p0 * q <= p * q0 and p * q1 <= p1 * q for p0, q0, p1, q1 in self.components)
 
     def union(self, other: "RatSet") -> "RatSet":
         return RatSet.of((*self.intervals, *other.intervals))
 
     def intersect(self, other: "RatSet") -> "RatSet":
-        out: list[tuple[Fraction, Fraction]] = []
+        """One pass over both: each pair of overlapping components gives
+        [greater left end, lesser right end], ends compared in integers."""
+        out: list[Component] = []
         i = j = 0
-        a, b = self.intervals, other.intervals
+        a, b = self.components, other.components
         while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = a[i], b[j]
+            lo = (a0, a1) if a0 * b1 >= b0 * a1 else (b0, b1)
+            a_first = a2 * b3 < b2 * a3
+            hi = (a2, a3) if a_first else (b2, b3)
+            if lo[0] * hi[1] <= hi[0] * lo[1]:
+                out.append(lo + hi)
+            if a_first:
                 i += 1
             else:
                 j += 1
-        return RatSet(tuple(out))
+        return _set_of(out)
+
+
+def _set_of(components: Sequence[Component]) -> RatSet:
+    """The RatSet of sorted components with strict gaps, holding only them:
+    its intervals are built when first read."""
+    s = object.__new__(RatSet)
+    s.__dict__["components"] = tuple(components)
+    return s
 
 
 EMPTY_SET = RatSet(())
@@ -452,25 +519,30 @@ FULL_SET = RatSet(((ZERO, ONE),))
 
 
 def subset(a: RatSet, b: RatSet) -> Verdict:
-    """Whether a is contained in b, decided in one pass over both.
+    """Whether a is contained in b, decided in one pass over both, with ends
+    compared in integers.
 
     The components of b are closed with a strict gap between them, so a
     component of a whose left end lies in one of b is contained iff it ends
     inside that same one.  At the first component of a that is not contained,
     the witness is its left end if that lies outside b; otherwise the part
     outside b starts with an open gap, which has no least point, and the
-    witness is the midpoint of the gap within the component.
+    witness is the midpoint of the gap within the component.  Only the
+    witness is built as a Fraction.
     """
-    bs = b.intervals
+    bs = b.components
     j = 0
-    for lo, hi in a.intervals:
-        while j < len(bs) and bs[j][1] < lo:
+    for p0, q0, p1, q1 in a.components:
+        while j < len(bs) and bs[j][2] * q0 < p0 * bs[j][3]:
             j += 1
-        if j == len(bs) or bs[j][0] > lo:
-            return Verdict(False, lo)
-        if hi > bs[j][1]:
-            end = min(hi, bs[j + 1][0]) if j + 1 < len(bs) else hi
-            return Verdict(False, (bs[j][1] + end) / 2)
+        if j == len(bs) or bs[j][0] * q0 > p0 * bs[j][1]:
+            return Verdict(False, Fraction(p0, q0))
+        _, _, e, f = bs[j]
+        if p1 * f > e * q1:
+            # the gap ends at the next component of b, or at the end of a's
+            if j + 1 < len(bs) and bs[j + 1][0] * q1 < p1 * bs[j + 1][1]:
+                p1, q1 = bs[j + 1][:2]
+            return Verdict(False, Fraction(e * q1 + p1 * f, 2 * f * q1))
     return Verdict(True)
 
 
@@ -546,10 +618,7 @@ def first_containing(sets: Sequence[RatSet], grid: Iterable[Knot]) -> list[int |
     scanned: an empty set never is, and a set leaves the scan once its
     cursor passes its last component, as no later x can be in it.
     """
-    comps = [
-        [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in s.intervals]
-        for s in sets
-    ]
+    comps = [s.components for s in sets]
     cursors = [0] * len(sets)
     live = [i for i, cs in enumerate(comps) if cs]
     out: list[int | None] = []
@@ -601,7 +670,7 @@ def equality_set(f: PLFunc, g: PLFunc) -> RatSet:
         elif s_lo < 0 < s_hi or s_hi < 0 < s_lo:
             r = _crossing(l1, l2)
             add(r, r)
-    return RatSet(tuple((Fraction(*lo), Fraction(*hi)) for lo, hi in comps))
+    return _set_of([lo + hi for lo, hi in comps])
 
 
 def distance_function(s: RatSet) -> PLFunc:
@@ -618,8 +687,8 @@ def distance_function(s: RatSet) -> PLFunc:
     changes only, as a kernel result keeps them.
     """
     if s.is_empty:
-        return PLFunc.constant(1)
-    comps = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in s.intervals]
+        return _built(((0, 1), (1, 1)), ((0, 1, 1),))
+    comps = s.components
     knots: list[Knot] = [(0, 1)]
     lines: list[Line] = []
     p, q = comps[0][:2]

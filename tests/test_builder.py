@@ -6,13 +6,21 @@ import random
 import re
 import time
 from collections import Counter
+from itertools import accumulate
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dyadic_grid, int_str_digits, random_family, random_plfunc, random_value
+from conftest import (
+    dyadic_grid,
+    int_str_digits,
+    random_family,
+    random_plfunc,
+    random_ratset,
+    random_value,
+)
 from hahnforge import builder
 from hahnforge.builder import (
     BlockProductFunc,
@@ -1200,3 +1208,64 @@ class TestSinglePass:
             assert calls["pl_min"] + calls["pl_max"] <= 2 * (size - 1)
             assert calls["equality_set"] <= 2 * (size - 1)
             assert not calls["stage_envelopes"] + calls["stage_sets_of"] + calls["envelopes"]
+
+    def test_theta_is_negated_once(self, monkeypatch):
+        # synthesize and verify_synthesis each build -theta once and add it
+        # to every member (each envelope), with the forms that u - theta
+        # gives, so the blocks and the report are those of the shift.
+        negations = Counter()
+        negate = builder.pl_neg
+
+        def counted(f):
+            negations[f] += 1
+            return negate(f)
+
+        monkeypatch.setattr(builder, "pl_neg", counted)
+        for fam in single_pass_families():
+            negations.clear()
+            theta = fam.members[0]
+            f = synthesize(fam)
+            assert negations == Counter({theta: 1})
+            lowers = list(accumulate([u - theta for u in fam.members], lambda g, u: pl_min((g, u))))
+            uppers = list(accumulate([u - theta for u in fam.members], lambda h, u: pl_max((h, u))))
+            for block, g_n, h_n in zip(f.blocks, lowers, uppers):
+                assert block.g_blk.line_form == g_n.line_form
+                assert block.h_blk.line_form == h_n.line_form
+            negations.clear()
+            assert verify_synthesis(f, fam, uniform_grid(16)).passed
+            assert negations == Counter({theta: 1})
+
+
+def fraction_block_checks(g_blk: PLFunc, h_blk: PLFunc, alpha: PLFunc) -> str | None:
+    """The message of SchwartzBlock's checks, made on the Fraction
+    breakpoints and values: the oracle its integer checks are held to."""
+    if min(alpha.values) < 0 or max(alpha.values) > 1:
+        return "alpha must take values in [0, 1]"
+    for x, v in zip(g_blk.breakpoints, g_blk.values):
+        if v > 0:
+            return f"lower stage envelope is positive at x={x}"
+    for x, v in zip(h_blk.breakpoints, h_blk.values):
+        if v < 0:
+            return f"upper stage envelope is negative at x={x}"
+    return None
+
+
+def test_block_checks_match_the_fraction_form(rng: random.Random):
+    # Kernel results and functions built from Fractions, with values in and
+    # out of range: the same blocks are accepted, and the same message, with
+    # the same first knot as witness, rejects the others.
+    outcomes = Counter()
+    for _ in range(400):
+        raw = random_family(rng, 3)
+        g_blk = pl_min((ZERO_F,) + raw) if rng.random() < 0.7 else rng.choice(raw)
+        h_blk = pl_max((ZERO_F,) + raw) if rng.random() < 0.7 else rng.choice(raw)
+        alpha = distance_function(random_ratset(rng)) if rng.random() < 0.7 else random_plfunc(rng)
+        want = fraction_block_checks(g_blk, h_blk, alpha)
+        try:
+            SchwartzBlock(g_blk, h_blk, alpha, BumpMap(Pow2OddSet(0)))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (g_blk, h_blk, alpha)
+        outcomes[want.split(" ")[0] if want else None] += 1
+    assert set(outcomes) == {None, "alpha", "lower", "upper"}, outcomes

@@ -48,6 +48,7 @@ from hahnforge.plalg import (
     subset,
     uniform_grid,
 )
+from hahnforge.rational import rat_str
 from hahnforge.specdsl import MAX_GRID
 
 X = PLFunc.identity()
@@ -966,3 +967,183 @@ def test_uniform_grid_is_the_checked_grid():
 def test_ratset_normalization():
     s = RatSet.of([("1/2", "3/4"), ("0", "1/2")])
     assert s.intervals == ((Fraction(0), Fraction(3, 4)),)
+
+
+# -- the integer form is the stored state; Fractions are views -----------------
+
+
+def wide_plfunc(rng: random.Random, bits: int) -> PLFunc:
+    """A PL function with up to four interior knots and values of up to
+    ``bits`` bits, built from Fractions."""
+    top = 2**bits
+    knots = {Fraction(0), Fraction(1)}
+    for _ in range(rng.randint(0, 4)):
+        den = rng.randint(1, top)
+        knots.add(Fraction(rng.randint(0, den), den))
+    grid = sorted(knots)
+    values = tuple(Fraction(rng.randint(-top, top), rng.randint(1, top)) for _ in grid)
+    return PLFunc(tuple(grid), values)
+
+
+def form_families(rng: random.Random) -> list[tuple[PLFunc, ...]]:
+    """Seeded families: random ones on the 16ths grid with repeated members,
+    and ones with knots and values of 4, 64 and 4,000 bits.  Each has a
+    member that touches the first at one point and one that agrees with it
+    on an interval."""
+    fams = []
+    for bits in (None, None, 4, 64, 4000):
+        for _ in range(4):
+            if bits is None:
+                fs = random_family(rng, 4)
+                fs += (rng.choice(fs),)
+            else:
+                fs = tuple(wide_plfunc(rng, bits) for _ in range(rng.randint(1, 2)))
+            den = rng.randint(2, 2 ** (bits or 4))
+            p = Fraction(rng.randint(1, den - 1), den)
+            fams.append(fs + (oracle_sum((fs[0], tent(p, Fraction(1)))), pl_max((fs[0], fs[-1]))))
+    return fams
+
+
+def kernel_results(fs: Sequence[PLFunc]) -> list[PLFunc]:
+    """What each kernel returns for a family: envelopes, sum, scalings,
+    abs and distance functions."""
+    f, g = fs[0], fs[-1]
+    return [
+        pl_min(fs),
+        pl_max(fs),
+        pl_sum(fs),
+        pl_scale(Fraction(-3, 7), f),
+        pl_neg(g),
+        pl_abs(f),
+        distance_function(equality_set(f, g)),
+        distance_function(EMPTY_SET),
+    ]
+
+
+def family_sets(fs: Sequence[PLFunc]) -> list[RatSet]:
+    """Equality sets of a family with its envelopes and with each other:
+    points, intervals and empty sets."""
+    lo, hi = pl_min(fs), pl_max(fs)
+    sets = [equality_set(u, env) for u in fs for env in (lo, hi)]
+    return sets + [equality_set(fs[0], fs[-1]), equality_set(lo, hi)]
+
+
+def fraction_intersect(a: RatSet, b: RatSet) -> RatSet:
+    """RatSet.intersect as it was on Fraction intervals: the oracle the
+    integer form is held to."""
+    out: list[tuple[Fraction, Fraction]] = []
+    i = j = 0
+    x, y = a.intervals, b.intervals
+    while i < len(x) and j < len(y):
+        lo, hi = max(x[i][0], y[j][0]), min(x[i][1], y[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if x[i][1] < y[j][1]:
+            i += 1
+        else:
+            j += 1
+    return RatSet(tuple(out))
+
+
+def fraction_subset(a: RatSet, b: RatSet) -> Verdict:
+    """subset as it was on Fraction intervals, witness included."""
+    bs = b.intervals
+    j = 0
+    for lo, hi in a.intervals:
+        while j < len(bs) and bs[j][1] < lo:
+            j += 1
+        if j == len(bs) or bs[j][0] > lo:
+            return Verdict(False, lo)
+        if hi > bs[j][1]:
+            end = min(hi, bs[j + 1][0]) if j + 1 < len(bs) else hi
+            return Verdict(False, (bs[j][1] + end) / 2)
+    return Verdict(True)
+
+
+def member(s: RatSet, x: Fraction) -> bool:
+    """x in s, read off the Fraction intervals."""
+    return any(lo <= x <= hi for lo, hi in s.intervals)
+
+
+def probes(*sets: RatSet) -> set[Fraction]:
+    """0, 1, and the ends and midpoints of every component of the sets."""
+    out = {Fraction(0), Fraction(1)}
+    for s in sets:
+        for lo, hi in s.intervals:
+            out.update((lo, hi, (lo + hi) / 2))
+    return out
+
+
+class TestIntegerForm:
+    """A kernel result stores only its integer form: a PLFunc its
+    ``line_form``, a RatSet its ``components``.  The Fraction fields are
+    views, built on first read, equal to what a function or set built from
+    those Fractions holds."""
+
+    def test_views_are_built_on_first_read(self, rng: random.Random):
+        for fs in form_families(rng):
+            for r in kernel_results(fs):
+                # Kernels, exports and checks that read the form build no view.
+                pl_sum((r, fs[0]))
+                equality_set(r, fs[0])
+                r.to_json()
+                r.bounds()
+                assert not {"breakpoints", "values"} & set(vars(r))
+                r.breakpoints
+                assert "breakpoints" in vars(r) and "values" not in vars(r)
+                assert r.values is r.values and "values" in vars(r)
+            for s in family_sets(fs):
+                s.intersect(FULL_SET)
+                subset(s, FULL_SET)
+                subset(FULL_SET, s)
+                distance_function(s)
+                first_containing([s], uniform_grid(8))
+                s.is_empty
+                Fraction(1, 3) in s
+                assert "intervals" not in vars(s)
+                assert s.intervals is s.intervals and "intervals" in vars(s)
+
+    def test_results_equal_their_fraction_twins(self, rng: random.Random):
+        for fs in form_families(rng):
+            for r in kernel_results(fs):
+                twin = PLFunc(r.breakpoints, r.values)
+                assert r == twin and twin == r and hash(r) == hash(twin)
+                with int_str_digits(0):
+                    assert repr(r) == repr(twin)
+                assert twin.line_form == r.line_form and twin.knot_values == r.knot_values
+                assert r.bounds() == (min(r.values), max(r.values))
+                assert twin.bounds() == r.bounds()
+
+    def test_sets_equal_their_fraction_twins(self, rng: random.Random):
+        for fs in form_families(rng):
+            for s in family_sets(fs):
+                twin = RatSet.of(s.intervals)
+                assert s == twin and twin == s and hash(s) == hash(twin)
+                with int_str_digits(0):
+                    assert repr(s) == repr(twin)
+                assert twin.components == s.components
+
+    def test_intersect_and_subset_match_the_fraction_forms(self, rng: random.Random):
+        for fs in form_families(rng):
+            sets = family_sets(fs) + [random_ratset(rng) for _ in range(4)]
+            sets += [EMPTY_SET, FULL_SET]
+            for a in sets:
+                for b in sets:
+                    both = a.intersect(b)
+                    assert both == fraction_intersect(a, b), (a, b)
+                    v = subset(a, b)
+                    assert v == fraction_subset(a, b), (a, b)
+                    points = probes(a, b)
+                    for x in points:
+                        assert (x in both) == member(both, x) == (member(a, x) and member(b, x))
+                    if v.ok:
+                        assert all(member(b, x) for x in points if member(a, x)), (a, b)
+                    else:
+                        assert member(a, v.witness) and not member(b, v.witness), (a, b, v)
+
+    def test_to_json_is_rat_str_of_the_views(self, rng: random.Random):
+        for fs in form_families(rng):
+            for f in (*fs, *kernel_results(fs)):
+                written = [[rat_str(x), rat_str(v)] for x, v in zip(f.breakpoints, f.values)]
+                assert f.to_json() == written
+                assert PLFunc.from_json(written) == f
