@@ -83,10 +83,6 @@ class CountableSet:
     atoms: tuple[str, ...] = ()
     tail_prefixes: tuple[str, ...] = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.atoms and not self.tail_prefixes
-
 
 def at_is_continuous(f: AlphaTFunc) -> Verdict:
     """Continuity on the compactification, decided blockwise.

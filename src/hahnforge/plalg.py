@@ -204,17 +204,6 @@ class PLFunc:
         slope, intercept = self.pieces[i]
         return slope * x + intercept
 
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        """Exact (min, max) over [0, 1]; attained at knots, whose values are
-        compared as pairs."""
-        lo = hi = self.knot_values[0]
-        for n, d in self.knot_values[1:]:
-            if n * lo[1] < lo[0] * d:
-                lo = (n, d)
-            elif n * hi[1] > hi[0] * d:
-                hi = (n, d)
-        return Fraction(*lo), Fraction(*hi)
-
     def __add__(self, other: "PLFunc") -> "PLFunc":
         return pl_sum((self, other))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .rational import int_of, int_str
+from .rational import int_of
 from .record import record
 
 
@@ -55,18 +55,6 @@ class OrdinalCNF:
             c = next(c for e, c in self.terms if e == lead)
             merged[0] = (lead, merged[0][1] + c)
         return OrdinalCNF(tuple(kept + merged))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(int_str(c))
-            else:
-                head = "w" if e == 1 else f"w^{int_str(e)}"
-                parts.append(head if c == 1 else f"{head}*{int_str(c)}")
-        return " + ".join(parts)
 
 
 _TERM_RE = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")

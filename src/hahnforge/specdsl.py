@@ -19,35 +19,43 @@ only inside rational literals; violations are reported as non-PL constructs
 rather than plain syntax errors.  Identifiers refer to earlier declarations.
 Every diagnostic carries a 1-based line and column.
 
-Reading a spec is one pass from text to ``PLFunc`` values that builds no
-object it throws away.  The whole text is scanned once, by one compiled
-pattern, into three parallel lists: each token's key (an operator's text, or
-else the token kind), its text and its start offset.  A token's (line, col)
-is computed from its offset only when a diagnostic or ``SpecAST.end`` needs
-it.  Each lookahead is one list index.  A sum is one ``Sum`` node over its
-terms, a subtracted term stored negated, and a term is one loop over its
-factors, so a long sum, product or run of minus signs costs no recursion.
-Literal factors multiply as integer (num, den) pairs, so a literal or a
-scaling builds one ``Fraction``.  Only parentheses nest: an open ``(`` more
-than ``MAX_DEPTH`` (100) deep on a line, and an integer literal longer than
-``MAX_DIGITS`` (1000) digits, are syntax errors; literals are read through
-``rational`` under any digit limit.  A ``grid`` denominator above
-``MAX_GRID`` (10,000) is a syntax error too.
+Reading a spec is one pass from text to ``PLFunc`` values that runs no
+Python loop per token and builds no ``Fraction`` per literal.  The whole text
+is scanned by one ``findall`` of one compiled pattern into the list of token
+texts, blanks and comments skipped before each token; the empty text marks
+the end.  No token's offset is kept: a diagnostic finds its token's (line,
+col) by running the same pattern up to that token.  Scan errors are found
+with a few whole-string checks, and only a text they flag is walked token by
+token, so the first error in text order is reported.  Each lookahead is one
+list index.  A sum is one ``Sum`` node over its terms, a subtracted term
+stored negated, and a term is one loop over its factors, so a long sum,
+product or run of minus signs costs no recursion.  Literal factors multiply
+as integer (num, den) pairs, and a ``Lit`` or ``Scale`` holds its reduced
+pair; its ``value`` or ``factor`` is a ``Fraction`` view built on first read.
+Only parentheses nest: an open ``(`` more than ``MAX_DEPTH`` (100) deep on a
+line, and an integer literal longer than ``MAX_DIGITS`` (1000) digits, are
+syntax errors; literals are read through ``rational`` under any digit limit.
+A ``grid`` denominator above ``MAX_GRID`` (10,000) is a syntax error too.
 
 Elaboration turns expressions into exact ``PLFunc`` values; the declarations,
 in order, form the function family of the spec.  Each subtree becomes the
-integer form (knots, lines) of ``plalg``, and only a declaration's value is
-built as a ``PLFunc``.  A subtree of literals, ``x``, sums and scalings is
-affine: its form is one reduced integer line.  ``min``, ``max`` and ``abs``
-fold their arguments' forms with the envelope kernel behind ``pl_min`` and
-``pl_max``, and a sum of affine and other terms adds its affine terms as one
-line, with the kernel behind ``pl_sum``.
+integer form (knots, lines) of ``plalg``, by one call to the fold of its
+node's class, and only a declaration's value is built as a ``PLFunc``.  A
+subtree of literals, ``x``, sums and scalings is affine: its form is one
+reduced integer line.  ``min``, ``max`` and ``abs`` fold their arguments'
+forms with the envelope kernel behind ``pl_min`` and ``pl_max``, and a sum
+of affine and other terms adds its affine terms as one line, with the
+kernel behind ``pl_sum``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice, repeat
+from math import gcd
+from operator import itemgetter
 
 from .pairs import StableFamily
 from .plalg import (
@@ -89,16 +97,23 @@ class SpecError(Exception):
         self.kind = kind
 
 
-# One token after optional blanks: a decimal integer (\d is exactly
-# str.isdecimal, what int() reads), a name (\w is exactly isalnum() or "_"),
-# an operator, a line break, a comment up to the line break, or any other
-# non-blank character, an error.  A name must start with a letter or "_", but
-# [^\W\d] also admits digits that are not decimal, such as "²", so its first
-# character is checked after the match.  Trailing blanks are cut before the
-# text is scanned, so every scan matches: a failed scan would be retried at
-# each later blank, quadratic in their number.
-_TOKEN = re.compile(r"[ \t\r]*(?:(\d+)|([^\W\d]\w*)|([=+\-*/^(),])|(\n)|(#[^\n]*)|([^ \t\r]))")
-_INT, _NAME, _OP, _NEWLINE, _COMMENT = 1, 2, 3, 4, 5
+# One token after blanks and a comment, both optional: a decimal integer (\d
+# is exactly str.isdecimal, what int() reads), a name (\w is exactly
+# isalnum() or "_"), an operator or line break, or any other non-blank
+# character, an error.  A name must start with a letter or "_", but [^\W\d]
+# also admits digits that are not decimal, such as "²", so first characters
+# are checked after the scan.  A comment runs to the line break, which is the
+# next token, so after the optional prefix a token always matches: the
+# pattern never backtracks, provided the text ends in a token.  So trailing
+# blanks, and a comment on the last line, are cut before the text is scanned
+# (``_end``); a failed match would be retried at each later character.
+_TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(\d+|[^\W\d]\w*|[=+\-*/^(),\n]|[^ \t\r])")
+# First characters that start a token and are not letters: decimal digits,
+# "_", the operators and the line break.
+_NOT_LETTER = re.compile(r"[\d_=+\-*/^(),\n]+")
+# Tokens that are neither a name nor a literal: the operators, the line
+# break and the end, "".
+_PUNCTUATION = frozenset(["=", "+", "-", "*", "/", "^", "(", ")", ",", "\n", ""])
 
 
 def _where(text: str, offset: int) -> tuple[int, int]:
@@ -107,53 +122,77 @@ def _where(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The tokens of the text, in one pass, as three parallel lists: each
-    token's key (an operator's text, or else its kind: INT, NAME, NEWLINE, and
-    EOF last), its text, and its start offset."""
-    keys: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
+def _end(text: str) -> int:
+    """Where scanning stops: past the last token, before trailing blanks and
+    a comment on the last line."""
+    end = len(text.rstrip(" \t\r"))
+    comment = text.find("#", text.rfind("\n", 0, end) + 1, end)
+    return end if comment < 0 else len(text[:comment].rstrip(" \t\r"))
+
+
+def _scan(text: str) -> list[str]:
+    """The token texts, in one ``findall``, with "" for the end last.
+
+    A token's first character tells its kind.  Whole-string checks flag a
+    text that may hold a scan error: a first character that is neither a
+    letter nor one of ``_NOT_LETTER``, a token longer than ``MAX_DIGITS``, or
+    a line with more than ``MAX_DEPTH`` tokens "(".  Only a flagged text is
+    walked token by token, by ``_first_error``."""
+    tokens = _TOKEN.findall(text, 0, _end(text))
+    firsts = "".join(map(itemgetter(0), tokens))
+    letters = _NOT_LETTER.sub("", firsts)
+    if (
+        (letters and not letters.isalpha())
+        or max(map(len, tokens), default=0) > MAX_DIGITS
+        or max(map(str.count, firsts.split("\n"), repeat("("))) > MAX_DEPTH
+    ):
+        _first_error(text)
+    tokens.append("")
+    return tokens
+
+
+def _first_error(text: str) -> None:
+    """Raise the first scan error of the text, in text order, if it has one:
+    a character that starts no token, an integer literal longer than
+    ``MAX_DIGITS``, or an open "(" deeper than ``MAX_DEPTH`` on its line."""
     depth = 0
-    for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r"))):
-        group = m.lastindex
-        tok = m[group]
-        if group == _OP:
-            if tok == "(":
-                depth += 1
-                if depth > MAX_DEPTH:
-                    raise SpecError(
-                        f"parentheses nested deeper than {MAX_DEPTH}", *_where(text, m.start(group))
-                    )
-            elif tok == ")" and depth:
-                depth -= 1
-            keys.append(tok)
-        elif group == _NAME and (tok[0].isalpha() or tok[0] == "_"):
-            keys.append("NAME")
-        elif group == _INT:
+    for m in _TOKEN.finditer(text, 0, _end(text)):
+        tok = m[1]
+        first = tok[0]
+        if first == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise SpecError(
+                    f"parentheses nested deeper than {MAX_DEPTH}", *_where(text, m.start(1))
+                )
+        elif first == ")":
+            depth = max(depth - 1, 0)
+        elif first == "\n":
+            depth = 0
+        elif first.isdecimal():
             if len(tok) > MAX_DIGITS:
                 raise SpecError(
-                    f"integer literal longer than {MAX_DIGITS} digits", *_where(text, m.start(group))
+                    f"integer literal longer than {MAX_DIGITS} digits", *_where(text, m.start(1))
                 )
-            keys.append("INT")
-        elif group == _NEWLINE:
-            depth = 0
-            keys.append("NEWLINE")
-            tok = ""
-        elif group == _COMMENT:
-            continue
-        else:
-            raise SpecError(f"unexpected character {tok[0]!r}", *_where(text, m.start(group)))
-        texts.append(tok)
-        starts.append(m.start(group))
-    keys.append("EOF")
-    texts.append("")
-    starts.append(len(text))
-    return keys, texts, starts
+        elif not (first.isalpha() or first in "_=+-*/^,"):
+            raise SpecError(f"unexpected character {first!r}", *_where(text, m.start(1)))
+
+
+def _start(text: str, i: int) -> int:
+    """The start offset of token i of ``_scan(text)``, found by running the
+    pattern again up to it; the end, "", starts at the end of the text."""
+    m = next(islice(_TOKEN.finditer(text, 0, _end(text)), i, None), None)
+    return len(text) if m is None else m.start(1)
 
 
 class Expr:
     pass
+
+
+# A Lit or Scale stores its constant as a reduced integer pair (num, den),
+# den > 0, which the parser multiplies and elaboration reads; the field, a
+# Fraction, is a view of the pair built on first read and cached, and ==,
+# hash and repr read it.  A node built from a Fraction stores its pair.
 
 
 @record
@@ -161,7 +200,11 @@ class Lit(Expr):
     value: Fraction
 
     def __init__(self, value: Fraction) -> None:
-        object.__setattr__(self, "value", value)
+        self.__dict__["pair"] = (value.numerator, value.denominator)
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(*self.pair)
 
 
 @record
@@ -189,8 +232,11 @@ class Scale(Expr):
     body: Expr
 
     def __init__(self, factor: Fraction, body: Expr) -> None:
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "body", body)
+        self.__dict__.update(pair=(factor.numerator, factor.denominator), body=body)
+
+    @cached_property
+    def factor(self) -> Fraction:
+        return Fraction(*self.pair)
 
 
 @record
@@ -226,57 +272,73 @@ class SpecAST:
     end: tuple[int, int] = field(default=(1, 1), compare=False)
 
 
-_MINUS_ONE = Fraction(-1)
+def _lit(num: int, den: int) -> Lit:
+    """Lit(num/den), for a reduced num/den with den > 0, holding only its pair."""
+    e = object.__new__(Lit)
+    e.__dict__["pair"] = (num, den)
+    return e
+
+
+def _scaled(num: int, den: int, body: Expr) -> Scale:
+    """Scale(num/den, body), for a reduced num/den with den > 0, holding only its pair."""
+    e = object.__new__(Scale)
+    e.__dict__.update(pair=(num, den), body=body)
+    return e
+
+
+_VAR = Var()  # every x of a spec parses to this one node
 
 
 def _negate(e: Expr) -> Expr:
     """-e, for an e that is not a literal."""
     if isinstance(e, Scale):
-        return Scale(-e.factor, e.body)
-    return Scale(_MINUS_ONE, e)
+        num, den = e.pair
+        return _scaled(-num, den, e.body)
+    return _scaled(-1, 1, e)
 
 
 class _Parser:
-    """Recursive descent over the scanned token columns.  ``keys[i]`` is
-    token i's operator text, or else its kind, so every lookahead is one list
-    index.  EOF is the last token and no lookahead passes it, so no index runs
-    off the list.  A token's (line, col) is found from its offset only when a
-    diagnostic needs it."""
+    """Recursive descent over the scanned token texts, so every lookahead is
+    one list index.  An operator's text is its key; a literal is decimal
+    (``str.isdecimal``), and a name is any other token not in
+    ``_PUNCTUATION``.  The end, "", is the last token and no lookahead passes
+    it, so no index runs off the list.  A token's (line, col) is found only
+    when a diagnostic needs it."""
 
     def __init__(self, text: str):
         self.text = text
-        self.keys, self.texts, self.starts = _scan(text)
+        self.tokens = _scan(text)
         self.pos = 0
         self.declared: set[str] = set()
 
     def error(self, message: str, at: int | None = None, kind: str = "syntax") -> SpecError:
         """The diagnostic at token ``at``, the current token by default."""
-        offset = self.starts[self.pos if at is None else at]
+        offset = _start(self.text, self.pos if at is None else at)
         return SpecError(message, *_where(self.text, offset), kind)
 
     def expect_op(self, text: str) -> None:
-        if self.keys[self.pos] != text:
+        if self.tokens[self.pos] != text:
             raise self.error(f"expected {text!r}")
         self.pos += 1
 
     def end_line(self) -> None:
-        key = self.keys[self.pos]
-        if key == "NEWLINE":
+        tok = self.tokens[self.pos]
+        if tok == "\n":
             self.pos += 1
-        elif key != "EOF":
-            raise self.error(f"unexpected {self.texts[self.pos]!r}")
+        elif tok:
+            raise self.error(f"unexpected {tok!r}")
 
     # -- expressions --------------------------------------------------------
 
     def parse_literal(self) -> tuple[int, int]:
-        """The INT token here, over the integer after its "/" if one follows,
+        """The literal here, over the integer after its "/" if one follows,
         as (num, den).  "/" belongs to the literal only when an integer
         denominator follows; otherwise it is left for the caller (tail rules
         parse "/ n" there, terms report it as a non-PL construct)."""
-        keys, texts, pos = self.keys, self.texts, self.pos
-        num = int_of(texts[pos])
-        if keys[pos + 1] == "/" and keys[pos + 2] == "INT":
-            den = int_of(texts[pos + 2])
+        tokens, pos = self.tokens, self.pos
+        num = int_of(tokens[pos])
+        if tokens[pos + 1] == "/" and tokens[pos + 2].isdecimal():
+            den = int_of(tokens[pos + 2])
             if den == 0:
                 raise self.error("zero denominator", pos + 2)
             self.pos = pos + 3
@@ -286,35 +348,35 @@ class _Parser:
 
     def parse_rational(self) -> Fraction:
         sign = 1
-        while self.keys[self.pos] == "-":
+        while self.tokens[self.pos] == "-":
             self.pos += 1
             sign = -sign
-        if self.keys[self.pos] != "INT":
+        if not self.tokens[self.pos].isdecimal():
             raise self.error("expected a rational literal")
         num, den = self.parse_literal()
         return Fraction(sign * num, den)
 
     def parse_expr(self) -> Expr:
         term = self.parse_term(False)
-        keys = self.keys
-        key = keys[self.pos]
-        if key != "+" and key != "-":
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok != "+" and tok != "-":
             return term
         terms = [term]
-        while key == "+" or key == "-":
+        while tok == "+" or tok == "-":
             self.pos += 1
-            terms.append(self.parse_term(key == "-"))
-            key = keys[self.pos]
+            terms.append(self.parse_term(tok == "-"))
+            tok = tokens[self.pos]
         return Sum(tuple(terms))
 
     def parse_term(self, negative: bool) -> Expr:
         """factor {"*" factor}, negated if ``negative`` (a subtracted term);
         a factor is a run of minus signs and a primary.  Literal factors, and
-        parenthesized constants, multiply as integers into one constant.  At
-        most one factor may be non-constant: the term is then Scale(constant,
-        that factor), or the factor itself if it is the only one; else it is
-        Lit(constant)."""
-        keys = self.keys
+        parenthesized constants, multiply as integers into one constant,
+        reduced once.  At most one factor may be non-constant: the term is
+        then Scale(constant, that factor), or the factor itself if it is the
+        only one; else it is Lit(constant)."""
+        tokens = self.tokens
         num = den = 1
         body: Expr | None = None
         factors = 0
@@ -322,29 +384,29 @@ class _Parser:
         while True:
             factors += 1
             minus = False
-            while keys[self.pos] == "-":
+            while tokens[self.pos] == "-":
                 self.pos += 1
                 minus = not minus
-            if keys[self.pos] == "INT":
+            if tokens[self.pos].isdecimal():
                 n, d = self.parse_literal()
                 num, den = num * (-n if minus else n), den * d
             else:
                 factor = self.parse_primary()
                 if isinstance(factor, Lit):
-                    n, d = factor.value.numerator, factor.value.denominator
+                    n, d = factor.pair
                     num, den = num * (-n if minus else n), den * d
                 elif body is None:
                     body = _negate(factor) if minus else factor
                 else:
                     twice = True
-            key = keys[self.pos]
-            if key != "*":
+            tok = tokens[self.pos]
+            if tok != "*":
                 break
             self.pos += 1
         # A "/" or "^" after the term is reported before a second
         # non-constant factor, which is reported at the term's last token.
-        if key == "/" or key == "^":
-            message = "division outside a rational literal" if key == "/" else "exponentiation"
+        if tok == "/" or tok == "^":
+            message = "division outside a rational literal" if tok == "/" else "exponentiation"
             raise self.error(f"non-PL construct: {message}", kind="non-pl")
         if twice:
             raise self.error(
@@ -354,61 +416,64 @@ class _Parser:
             )
         if body is not None and factors == 1:
             return _negate(body) if negative else body
-        constant = Fraction(-num if negative else num, den)
-        return Lit(constant) if body is None else Scale(constant, body)
+        if negative:
+            num = -num
+        g = gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+        return _lit(num, den) if body is None else _scaled(num, den, body)
 
     def parse_primary(self) -> Expr:
-        key = self.keys[self.pos]
-        if key == "(":
+        """A primary that is not a literal: parse_term reads those."""
+        name = self.tokens[self.pos]
+        if name == "(":
             self.pos += 1
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if key == "NAME":
-            name = self.texts[self.pos]
-            if name == "x":
-                self.pos += 1
-                return Var()
-            if name == "min" or name == "max":
-                self.pos += 1
-                self.expect_op("(")
-                args = [self.parse_expr()]
-                while self.keys[self.pos] == ",":
-                    self.pos += 1
-                    args.append(self.parse_expr())
-                self.expect_op(")")
-                return MinE(tuple(args)) if name == "min" else MaxE(tuple(args))
-            if name == "abs":
-                self.pos += 1
-                self.expect_op("(")
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return Abs(inner)
-            if name in KEYWORDS:
-                raise self.error(f"keyword {name!r} cannot be used here")
-            if name not in self.declared:
-                raise self.error(f"undeclared name {name!r}", kind="undeclared")
+        if name in _PUNCTUATION:
+            raise self.error("expected an expression")
+        if name == "x":
             self.pos += 1
-            return Ref(name)
-        raise self.error("expected an expression")
+            return _VAR
+        if name == "min" or name == "max":
+            self.pos += 1
+            self.expect_op("(")
+            args = [self.parse_expr()]
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
+                args.append(self.parse_expr())
+            self.expect_op(")")
+            return MinE(tuple(args)) if name == "min" else MaxE(tuple(args))
+        if name == "abs":
+            self.pos += 1
+            self.expect_op("(")
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return Abs(inner)
+        if name in KEYWORDS:
+            raise self.error(f"keyword {name!r} cannot be used here")
+        if name not in self.declared:
+            raise self.error(f"undeclared name {name!r}", kind="undeclared")
+        self.pos += 1
+        return Ref(name)
 
     # -- statements ---------------------------------------------------------
 
     def expect_n(self, after: str) -> None:
-        # Only a NAME token's text can be "n".
-        if self.texts[self.pos] != "n":
+        if self.tokens[self.pos] != "n":
             raise self.error(f"expected 'n' after {after!r}")
         self.pos += 1
 
     def parse_tail_rule(self) -> TailSpec:
         start = self.pos
         c = self.parse_rational()
-        key = self.keys[self.pos]
-        if key == "/":
+        tok = self.tokens[self.pos]
+        if tok == "/":
             self.pos += 1
             self.expect_n("/")
             rule = TailRule.harmonic(c)
-        elif key == "*" and self._geometric_ahead():
+        elif tok == "*" and self._geometric_ahead():
             self.pos += 1
             q = self.parse_rational()
             self.expect_op("^")
@@ -427,46 +492,45 @@ class _Parser:
                 kind="semantic",
             )
         shape: Expr | None = None
-        if self.keys[self.pos] == "*":
+        if self.tokens[self.pos] == "*":
             self.pos += 1
             shape = self.parse_expr()
         return TailSpec(rule, shape)
 
     def _geometric_ahead(self) -> bool:
         """After a leading rational and '*': does a ratio of the form q^n follow?"""
-        keys, i = self.keys, self.pos + 1  # the token after '*'
-        while keys[i] == "-":
+        tokens, i = self.tokens, self.pos + 1  # the token after '*'
+        while tokens[i] == "-":
             i += 1
-        if keys[i] != "INT":
+        if not tokens[i].isdecimal():
             return False
         i += 1
-        if keys[i] == "/":
-            if keys[i + 1] != "INT":
+        if tokens[i] == "/":
+            if not tokens[i + 1].isdecimal():
                 return False
             i += 2
-        return keys[i] == "^"
+        return tokens[i] == "^"
 
     def parse(self) -> SpecAST:
         decls: list[tuple[str, Expr]] = []
         grid: int | None = None
         limit: Expr | None = None
         tail: TailSpec | None = None
-        keys, texts = self.keys, self.texts
+        tokens = self.tokens
         while True:
-            key = keys[self.pos]
-            if key == "EOF":
+            word = tokens[self.pos]
+            if not word:
                 break
-            if key == "NEWLINE":
+            if word == "\n":
                 self.pos += 1
                 continue
-            if key != "NAME":
+            if word in _PUNCTUATION or word.isdecimal():
                 raise self.error("expected a declaration or directive")
-            word = texts[self.pos]
             if word == "grid":
                 if grid is not None:
                     raise self.error("duplicate grid directive")
                 self.pos += 1
-                grid = int_of(texts[self.pos]) if keys[self.pos] == "INT" else 0
+                grid = int_of(tokens[self.pos]) if tokens[self.pos].isdecimal() else 0
                 if grid < 1:
                     raise self.error("grid needs a positive integer")
                 if grid > MAX_GRID:
@@ -515,39 +579,68 @@ _UNIT = ((0, 1), (1, 1))
 _X: Form = (_UNIT, ((1, 0, 1),))
 
 
+# One fold per node class: _fold, and every fold for its subtrees, calls the
+# fold of a node's class from _FOLDS, so each node costs one frame.
+
+
 def _fold(e: Expr, env: dict[str, PLFunc]) -> Form:
     """The form of e."""
-    if isinstance(e, Sum):
-        line: Line | None = None
-        forms: list[Form] = []
-        for term in e.terms:
-            form = _fold(term, env)
-            if len(form[1]) != 1:
-                forms.append(form)
-            elif line is None:
-                line = form[1][0]
-            else:
-                (a1, b1, d1), (a2, b2, d2) = line, form[1][0]
-                line = reduced_line(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-        if not forms:
-            return _UNIT, (line,)
-        return sum_form(forms if line is None else [(_UNIT, (line,)), *forms])
-    if isinstance(e, Scale):
-        return scale_form(e.factor.numerator, e.factor.denominator, _fold(e.body, env))
-    if isinstance(e, Lit):
-        return _UNIT, ((0, e.value.numerator, e.value.denominator),)
-    if isinstance(e, Var):
-        return _X
-    if isinstance(e, MinE):
-        return envelope_form([_fold(a, env) for a in e.args], True)
-    if isinstance(e, MaxE):
-        return envelope_form([_fold(a, env) for a in e.args], False)
-    if isinstance(e, Ref):
-        return env[e.name].line_form
-    if isinstance(e, Abs):
-        body = _fold(e.body, env)
-        return envelope_form([body, scale_form(-1, 1, body)], False)
-    raise TypeError(f"unknown expression {e!r}")
+    return _FOLDS[e.__class__](e, env)
+
+
+def _fold_sum(e: Sum, env: dict[str, PLFunc]) -> Form:
+    line: Line | None = None
+    forms: list[Form] = []
+    for term in e.terms:
+        form = _FOLDS[term.__class__](term, env)
+        if len(form[1]) != 1:
+            forms.append(form)
+        elif line is None:
+            line = form[1][0]
+        else:
+            (a1, b1, d1), (a2, b2, d2) = line, form[1][0]
+            line = reduced_line(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    if not forms:
+        return _UNIT, (line,)
+    return sum_form(forms if line is None else [(_UNIT, (line,)), *forms])
+
+
+def _fold_scale(e: Scale, env: dict[str, PLFunc]) -> Form:
+    body = e.body
+    return scale_form(*e.pair, _FOLDS[body.__class__](body, env))
+
+
+def _fold_lit(e: Lit, env: dict[str, PLFunc]) -> Form:
+    return _UNIT, ((0, *e.pair),)
+
+
+def _fold_var(e: Var, env: dict[str, PLFunc]) -> Form:
+    return _X
+
+
+def _fold_ref(e: Ref, env: dict[str, PLFunc]) -> Form:
+    return env[e.name].line_form
+
+
+def _fold_envelope(e: MinE | MaxE, env: dict[str, PLFunc]) -> Form:
+    return envelope_form([_FOLDS[a.__class__](a, env) for a in e.args], e.__class__ is MinE)
+
+
+def _fold_abs(e: Abs, env: dict[str, PLFunc]) -> Form:
+    body = _FOLDS[e.body.__class__](e.body, env)
+    return envelope_form([body, scale_form(-1, 1, body)], False)
+
+
+_FOLDS = {
+    Sum: _fold_sum,
+    Scale: _fold_scale,
+    Lit: _fold_lit,
+    Var: _fold_var,
+    Ref: _fold_ref,
+    MinE: _fold_envelope,
+    MaxE: _fold_envelope,
+    Abs: _fold_abs,
+}
 
 
 def elaborate_expr(e: Expr, env: dict[str, PLFunc]) -> PLFunc:

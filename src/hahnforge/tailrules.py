@@ -40,10 +40,6 @@ class TailRule:
         return TailRule("geometric", rat(c), rat(q))
 
     @staticmethod
-    def constant(c: int | str | Fraction) -> "TailRule":
-        return TailRule("constant", rat(c))
-
-    @staticmethod
     def zero() -> "TailRule":
         return TailRule("constant", Fraction(0))
 

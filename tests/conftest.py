@@ -54,9 +54,14 @@ def random_ratset(rng: random.Random, max_components: int = 3) -> RatSet:
     return RatSet.of(comps)
 
 
+# The seed of the rng fixture, for module-scoped fixtures that build what
+# tests seeded by it would build.
+SEED = 0xA1FA
+
+
 @pytest.fixture
 def rng() -> random.Random:
-    return random.Random(0xA1FA)
+    return random.Random(SEED)
 
 
 @contextlib.contextmanager

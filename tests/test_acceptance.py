@@ -187,8 +187,8 @@ HANDCRAFTED = [
     (AlphaTFunc(Fraction(0), (TailBlock("t", TailRule.harmonic(-2)),)), True, True),
     (AlphaTFunc(Fraction(0), (TailBlock("t", TailRule.geometric(1, "1/2")),)), True, True),
     (AlphaTFunc(Fraction(0), (TailBlock("t", TailRule.geometric(3, "-2/3")),)), True, True),
-    (AlphaTFunc(Fraction(0), (TailBlock("t", TailRule.constant(1)),)), False, True),
-    (AlphaTFunc(Fraction(1), (TailBlock("t", TailRule.constant(1)),)), True, True),
+    (AlphaTFunc(Fraction(0), (TailBlock("t", TailRule("constant", Fraction(1))),)), False, True),
+    (AlphaTFunc(Fraction(1), (TailBlock("t", TailRule("constant", Fraction(1))),)), True, True),
     (AlphaTFunc(Fraction(3), (UncountableBlock("T", Fraction(3)),)), True, True),
     (AlphaTFunc(Fraction(0), (UncountableBlock("T1", Fraction(1)),)), False, False),
     (AlphaTFunc(Fraction(0), (UncountableBlock("T2", Fraction(-1)),)), False, False),

@@ -9,11 +9,13 @@ from collections import Counter
 from itertools import accumulate
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    SEED,
     dyadic_grid,
     int_str_digits,
     random_family,
@@ -578,13 +580,14 @@ def as_pair(v: Fraction) -> tuple[int, int]:
     return v.numerator, v.denominator
 
 
-def oracle_rows(f: BlockProductFunc, grid, max_y: int):
+def oracle_rows(f: BlockProductFunc, grid, max_y: int, value=oracle_value):
+    """The sample rows of f, each value ``value(f, x, y)``."""
     rows = []
     for x in grid:
         x = Fraction(*x)
         x_str = f"{x.numerator}/{x.denominator}"
         for y in range(1, max_y + 1):
-            v = oracle_value(f, x, y)
+            v = value(f, x, y)
             rows.append((x_str, str(y), f"{v.numerator}/{v.denominator}", format(float(v), ".17g")))
         v = f.theta(x)
         rows.append((x_str, INFINITY, f"{v.numerator}/{v.denominator}", format(float(v), ".17g")))
@@ -808,18 +811,37 @@ class TestReportLoop:
         assert (report.rows, report.failures) == (rows, failures)
 
 
-class TestSliceEvaluation:
-    def families(self, rng: random.Random):
-        yield SP1
-        for _ in range(3):
-            yield StableFamily(random_family(rng, 5))
+class SliceCase(NamedTuple):
+    """A synthesized family and its oracle values at XS33 x SLICE_YS."""
 
-    def test_value_matches_sum_over_blocks(self, rng: random.Random):
-        for fam in self.families(rng):
-            f = synthesize(fam)
+    f: BlockProductFunc
+    values: dict[tuple[Fraction, int], Fraction]
+
+    def value(self, f: BlockProductFunc, x: Fraction, y: int) -> Fraction:
+        return self.values[x, y]
+
+
+SLICE_YS = range(1, 301)
+
+
+@pytest.fixture(scope="module")
+def slice_cases() -> list[SliceCase]:
+    """SP1 and three random families of the rng fixture's seed, each
+    synthesized, with its oracle values, built once per module."""
+    rng = random.Random(SEED)
+    cases = []
+    for fam in [SP1] + [StableFamily(random_family(rng, 5)) for _ in range(3)]:
+        f = synthesize(fam)
+        cases.append(SliceCase(f, {(x, y): oracle_value(f, x, y) for x in XS33 for y in SLICE_YS}))
+    return cases
+
+
+class TestSliceEvaluation:
+    def test_value_matches_sum_over_blocks(self, slice_cases: list[SliceCase]):
+        for case in slice_cases:
             for x in XS33:
-                for y in range(1, 301):
-                    assert f.value(x, y) == oracle_value(f, x, y), (x, y)
+                for y in SLICE_YS:
+                    assert case.f.value(x, y) == case.values[x, y], (x, y)
 
     def test_slice_matches_value(self, rng: random.Random):
         # f.value is the oracle, and theta plus the sum of the blocks' own
@@ -874,10 +896,10 @@ class TestSliceEvaluation:
                     assert f.locate(block.beta.point(2 * m)) == (i, m, False)
 
     @pytest.mark.parametrize("max_y", [0, 1, 40, MAX_SAMPLES])
-    def test_sample_rows_match_oracle(self, max_y: int, rng: random.Random):
-        for fam in self.families(rng):
-            f = synthesize(fam)
-            assert f.sample_rows(GRID33, max_y) == oracle_rows(f, GRID33, max_y)
+    def test_sample_rows_match_oracle(self, max_y: int, slice_cases: list[SliceCase]):
+        for case in slice_cases:
+            f = case.f
+            assert f.sample_rows(GRID33, max_y) == oracle_rows(f, GRID33, max_y, case.value)
 
     @pytest.mark.parametrize("max_y", [0, 1, 32, MAX_SAMPLES])
     def test_sample_rows_match_oracle_on_wide_families(self, max_y: int, rng: random.Random):

@@ -7,12 +7,13 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    SEED,
     dyadic_grid,
     int_str_digits,
     random_family,
@@ -54,6 +55,18 @@ from hahnforge.specdsl import MAX_GRID
 X = PLFunc.identity()
 ZERO_F = PLFunc.constant(0)
 X_MINUS_HALF = PLFunc.affine(1, "-1/2")
+
+
+def value_bounds(f: PLFunc) -> tuple[Fraction, Fraction]:
+    """Exact (min, max) of f over [0, 1]; attained at knots, whose values
+    are compared as pairs."""
+    lo = hi = f.knot_values[0]
+    for n, d in f.knot_values[1:]:
+        if n * lo[1] < lo[0] * d:
+            lo = (n, d)
+        elif n * hi[1] > hi[0] * d:
+            hi = (n, d)
+    return Fraction(*lo), Fraction(*hi)
 
 
 def dense_grid() -> list[Fraction]:
@@ -754,11 +767,17 @@ def kernel_families(rng: random.Random) -> list[tuple[PLFunc, ...]]:
     return fams
 
 
+@pytest.fixture(scope="module")
+def kernel_fams() -> list[tuple[PLFunc, ...]]:
+    """kernel_families of the rng fixture's seed, built once per module."""
+    return kernel_families(random.Random(SEED))
+
+
 class TestKernelOracle:
     """The merge-walk kernel against the grid-and-bisect oracle."""
 
-    def test_envelopes_and_sums(self, rng: random.Random):
-        for fam in kernel_families(rng):
+    def test_envelopes_and_sums(self, kernel_fams: list[tuple[PLFunc, ...]]):
+        for fam in kernel_fams:
             for new, old in (
                 (pl_min(fam), oracle_envelope(fam, min)),
                 (pl_max(fam), oracle_envelope(fam, max)),
@@ -769,8 +788,8 @@ class TestKernelOracle:
                 assert new == canonical(old)
                 assert len(new.breakpoints) <= len(old.breakpoints)
 
-    def test_binary_decisions(self, rng: random.Random):
-        for fam in kernel_families(rng):
+    def test_binary_decisions(self, kernel_fams: list[tuple[PLFunc, ...]]):
+        for fam in kernel_fams:
             for f in fam:
                 for g in fam:
                     assert equality_set(f, g) == oracle_equality_set(f, g)
@@ -789,8 +808,8 @@ class TestKernelOracle:
             assert pl_max((f, f)) == canonical(f) == pl_min((refined(f),))
             assert pl_sum((f, g)) == pl_sum((refined(g), f))
 
-    def test_no_point_evaluation(self, rng: random.Random, monkeypatch):
-        fams = kernel_families(rng)[:60]
+    def test_no_point_evaluation(self, kernel_fams: list[tuple[PLFunc, ...]], monkeypatch):
+        fams = kernel_fams[:60]
         calls = []
         evaluate = PLFunc.__call__
 
@@ -1074,20 +1093,40 @@ def probes(*sets: RatSet) -> set[Fraction]:
     return out
 
 
+class FormCases(NamedTuple):
+    """form_families of the rng fixture's seed, with each family's kernel
+    results and sets, and the state of the rng after the families."""
+
+    families: list[tuple[PLFunc, ...]]
+    results: list[list[PLFunc]]
+    sets: list[list[RatSet]]
+    rng_state: object
+
+
+@pytest.fixture(scope="module")
+def form_cases() -> FormCases:
+    """Built once per module.  The views of the results and sets are read by
+    the tests that share them, so a test of laziness builds its own."""
+    rng = random.Random(SEED)
+    families = form_families(rng)
+    results = [kernel_results(fs) for fs in families]
+    return FormCases(families, results, [family_sets(fs) for fs in families], rng.getstate())
+
+
 class TestIntegerForm:
     """A kernel result stores only its integer form: a PLFunc its
     ``line_form``, a RatSet its ``components``.  The Fraction fields are
     views, built on first read, equal to what a function or set built from
     those Fractions holds."""
 
-    def test_views_are_built_on_first_read(self, rng: random.Random):
-        for fs in form_families(rng):
+    def test_views_are_built_on_first_read(self, form_cases: FormCases):
+        for fs in form_cases.families:
             for r in kernel_results(fs):
                 # Kernels, exports and checks that read the form build no view.
                 pl_sum((r, fs[0]))
                 equality_set(r, fs[0])
                 r.to_json()
-                r.bounds()
+                value_bounds(r)
                 assert not {"breakpoints", "values"} & set(vars(r))
                 r.breakpoints
                 assert "breakpoints" in vars(r) and "values" not in vars(r)
@@ -1103,29 +1142,32 @@ class TestIntegerForm:
                 assert "intervals" not in vars(s)
                 assert s.intervals is s.intervals and "intervals" in vars(s)
 
-    def test_results_equal_their_fraction_twins(self, rng: random.Random):
-        for fs in form_families(rng):
-            for r in kernel_results(fs):
+    def test_results_equal_their_fraction_twins(self, form_cases: FormCases):
+        for results in form_cases.results:
+            for r in results:
                 twin = PLFunc(r.breakpoints, r.values)
                 assert r == twin and twin == r and hash(r) == hash(twin)
                 with int_str_digits(0):
                     assert repr(r) == repr(twin)
                 assert twin.line_form == r.line_form and twin.knot_values == r.knot_values
-                assert r.bounds() == (min(r.values), max(r.values))
-                assert twin.bounds() == r.bounds()
+                assert value_bounds(r) == (min(r.values), max(r.values))
+                assert value_bounds(twin) == value_bounds(r)
 
-    def test_sets_equal_their_fraction_twins(self, rng: random.Random):
-        for fs in form_families(rng):
-            for s in family_sets(fs):
+    def test_sets_equal_their_fraction_twins(self, form_cases: FormCases):
+        for sets in form_cases.sets:
+            for s in sets:
                 twin = RatSet.of(s.intervals)
                 assert s == twin and twin == s and hash(s) == hash(twin)
                 with int_str_digits(0):
                     assert repr(s) == repr(twin)
                 assert twin.components == s.components
 
-    def test_intersect_and_subset_match_the_fraction_forms(self, rng: random.Random):
-        for fs in form_families(rng):
-            sets = family_sets(fs) + [random_ratset(rng) for _ in range(4)]
+    def test_intersect_and_subset_match_the_fraction_forms(
+        self, form_cases: FormCases, rng: random.Random
+    ):
+        rng.setstate(form_cases.rng_state)
+        for fam_sets in form_cases.sets:
+            sets = fam_sets + [random_ratset(rng) for _ in range(4)]
             sets += [EMPTY_SET, FULL_SET]
             for a in sets:
                 for b in sets:
@@ -1141,9 +1183,9 @@ class TestIntegerForm:
                     else:
                         assert member(a, v.witness) and not member(b, v.witness), (a, b, v)
 
-    def test_to_json_is_rat_str_of_the_views(self, rng: random.Random):
-        for fs in form_families(rng):
-            for f in (*fs, *kernel_results(fs)):
+    def test_to_json_is_rat_str_of_the_views(self, form_cases: FormCases):
+        for fs, results in zip(form_cases.families, form_cases.results):
+            for f in (*fs, *results):
                 written = [[rat_str(x), rat_str(v)] for x, v in zip(f.breakpoints, f.values)]
                 assert f.to_json() == written
                 assert PLFunc.from_json(written) == f

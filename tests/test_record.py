@@ -368,7 +368,7 @@ REJECTED: dict[type, list[tuple]] = {
     builder.BlockProductFunc: [((), SP1_F.theta), ((B1, B0), SP1_F.theta), ((B1,), ZERO_F)],
     pairs.StableFamily: [((),)],
     pairs.HahnPair: [(SP1, PLFunc.constant(1), ZERO_F), (SP1, X, PLFunc.affine(-1, 1))],
-    sections.TailFamily: [((), ZERO_F, TailRule.constant(1), X)],
+    sections.TailFamily: [((), ZERO_F, TailRule("constant", F(1)), X)],
     tailrules.TailRule: [
         ("bogus", F(1)),
         ("geometric", F(1)),
@@ -476,7 +476,7 @@ def test_defaults():
     ast = specdsl.SpecAST(())
     assert (ast.grid, ast.limit, ast.tail, ast.end) == (None, None, None, (1, 1))
     assert TailSpec(TailRule.zero()).shape is None
-    assert alphat.AlphaTFunc(F(0)).blocks == () and alphat.CountableSet().is_empty
+    assert alphat.AlphaTFunc(F(0)).blocks == () and alphat.CountableSet() == alphat.CountableSet((), ())
     assert plalg.Verdict(True).witness is None
 
 

@@ -167,7 +167,7 @@ class TestDegenerateFamilies:
 
     def test_nonnull_tail_rejected(self):
         with pytest.raises(ValueError):
-            TailFamily((), ZERO_F, TailRule.constant(1), X)
+            TailFamily((), ZERO_F, TailRule("constant", Fraction(1)), X)
 
 
 class TestOracleEquivalence:

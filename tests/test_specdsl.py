@@ -31,6 +31,7 @@ from hahnforge.specdsl import (
     TailSpec,
     Var,
     _scan,
+    _start,
     _where,
     elaborate_expr,
     family_from_spec,
@@ -303,6 +304,57 @@ class TestBounds:
             assert ast.decls[1][1] == Lit(Fraction(sign, 2))
 
 
+class TestIntegerLiterals:
+    """A parsed Lit or Scale holds its constant as a reduced integer pair;
+    its Fraction field is a view built on first read, and it equals, hashes
+    and prints as the node built from that Fraction."""
+
+    def test_parsed_nodes_equal_their_fraction_twins(self):
+        parsed = parse_spec("u1 = 6/4 * x - 2/4\n").decls[0][1]
+        twin = Sum((Scale(Fraction(3, 2), Var()), Lit(Fraction(-1, 2))))
+        scale, lit = parsed.terms
+        assert (scale.pair, lit.pair) == ((3, 2), (-1, 2))
+        assert parsed == twin and twin == parsed
+        assert hash(parsed) == hash(twin) and repr(parsed) == repr(twin)
+
+    def test_parsing_and_elaboration_build_no_view(self):
+        ast = parse_spec("u1 = 6/4 * x - 2/4\nu2 = min(-3 * u1, (2/6) - x, 0)\n")
+        family_from_spec(ast)
+        nodes = [*ast.decls[0][1].terms, ast.decls[1][1].args[0], *ast.decls[1][1].args[1].terms]
+        nodes.append(ast.decls[1][1].args[2])
+        assert [type(e).__name__ for e in nodes] == ["Scale", "Lit", "Scale", "Lit", "Scale", "Lit"]
+        assert not any({"value", "factor"} & set(vars(e)) for e in nodes)
+        assert [e.pair for e in nodes] == [(3, 2), (-1, 2), (-3, 1), (1, 3), (-1, 1), (0, 1)]
+        assert nodes[1].value is nodes[1].value and "value" in vars(nodes[1])
+
+    def test_zero_and_signs_reduce(self):
+        decls = parse_spec("u1 = -0/5 * x\nu2 = -(4/2) * -(-6/3)\nu3 = 0 - 3/9 * -x\n").decls
+        assert decls[0][1].pair == (0, 1) and decls[0][1] == Scale(Fraction(0), Var())
+        assert decls[1][1].pair == (-4, 1) and decls[1][1] == Lit(Fraction(-4))
+        assert decls[2][1].terms[1] == Scale(Fraction(-1, 3), Scale(Fraction(-1), Var()))
+
+    def test_x_is_one_node(self):
+        decls = parse_spec("u1 = x\nu2 = 2 * x + min(x, 1)\n").decls
+        body, args = decls[1][1].terms[0].body, decls[1][1].terms[1].args
+        assert decls[0][1] is body is args[0] and body == Var()
+
+    def test_folded_constant_past_str_limit(self):
+        # Five literals at the digit bound fold into one 5,000-digit factor,
+        # past the lowest int-to-str limit Python permits.
+        a = "7" * MAX_DIGITS
+        text = "u1 = " + " * ".join([a] * 5) + " * x - 1/" + a + "\n"
+        with int_str_digits(640):
+            c = int_of(a)
+            parsed = parse_spec(text).decls[0][1]
+            twin = Sum((Scale(Fraction(c**5), Var()), Lit(Fraction(-1, c))))
+            assert [t.pair for t in parsed.terms] == [(c**5, 1), (-1, c)]
+            assert parsed == twin and hash(parsed) == hash(twin)
+            member = elaborate_expr(parsed, {})
+            assert member.line_form == (((0, 1), (1, 1)), ((c**6, -1, c),))
+        with int_str_digits(0):
+            assert repr(parsed) == repr(twin)
+
+
 # -- fixpoint fuzzing ---------------------------------------------------------
 
 
@@ -425,17 +477,20 @@ class Token(NamedTuple):
 
 
 def scanned(text: str) -> list[Token]:
-    """_scan's token columns as Tokens, each (line, col) from _where: each
-    line's tokens, then its NEWLINE; EOF last, where the last line's NEWLINE
-    is."""
-    keys, texts, starts = _scan(text)
+    """_scan's token texts as Tokens, each (line, col) from _where at the
+    offset _start finds for it: each line's tokens, then its NEWLINE; EOF
+    last, where the last line's NEWLINE is."""
     tokens: list[Token] = []
-    for key, tok, start in zip(keys, texts, starts):
-        where = _where(text, start)
-        if key == "EOF":
+    for i, tok in enumerate(_scan(text)):
+        where = _where(text, _start(text, i))
+        if tok == "":
             tokens.append(Token("NEWLINE", "", *where))
-        kind = key if key in ("INT", "NAME", "NEWLINE", "EOF") else "OP"
-        tokens.append(Token(kind, tok, *where))
+            tokens.append(Token("EOF", "", *where))
+        elif tok == "\n":
+            tokens.append(Token("NEWLINE", "", *where))
+        else:
+            kind = "INT" if tok.isdecimal() else "OP" if tok in _OPS else "NAME"
+            tokens.append(Token(kind, tok, *where))
     return tokens
 
 
