@@ -5,8 +5,8 @@ strictly increasing rational breakpoints covering [0, 1].  The lattice
 operations (min, max, sum, scaling, absolute value) are closed on this class
 and computed exactly, with no tolerance parameter anywhere in this module.
 
-Every operation reads one integer form of its inputs (``line_form``), derived
-once per function and cached: each knot is a reduced pair (p, q) for x = p/q,
+Every operation reads one integer form of its inputs (``line_form``), the
+state every function stores: each knot is a reduced pair (p, q) for x = p/q,
 and each segment is one reduced line (a, b, d), with d > 0 and
 gcd(a, b, d) = 1, whose value at x = p/q is (a*p + b*q) / (d*q); equal affine
 maps have equal line tuples.  Each binary operation is one linear walk over
@@ -17,31 +17,31 @@ unless the comparison changes sign between its two ends, and then splits it
 at the crossing (b2*d1 - b1*d2) / (a1*d2 - a2*d1), reduced with one gcd.
 n-ary envelopes fold walks pairwise (divide and conquer) and sums left to
 right, on integer forms; consecutive equal lines merge (``_joined``), so a
-result keeps only 0, 1 and the slope changes as knots, and equal functions
-have equal knots.  ``envelope_form``, ``sum_form`` and ``scale_form`` are
-these kernels on forms, so a caller such as the DSL elaborator can chain
-them and build only the last result.  A result becomes a :class:`PLFunc`
-once, holding only its form, whose knots are checked in integers (from
-(0, 1) to (1, 1), strictly increasing).  A grid is a list of
-non-decreasing xs in [0, 1], each a reduced pair (p, q) for x = p/q:
-``uniform_grid`` builds one, and ``grid_pairs`` checks xs that arrive as
-Fractions once and turns them into one.  ``cell_lines(fs, grid)`` walks a
-grid for several functions at once: one cursor moves over the cells of
-their merged knots, compared with x in integers, and gives each x the line
-of every function on its cell; the caller evaluates (a*p + b*q, d*q) and
-reduces, with one gcd (``line_value``), only the pairs it prints or
-compares with ==.  No Fraction is built.  A point value ``f(x)`` is the
-single-point oracle: a bisection and the (slope, intercept) ``pieces``
-derived from the lines.
+result keeps only 0, 1 and the slope changes as knots.  ``envelope_form``,
+``sum_form`` and ``scale_form`` are these kernels on forms, so a caller such
+as the DSL elaborator can chain them and build only the last result.  Every
+:class:`PLFunc` holds only this canonical form, however it is built: its
+knots are checked in integers (from (0, 1) to (1, 1), strictly increasing)
+and its equal consecutive lines merged, so equal functions have equal
+knots, no kernel reads a collinear knot, and ``==`` is pointwise equality.
+A grid is a list of non-decreasing xs in [0, 1], each a reduced pair
+(p, q) for x = p/q: ``uniform_grid`` builds one, and ``grid_pairs`` checks
+xs that arrive as Fractions once and turns them into one.
+``cell_lines(fs, grid)`` walks a grid for several functions at once: one
+cursor moves over the cells of their merged knots, compared with x in
+integers, and gives each x the line of every function on its cell; the
+caller evaluates (a*p + b*q, d*q) and reduces, with one gcd
+(``line_value``), only the pairs it prints or compares with ==.  No
+Fraction is built.  A point value ``f(x)`` is the single-point oracle: a
+bisection and the (slope, intercept) ``pieces`` derived from the lines.
 
-The integer form is the stored state.  A kernel result's Fraction
+The integer form is the stored state.  A :class:`PLFunc`'s Fraction
 breakpoints and values, and a :class:`RatSet`'s Fraction intervals, are
 views built on first read and cached: equality, hashing, repr and every
-public read still see Fractions, and a result that no caller reads as
-Fractions builds none.  A function or set built from Fractions holds them
-and derives its integer form on first read.  ``to_json`` writes the reduced
-knot values (``knot_values``), and the RatSet operations read each
-component as a reduced (p0, q0, p1, q1) (``components``).
+public read still see Fractions, and a value that no caller reads as
+Fractions builds none, even one built from Fractions.  ``to_json`` writes
+the reduced knot values (``knot_values``), and the RatSet operations read
+each component as a reduced (p0, q0, p1, q1) (``components``).
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -90,9 +90,6 @@ class Verdict:
     ok: bool
     witness: Fraction | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def reduced_line(a: int, b: int, d: int) -> Line:
     """(a, b, d) in lowest terms, for d > 0."""
@@ -104,33 +101,41 @@ def reduced_line(a: int, b: int, d: int) -> Line:
 class PLFunc:
     """Continuous piecewise-linear function on [0, 1] with rational data.
 
-    The fields are the Fraction breakpoints and values, which equality,
-    hashing and repr read.  A function built from them holds both; a kernel
-    result holds only its ``line_form``, and each field is a view of it,
-    built on first read and cached.
+    Every constructor stores only the canonical ``line_form``: its knots
+    checked in integers (``_canonical``) and consecutive equal lines merged,
+    so the knots are 0, 1 and the slope changes, and equal functions have
+    equal forms.  The fields are the Fraction breakpoints and values, views
+    of the form built on first read and cached, which equality, hashing and
+    repr read: ``==`` is pointwise equality.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
     def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "values", values)
-        if len(breakpoints) < 2 or len(breakpoints) != len(values):
-            raise ValueError("need matching breakpoint/value lists of length >= 2")
-        if breakpoints[0] != 0 or breakpoints[-1] != 1:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(breakpoints, breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        """The function through (breakpoints[i], values[i]).
+
+        Through (p0/q0, n0/m0) and (p1/q1, n1/m1), with w = p1*q0 - p0*q1 > 0,
+        the line is ((n1*m0 - n0*m1)*q0*q1, n0*m1*p1*q0 - n1*m0*p0*q1, m0*m1*w).
+        """
+        knots = [(x.numerator, x.denominator) for x in breakpoints]
+        ends = [(v.numerator, v.denominator) for v in values]
+        lines: list[Line] = []  # for lists of unequal lengths, which _canonical rejects
+        if len(ends) == len(knots):
+            lines = [
+                reduced_line(
+                    (n1 * m0 - n0 * m1) * q0 * q1,
+                    n0 * m1 * p1 * q0 - n1 * m0 * p0 * q1,
+                    m0 * m1 * (p1 * q0 - p0 * q1),
+                )
+                for (p0, q0), (p1, q1), (n0, m0), (n1, m1) in zip(knots, knots[1:], ends, ends[1:])
+            ]
+        self.__dict__["line_form"] = _canonical(knots, lines)
 
     @staticmethod
     def constant(c: int | str | Fraction) -> "PLFunc":
         c = rat(c)
         return PLFunc((ZERO, ONE), (c, c))
-
-    @staticmethod
-    def identity() -> "PLFunc":
-        return PLFunc((ZERO, ONE), (ZERO, ONE))
 
     @staticmethod
     def affine(slope: int | str | Fraction, intercept: int | str | Fraction) -> "PLFunc":
@@ -139,38 +144,17 @@ class PLFunc:
 
     @staticmethod
     def from_form(knots: Sequence[Knot], lines: Sequence[Line]) -> "PLFunc":
-        """The function of a form (knots, lines), checked in integers,
-        holding only the form."""
-        return _built(knots, lines)
+        """The function of a form (knots, lines), holding only its canonical
+        form: its breakpoints and values are built when first read."""
+        f = object.__new__(PLFunc)
+        f.__dict__["line_form"] = _canonical(knots, lines)
+        return f
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int | str | Fraction, int | str | Fraction]]) -> "PLFunc":
         pts = [(rat(x), rat(v)) for x, v in pairs]
         return PLFunc(tuple(x for x, _ in pts), tuple(v for _, v in pts))
 
-    @cached_property
-    def line_form(self) -> tuple[tuple[Knot, ...], tuple[Line, ...]]:
-        """(knots, lines), derived once per function; a kernel result is
-        built holding it.  A cached attribute, not a field: equality,
-        hashing and repr see only the breakpoints and values.
-
-        Through (p0/q0, n0/m0) and (p1/q1, n1/m1), with w = p1*q0 - p0*q1 > 0,
-        the line is ((n1*m0 - n0*m1)*q0*q1, n0*m1*p1*q0 - n1*m0*p0*q1, m0*m1*w).
-        """
-        knots = tuple((x.numerator, x.denominator) for x in self.breakpoints)
-        ends = [(v.numerator, v.denominator) for v in self.values]
-        lines = tuple(
-            reduced_line(
-                (n1 * m0 - n0 * m1) * q0 * q1,
-                n0 * m1 * p1 * q0 - n1 * m0 * p0 * q1,
-                m0 * m1 * (p1 * q0 - p0 * q1),
-            )
-            for (p0, q0), (p1, q1), (n0, m0), (n1, m1) in zip(knots, knots[1:], ends, ends[1:])
-        )
-        return knots, lines
-
-    # The fields as views of line_form, for a kernel result; a function
-    # built from Fractions holds both, so these never run for it.
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(p, q) for p, q in self.line_form[0])
@@ -204,15 +188,6 @@ class PLFunc:
         slope, intercept = self.pieces[i]
         return slope * x + intercept
 
-    def __add__(self, other: "PLFunc") -> "PLFunc":
-        return pl_sum((self, other))
-
-    def __sub__(self, other: "PLFunc") -> "PLFunc":
-        return pl_sum((self, pl_neg(other)))
-
-    def __neg__(self) -> "PLFunc":
-        return pl_neg(self)
-
     def to_json(self) -> list[list[str]]:
         """["num/den", "num/den"] per knot, written from the reduced pairs."""
         return [
@@ -230,13 +205,14 @@ class PLFunc:
         return PLFunc.from_pairs(data)
 
 
-def _built(knots: Sequence[Knot], lines: Sequence[Line]) -> PLFunc:
-    """The PLFunc of a form, holding only the form: its breakpoints and
-    values are built when first read.
+def _canonical(
+    knots: Sequence[Knot], lines: Sequence[Line]
+) -> tuple[tuple[Knot, ...], tuple[Line, ...]]:
+    """The canonical form of (knots, lines), the one every PLFunc stores.
 
-    The form is checked in integers, with the messages of PLFunc's own
-    checks: at least two knots and one line fewer, the first knot (0, 1) and
-    the last (1, 1), and p0*q1 < p1*q0 for consecutive knots.
+    The form is checked in integers: at least two knots and one line fewer,
+    the first knot (0, 1) and the last (1, 1), and p0*q1 < p1*q0 for
+    consecutive knots.  Then consecutive equal lines merge (``_joined``).
     """
     if len(knots) < 2 or len(lines) != len(knots) - 1:
         raise ValueError("need matching breakpoint/value lists of length >= 2")
@@ -245,9 +221,8 @@ def _built(knots: Sequence[Knot], lines: Sequence[Line]) -> PLFunc:
     for (p0, q0), (p1, q1) in zip(knots, knots[1:]):
         if p0 * q1 >= p1 * q0:
             raise ValueError("breakpoints must be strictly increasing")
-    f = object.__new__(PLFunc)
-    f.__dict__["line_form"] = (tuple(knots), tuple(lines))
-    return f
+    merged_knots, merged_lines = _joined(zip(lines, knots[1:]))
+    return tuple(merged_knots), tuple(merged_lines)
 
 
 def _cells(f: Form, g: Form) -> Iterator[tuple[Knot, Knot, Line, Line]]:
@@ -301,12 +276,6 @@ def _joined(pieces: Iterable[tuple[Line, Knot]]) -> tuple[list[Knot], list[Line]
     return knots, lines
 
 
-def _merged(form: Form) -> tuple[list[Knot], list[Line]]:
-    """The form with consecutive equal lines merged."""
-    knots, lines = form
-    return _joined(zip(lines, knots[1:]))
-
-
 def _crossed(f: Form, g: Form, lower: bool) -> Iterator[tuple[Line, Knot]]:
     """Pieces of min(f, g) (max(f, g) unless lower): a cell keeps one line
     unless the comparison changes sign between its ends; then it splits at
@@ -327,7 +296,8 @@ def _crossed(f: Form, g: Form, lower: bool) -> Iterator[tuple[Line, Knot]]:
 
 def envelope_form(forms: Sequence[Form], lower: bool) -> Form:
     """The form of the exact lower (upper, unless lower) envelope of forms,
-    folded pairwise (divide and conquer)."""
+    folded pairwise (divide and conquer).  The forms are canonical, as every
+    PLFunc's is, so one form is its own envelope."""
     if not forms:
         raise ValueError("pointwise envelopes need at least one function")
 
@@ -337,17 +307,15 @@ def envelope_form(forms: Sequence[Form], lower: bool) -> Form:
         mid = (lo + hi) // 2
         return _joined(_crossed(fold(lo, mid), fold(mid, hi), lower))
 
-    if len(forms) == 1:
-        return _merged(forms[0])
     return fold(0, len(forms))
 
 
 def pl_min(fs: Sequence[PLFunc]) -> PLFunc:
-    return _built(*envelope_form([f.line_form for f in fs], True))
+    return PLFunc.from_form(*envelope_form([f.line_form for f in fs], True))
 
 
 def pl_max(fs: Sequence[PLFunc]) -> PLFunc:
-    return _built(*envelope_form([f.line_form for f in fs], False))
+    return PLFunc.from_form(*envelope_form([f.line_form for f in fs], False))
 
 
 def _added(f: Form, g: Form) -> Iterator[tuple[Line, Knot]]:
@@ -357,21 +325,24 @@ def _added(f: Form, g: Form) -> Iterator[tuple[Line, Knot]]:
 
 
 def sum_form(forms: Sequence[Form]) -> Form:
-    """The form of the sum of forms, added left to right."""
+    """The form of the sum of canonical forms, added left to right."""
     if not forms:
         raise ValueError("sum needs at least one function")
-    acc: Form = _merged(forms[0])
+    acc = forms[0]
     for form in forms[1:]:
         acc = _joined(_added(acc, form))
     return acc
 
 
 def pl_sum(fs: Sequence[PLFunc]) -> PLFunc:
-    return _built(*sum_form([f.line_form for f in fs]))
+    return PLFunc.from_form(*sum_form([f.line_form for f in fs]))
 
 
 def scale_form(n: int, m: int, form: Form) -> Form:
-    """The form of (n/m) * f, for m > 0, on the knots of f."""
+    """The form of (n/m) * f, for m > 0: on the knots of f, or the one line
+    0 for n = 0."""
+    if n == 0:
+        return ((0, 1), (1, 1)), [(0, 0, 1)]
     knots, lines = form
     return knots, [reduced_line(a * n, b * n, d * m) for a, b, d in lines]
 
@@ -379,7 +350,7 @@ def scale_form(n: int, m: int, form: Form) -> Form:
 def pl_scale(c: int | str | Fraction, f: PLFunc) -> PLFunc:
     """c * f on the knots of f."""
     c = rat(c)
-    return _built(*scale_form(c.numerator, c.denominator, f.line_form))
+    return PLFunc.from_form(*scale_form(c.numerator, c.denominator, f.line_form))
 
 
 def pl_neg(f: PLFunc) -> PLFunc:
@@ -388,11 +359,6 @@ def pl_neg(f: PLFunc) -> PLFunc:
 
 def pl_abs(f: PLFunc) -> PLFunc:
     return pl_max((f, pl_neg(f)))
-
-
-def pl_equal(f: PLFunc, g: PLFunc) -> bool:
-    """Pointwise equality: the same line on every cell of the merged knots."""
-    return all(l1 == l2 for _, _, l1, l2 in _cells(f.line_form, g.line_form))
 
 
 def dominates(f: PLFunc, g: PLFunc) -> Verdict:
@@ -416,37 +382,27 @@ class RatSet:
 
     Singleton points are stored as degenerate intervals.  The stored form is
     normalized: sorted, with a strict gap between consecutive components.
-    The field is the Fraction intervals, which equality, hashing and repr
-    read.  A set built from them holds them; a kernel result holds only its
-    ``components``, and ``intervals`` is their view, built on first read and
-    cached.
+    Every constructor stores only the ``components``, each [p0/q0, p1/q1]
+    as reduced (p0, q0, p1, q1), in order: the form every operation reads.
+    The field is the Fraction intervals, their view built on first read and
+    cached, which equality, hashing and repr read.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]) -> None:
-        object.__setattr__(self, "intervals", intervals)
-        prev_hi: Fraction | None = None
+        components: list[Component] = []
         for lo, hi in intervals:
-            if not (0 <= lo <= hi <= 1):
+            p0, q0, p1, q1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            if p0 < 0 or p0 * q1 > p1 * q0 or p1 > q1:
                 raise ValueError(
                     f"component [{rat_text(lo)}, {rat_text(hi)}] is not a closed interval in [0, 1]"
                 )
-            if prev_hi is not None and lo <= prev_hi:
+            if components and p0 * components[-1][3] <= components[-1][2] * q0:
                 raise ValueError("components must be sorted and disjoint")
-            prev_hi = hi
+            components.append((p0, q0, p1, q1))
+        self.__dict__["components"] = tuple(components)
 
-    @cached_property
-    def components(self) -> tuple[Component, ...]:
-        """Each component [p0/q0, p1/q1] as reduced (p0, q0, p1, q1), in
-        order: the form every operation reads."""
-        return tuple(
-            (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-            for lo, hi in self.intervals
-        )
-
-    # The field as a view of components, for a kernel result; a set built
-    # from Fractions holds it, so this never runs for it.
     @cached_property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple((Fraction(p0, q0), Fraction(p1, q1)) for p0, q0, p1, q1 in self.components)
@@ -676,7 +632,7 @@ def distance_function(s: RatSet) -> PLFunc:
     changes only, as a kernel result keeps them.
     """
     if s.is_empty:
-        return _built(((0, 1), (1, 1)), ((0, 1, 1),))
+        return PLFunc.from_form(((0, 1), (1, 1)), ((0, 1, 1),))
     comps = s.components
     knots: list[Knot] = [(0, 1)]
     lines: list[Line] = []
@@ -697,7 +653,7 @@ def distance_function(s: RatSet) -> PLFunc:
         elif p1 != q1:
             lines.append((q1, -p1, q1))
             knots.append((1, 1))
-    return _built(knots, lines)
+    return PLFunc.from_form(knots, lines)
 
 
 @record

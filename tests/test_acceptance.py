@@ -38,7 +38,7 @@ from hahnforge.builder import (
 )
 from hahnforge.cli import OK, PARSE_ERROR, main
 from hahnforge.pairs import StableFamily, envelopes
-from hahnforge.plalg import PLFunc, dominates, pl_max, pl_min
+from hahnforge.plalg import PLFunc, dominates, pl_max, pl_min, pl_neg, pl_sum
 from hahnforge.sections import brute_sections, tail_sections
 from hahnforge.spaces import OrdinalCNF, OrdinalCompact, Pow2OddSet, scattered_rank
 from hahnforge.specdsl import SpecError, parse_spec
@@ -264,9 +264,9 @@ def test_criterion_8_stage_envelope_replacement():
     for _ in range(200):
         fam = StableFamily(random_family(rng, 6))
         theta = fam.members[0]
-        shifted = [u - theta for u in fam.members]
+        shifted = [pl_sum((u, pl_neg(theta))) for u in fam.members]
         pair = envelopes(fam)
-        g_sh, h_sh = pair.g - theta, pair.h - theta
+        g_sh, h_sh = pl_sum((pair.g, pl_neg(theta))), pl_sum((pair.h, pl_neg(theta)))
         stages = stage_sets_of(shifted, g_sh, h_sh)
         for n in range(1, len(fam) + 1):
             g_blk, h_blk = stage_envelopes(shifted, n)

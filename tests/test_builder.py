@@ -49,10 +49,11 @@ from hahnforge.plalg import (
     first_containing,
     grid_pairs,
     pl_abs,
-    pl_equal,
     pl_max,
     pl_min,
+    pl_neg,
     pl_scale,
+    pl_sum,
     uniform_grid,
 )
 from hahnforge.cli import MAX_SAMPLES
@@ -317,9 +318,9 @@ class TestSynthesize:
         for _ in range(20):
             fam = StableFamily(random_family(rng, 4))
             theta = fam.members[0]
-            shifted = [u - theta for u in fam.members]
+            shifted = [pl_sum((u, pl_neg(theta))) for u in fam.members]
             pair = envelopes(fam)
-            g_sh, h_sh = pair.g - theta, pair.h - theta
+            g_sh, h_sh = pl_sum((pair.g, pl_neg(theta))), pl_sum((pair.h, pl_neg(theta)))
             f = synthesize(fam)
             for n in range(1, len(fam) + 1):
                 g_blk, h_blk = stage_envelopes(shifted, n)
@@ -347,7 +348,7 @@ class TestVerify:
     def test_tampered_block_detected(self):
         f = synthesize(SP1)
         bad_block = replaced(
-            f.blocks[1], g_blk=f.blocks[1].g_blk - PLFunc.constant(1)
+            f.blocks[1], g_blk=pl_sum((f.blocks[1].g_blk, PLFunc.constant(-1)))
         )
         tampered = BlockProductFunc((f.blocks[0], bad_block), f.theta)
         report = verify_synthesis(tampered, SP1, GRID65)
@@ -633,7 +634,7 @@ def oracle_pointwise_failures(f: BlockProductFunc, family: StableFamily, grid) -
 def oracle_bound_failures(f: BlockProductFunc, family: StableFamily) -> list[str]:
     """The four dominance bounds per block, g_sh <= g_blk <= 0 <= h_blk <= h_sh."""
     pair = envelopes(family)
-    g_sh, h_sh = pair.g - f.theta, pair.h - f.theta
+    g_sh, h_sh = pl_sum((pair.g, pl_neg(f.theta))), pl_sum((pair.h, pl_neg(f.theta)))
     failures = []
     for n, block in enumerate(f.blocks, start=1):
         for name, lo, hi in (
@@ -686,8 +687,8 @@ def tampered_blocks(f: BlockProductFunc):
     eighth = PLFunc.constant("1/8")
     for i, block in enumerate(f.blocks):
         variants = [
-            ("g_blk - 1/8", replaced(block, g_blk=block.g_blk - eighth)),
-            ("h_blk + 1/8", replaced(block, h_blk=block.h_blk + eighth)),
+            ("g_blk - 1/8", replaced(block, g_blk=pl_sum((block.g_blk, pl_neg(eighth))))),
+            ("h_blk + 1/8", replaced(block, h_blk=pl_sum((block.h_blk, eighth)))),
             ("g_blk / 2", replaced(block, g_blk=pl_scale("1/2", block.g_blk))),
             ("h_blk / 2", replaced(block, h_blk=pl_scale("1/2", block.h_blk))),
             ("alpha = 1", replaced(block, alpha=PLFunc.constant(1))),
@@ -788,8 +789,8 @@ class TestReportLoop:
         # pointwise loop's.
         s = X_MINUS_HALF
         for k in range(2, 8):
-            s = pl_abs(s) - PLFunc.constant(Fraction(1, 2**k))
-        fam = StableFamily((ZERO_F, s, pl_max((ZERO_F, -s))))
+            s = pl_sum((pl_abs(s), PLFunc.constant(Fraction(-1, 2**k))))
+        fam = StableFamily((ZERO_F, s, pl_max((ZERO_F, pl_neg(s)))))
         f = synthesize(fam)
         grid = uniform_grid(600)
         stages = first_containing(f.stage_sets, grid)
@@ -936,7 +937,7 @@ class TestSliceEvaluation:
         # theta vanishes: the float column is ratio_float of the exact value,
         # which oracle_rows cannot give, as float() overflows.
         big = 10**400
-        fam = StableFamily((PLFunc.affine(2 * big, -big), ZERO_F, PLFunc.identity()))
+        fam = StableFamily((PLFunc.affine(2 * big, -big), ZERO_F, PLFunc.affine(1, 0)))
         f = synthesize(fam)
         rows = f.sample_rows(GRID33, MAX_SAMPLES)
         assert len(rows) == len(GRID33) * (MAX_SAMPLES + 1)
@@ -1006,7 +1007,7 @@ class TestSliceEvaluation:
         # upper bound at x=0 and pointwise failures; verify_synthesis reports
         # the same bound, the same missed envelope values, and F_2 at x=0.
         f = synthesize(SP1)
-        bad = replaced(f.blocks[1], h_blk=f.blocks[1].h_blk + PLFunc.constant("1/8"))
+        bad = replaced(f.blocks[1], h_blk=pl_sum((f.blocks[1].h_blk, PLFunc.constant("1/8"))))
         tampered = BlockProductFunc((f.blocks[0], bad), f.theta)
         oracle = oracle_grid_failures(tampered, SP1, GRID33)
         structural = [m for m in oracle if m.startswith("block ")]
@@ -1192,15 +1193,15 @@ class TestSinglePass:
         points = intervals = 0
         for fam in single_pass_families():
             theta = fam.members[0]
-            shifted = [u - theta for u in fam.members]
+            shifted = [pl_sum((u, pl_neg(theta))) for u in fam.members]
             pair = envelopes(fam)
-            g_sh, h_sh = pair.g - theta, pair.h - theta
+            g_sh, h_sh = pl_sum((pair.g, pl_neg(theta))), pl_sum((pair.h, pl_neg(theta)))
             f = synthesize(fam)
             assert f.stage_sets == tuple(stage_sets_of(shifted, g_sh, h_sh))
             for n, block in enumerate(f.blocks, start=1):
                 g_blk, h_blk = stage_envelopes(shifted, n)
-                assert pl_equal(block.g_blk, g_blk), n
-                assert pl_equal(block.h_blk, h_blk), n
+                assert block.g_blk == g_blk, n
+                assert block.h_blk == h_blk, n
             for s in f.stage_sets[:-1]:
                 points += sum(lo == hi for lo, hi in s.intervals)
                 intervals += sum(lo < hi for lo, hi in s.intervals)
@@ -1233,8 +1234,9 @@ class TestSinglePass:
 
     def test_theta_is_negated_once(self, monkeypatch):
         # synthesize and verify_synthesis each build -theta once and add it
-        # to every member (each envelope), with the forms that u - theta
-        # gives, so the blocks and the report are those of the shift.
+        # to every member (each envelope), with the forms that
+        # pl_sum((u, pl_neg(theta))) gives, so the blocks and the report are
+        # those of the shift.
         negations = Counter()
         negate = builder.pl_neg
 
@@ -1248,8 +1250,9 @@ class TestSinglePass:
             theta = fam.members[0]
             f = synthesize(fam)
             assert negations == Counter({theta: 1})
-            lowers = list(accumulate([u - theta for u in fam.members], lambda g, u: pl_min((g, u))))
-            uppers = list(accumulate([u - theta for u in fam.members], lambda h, u: pl_max((h, u))))
+            shifted = [pl_sum((u, pl_neg(theta))) for u in fam.members]
+            lowers = list(accumulate(shifted, lambda g, u: pl_min((g, u))))
+            uppers = list(accumulate(shifted, lambda h, u: pl_max((h, u))))
             for block, g_n, h_n in zip(f.blocks, lowers, uppers):
                 assert block.g_blk.line_form == g_n.line_form
                 assert block.h_blk.line_form == h_n.line_form

@@ -32,7 +32,7 @@ from hahnforge.cli import (
     main,
 )
 from hahnforge.pairs import StableFamily
-from hahnforge.plalg import PLFunc, RatSet, pl_equal, uniform_grid
+from hahnforge.plalg import PLFunc, RatSet, uniform_grid
 from hahnforge.rational import rat, rat_str, rat_text
 from hahnforge.sections import brute_sections, tail_sections
 from hahnforge.specdsl import (
@@ -417,6 +417,26 @@ class TestSynth:
         assert csv_text.splitlines()[0] == "x,y,value,value_float"
         assert ",inf," in csv_text
 
+    def test_collinear_knots_load_and_write_back_without_them(self, sp1_spec: Path, tmp_path: Path):
+        # Each stored function gains a knot midway between its first two,
+        # on the segment between them.
+        out = tmp_path / "out"
+        assert main(["synth", str(sp1_spec), "--out", str(out)]) == OK
+        written = json.loads((out / "function.json").read_text(encoding="utf-8"))
+        stored = json.loads(json.dumps(written))
+
+        def with_midpoint(pairs: list[list[str]]) -> None:
+            (x0, v0), (x1, v1) = ((rat(x), rat(v)) for x, v in pairs[:2])
+            pairs.insert(1, [rat_str((x0 + x1) / 2), rat_str((v0 + v1) / 2)])
+
+        with_midpoint(stored["theta"])
+        for block in stored["blocks"]:
+            for key in ("g", "h", "alpha"):
+                with_midpoint(block[key])
+        loaded = BlockProductFunc.from_json(stored)
+        assert loaded.to_json() == written
+        assert loaded == BlockProductFunc.from_json(written)
+
 
 class TestGoldenOutputs:
     """Exact outputs pinned byte for byte: any drift in an exact value fails."""
@@ -487,10 +507,25 @@ class TestGoldenOutputs:
             pairs += [(nb[key], ob[key]) for key in ("g", "h", "alpha")]
         for n, o in pairs:
             f, g = PLFunc.from_json(n), PLFunc.from_json(o)
-            assert pl_equal(f, g)
+            assert f == g
             assert all(f(x) == g(x) for x in set(f.breakpoints) | set(g.breakpoints))
             assert len(f.breakpoints) <= len(g.breakpoints)
         assert sum(len(n) for n, _ in pairs) < sum(len(o) for _, o in pairs)
+
+    def test_zero_scaled_member_is_the_constant_zero(self, tmp_path: Path):
+        """u1 = 0 * abs(x - 1/2) is u1 = 0: synth writes theta with two knots,
+        and the function.json and samples.csv of SP1 byte for byte."""
+        spec = tmp_path / "scaled.hf"
+        spec.write_text("u1 = 0 * abs(x - 1/2)\nu2 = x - 1/2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", str(spec), "--out", str(out)]) == OK
+        function = json.loads((out / "function.json").read_text(encoding="utf-8"))
+        assert function["theta"] == [["0/1", "0/1"], ["1/1", "0/1"]]
+        digests = {
+            file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in self.SHA256["sp1"]
+        }
+        assert digests == self.SHA256["sp1"]
 
     @pytest.mark.parametrize("name", ["sp1", "seeded"])
     def test_verify_stdout(self, name: str, tmp_path: Path, capsys):
@@ -618,7 +653,8 @@ class TestWriters:
 
     def test_sample_rows_csv_past_float_range(self, tmp_path: Path):
         big = 10**400
-        f = synthesize(StableFamily((PLFunc.affine(2 * big, -big), PLFunc.constant(0), PLFunc.identity())))
+        family = (PLFunc.affine(2 * big, -big), PLFunc.constant(0), PLFunc.affine(1, 0))
+        f = synthesize(StableFamily(family))
         rows = f.sample_rows(uniform_grid(32), MAX_SAMPLES)
         assert {"inf", "-inf"} <= {row[3] for row in rows}
         self.assert_csv_matches(tmp_path, ["x", "y", "value", "value_float"], rows)

@@ -11,7 +11,6 @@ from conftest import dyadic_grid, random_family
 from hahnforge.plalg import (
     PLFunc,
     dominates,
-    pl_equal,
     pl_max,
     pl_min,
 )
@@ -26,18 +25,18 @@ SP1 = StableFamily((ZERO_F, X_MINUS_HALF))
 class TestEnvelopes:
     def test_canonical_pair(self):
         pair = envelopes(SP1)
-        assert pl_equal(pair.g, pl_min((ZERO_F, X_MINUS_HALF)))
-        assert pl_equal(pair.h, pl_max((ZERO_F, X_MINUS_HALF)))
+        assert pair.g == pl_min((ZERO_F, X_MINUS_HALF))
+        assert pair.h == pl_max((ZERO_F, X_MINUS_HALF))
 
     def test_singleton(self, rng: random.Random):
         f = random_family(rng, 1)[0]
         pair = envelopes(StableFamily((f,)))
-        assert pl_equal(pair.g, f) and pl_equal(pair.h, f)
+        assert pair.g == f and pair.h == f
 
     def test_duplicate_constants(self):
         c = PLFunc.constant("2/3")
         pair = envelopes(StableFamily((c, c)))
-        assert pl_equal(pair.g, c) and pl_equal(pair.h, c)
+        assert pair.g == c and pair.h == c
 
     def test_members_between_envelopes_200_random(self, rng: random.Random):
         for _ in range(200):

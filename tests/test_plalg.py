@@ -38,13 +38,13 @@ from hahnforge.plalg import (
     grid_pairs,
     line_value,
     pl_abs,
-    pl_equal,
     pl_max,
     pl_min,
     pl_neg,
     pl_scale,
     pl_sum,
     reduced_line,
+    scale_form,
     semicontinuity_check,
     subset,
     uniform_grid,
@@ -52,7 +52,7 @@ from hahnforge.plalg import (
 from hahnforge.rational import rat_str
 from hahnforge.specdsl import MAX_GRID
 
-X = PLFunc.identity()
+X = PLFunc.affine(1, 0)
 ZERO_F = PLFunc.constant(0)
 X_MINUS_HALF = PLFunc.affine(1, "-1/2")
 
@@ -174,7 +174,7 @@ class TestLattice:
     def test_max_idempotent(self, rng: random.Random):
         for _ in range(20):
             f = random_plfunc(rng)
-            assert pl_equal(pl_max((f, f)), f)
+            assert pl_max((f, f)) == f
 
     def test_min_matches_scalar_min_on_dense_grid(self, rng: random.Random):
         # Randomized exact check against the pointwise scalar oracle.
@@ -289,10 +289,10 @@ class TestDistance:
         assert f.values == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
 
     def test_empty_set_convention(self):
-        assert pl_equal(distance_function(EMPTY_SET), PLFunc.constant(1))
+        assert distance_function(EMPTY_SET) == PLFunc.constant(1)
 
     def test_full_interval(self):
-        assert pl_equal(distance_function(FULL_SET), ZERO_F)
+        assert distance_function(FULL_SET) == ZERO_F
 
     def test_matches_clamped_distance_pointwise(self, rng: random.Random):
         # min(1, dist_to) at every knot, every component end and the 65
@@ -310,6 +310,7 @@ class TestDistance:
             f, oracle = distance_function(s), clamped_interpolation(s)
             assert f == oracle, s
             assert f.line_form == oracle.line_form, s
+            assert collinear_knots(f) == [], s
 
     def test_lipschitz_and_zero_set(self, rng: random.Random):
         for _ in range(40):
@@ -322,7 +323,7 @@ class TestDistance:
 
 class TestDominates:
     def test_min_below_max(self):
-        assert dominates(pl_min((ZERO_F, X_MINUS_HALF)), pl_max((ZERO_F, X_MINUS_HALF)))
+        assert dominates(pl_min((ZERO_F, X_MINUS_HALF)), pl_max((ZERO_F, X_MINUS_HALF))).ok
 
     def test_witness(self):
         v = dominates(X_MINUS_HALF, ZERO_F)
@@ -334,7 +335,7 @@ class TestDominates:
             f, g, h = (random_plfunc(rng) for _ in range(3))
             assert dominates(f, f).ok
             if dominates(f, g).ok and dominates(g, f).ok:
-                assert pl_equal(f, g)
+                assert f == g
             if dominates(f, g).ok and dominates(g, h).ok:
                 assert dominates(f, h).ok
 
@@ -528,7 +529,7 @@ class TestForwardPasses:
         # Each domain message prints its rationals in full, as str does with
         # no limit, at the lowest permitted int-to-str limit.
         tiny, big = Fraction(1, 7**6000), Fraction(7**6000 + 1, 7**6000)
-        f = PLFunc.identity()
+        f = PLFunc.affine(1, 0)
         pw = PwFunc((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(0)),), (Fraction(0),) * 2)
         cases = [
             (lambda: grid_pairs([Fraction(1, 2), tiny]), "arguments must not decrease: {} after 1/2", tiny),
@@ -720,14 +721,16 @@ def collinear_knots(f: PLFunc) -> list[Fraction]:
 
 
 def canonical(f: PLFunc) -> PLFunc:
-    """f with its collinear interior knots dropped."""
+    """f rebuilt from its knots with the collinear interior ones dropped:
+    as no PLFunc has one, f itself."""
     keep = set(collinear_knots(f))
     pts = [(x, v) for x, v in zip(f.breakpoints, f.values) if x not in keep]
     return PLFunc.from_pairs(pts)
 
 
 def refined(f: PLFunc) -> PLFunc:
-    """f with a collinear knot inserted in the middle of every segment."""
+    """f rebuilt from its knots with a collinear knot inserted in the middle
+    of every segment, which the constructor merges away: f itself."""
     bps = f.breakpoints
     xs = sorted(set(bps) | {(a + b) / 2 for a, b in zip(bps, bps[1:])})
     return PLFunc(tuple(xs), tuple(interpolate(f, x) for x in xs))
@@ -740,8 +743,8 @@ def tent(p: Fraction, c: Fraction) -> PLFunc:
 
 def kernel_families(rng: random.Random) -> list[tuple[PLFunc, ...]]:
     """Seeded families: random (16ths and 1/997 grids), large, with repeated
-    and identical members, with collinear knots, and with members that touch
-    without crossing."""
+    and identical members, with members rebuilt through collinear knots,
+    and with members that touch without crossing."""
     fine = TestAffinePieces.functions(rng)
     fams: list[tuple[PLFunc, ...]] = []
     for _ in range(40):
@@ -783,7 +786,7 @@ class TestKernelOracle:
                 (pl_max(fam), oracle_envelope(fam, max)),
                 (pl_sum(fam), oracle_sum(fam)),
             ):
-                assert pl_equal(new, old) and oracle_equal(new, old)
+                assert new == old and oracle_equal(new, old)
                 assert collinear_knots(new) == []
                 assert new == canonical(old)
                 assert len(new.breakpoints) <= len(old.breakpoints)
@@ -793,7 +796,7 @@ class TestKernelOracle:
             for f in fam:
                 for g in fam:
                     assert equality_set(f, g) == oracle_equality_set(f, g)
-                    assert pl_equal(f, g) == oracle_equal(f, g)
+                    assert (f == g) == oracle_equal(f, g)
                     v, w = dominates(f, g), oracle_dominates(f, g)
                     assert v.ok == w.ok
                     if not v.ok:
@@ -807,6 +810,8 @@ class TestKernelOracle:
             assert pl_sum((f, pl_neg(f))) == PLFunc.constant(0)
             assert pl_max((f, f)) == canonical(f) == pl_min((refined(f),))
             assert pl_sum((f, g)) == pl_sum((refined(g), f))
+            assert refined(f) == f and canonical(f) == f
+            assert refined(f).line_form == f.line_form == canonical(f).line_form
 
     def test_no_point_evaluation(self, kernel_fams: list[tuple[PLFunc, ...]], monkeypatch):
         fams = kernel_fams[:60]
@@ -826,7 +831,7 @@ class TestKernelOracle:
             equality_set(f, g)
             dominates(f, g)
             dominates(g, f)
-            pl_equal(f, g)
+            f == g
         assert calls == []
         assert X(Fraction(1, 2)) == Fraction(1, 2) and len(calls) == 1
 
@@ -863,21 +868,26 @@ class TestKernelAtLargeBitSizes:
         fs, c = case
         f, g = fs[0], fs[-1]
         envelopes = (pl_min(fs), oracle_envelope(fs, min)), (pl_max(fs), oracle_envelope(fs, max))
-        for new, old in (*envelopes, (pl_sum(fs), oracle_sum(fs))):
+        total = pl_sum(fs)
+        for new, old in (*envelopes, (total, oracle_sum(fs))):
             assert new == canonical(old)
             assert vars(new)["line_form"] == fresh_form(new)
         scaled = pl_scale(c, f)
         assert scaled == oracle_scale(c, f) and vars(scaled)["line_form"] == fresh_form(scaled)
+        # Each result equals the function built from its own Fraction views.
+        for r in (*(new for new, _ in envelopes), total, scaled, pl_abs(g)):
+            assert r == PLFunc(r.breakpoints, r.values)
+            assert collinear_knots(r) == []
         pairs = [(f, g), (g, f), (f, f), *((m, env) for m in fs for env, _ in envelopes)]
         for a, b in pairs:
             assert equality_set(a, b) == oracle_equality_set(a, b)
             assert dominates(a, b) == oracle_dominates(a, b)
-            assert pl_equal(a, b) == oracle_equal(a, b)
+            assert (a == b) == oracle_equal(a, b)
 
 
 class TestBuiltChecks:
-    """A kernel result is checked in integers, with the messages of PLFunc's
-    own checks, and then built without them."""
+    """Every constructor checks its knots with one integer routine: a form
+    is rejected with the message its Fraction twin gets."""
 
     @pytest.mark.parametrize(
         "knots",
@@ -901,13 +911,38 @@ class TestBuiltChecks:
         for lines in ([], [(1, 0, 1)] * 2):
             with pytest.raises(ValueError, match="matching breakpoint/value lists"):
                 PLFunc.from_form(((0, 1), (1, 1)), lines)
+        for values in ((Fraction(0),), (Fraction(0),) * 3):
+            with pytest.raises(ValueError, match="matching breakpoint/value lists"):
+                PLFunc((Fraction(0), Fraction(1)), values)
 
-    @BATCH
-    @given(big_families())
-    def test_results_pass_the_fraction_checks(self, case):
-        fs, c = case
-        for f in (pl_min(fs), pl_max(fs), pl_sum(fs), pl_scale(c, fs[0]), pl_abs(fs[-1])):
-            assert f == PLFunc(f.breakpoints, f.values)
+
+class TestCanonicalForm:
+    """Every constructor stores the merged form, so == is pointwise equality."""
+
+    def test_collinear_knot_merges(self):
+        half = Fraction(1, 2)
+        f = PLFunc((Fraction(0), half, Fraction(1)), (Fraction(0), half, Fraction(1)))
+        assert f == X and hash(f) == hash(X)
+        assert f.breakpoints == (0, 1) and f.line_form == X.line_form
+        stored = [["0/1", "0/1"], ["1/2", "1/2"], ["1/1", "1/1"]]
+        assert PLFunc.from_json(stored) == PLFunc.from_pairs(stored) == X
+        assert PLFunc.from_json(stored).to_json() == [["0/1", "0/1"], ["1/1", "1/1"]]
+
+    def test_from_form_merges(self):
+        # x on [0, 2/3] in two pieces, then the constant 2/3.
+        f = PLFunc.from_form(((0, 1), (1, 3), (2, 3), (1, 1)), [(1, 0, 1), (1, 0, 1), (0, 2, 3)])
+        assert f.line_form == (((0, 1), (2, 3), (1, 1)), ((1, 0, 1), (0, 2, 3)))
+        assert f == pl_min((X, PLFunc.constant("2/3")))
+        flat = PLFunc.from_form(((0, 1), (1, 4), (1, 1)), [(0, 1, 3)] * 2)
+        assert flat.line_form == PLFunc.constant("1/3").line_form
+
+    def test_zero_scale_is_one_line(self):
+        bump = tent(Fraction(1, 3), Fraction(5, 2))
+        assert len(bump.breakpoints) == 3
+        assert scale_form(0, 1, bump.line_form) == (((0, 1), (1, 1)), [(0, 0, 1)])
+        zero = pl_scale(0, bump)
+        assert zero == ZERO_F and len(zero.breakpoints) == 2
+        assert zero.line_form == ZERO_F.line_form
 
 
 INDICATOR_HALF_ONE = PwFunc(
@@ -1114,14 +1149,23 @@ def form_cases() -> FormCases:
 
 
 class TestIntegerForm:
-    """A kernel result stores only its integer form: a PLFunc its
-    ``line_form``, a RatSet its ``components``.  The Fraction fields are
-    views, built on first read, equal to what a function or set built from
-    those Fractions holds."""
+    """Every PLFunc stores only its integer ``line_form``, and every RatSet
+    only its ``components``, whether a kernel built it or a caller did from
+    Fractions, JSON or a form.  The Fraction fields are views, built on
+    first read, equal to those a function or set built from them has."""
 
     def test_views_are_built_on_first_read(self, form_cases: FormCases):
-        for fs in form_cases.families:
-            for r in kernel_results(fs):
+        for fs, shared_sets in zip(form_cases.families, form_cases.sets):
+            f, g = fs[0], fs[-1]
+            built = [
+                PLFunc.constant("-2/3"),
+                PLFunc.affine(3, "1/5"),
+                PLFunc.from_form(*f.line_form),
+                PLFunc(f.breakpoints, f.values),
+                PLFunc.from_json(g.to_json()),
+            ]
+            for r in (*kernel_results(fs), *built):
+                assert set(vars(r)) == {"line_form"}
                 # Kernels, exports and checks that read the form build no view.
                 pl_sum((r, fs[0]))
                 equality_set(r, fs[0])
@@ -1131,7 +1175,9 @@ class TestIntegerForm:
                 r.breakpoints
                 assert "breakpoints" in vars(r) and "values" not in vars(r)
                 assert r.values is r.values and "values" in vars(r)
-            for s in family_sets(fs):
+            twins = [RatSet(shared_sets[-1].intervals), RatSet.of([(0, "1/3"), ("1/2", "1/2")])]
+            for s in (*family_sets(fs), *twins):
+                assert set(vars(s)) == {"components"}
                 s.intersect(FULL_SET)
                 subset(s, FULL_SET)
                 subset(FULL_SET, s)
@@ -1145,6 +1191,7 @@ class TestIntegerForm:
     def test_results_equal_their_fraction_twins(self, form_cases: FormCases):
         for results in form_cases.results:
             for r in results:
+                assert collinear_knots(r) == []
                 twin = PLFunc(r.breakpoints, r.values)
                 assert r == twin and twin == r and hash(r) == hash(twin)
                 with int_str_digits(0):

@@ -49,10 +49,9 @@ SPANS = "bench/spans.py wraps it by name, or calls it through a function it wrap
 README = "the README library example calls it"
 ACCEPTANCE = "an acceptance criterion in tests/test_acceptance.py calls it"
 RECORD = "frozen-record protocol, held to dataclass by tests/test_record.py"
-TESTS = "test-only today: ROADMAP item 7 lists it as movable into the tests"
 VIEW = "Fraction view of the stored integer form, built on first read; ==, hash and repr read it"
 FROM_FRACTIONS = "builds a DSL node from a Fraction, as tests write ASTs; the parser uses integers"
-REASONS = {ORACLE, ITEM_1, ITEM_2, SPANS, README, ACCEPTANCE, RECORD, TESTS, VIEW, FROM_FRACTIONS}
+REASONS = {ORACLE, ITEM_1, ITEM_2, SPANS, README, ACCEPTANCE, RECORD, VIEW, FROM_FRACTIONS}
 
 NEVER_ENTERED: dict[str, str] = {
     "alphat.DiagProductFunc.y_section": ACCEPTANCE,
@@ -73,15 +72,11 @@ NEVER_ENTERED: dict[str, str] = {
     "builder.stage_envelopes": SPANS,
     "builder.stage_sets_of": SPANS,
     "pairs.StableFamily.__len__": ACCEPTANCE,
-    "plalg.PLFunc.__add__": TESTS,
     "plalg.PLFunc.__call__": ORACLE,
-    "plalg.PLFunc.__neg__": TESTS,
-    "plalg.PLFunc.__sub__": TESTS,
     "plalg.PLFunc.affine": README,
     "plalg.PLFunc.breakpoints": VIEW,
     "plalg.PLFunc.from_json": ITEM_1,
     "plalg.PLFunc.from_pairs": ITEM_1,
-    "plalg.PLFunc.identity": TESTS,
     "plalg.PLFunc.pieces": ORACLE,
     "plalg.PwFunc.__post_init__": ITEM_2,
     "plalg.PwFunc._limits": ITEM_2,
@@ -92,10 +87,8 @@ NEVER_ENTERED: dict[str, str] = {
     "plalg.RatSet.intervals": VIEW,
     "plalg.RatSet.of": SPANS,
     "plalg.RatSet.union": SPANS,
-    "plalg.Verdict.__bool__": TESTS,
     "plalg.grid_pairs": ITEM_1,
     "plalg.pl_abs": ORACLE,
-    "plalg.pl_equal": TESTS,
     "plalg.semicontinuity_check": ITEM_2,
     "record._delattr": RECORD,
     "record._setattr": RECORD,

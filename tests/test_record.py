@@ -33,7 +33,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = (alphat, builder, pairs, plalg, sections, spaces, specdsl, tailrules)
 F = Fraction
 ZERO_F = PLFunc.constant(0)
-X = PLFunc.identity()
+X = PLFunc.affine(1, 0)
 SP1 = StableFamily((ZERO_F, PLFunc.affine(1, "-1/2")))
 SP1_F = synthesize(SP1)
 SP1_PAIR = envelopes(SP1)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import int_str_digits
-from hahnforge.plalg import PLFunc, pl_abs, pl_equal, pl_max, pl_min, pl_scale, pl_sum
+from hahnforge.plalg import PLFunc, pl_abs, pl_max, pl_min, pl_scale, pl_sum
 from hahnforge.specdsl import (
     KEYWORDS,
     MAX_DEPTH,
@@ -228,7 +228,7 @@ class TestBounds:
         text = "u1 = " + "abs(" * (MAX_DEPTH - 1) + "(x)" + ")" * (MAX_DEPTH - 1) + "\n"
         ast = parse_spec(text)
         assert parse_spec(pp_spec(ast)) == ast
-        assert pl_equal(family_from_spec(ast).members[0], PLFunc.identity())
+        assert family_from_spec(ast).members[0] == PLFunc.affine(1, 0)
 
     def test_depth_past_bound_rejected_at_its_paren(self):
         text = "u1 = " + "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + "\n"
@@ -293,7 +293,7 @@ class TestBounds:
         terms = ast.decls[0][1].terms
         assert terms == (Var(),) + (Scale(Fraction(-1), Var()),) * (n - 1)
         assert parse_spec(pp_spec(ast)) == ast
-        assert family_from_spec(ast).members[0] == pl_scale(2 - n, PLFunc.identity())
+        assert family_from_spec(ast).members[0] == pl_scale(2 - n, PLFunc.affine(1, 0))
 
     def test_minus_run_folds_once(self):
         for signs in (1, 2, 3, 5000, 5001):
@@ -417,13 +417,13 @@ class TestElaboration:
     def test_sp1_family(self):
         family = family_from_spec(parse_spec(SP1_TEXT))
         assert len(family) == 2
-        assert pl_equal(family.members[0], PLFunc.constant(0))
-        assert pl_equal(family.members[1], PLFunc.affine(1, "-1/2"))
+        assert family.members[0] == PLFunc.constant(0)
+        assert family.members[1] == PLFunc.affine(1, "-1/2")
 
     def test_min_elaborates_via_lattice(self):
         family = family_from_spec(parse_spec("u1 = min(0, x - 1/2)\n"))
         expected = pl_min((PLFunc.constant(0), PLFunc.affine(1, "-1/2")))
-        assert pl_equal(family.members[0], expected)
+        assert family.members[0] == expected
 
     def test_reference_substitution(self):
         family = family_from_spec(parse_spec("base = x - 1/2\nu1 = abs(base)\n"))
@@ -817,7 +817,7 @@ def oracle_elaborate(e: Expr, env: dict[str, PLFunc]) -> PLFunc:
     if isinstance(e, Lit):
         return PLFunc.constant(e.value)
     if isinstance(e, Var):
-        return PLFunc.identity()
+        return PLFunc.affine(1, 0)
     if isinstance(e, Ref):
         return env[e.name]
     if isinstance(e, Sum):
@@ -863,7 +863,7 @@ def _factors() -> st.SearchStrategy[Fraction]:
 
 
 # "m" is min(x, 1 - x); "z" is 0 * m, which keeps the three knots of m.
-_M = pl_min((PLFunc.identity(), PLFunc.affine(-1, 1)))
+_M = pl_min((PLFunc.affine(1, 0), PLFunc.affine(-1, 1)))
 _ENV = {"m": _M, "z": pl_scale(0, _M)}
 _LEAVES = st.one_of(
     st.builds(Lit, st.fractions(min_value=-8, max_value=8, max_denominator=8)),
