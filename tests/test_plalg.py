@@ -868,16 +868,11 @@ class TestKernelAtLargeBitSizes:
         fs, c = case
         f, g = fs[0], fs[-1]
         envelopes = (pl_min(fs), oracle_envelope(fs, min)), (pl_max(fs), oracle_envelope(fs, max))
-        total = pl_sum(fs)
-        for new, old in (*envelopes, (total, oracle_sum(fs))):
+        for new, old in (*envelopes, (pl_sum(fs), oracle_sum(fs))):
             assert new == canonical(old)
             assert vars(new)["line_form"] == fresh_form(new)
         scaled = pl_scale(c, f)
         assert scaled == oracle_scale(c, f) and vars(scaled)["line_form"] == fresh_form(scaled)
-        # Each result equals the function built from its own Fraction views.
-        for r in (*(new for new, _ in envelopes), total, scaled, pl_abs(g)):
-            assert r == PLFunc(r.breakpoints, r.values)
-            assert collinear_knots(r) == []
         pairs = [(f, g), (g, f), (f, f), *((m, env) for m in fs for env, _ in envelopes)]
         for a, b in pairs:
             assert equality_set(a, b) == oracle_equality_set(a, b)
@@ -914,6 +909,15 @@ class TestBuiltChecks:
         for values in ((Fraction(0),), (Fraction(0),) * 3):
             with pytest.raises(ValueError, match="matching breakpoint/value lists"):
                 PLFunc((Fraction(0), Fraction(1)), values)
+
+    @BATCH
+    @given(big_families())
+    def test_results_pass_the_fraction_checks(self, case):
+        # Each result equals the function built from its own Fraction views.
+        fs, c = case
+        for f in (pl_min(fs), pl_max(fs), pl_sum(fs), pl_scale(c, fs[0]), pl_abs(fs[-1])):
+            assert f == PLFunc(f.breakpoints, f.values)
+            assert collinear_knots(f) == []
 
 
 class TestCanonicalForm:
