@@ -35,33 +35,36 @@ form is the blocks and theta.
 The result is evaluated by one grid walk.  A grid is the reduced (p, q) of
 each x, non-decreasing in [0, 1], as ``plalg.uniform_grid`` builds it or
 ``plalg.grid_pairs`` checks xs that arrive as Fractions, and every walker
-reads it as it is.  ``plalg.cell_lines`` walks it for theta and the block
-functions a caller reads, with one cursor over the cells of their merged
-knots, and gives each x the line (a, b, d) of each function there; the
-value (a*p + b*q, d*q) is reduced only where it is written or compared with
-==.  Block n sits on Pow2OddSet(n - 1), so each natural y = 2^i (2j - 1) is
-sent by its 2-adic valuation i to block i + 1, the one block that owns it,
-with bump beta(y) = 1/k on the side h_blk for odd j and -1/k on the side
-g_blk for even j, k = ceil(j/2) (``locate``).  The value
+reads it as it is.  ``plalg.cell_lines`` walks it by runs for theta and the
+block functions a caller reads, with one cursor over the cells of their
+merged knots: each run of consecutive xs in one cell gets the line
+(a, b, d) of each function there once, and the value (a*p + b*q, d*q) at
+each x of the run is reduced only where it is written.  Block n sits on
+Pow2OddSet(n - 1), so each natural y = 2^i (2j - 1) is sent by its 2-adic
+valuation i to block i + 1, the one block that owns it, with bump
+beta(y) = 1/k on the side h_blk for odd j and -1/k on the side g_blk for
+even j, k = ceil(j/2) (``locate``).  The value
 f(x, y) = theta(x) + side(x) * phi(alpha(x), beta(y)) is then one integer
 kernel, ``slice_value``: with theta = a/b, alpha = p/q and side = c/d, it
 forms N = 4|p|qk and D = (pk)^2 + q^2, the clamp N >= D (scale 1) is one
-integer comparison, and (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd.
-Scaling any pair scales N and D alike, so the kernel takes theta, alpha
-and the side unreduced.  The kernel assumes no saturation: it evaluates
-phi at every y, so the values verify_synthesis reads at its witnesses check
-the saturation lemma rather than restate it.  ``phi`` stays the
-definitional form, and the tests hold the kernel to it.  A single x is the
-one-point grid (``f.at``): ``f.value(x, y)`` walks theta and the block that
-owns y there and returns the kernel's pair as a Fraction, and sections and
-continuity certificates walk every block once per x.  The CSV export walks
-theta and the blocks its y can reach (``BlockProductFunc.walk``), and the
-report walks theta and the envelopes over the whole grid and each block
-over the xs where it is the active stage.  Neither builds a Fraction per
-grid point: the CSV export plans its ys once per call, by block and side,
-fills each side of a block with alpha > 0 from the kernel's integer pairs,
-and writes each distinct pair once per x; the report compares each witness
-value's pair with the envelope's and keeps each entry as a row of pairs.
+integer comparison, and it returns (a*d*D + c*N*b, b*d*D) unreduced; the
+caller reduces it where it writes it.  Scaling any pair scales N and D
+alike, so the kernel takes theta, alpha and the side unreduced.  The kernel
+assumes no saturation: it evaluates phi at every y, so the values
+verify_synthesis reads at its witnesses check the saturation lemma rather
+than restate it.  ``phi`` stays the definitional form, and the tests hold
+the kernel to it.  A single x is the one-point grid (``f.at``), one run:
+``f.value(x, y)`` walks theta and the block that owns y there and returns
+the kernel's pair as a Fraction, and sections and continuity certificates
+walk every block once per x.  The CSV export walks theta and the blocks its
+y can reach (``BlockProductFunc.walk``), and the report walks the runs of
+one active stage (``first_containing``), theta and the envelopes over the
+whole grid, and each block over the xs where it is the active stage.
+Neither builds a Fraction per grid point: the CSV export plans its ys once
+per call, by block and side, fills each side of a block with alpha > 0 from
+the kernel's integer pairs, and writes each distinct pair once per x; the
+report compares each witness value with its envelope by cross-multiplying
+and keeps each entry as a row of pairs.
 
 ``verify_synthesis`` decides "the sections equal the envelopes" for every x
 in [0, 1], not on a sample: two envelope bounds and one exact RatSet
@@ -121,28 +124,24 @@ def phi(s: int | str | Fraction, t: int | str | Fraction) -> Fraction:
     return Fraction(1) if num >= den else Fraction(num, den)
 
 
-def slice_value(a: int, b: int, p: int, q: int, c: int, d: int, k: int) -> tuple[int, int]:
-    """theta + side * phi(alpha, +-1/k) in lowest terms, as (num, den) with
-    den > 0, for theta = a/b, alpha = p/q and side = c/d with b, q, d > 0.
+def slice_value(a: int, b: int, p: int, q: int, c: int, d: int, k: int) -> Pair:
+    """theta + side * phi(alpha, +-1/k) as (num, den) with den > 0, not
+    reduced, for theta = a/b, alpha = p/q and side = c/d with b, q, d > 0.
 
     phi(p/q, +-1/k) = min(1, N/D) with N = 4|p|qk and D = (pk)^2 + q^2, as
     ``phi`` computes it with r/w = +-1/k; the clamp is one integer
-    comparison, and the sum (a*d*D + c*N*b) / (b*d*D) is reduced with one gcd
-    (theta alone, where phi or the side is 0).  No operand need be in lowest
-    terms: scaling a pair scales N and D alike, so neither the clamp nor the
-    value changes, and the result is reduced once.
+    comparison, and the sum is (a*d*D + c*N*b) / (b*d*D), or (a, b), theta
+    alone, where phi or the side is 0.  No operand need be in lowest terms:
+    scaling a pair scales N and D alike, so neither the clamp nor the value
+    changes.  A saturated value, phi = 1, is the same pair for every k.
     """
     if p == 0 or c == 0:
-        common = gcd(a, b)
-        return a // common, b // common
+        return a, b
     num = 4 * abs(p) * q * k
     den = (p * k) ** 2 + q * q
     if num >= den:
         num = den = 1
-    top = a * d * den + c * num * b
-    bottom = b * d * den
-    common = gcd(top, bottom)
-    return top // common, bottom // common
+    return a * d * den + c * num * b, b * d * den
 
 
 def bump_witness_index(p: int, q: int) -> int:
@@ -217,9 +216,9 @@ class SchwartzBlock:
 
 def _point_values(fs: Sequence[PLFunc], x: int | str | Fraction) -> list[Pair]:
     """f(x) for each f of fs, as reduced pairs: ``plalg.cell_lines`` on the
-    one-point grid; a ValueError names an x outside [0, 1]."""
+    one-point grid, one run; a ValueError names an x outside [0, 1]."""
     grid = grid_pairs([rat(x)])
-    (cell,) = cell_lines(fs, grid)
+    ((_, cell),) = cell_lines(fs, grid)
     return [line_value(line, grid[0]) for line in cell]
 
 
@@ -299,27 +298,28 @@ class BlockProductFunc:
         return (i, *self.blocks[i].beta.bump(m))
 
     def walk(
-        self, grid: Iterable[Pair], listed: Iterable[int]
-    ) -> Iterator[tuple[Line, Iterator[tuple[Line, Line, Line]]]]:
-        """For each x of a grid (reduced pairs, non-decreasing in [0, 1]), the
-        line of theta and the lines (alpha, g_blk, h_blk) of each listed block
-        (0-based), in the order listed, on the cell that holds x: one
-        ``plalg.cell_lines`` walk over all of them."""
+        self, grid: Sequence[Pair], listed: Iterable[int]
+    ) -> Iterator[tuple[int, Line, list[tuple[Line, Line, Line]]]]:
+        """The runs of a grid (reduced pairs, non-decreasing in [0, 1]) over
+        the cells of theta and the listed blocks (0-based): (stop, theta's
+        line, the lines (alpha, g_blk, h_blk) of each listed block, in the
+        order listed) for each run grid[start:stop] of xs in one cell, from
+        one ``plalg.cell_lines`` walk over all of them."""
         fs = [self.theta]
         for i in listed:
             b = self.blocks[i]
             fs += (b.alpha, b.g_blk, b.h_blk)
-        for cell in cell_lines(fs, grid):
-            yield cell[0], zip(cell[1::3], cell[2::3], cell[3::3])
+        for stop, cell in cell_lines(fs, grid):
+            yield stop, cell[0], list(zip(cell[1::3], cell[2::3], cell[3::3]))
 
     def at(
         self, x: int | str | Fraction, listed: Collection[int]
     ) -> tuple[Pair, list[tuple[Pair, Pair, Pair]]]:
         """theta(x) and the (alpha, g_blk, h_blk) of each listed block
         (0-based), in the order listed, as reduced pairs: ``walk`` on the
-        one-point grid; a ValueError names an x outside [0, 1]."""
+        one-point grid, one run; a ValueError names an x outside [0, 1]."""
         grid = grid_pairs([rat(x)])
-        ((theta, terms),) = self.walk(grid, listed)
+        ((_, theta, terms),) = self.walk(grid, listed)
         (point,) = grid
         return line_value(theta, point), [
             (line_value(alpha, point), line_value(g, point), line_value(h, point))
@@ -342,7 +342,8 @@ class BlockProductFunc:
 
     def active_stage(self, x: int | str | Fraction) -> int:
         """Least n with x in F_n; block n attains the envelopes at x."""
-        return first_containing(self.stage_sets, grid_pairs([rat(x)]))[0] + 1
+        ((_, i),) = first_containing(self.stage_sets, grid_pairs([rat(x)]))
+        return i + 1
 
     def section_values(
         self, x: int | str | Fraction
@@ -412,15 +413,17 @@ class BlockProductFunc:
         The ys are planned once per call: ``locate`` splits those a block
         owns into its lower (g_blk) and upper (h_blk) side, each with its
         row and bump index k.  One walk of the grid (``walk``) gives, per
-        x, the lines of theta and of each walked block's alpha, g_blk and
-        h_blk.  theta(x) is reduced, and every cell starts as theta's.  A
+        run of xs in one cell, the lines of theta and of each walked block's
+        alpha, g_blk and h_blk, paired with the block's planned sides once
+        per run.  theta(x) is reduced, and every cell starts as theta's.  A
         block with alpha = 0, or a side whose value is 0, leaves its rows at
-        theta; where both are nonzero the bump term is nonzero,
-        so the value is never theta, and it comes from ``slice_value`` on
-        the unreduced alpha and side.  Each distinct value pair is written
-        once per x (``ratio_str``, ``ratio_float``): a saturated value,
-        phi = 1, is theta + side for every k of its side.  No Fraction is
-        built, and every cell is a str, as the CLI's CSV writer requires.
+        theta; where both are nonzero the bump term is nonzero, so the value
+        is never theta, and it comes from ``slice_value`` on the unreduced
+        alpha and side.  Each distinct pair ``slice_value`` returns is
+        reduced and written once per x (``ratio_str``, ``ratio_float``): a
+        saturated value, phi = 1, is the same pair for every k of its side.
+        No Fraction is built, and every cell is a str, as the CLI's CSV
+        writer requires.
         """
         reach = range(min(self.size, max_y.bit_length()))
         sides: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in reach]
@@ -431,29 +434,36 @@ class BlockProductFunc:
                 sides[i][upper].append((row, k))
         ys = [int_str(y) for y in range(1, max_y + 1)] + [INFINITY]
         rows: list[tuple[str, str, str, str]] = []
-        for x, (theta, terms) in zip(grid, self.walk(grid, reach)):
-            xp, xq = x
-            a, b = line_value(theta, x)
-            values = [ratio_str(a, b)] * len(ys)
-            floats = [ratio_float(a, b)] * len(ys)
-            written: dict[Pair, tuple[str, str]] = {}
-            for ((aa, ab, ad), lower, upper), (on_lower, on_upper) in zip(terms, sides):
-                p = aa * xp + ab * xq
-                if p == 0:
-                    continue
-                q = ad * xq
-                for (ca, cb, cd), on_side in ((lower, on_lower), (upper, on_upper)):
-                    c = ca * xp + cb * xq
-                    if c == 0:
+        start = 0
+        for stop, theta, terms in self.walk(grid, reach):
+            walked = list(zip(terms, sides))
+            for x in grid[start:stop]:
+                xp, xq = x
+                a, b = line_value(theta, x)
+                values = [ratio_str(a, b)] * len(ys)
+                floats = [ratio_float(a, b)] * len(ys)
+                written: dict[Pair, tuple[str, str]] = {}
+                for ((aa, ab, ad), lower, upper), (on_lower, on_upper) in walked:
+                    p = aa * xp + ab * xq
+                    if p == 0:
                         continue
-                    d = cd * xq
-                    for row, k in on_side:
-                        pair = slice_value(a, b, p, q, c, d, k)
-                        cells = written.get(pair)
-                        if cells is None:
-                            cells = written[pair] = (ratio_str(*pair), ratio_float(*pair))
-                        values[row], floats[row] = cells
-            rows += zip(repeat(ratio_str(*x)), ys, values, floats)
+                    q = ad * xq
+                    for (ca, cb, cd), on_side in ((lower, on_lower), (upper, on_upper)):
+                        c = ca * xp + cb * xq
+                        if c == 0:
+                            continue
+                        d = cd * xq
+                        for row, k in on_side:
+                            pair = slice_value(a, b, p, q, c, d, k)
+                            cells = written.get(pair)
+                            if cells is None:
+                                common = gcd(*pair)
+                                top, bottom = pair[0] // common, pair[1] // common
+                                cells = (ratio_str(top, bottom), ratio_float(top, bottom))
+                                written[pair] = cells
+                            values[row], floats[row] = cells
+                rows += zip(repeat(ratio_str(*x)), ys, values, floats)
+            start = stop
         return rows
 
 
@@ -603,22 +613,27 @@ def verify_synthesis(
     ``plalg.grid_pairs``), only sets the report entries: per grid x the
     active stage n, the witnesses y_lo = point(2m) and y_hi = point(2m-1) of
     block n, and g(x), h(x).  f(x, .) is evaluated at both witnesses, and a
-    value that misses its envelope is a failure with its x and y.  The grid
-    is walked forward once, as it is: one ``first_containing`` pass gives
-    the active stages, one ``plalg.cell_lines`` walk over theta, g and h
-    covers the whole grid, and one walk per block over the xs where it is
-    the active stage gives its alpha, g_blk and h_blk there, so every cursor
-    passes its knots once however often the active stage changes.  g(x)
-    and h(x) are reduced for the row; theta, alpha and the sides go to
-    ``slice_value`` unreduced, which reduces its result once.  The bump index
-    m = floor(1/alpha(x)) is q // p on alpha's pair, reduced or not.  Block
-    n sits on Pow2OddSet(n - 1), so it owns both witnesses, with bump 1/m at
-    y_hi and -1/m at y_lo; with its unit 2^(n-1), taken once per block,
-    y_hi = unit * (4m - 3) and y_lo = unit * (4m - 1).  Each witness value is
-    ``slice_value``, as f computes it, and its pair is compared with the
-    envelope's.  Each entry is kept as the row (x, g(x), h(x), y_lo, y_hi),
-    with x, g(x) and h(x) as pairs, and a Fraction is built only for a
-    failure line.  The shift -theta is built once, for both envelopes.
+    value that misses its envelope is a failure with its x and y.
+
+    The grid is walked forward once, as it is, by runs: one
+    ``first_containing`` pass splits it into runs of one active stage, one
+    ``plalg.cell_lines`` walk over theta, g and h splits it into runs of one
+    cell, and one walk per block over the xs where it is the active stage
+    splits those into runs of one cell of its alpha, g_blk and h_blk, so
+    every cursor passes its knots once however often the active stage
+    changes.  Where the three kinds of run overlap, the six lines are bound
+    once, and each x of the overlap is evaluated on them.  g(x) and h(x) are
+    reduced for the row; theta, alpha and the sides go to ``slice_value``
+    unreduced.  The bump index m = floor(1/alpha(x)) is q // p on alpha's
+    pair, reduced or not.  Block n sits on Pow2OddSet(n - 1), so it owns
+    both witnesses, with bump 1/m at y_hi and -1/m at y_lo; with its unit
+    2^(n-1), taken once per stage run, y_hi = unit * (4m - 3) and
+    y_lo = unit * (4m - 1).  Each witness value is ``slice_value``, as f
+    computes it, and it is compared with its envelope by cross-multiplying,
+    with no gcd.  Each entry is kept as the row (x, g(x), h(x), y_lo, y_hi),
+    with x, g(x) and h(x) as pairs, and a value is reduced, and a Fraction
+    built, only for a failure line.  The shift -theta is built once, for
+    both envelopes.
     """
     pair = envelopes(family)
     minus_theta = pl_neg(f.theta)
@@ -644,38 +659,61 @@ def verify_synthesis(
     rows: list[SectionRow] = []
     stages = first_containing(f.stage_sets, grid)
     active: dict[int, list[Pair]] = {}
-    for x, i in zip(grid, stages):
-        active.setdefault(i, []).append(x)
+    start = 0
+    for stop, i in stages:
+        active.setdefault(i, []).extend(grid[start:stop])
+        start = stop
+    # Per block: its cell runs over the xs where it is active, the index of
+    # the next such x, the stop of its current run and that run's lines.
     walks = {}
     for i, xs in active.items():
         b = f.blocks[i]
-        walks[i] = cell_lines((b.alpha, b.g_blk, b.h_blk), xs), 1 << b.beta.support.power
-    for x, i, (theta, g, h) in zip(grid, stages, cell_lines((f.theta, pair.g, pair.h), grid)):
-        p, q = x
-        walk, unit = walks[i]
-        alpha, g_blk, h_blk = next(walk)
-        a_num = alpha[0] * p + alpha[1] * q
-        if a_num == 0:
-            failures.append(
-                f"x={rat_text(Fraction(*x))}: active block {i + 1} has vanished (alpha=0)"
-            )
-            continue
-        a_den = alpha[2] * q
-        m = bump_witness_index(a_num, a_den)
-        t_num, t_den = theta[0] * p + theta[1] * q, theta[2] * q
-        g_x, h_x = line_value(g, x), line_value(h, x)
+        walks[i] = [cell_lines((b.alpha, b.g_blk, b.h_blk), xs), 0, 0, None]
+    envelope_runs = cell_lines((f.theta, pair.g, pair.h), grid)
+    start = envelope_stop = 0
+    for stop, i in stages:
+        walk = walks[i]
+        block_runs, at, block_stop, lines = walk
+        shift = at - start  # grid index + shift = index among the block's xs
         # Block i sits on Pow2OddSet(i), so it owns both witnesses, with
         # bump 1/m at y_hi = point(2m - 1) and -1/m at y_lo = point(2m);
         # point(j) = unit * (2j - 1), and m >= 1.
-        y_hi = unit * (4 * m - 3)
-        y_lo = unit * (4 * m - 1)
-        for name, y, side, env in (("upper", y_hi, h_blk, h_x), ("lower", y_lo, g_blk, g_x)):
-            c, e, d = side
-            v = slice_value(t_num, t_den, a_num, a_den, c * p + e * q, d * q, m)
-            if v != env:
-                failures.append(
-                    f"x={rat_text(Fraction(*x))}: f(x, {int_str(y)})={rat_text(Fraction(*v))}"
-                    f" misses the {name} envelope {rat_text(Fraction(*env))}"
-                )
-        rows.append((x, g_x, h_x, y_lo, y_hi))
+        unit = 1 << i
+        while start < stop:
+            if start == envelope_stop:
+                envelope_stop, ((t1, t2, t3), g, h) = next(envelope_runs)
+            if start + shift == block_stop:
+                block_stop, lines = next(block_runs)
+            end = min(stop, envelope_stop, block_stop - shift)
+            (a1, a2, a3), (lc, le, ld), (uc, ue, ud) = lines
+            for x in grid[start:end]:
+                p, q = x
+                a_num = a1 * p + a2 * q
+                if a_num == 0:
+                    failures.append(
+                        f"x={rat_text(Fraction(*x))}: active block {i + 1} has vanished (alpha=0)"
+                    )
+                    continue
+                a_den = a3 * q
+                m = bump_witness_index(a_num, a_den)
+                t_num, t_den = t1 * p + t2 * q, t3 * q
+                g_x, h_x = line_value(g, x), line_value(h, x)
+                y_hi = unit * (4 * m - 3)
+                y_lo = unit * (4 * m - 1)
+                upper = slice_value(t_num, t_den, a_num, a_den, uc * p + ue * q, ud * q, m)
+                lower = slice_value(t_num, t_den, a_num, a_den, lc * p + le * q, ld * q, m)
+                # Denominators are positive, so a value equals its envelope
+                # iff the cross products do.
+                if upper[0] * h_x[1] != h_x[0] * upper[1] or lower[0] * g_x[1] != g_x[0] * lower[1]:
+                    witnesses = (("upper", y_hi, upper, h_x), ("lower", y_lo, lower, g_x))
+                    for name, y, v, env in witnesses:
+                        if v[0] * env[1] != env[0] * v[1]:
+                            failures.append(
+                                f"x={rat_text(Fraction(*x))}: f(x, {int_str(y)})="
+                                f"{rat_text(Fraction(*v))} misses the {name} envelope"
+                                f" {rat_text(Fraction(*env))}"
+                            )
+                rows.append((x, g_x, h_x, y_lo, y_hi))
+            start = end
+        walk[1:] = stop + shift, block_stop, lines
     return SectionReport(tuple(rows), tuple(failures))

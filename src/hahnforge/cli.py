@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Sequence
@@ -96,8 +97,10 @@ def _json_text(data, indent: str = "") -> str:
     """json.dumps(data, indent=2) with every int written through int_str:
     json writes an int with int.__repr__, which stops at Python's int-to-str
     limit, and a witness natural of a report can pass it.  A str, the bulk of
-    every output, is written inline with json's own C escaper; bools, None
-    and floats go through json.dumps."""
+    every output, is written inline with json's own C escaper, and so is a
+    list whose items are all strs, such as each [x, v] pair of
+    ``function.json``, with no call of its own; bools, None and floats go
+    through json.dumps."""
     if isinstance(data, str):
         return _quote(data)
     if isinstance(data, int) and not isinstance(data, bool):
@@ -112,7 +115,15 @@ def _json_text(data, indent: str = "") -> str:
         ]
         brackets = "{}"
     else:
-        items = [_quote(v) if isinstance(v, str) else _json_text(v, inner) for v in data]
+        head, sep, tail = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        items = []
+        for v in data:
+            if isinstance(v, str):
+                items.append(_quote(v))
+            elif isinstance(v, list) and v and all(map(isinstance, v, repeat(str))):
+                items.append(head + sep.join(map(_quote, v)) + tail)
+            else:
+                items.append(_json_text(v, inner))
         brackets = "[]"
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 

@@ -27,21 +27,22 @@ knots, no kernel reads a collinear knot, and ``==`` is pointwise equality.
 A grid is a list of non-decreasing xs in [0, 1], each a reduced pair
 (p, q) for x = p/q: ``uniform_grid`` builds one, and ``grid_pairs`` checks
 xs that arrive as Fractions once and turns them into one.
-``cell_lines(fs, grid)`` walks a grid for several functions at once: one
-cursor moves over the cells of their merged knots, compared with x in
-integers, and gives each x the line of every function on its cell; the
-caller evaluates (a*p + b*q, d*q) and reduces, with one gcd
-(``line_value``), only the pairs it prints or compares with ==.  No
+``cell_lines(fs, grid)`` walks a grid for several functions at once, by
+runs: one cursor moves over the cells of their merged knots, compared with
+x in integers, and each run of consecutive xs in one cell gets the line of
+every function there once; the caller evaluates (a*p + b*q, d*q) per x and
+reduces, with one gcd (``line_value``), only the pairs it prints.  No
 Fraction is built.  A point value ``f(x)`` is the single-point oracle: a
 bisection and the (slope, intercept) ``pieces`` derived from the lines.
 
 The integer form is the stored state.  A :class:`PLFunc`'s Fraction
 breakpoints and values, and a :class:`RatSet`'s Fraction intervals, are
-views built on first read and cached: equality, hashing, repr and every
-public read still see Fractions, and a value that no caller reads as
-Fractions builds none, even one built from Fractions.  ``to_json`` writes
-the reduced knot values (``knot_values``), and the RatSet operations read
-each component as a reduced (p0, q0, p1, q1) (``components``).
+views built on first read and cached: repr and every public read still
+see Fractions, equality and hashing read the integer form, and a value
+that no caller reads as Fractions builds none, even one built from
+Fractions.  ``to_json`` writes the reduced knot values (``knot_values``),
+and the RatSet operations read each component as a reduced
+(p0, q0, p1, q1) (``components``).
 
 Possibly discontinuous functions are :class:`PwFunc`: affine pieces on the
 open subintervals of a partition plus an explicit value at each partition
@@ -53,8 +54,8 @@ Finite unions of closed rational intervals (singletons included) are
 functions and as zero sets of distance functions, and ``subset`` decides
 containment between two of them with a witness point.  ``first_containing``
 is the one "who attains it" rule: over the equality sets {f_i = envelope},
-or over increasing stage sets, the least index whose set holds x, found for
-every x of a grid with one cursor per set.
+or over increasing stage sets, the least index whose set holds x, found
+once per run of a grid between component ends, with one cursor per set.
 """
 
 from __future__ import annotations
@@ -104,13 +105,21 @@ class PLFunc:
     Every constructor stores only the canonical ``line_form``: its knots
     checked in integers (``_canonical``) and consecutive equal lines merged,
     so the knots are 0, 1 and the slope changes, and equal functions have
-    equal forms.  The fields are the Fraction breakpoints and values, views
-    of the form built on first read and cached, which equality, hashing and
-    repr read: ``==`` is pointwise equality.
+    equal forms: ``==`` and ``hash`` read the form, and ``==`` is pointwise
+    equality.  The fields are the Fraction breakpoints and values, views of
+    the form built on first read and cached, which repr reads.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+
+    def __eq__(self, other: object):
+        if other.__class__ is PLFunc:
+            return self.line_form == other.line_form
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.line_form)
 
     def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
         """The function through (breakpoints[i], values[i]).
@@ -383,12 +392,20 @@ class RatSet:
     Singleton points are stored as degenerate intervals.  The stored form is
     normalized: sorted, with a strict gap between consecutive components.
     Every constructor stores only the ``components``, each [p0/q0, p1/q1]
-    as reduced (p0, q0, p1, q1), in order: the form every operation reads.
-    The field is the Fraction intervals, their view built on first read and
-    cached, which equality, hashing and repr read.
+    as reduced (p0, q0, p1, q1), in order: the form every operation reads,
+    and ``==`` and ``hash``.  The field is the Fraction intervals, their
+    view built on first read and cached, which repr reads.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
+
+    def __eq__(self, other: object):
+        if other.__class__ is RatSet:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.components)
 
     def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]) -> None:
         components: list[Component] = []
@@ -511,37 +528,45 @@ def grid_pairs(xs: Iterable[Fraction]) -> list[Knot]:
     return pairs
 
 
-def cell_lines(fs: Sequence[PLFunc], grid: Iterable[Knot]) -> Iterator[tuple[Line, ...]]:
-    """For each x = p/q of a grid (``uniform_grid``, ``grid_pairs``), the
-    line (a, b, d) of each of fs on the cell of their merged knots that holds
-    x, in one forward pass: each f(x) is (a*p + b*q) / (d*q), not reduced.
+def cell_lines(
+    fs: Sequence[PLFunc], grid: Sequence[Knot]
+) -> Iterator[tuple[int, tuple[Line, ...]]]:
+    """The runs of a grid (``uniform_grid``, ``grid_pairs``) over the cells
+    of the merged knots of fs, in one forward pass: (stop, lines) for each
+    maximal stretch grid[start:stop] of xs in one cell, the runs in order,
+    each starting where the last stopped.  lines holds the line (a, b, d) of
+    each of fs on that cell, so each f(x) of the run is (a*p + b*q) / (d*q)
+    at x = p/q, not reduced.
 
-    One cursor holds the cell, from the greatest merged knot at or below x
-    to the least one above it (x = 1 is in the last cell), and the same
-    tuple is yielded until an x reaches the cell's right end; then each
-    function's cursor moves past the knots at or below x, knots compared
-    with x in integers.  At a knot, the line that starts there gives the
-    stored value, as a PLFunc is continuous.
+    A cell runs from the greatest merged knot at or below x to the least one
+    above it, and x = 1 is in the last cell.  At the first x of a run, each
+    function's cursor moves past its knots at or below x, and the least knot
+    above x ends the cell; the run takes the xs below it, each compared with
+    it in integers.  At a knot, the line that starts there gives the stored
+    value, as a PLFunc is continuous.
     """
     forms = [f.line_form for f in fs]
     at = [0] * len(forms)
-    # The right end of the cell; (0, 1) puts the first x at or past it.
-    hp, hq = 0, 1
-    cell: tuple[Line, ...] = ()
-    for p, q in grid:
-        if p * hq >= hp * q:
-            hp = hq = 1
-            for j, (knots, _) in enumerate(forms):
-                i, last = at[j], len(knots) - 2
+    start, size = 0, len(grid)
+    while start < size:
+        p, q = grid[start]
+        # The right end of the cell; 2/1 when every cursor is on its last line.
+        hp, hq = 2, 1
+        for j, (knots, _) in enumerate(forms):
+            i, last = at[j], len(knots) - 2
+            while i < last:
                 kp, kq = knots[i + 1]
-                while i < last and p * kq >= kp * q:
-                    i += 1
-                    kp, kq = knots[i + 1]
-                at[j] = i
-                if kp * hq < hp * kq:
-                    hp, hq = kp, kq
-            cell = tuple([lines[i] for (_, lines), i in zip(forms, at)])
-        yield cell
+                if p * kq < kp * q:
+                    if kp * hq < hp * kq:
+                        hp, hq = kp, kq
+                    break
+                i += 1
+            at[j] = i
+        stop = start + 1
+        while stop < size and grid[stop][0] * hq < hp * grid[stop][1]:
+            stop += 1
+        yield stop, tuple([lines[i] for (_, lines), i in zip(forms, at)])
+        start = stop
 
 
 def line_value(line: Line, x: Knot) -> Pair:
@@ -553,23 +578,35 @@ def line_value(line: Line, x: Knot) -> Pair:
     return num // common, den // common
 
 
-def first_containing(sets: Sequence[RatSet], grid: Iterable[Knot]) -> list[int | None]:
-    """For each x = p/q of a grid (``uniform_grid``, ``grid_pairs``), the
-    least i with x in sets[i], or None if no set holds x.
+def first_containing(
+    sets: Sequence[RatSet], grid: Sequence[Knot]
+) -> list[tuple[int, int | None]]:
+    """The runs of a grid (``uniform_grid``, ``grid_pairs``) by the least
+    set that holds x: (stop, i) for each maximal stretch grid[start:stop]
+    of xs whose least i with x in sets[i] is i, or None if no set holds
+    them, the runs in order, each starting where the last stopped.
 
-    Each set keeps a cursor at its first component that does not end before
-    the last x that reached it, so every component is passed once over the
-    whole grid; ends are compared with x in integers.  Only live sets are
-    scanned: an empty set never is, and a set leaves the scan once its
-    cursor passes its last component, as no later x can be in it.
+    The answer changes only at the ends of components, so it is found once
+    per run, at its first x: each set keeps a cursor at its first component
+    that does not end before x, so every component is passed once over the
+    whole grid, with ends compared with x in integers.  Before the least
+    set holding x, each set's cursor component starts above x, and the run
+    stops below the least such start; the least set's component holds the
+    run up to its right end.  Only live sets are scanned: an empty set never
+    is, and a set leaves the scan once its cursor passes its last component,
+    as no later x can be in it.
     """
     comps = [s.components for s in sets]
     cursors = [0] * len(sets)
     live = [i for i, cs in enumerate(comps) if cs]
-    out: list[int | None] = []
-    for p, q in grid:
+    runs: list[tuple[int, int | None]] = []
+    start, size = 0, len(grid)
+    while start < size:
+        p, q = grid[start]
         found = None
         passed = False
+        # The run holds the xs below ep/eq, and the one equal to it if closed.
+        ep, eq, closed = 2, 1, False
         for i in live:
             cs = comps[i]
             j = cursors[i]
@@ -578,13 +615,30 @@ def first_containing(sets: Sequence[RatSet], grid: Iterable[Knot]) -> list[int |
             cursors[i] = j
             if j == len(cs):
                 passed = True
-            elif cs[j][0] * q <= p * cs[j][1]:
+                continue
+            lp, lq, rp, rq = cs[j]
+            if lp * q <= p * lq:
                 found = i
+                if rp * eq < ep * rq:
+                    ep, eq, closed = rp, rq, True
                 break
+            if lp * eq < ep * lq:
+                ep, eq = lp, lq
         if passed:
             live = [i for i in live if cursors[i] < len(comps[i])]
-        out.append(found)
-    return out
+        stop = start + 1
+        if closed:
+            while stop < size and grid[stop][0] * eq <= ep * grid[stop][1]:
+                stop += 1
+        else:
+            while stop < size and grid[stop][0] * eq < ep * grid[stop][1]:
+                stop += 1
+        if runs and runs[-1][1] == found:
+            runs[-1] = (stop, found)
+        else:
+            runs.append((stop, found))
+        start = stop
+    return runs
 
 
 def equality_set(f: PLFunc, g: PLFunc) -> RatSet:

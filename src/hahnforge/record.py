@@ -12,7 +12,8 @@ compiles no code, and the program needs neither ``dataclasses`` nor the
   A class that defines its own ``__init__`` sets each field with
   ``object.__setattr__`` and runs its own checks;
 * ``==`` compares the fields marked for comparison, only between instances
-  of the same class, and ``hash`` hashes the same tuple;
+  of the same class, and ``hash`` hashes the same tuple.  A class that
+  defines its own ``__eq__`` keeps it, and its own ``__hash__``;
 * ``repr`` is ``Name(field=value, ...)`` over all fields;
 * setting or deleting any attribute raises ``AttributeError``.
 
@@ -110,6 +111,8 @@ def record(cls: type) -> type:
 
     if "__init__" not in cls.__dict__:
         cls.__init__ = _init(names, defaults, getattr(cls, "__post_init__", None))
-    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+    cls.__repr__ = __repr__
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     return cls

@@ -16,8 +16,9 @@ are lattice envelopes of head + limit + the first one or two tail slices.
 The witness of g(x) (of h(x)) is the least candidate index, in the order head,
 n+1, n+2, inf, whose equality set with g (with h) holds x.  Both walkers take
 a grid as ``plalg.uniform_grid`` or ``plalg.grid_pairs`` returns it, reduced
-(p, q) pairs in [0, 1] that do not decrease, and walk it once as it is: one
-row of pairs per grid x, with no Fraction built.
+(p, q) pairs in [0, 1] that do not decrease, and walk it once as it is, by
+runs of xs that share the lines of g and h and both witnesses: one row of
+pairs per grid x, with no Fraction built.
 
 :func:`brute_sections` is the independent twin: it enumerates slices up to a
 cutoff M and certifies the truncation error |coeff(M+1)| * sup|shape|.
@@ -120,19 +121,32 @@ def _pair_from_candidates(
     candidates: Sequence[tuple[Witness, PLFunc]], grid: Sequence[Pair]
 ) -> SectionPair:
     """The envelopes of the candidates and their rows, from one walk of the
-    grid: one ``plalg.cell_lines`` pass gives the lines of g and h at each
-    x, whose values are reduced for the row, and each witness comes from
-    one ``first_containing`` pass per envelope."""
+    grid by runs: one ``plalg.cell_lines`` pass gives the lines of g and h
+    once per run of xs in one cell, whose values are reduced for each row,
+    and each witness comes from one ``first_containing`` pass per envelope,
+    once per run of xs with one least candidate."""
     labels, fs = zip(*candidates)
     g = pl_min(fs)
     h = pl_max(fs)
-    at_g = first_containing([equality_set(f, g) for f in fs], grid)
-    at_h = first_containing([equality_set(f, h) for f in fs], grid)
-    points = tuple(
-        (x, line_value(g_line, x), line_value(h_line, x), labels[i], labels[j])
-        for x, (g_line, h_line), i, j in zip(grid, cell_lines((g, h), grid), at_g, at_h)
-    )
-    return SectionPair(g, h, points)
+    cells = cell_lines((g, h), grid)
+    at_g = iter(first_containing([equality_set(f, g) for f in fs], grid))
+    at_h = iter(first_containing([equality_set(f, h) for f in fs], grid))
+    points: list[SectionRow] = []
+    start = cell_stop = g_stop = h_stop = 0
+    while start < len(grid):
+        if start == cell_stop:
+            cell_stop, (g_line, h_line) = next(cells)
+        if start == g_stop:
+            g_stop, i = next(at_g)
+        if start == h_stop:
+            h_stop, j = next(at_h)
+        end = min(cell_stop, g_stop, h_stop)
+        lo_w, hi_w = labels[i], labels[j]
+        points += [
+            (x, line_value(g_line, x), line_value(h_line, x), lo_w, hi_w) for x in grid[start:end]
+        ]
+        start = end
+    return SectionPair(g, h, tuple(points))
 
 
 def tail_sections(family: TailFamily, grid: Sequence[Pair]) -> SectionPair:

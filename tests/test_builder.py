@@ -8,7 +8,6 @@ import time
 from collections import Counter
 from itertools import accumulate
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 import pytest
@@ -141,9 +140,11 @@ class TestKernel:
 
     def test_slice_value_reduces_any_operands(self):
         # theta, alpha and the side scaled by random factors, with alpha and
-        # the side also 0: the pair is the call on the reduced operands, in
-        # lowest terms, and the value of the definition.
+        # the side also 0: the unreduced pair has a positive denominator and
+        # the value of the definition, whether the operands are reduced or
+        # not; a saturated value, phi = 1, is the same pair for every k.
         rng = random.Random(29)
+        saturated = 0
         for _ in range(3000):
             theta = random_value(rng, -3, 3, 40)
             alpha = rng.choice([Fraction(0), Fraction(1), random_value(rng, 0, 1, 40)])
@@ -151,11 +152,17 @@ class TestKernel:
             k = rng.randint(1, 200)
             reduced = [n for v in (theta, alpha, side) for n in (v.numerator, v.denominator)]
             pair = slice_value(*reduced, k)
-            assert pair[1] > 0 and gcd(*pair) == 1
-            assert Fraction(*pair) == theta + side * phi(alpha, Fraction(1, k))
+            expected = theta + side * phi(alpha, Fraction(1, k))
+            assert pair[1] > 0 and Fraction(*pair) == expected
             scales = [rng.choice([1, rng.randint(2, 10**6)]) for _ in range(3)]
             scaled = [n * s for n, s in zip(reduced, [s for s in scales for _ in range(2)])]
-            assert slice_value(*scaled, k) == pair, (theta, alpha, side, k, scales)
+            again = slice_value(*scaled, k)
+            assert again[1] > 0 and Fraction(*again) == expected, (theta, alpha, side, k, scales)
+            if alpha and side and phi(alpha, Fraction(1, k)) == 1:
+                saturated += 1
+                a, b, _, _, c, d = reduced
+                assert pair == (a * d + c * b, b * d)
+        assert saturated > 20
 
     def test_witness_index(self):
         assert bump_witness_index(1, 1) == 1
@@ -759,17 +766,23 @@ def fraction_report(
 class TestReportLoop:
     def test_matches_fraction_loop(self):
         # Every tampered function of SP1 and of 12 random families, on GRID33,
-        # on GRID33 with repeated xs, on the ends of the stage sets and on a
-        # bare x = 1: the same rows, the same failure lines and the same
-        # JSON, in the same order, whatever the runs of one active stage.
+        # on GRID33 with repeated xs, on the ends of the stage sets, on those
+        # ends with the inner knots of every alpha, and on a bare x = 1: the
+        # same rows, the same failure lines and the same JSON, in the same
+        # order, whatever the runs of one active stage or of one cell.  Some
+        # tampered functions fail at a stage-set end and some at a knot of
+        # an alpha, where a run of one stage or of one cell starts.
         rng = random.Random(0)
         families = [SP1] + [StableFamily(random_family(rng, 5)) for _ in range(12)]
-        checked = missed = vanished = 0
+        checked = missed = vanished = at_ends = at_knots = 0
         for fam in families:
             f = synthesize(fam)
             for label, tampered in [("untampered", f), *tampered_blocks(f)]:
                 ends = sorted({q for s in tampered.stage_sets for iv in s.intervals for q in iv})
-                for grid in (GRID33, REPEATED33, grid_pairs(ends + [Fraction(1)]), [(1, 1)]):
+                knots = {x for b in tampered.blocks for x in b.alpha.breakpoints[1:-1]}
+                boundary = grid_pairs(sorted(knots.union(ends)))
+                grids = (GRID33, REPEATED33, grid_pairs(ends + [Fraction(1)]), boundary, [(1, 1)])
+                for grid in grids:
                     report = verify_synthesis(tampered, fam, grid)
                     rows, failures, data = fraction_report(tampered, fam, grid)
                     assert report.rows == rows, label
@@ -777,16 +790,20 @@ class TestReportLoop:
                     assert report.to_json() == data, label
                     missed += any("misses" in m for m in report.failures)
                     vanished += any("vanished" in m for m in report.failures)
+                    failing = {Fraction(m[2 : m.index(":")]) for m in report.failures if m[:2] == "x="}
+                    at_ends += bool(failing.intersection(ends))
+                    at_knots += bool(failing & knots)
                     checked += 1
-        assert checked > 800 and missed > 0 and vanished > 0
+        assert checked > 1000 and missed > 0 and vanished > 0 and at_ends > 0 and at_knots > 0
 
     def test_each_walk_passes_the_grid_once(self, monkeypatch):
         # u1 = 0, u2 a sawtooth s with 64 sign changes and u3 = max(0, -s):
         # F_2 is {s >= 0}, so the active stage switches between 2 and 3 at
-        # each of them.  theta, g and h are walked once over the whole grid and each
-        # block once over the xs where it is active, so no cursor starts
-        # again from knot 0 at a run; the rows and failure lines are the
-        # pointwise loop's.
+        # each of them, 65 runs of one active stage.  theta, g and h are
+        # walked once over the whole grid and each block once over the xs
+        # where it is active, and each walk is read to its end, one run after
+        # another: no cursor starts again from knot 0 at a stage run.  The
+        # rows and failure lines are the pointwise loop's.
         s = X_MINUS_HALF
         for k in range(2, 8):
             s = pl_sum((pl_abs(s), PLFunc.constant(Fraction(-1, 2**k))))
@@ -794,19 +811,30 @@ class TestReportLoop:
         f = synthesize(fam)
         grid = uniform_grid(600)
         stages = first_containing(f.stage_sets, grid)
-        assert sum(a != b for a, b in zip(stages, stages[1:])) == 64
+        assert len(stages) == 65 and {i for _, i in stages} == {1, 2}
+        active: dict[int, list] = {}
+        start = 0
+        for stop, i in stages:
+            active.setdefault(i, []).extend(grid[start:stop])
+            start = stop
         walks = []
         walk = builder.cell_lines
 
         def counted(fs, xs):
-            walks.append((len(fs), len(xs)))
-            return walk(fs, xs)
+            stops: list[int] = []
+            walks.append((len(fs), xs, stops))
+            for stop, lines in walk(fs, xs):
+                stops.append(stop)
+                yield stop, lines
 
         monkeypatch.setattr(builder, "cell_lines", counted)
         report = verify_synthesis(f, fam, grid)
         monkeypatch.undo()
-        runs = [(3, n) for n in Counter(stages).values()]
-        assert sorted(walks) == sorted([(3, len(grid))] + runs)
+        assert sorted((n, xs) for n, xs, _ in walks) == sorted(
+            [(3, grid)] + [(3, xs) for xs in active.values()]
+        )
+        for _, xs, stops in walks:
+            assert stops == sorted(set(stops)) and stops[-1] == len(xs)
         rows, failures, _ = fraction_report(f, fam, grid)
         assert report.passed
         assert (report.rows, report.failures) == (rows, failures)
@@ -1000,7 +1028,7 @@ class TestSliceEvaluation:
             b = f.blocks[i]
             side = b.h_blk(x) if upper else b.g_blk(x)
             pair = slice_value(*as_pair(theta), *as_pair(b.alpha(x)), *as_pair(side), k)
-            assert pair == (v.numerator, v.denominator)
+            assert pair[1] > 0 and Fraction(*pair) == v
 
     def test_tampered_upper_block_reports_oracle_failures(self):
         # Block 2 of SP1 with h_blk raised by 1/8: the grid oracle finds the

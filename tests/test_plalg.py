@@ -54,6 +54,7 @@ from hahnforge.specdsl import MAX_GRID
 
 X = PLFunc.affine(1, 0)
 ZERO_F = PLFunc.constant(0)
+ONE_F = PLFunc.constant(1)
 X_MINUS_HALF = PLFunc.affine(1, "-1/2")
 
 
@@ -472,6 +473,20 @@ def sample(f: PLFunc | PwFunc, grid: Iterable[Knot]) -> Iterator[Pair]:
             yield v.numerator, v.denominator
 
 
+def run_answers(runs: Sequence[tuple[int, object]], size: int) -> list:
+    """The answer of each x of a grid of size points, read off the runs
+    (stop, answer) of first_containing, after checking that the runs
+    partition the grid in order and are maximal: each starts where the last
+    stopped, the last stops at size, and neighbouring runs differ."""
+    out: list = []
+    for stop, answer in runs:
+        assert stop > len(out)
+        out += [answer] * (stop - len(out))
+    assert len(out) == size
+    assert all(a != b for (_, a), (_, b) in zip(runs, runs[1:]))
+    return out
+
+
 class TestForwardPasses:
     @BATCH
     @given(functions_and_points())
@@ -548,18 +563,22 @@ class TestForwardPasses:
     @BATCH
     @given(ratsets_and_points())
     def test_first_containing_matches_definition(self, case):
+        # The runs partition the grid and are maximal, and each x of a run
+        # has its answer: the least set that holds x, by brute membership.
         sets, xs = case
         expected = [next((i for i, s in enumerate(sets) if x in s), None) for x in xs]
-        assert first_containing(sets, grid_pairs(xs)) == expected
+        assert run_answers(first_containing(sets, grid_pairs(xs)), len(xs)) == expected
 
     def test_first_containing_matches_membership_oracle(self):
         # Up to 33 sets, most of them empty as among tail_sections' equality
-        # sets, with single points and components whose ends touch across
-        # sets, at repeated xs with 0 and 1: the least set that holds x, by
-        # brute membership.
+        # sets, with one-point components and components whose ends touch
+        # across sets, at every component end, at random and repeated xs
+        # and at 0 and 1: maximal runs that partition the grid, each x's
+        # the least set that holds it, by brute membership.
         rng = random.Random(51)
         ends = [Fraction(k, 8) for k in range(9)]
         points = [Fraction(k, 16) for k in range(17)]
+        singletons = 0
         for _ in range(400):
             sets = []
             for _ in range(rng.randint(0, 33)):
@@ -570,28 +589,44 @@ class TestForwardPasses:
                         hi = lo if rng.random() < 0.4 else rng.choice(ends)
                         comps.append((min(lo, hi), max(lo, hi)))
                 sets.append(RatSet.of(comps))
-            xs = sorted(rng.choices(points, k=rng.randint(0, 40)) + [Fraction(0), Fraction(1)] * 2)
+            bounds = [q for s in sets for iv in s.intervals for q in iv]
+            singletons += sum(lo == hi for s in sets for lo, hi in s.intervals)
+            xs = rng.choices(points, k=rng.randint(0, 40)) + bounds
+            xs = sorted(xs + [Fraction(0), Fraction(1)] * 2)
             expected = [next((i for i, s in enumerate(sets) if x in s), None) for x in xs]
-            assert first_containing(sets, grid_pairs(xs)) == expected
+            assert run_answers(first_containing(sets, grid_pairs(xs)), len(xs)) == expected
+        assert singletons > 100
 
     @staticmethod
     def assert_cell_lines_are_point_values(fs: Sequence[PLFunc], xs: list[Fraction]) -> None:
-        """Each line cell_lines gives at x is one of its function's lines,
-        and its value at x, unreduced and as line_value reduces it, is the
-        function's point value and the pair the one-function pass sample
-        gives there."""
+        """The runs cell_lines gives partition the grid in order and are
+        maximal: each starts where the last stopped, the last stops at the
+        end, the xs of a run lie in one cell of the merged knots of fs, and
+        neighbouring runs lie in different cells.  Each line a run gives is
+        one of its function's lines, and its value at each x of the run,
+        unreduced and as line_value reduces it, is the function's point
+        value and the pair the one-function pass sample gives there."""
         grid = grid_pairs(xs)
-        cells = list(cell_lines(fs, grid))
-        assert len(cells) == len(xs)
+        runs = list(cell_lines(fs, grid))
+        merged = sorted({Fraction(0), Fraction(1), *(x for f in fs for x in f.breakpoints)})
+        # The cell that holds x, from the greatest knot at or below it; x = 1 is in the last.
+        cells = [min(bisect_right(merged, x), len(merged) - 1) - 1 for x in xs]
         passes = [list(sample(f, grid)) for f in fs]
-        for k, (x, (p, q), cell) in enumerate(zip(xs, grid, cells)):
-            assert len(cell) == len(fs)
-            for f, line, pairs in zip(fs, cell, passes):
-                a, b, d = line
-                v = f(x)
-                assert line in f.line_form[1], (x, line)
-                assert Fraction(a * p + b * q, d * q) == v, x
-                assert line_value(line, (p, q)) == pairs[k] == (v.numerator, v.denominator), x
+        start = 0
+        for stop, lines in runs:
+            assert start < stop and len(lines) == len(fs)
+            assert len(set(cells[start:stop])) == 1, (start, stop)
+            for k in range(start, stop):
+                x, (p, q) = xs[k], grid[k]
+                for f, line, pairs in zip(fs, lines, passes):
+                    a, b, d = line
+                    v = f(x)
+                    assert line in f.line_form[1], (x, line)
+                    assert Fraction(a * p + b * q, d * q) == v, x
+                    assert line_value(line, (p, q)) == pairs[k] == (v.numerator, v.denominator), x
+            start = stop
+        assert start == len(xs)
+        assert all(cells[stop - 1] != cells[stop] for stop, _ in runs[:-1])
 
     def test_cell_lines_match_point_evaluation(self):
         # Random families with a constant and an envelope of two members (so
@@ -1170,11 +1205,13 @@ class TestIntegerForm:
             ]
             for r in (*kernel_results(fs), *built):
                 assert set(vars(r)) == {"line_form"}
-                # Kernels, exports and checks that read the form build no view.
+                # Kernels, exports, checks, == and hash read the form and build no view.
                 pl_sum((r, fs[0]))
                 equality_set(r, fs[0])
                 r.to_json()
                 value_bounds(r)
+                assert r == PLFunc.from_form(*r.line_form) and r != pl_sum((r, ONE_F))
+                assert hash(r) == hash(PLFunc.from_form(*r.line_form))
                 assert not {"breakpoints", "values"} & set(vars(r))
                 r.breakpoints
                 assert "breakpoints" in vars(r) and "values" not in vars(r)
@@ -1189,6 +1226,8 @@ class TestIntegerForm:
                 first_containing([s], uniform_grid(8))
                 s.is_empty
                 Fraction(1, 3) in s
+                assert s == s.intersect(FULL_SET) and hash(s) == hash(s.intersect(FULL_SET))
+                assert (s == FULL_SET) == (s.components == ((0, 1, 1, 1),))
                 assert "intervals" not in vars(s)
                 assert s.intervals is s.intervals and "intervals" in vars(s)
 

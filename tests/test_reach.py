@@ -73,6 +73,8 @@ NEVER_ENTERED: dict[str, str] = {
     "builder.stage_sets_of": SPANS,
     "pairs.StableFamily.__len__": ACCEPTANCE,
     "plalg.PLFunc.__call__": ORACLE,
+    "plalg.PLFunc.__eq__": RECORD,
+    "plalg.PLFunc.__hash__": RECORD,
     "plalg.PLFunc.affine": README,
     "plalg.PLFunc.breakpoints": VIEW,
     "plalg.PLFunc.from_json": ITEM_1,
@@ -84,6 +86,8 @@ NEVER_ENTERED: dict[str, str] = {
     "plalg.PwFunc.line_form": ITEM_2,
     "plalg.PwFunc.value": ORACLE,
     "plalg.RatSet.__contains__": ORACLE,
+    "plalg.RatSet.__eq__": RECORD,
+    "plalg.RatSet.__hash__": RECORD,
     "plalg.RatSet.intervals": VIEW,
     "plalg.RatSet.of": SPANS,
     "plalg.RatSet.union": SPANS,

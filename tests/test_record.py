@@ -25,6 +25,7 @@ from hahnforge import alphat, builder, pairs, plalg, sections, spaces, specdsl, 
 from hahnforge.builder import synthesize
 from hahnforge.pairs import StableFamily, envelopes
 from hahnforge.plalg import PLFunc, RatSet
+from hahnforge.record import record
 from hahnforge.spaces import OrdinalCNF, Pow2OddSet
 from hahnforge.specdsl import Lit, MaxE, MinE, Ref, Scale, Sum, TailSpec, Var
 from hahnforge.tailrules import TailRule
@@ -436,13 +437,21 @@ class TestAgainstTwin:
             assert repr(rec) == repr(tw)
 
     def test_eq_and_hash(self, cls):
+        # PLFunc and RatSet define their own __eq__ and __hash__, on their
+        # integer form, which record keeps as a dataclass would: == agrees
+        # with the twin's, and equal records hash alike.
         samples = SAMPLES[cls]
+        own = cls.__eq__.__qualname__ == f"{cls.__name__}.__eq__"
+        assert own == (cls in (PLFunc, RatSet))
         for a, b in itertools.product(samples, repeat=2):
             (ra, ta), (rb, tb) = built(cls, a), built(cls, b)
             assert (ra == rb, ra != rb) == (ta == tb, ta != tb)
+            if own and ra == rb:
+                assert hash(ra) == hash(rb)
         for args in samples:
             rec, tw = built(cls, args)
-            assert outcome(lambda: hash(rec)) == outcome(lambda: hash(tw))
+            if not own:
+                assert outcome(lambda: hash(rec)) == outcome(lambda: hash(tw))
             assert rec != args and args != rec and rec != tw and rec.__eq__(args) is NotImplemented
         assert cls(*samples[0]) != cls(*samples[1]) or cls is specdsl.Var
 
@@ -485,6 +494,33 @@ def test_spec_end_is_not_compared():
     b = specdsl.SpecAST((("u1", Var()),), end=(4, 1))
     assert a == b and hash(a) == hash(b) and repr(a) != repr(b)
     assert specdsl.parse_spec("u1 = x\n") == specdsl.parse_spec("\n\nu1 = x")
+
+
+def test_own_eq_and_hash_are_kept():
+    # A class that defines __eq__ and __hash__ keeps both, as it does under
+    # dataclass(frozen=True); repr and refused assignment still come from
+    # the decorator.
+    def keyed(decorate):
+        class Keyed:
+            key: int
+            label: str
+
+            def __eq__(self, other: object):
+                if other.__class__ is self.__class__:
+                    return self.key == other.key
+                return NotImplemented
+
+            def __hash__(self) -> int:
+                return hash(self.key)
+
+        return decorate(Keyed)
+
+    for cls in (keyed(record), keyed(dataclass(frozen=True))):
+        a, b = cls(1, "a"), cls(1, "b")
+        assert a == b and hash(a) == hash(b) == hash(1) and a != cls(2, "a")
+        assert repr(a).endswith("Keyed(key=1, label='a')")
+        with pytest.raises(AttributeError):
+            a.key = 2
 
 
 def test_types_never_compare_equal():

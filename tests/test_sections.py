@@ -269,22 +269,33 @@ class TestStructure:
         assert rows[0][0] == "0/1"
 
     def test_points_evaluated_once(self, monkeypatch):
-        # tail_sections builds the rows in its one walk: the walker gives the
-        # lines of g and h at each grid point, two evaluations per point, and
-        # sections --out, which writes both to_json and rows, walks nothing
-        # more.
-        calls = []
-        walk = sections.cell_lines
+        # tail_sections builds the rows in its one walk: the walker is called
+        # once, for g and h over the whole grid, and read to its end, one run
+        # after another, so its cursor passes the grid once; the witnesses
+        # come from one first_containing pass per envelope.  sections --out,
+        # which writes both to_json and rows, walks nothing more.
+        walks = []
+        passes = []
+        walk, first = sections.cell_lines, sections.first_containing
 
         def counted(fs, xs):
-            for cell in walk(fs, xs):
-                calls.extend(cell)
-                yield cell
+            stops: list[int] = []
+            walks.append((len(fs), xs, stops))
+            for stop, lines in walk(fs, xs):
+                stops.append(stop)
+                yield stop, lines
+
+        def counted_first(sets, xs):
+            passes.append(xs)
+            return first(sets, xs)
 
         monkeypatch.setattr(sections, "cell_lines", counted)
+        monkeypatch.setattr(sections, "first_containing", counted_first)
         pair = tail_sections(CANONICAL, GRID)
-        assert len(calls) == 2 * len(GRID)
+        ((n, xs, stops),) = walks
+        assert (n, xs, passes) == (2, GRID, [GRID, GRID])
+        assert stops == sorted(set(stops)) and stops[-1] == len(GRID)
         data, rows = pair.to_json(), pair.rows()
-        assert len(calls) == 2 * len(GRID)
+        assert len(walks) == 1 and len(passes) == 2
         assert [r[:3] for r in rows] == [(e["x"], e["g"], e["h"]) for e in data["grid"]]
         assert [r[0] for r in pair.points] == GRID
