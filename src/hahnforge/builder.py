@@ -58,8 +58,8 @@ the kernel to it.  A single x is the one-point grid (``f.at``), one run:
 the kernel's pair as a Fraction, and sections and continuity certificates
 walk every block once per x.  The CSV export walks theta and the blocks its
 y can reach (``BlockProductFunc.walk``), and the report walks the runs of
-one active stage (``first_containing``), theta and the envelopes over the
-whole grid, and each block over the xs where it is the active stage.
+one active stage (``first_containing``) and, once over the whole grid,
+theta, the envelopes and each block that is active somewhere on it.
 Neither builds a Fraction per grid point: the CSV export plans its ys once
 per call, by block and side, fills each side of a block with alpha > 0 from
 the kernel's integer pairs, and writes each distinct pair once per x; the
@@ -616,24 +616,24 @@ def verify_synthesis(
     value that misses its envelope is a failure with its x and y.
 
     The grid is walked forward once, as it is, by runs: one
-    ``first_containing`` pass splits it into runs of one active stage, one
-    ``plalg.cell_lines`` walk over theta, g and h splits it into runs of one
-    cell, and one walk per block over the xs where it is the active stage
-    splits those into runs of one cell of its alpha, g_blk and h_blk, so
-    every cursor passes its knots once however often the active stage
-    changes.  Where the three kinds of run overlap, the six lines are bound
-    once, and each x of the overlap is evaluated on them.  g(x) and h(x) are
-    reduced for the row; theta, alpha and the sides go to ``slice_value``
-    unreduced.  The bump index m = floor(1/alpha(x)) is q // p on alpha's
-    pair, reduced or not.  Block n sits on Pow2OddSet(n - 1), so it owns
-    both witnesses, with bump 1/m at y_hi and -1/m at y_lo; with its unit
-    2^(n-1), taken once per stage run, y_hi = unit * (4m - 3) and
-    y_lo = unit * (4m - 1).  Each witness value is ``slice_value``, as f
-    computes it, and it is compared with its envelope by cross-multiplying,
-    with no gcd.  Each entry is kept as the row (x, g(x), h(x), y_lo, y_hi),
-    with x, g(x) and h(x) as pairs, and a value is reduced, and a Fraction
-    built, only for a failure line.  The shift -theta is built once, for
-    both envelopes.
+    ``first_containing`` pass splits it into runs of one active stage, and
+    one ``plalg.cell_lines`` walk splits it into runs of one cell of theta,
+    g, h and the alpha, g_blk and h_blk of each block that is active
+    somewhere on the grid, in block order, so every cursor passes its knots
+    once however often the active stage changes.  Where a stage run and a
+    cell run overlap, the six lines are bound once, the active block's three
+    from its fixed offset in the cell, and each x of the overlap is
+    evaluated on them.  g(x) and h(x) are reduced for the row; theta, alpha
+    and the sides go to ``slice_value`` unreduced.  The bump index
+    m = floor(1/alpha(x)) is q // p on alpha's pair, reduced or not.  Block
+    n sits on Pow2OddSet(n - 1), so it owns both witnesses, with bump 1/m at
+    y_hi and -1/m at y_lo; with its unit 2^(n-1), taken once per stage run,
+    y_hi = unit * (4m - 3) and y_lo = unit * (4m - 1).  Each witness value
+    is ``slice_value``, as f computes it, and it is compared with its
+    envelope by cross-multiplying, with no gcd.  Each entry is kept as the
+    row (x, g(x), h(x), y_lo, y_hi), with x, g(x) and h(x) as pairs, and a
+    value is reduced, and a Fraction built, only for a failure line.  The
+    shift -theta is built once, for both envelopes.
     """
     pair = envelopes(family)
     minus_theta = pl_neg(f.theta)
@@ -658,34 +658,28 @@ def verify_synthesis(
             )
     rows: list[SectionRow] = []
     stages = first_containing(f.stage_sets, grid)
-    active: dict[int, list[Pair]] = {}
-    start = 0
-    for stop, i in stages:
-        active.setdefault(i, []).extend(grid[start:stop])
-        start = stop
-    # Per block: its cell runs over the xs where it is active, the index of
-    # the next such x, the stop of its current run and that run's lines.
-    walks = {}
-    for i, xs in active.items():
+    # Block i's alpha, g_blk and h_blk are lines offset[i] to offset[i] + 2
+    # of each cell.
+    walked = sorted({i for _, i in stages})
+    offset = {i: 3 * k for k, i in enumerate(walked, start=1)}
+    fs = [f.theta, pair.g, pair.h]
+    for i in walked:
         b = f.blocks[i]
-        walks[i] = [cell_lines((b.alpha, b.g_blk, b.h_blk), xs), 0, 0, None]
-    envelope_runs = cell_lines((f.theta, pair.g, pair.h), grid)
-    start = envelope_stop = 0
+        fs += b.alpha, b.g_blk, b.h_blk
+    runs = cell_lines(fs, grid)
+    start = cell_stop = 0
     for stop, i in stages:
-        walk = walks[i]
-        block_runs, at, block_stop, lines = walk
-        shift = at - start  # grid index + shift = index among the block's xs
+        at = offset[i]
         # Block i sits on Pow2OddSet(i), so it owns both witnesses, with
         # bump 1/m at y_hi = point(2m - 1) and -1/m at y_lo = point(2m);
         # point(j) = unit * (2j - 1), and m >= 1.
         unit = 1 << i
         while start < stop:
-            if start == envelope_stop:
-                envelope_stop, ((t1, t2, t3), g, h) = next(envelope_runs)
-            if start + shift == block_stop:
-                block_stop, lines = next(block_runs)
-            end = min(stop, envelope_stop, block_stop - shift)
-            (a1, a2, a3), (lc, le, ld), (uc, ue, ud) = lines
+            if start == cell_stop:
+                cell_stop, lines = next(runs)
+            end = min(stop, cell_stop)
+            (t1, t2, t3), g, h = lines[:3]
+            (a1, a2, a3), (lc, le, ld), (uc, ue, ud) = lines[at : at + 3]
             for x in grid[start:end]:
                 p, q = x
                 a_num = a1 * p + a2 * q
@@ -715,5 +709,4 @@ def verify_synthesis(
                             )
                 rows.append((x, g_x, h_x, y_lo, y_hi))
             start = end
-        walk[1:] = stop + shift, block_stop, lines
     return SectionReport(tuple(rows), tuple(failures))

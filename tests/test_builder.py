@@ -799,11 +799,11 @@ class TestReportLoop:
     def test_each_walk_passes_the_grid_once(self, monkeypatch):
         # u1 = 0, u2 a sawtooth s with 64 sign changes and u3 = max(0, -s):
         # F_2 is {s >= 0}, so the active stage switches between 2 and 3 at
-        # each of them, 65 runs of one active stage.  theta, g and h are
-        # walked once over the whole grid and each block once over the xs
-        # where it is active, and each walk is read to its end, one run after
-        # another: no cursor starts again from knot 0 at a stage run.  The
-        # rows and failure lines are the pointwise loop's.
+        # each of them, 65 runs of one active stage.  One walk passes the
+        # whole grid over theta, g, h and the alpha, g_blk and h_blk of
+        # blocks 2 and 3, the only blocks active there, and is read to its
+        # end, one run after another: no cursor starts again from knot 0 at a
+        # stage run.  The rows and failure lines are the pointwise loop's.
         s = X_MINUS_HALF
         for k in range(2, 8):
             s = pl_sum((pl_abs(s), PLFunc.constant(Fraction(-1, 2**k))))
@@ -812,32 +812,73 @@ class TestReportLoop:
         grid = uniform_grid(600)
         stages = first_containing(f.stage_sets, grid)
         assert len(stages) == 65 and {i for _, i in stages} == {1, 2}
-        active: dict[int, list] = {}
-        start = 0
-        for stop, i in stages:
-            active.setdefault(i, []).extend(grid[start:stop])
-            start = stop
-        walks = []
-        walk = builder.cell_lines
+        report, walks = spied_report(monkeypatch, f, fam, grid)
+        ((fs, xs, stops),) = walks
+        assert (fs, xs) == (walked_lines(f, fam, [1, 2]), grid) and len(fs) == 9
+        assert stops == sorted(set(stops)) and stops[-1] == len(grid)
+        rows, failures, _ = fraction_report(f, fam, grid)
+        assert report.passed
+        assert (report.rows, report.failures) == (rows, failures)
 
-        def counted(fs, xs):
-            stops: list[int] = []
-            walks.append((len(fs), xs, stops))
+    def test_walks_only_the_active_blocks(self, monkeypatch):
+        # u1 = 0 and u_k = 1/512 - |S + (9 - k)/1024| for k = 2..16, S the
+        # 7-level nested sawtooth: at grid 10000 (and 600) the active stage
+        # runs over blocks 9-13 and 16 in 641 (337) runs, and the one walk
+        # carries theta, g, h and those six blocks' 18 functions in block
+        # order, no other block's; at grid 600 the rows and failure lines
+        # are the pointwise loop's.  On the empty grid the walk carries
+        # theta, g and h alone.
+        s = X_MINUS_HALF
+        for k in range(1, 8):
+            s = pl_sum((pl_abs(s), PLFunc.constant(Fraction(-1, 2 ** (k + 1)))))
+        top = PLFunc.constant(Fraction(1, 512))
+        dips = [pl_abs(pl_sum((s, PLFunc.constant(Fraction(9 - k, 1024))))) for k in range(2, 17)]
+        fam = StableFamily((ZERO_F, *(pl_sum((top, pl_neg(d))) for d in dips)))
+        f = synthesize(fam)
+        active = [8, 9, 10, 11, 12, 15]
+        for grid, runs in ((uniform_grid(10000), 641), (uniform_grid(600), 337)):
+            stages = first_containing(f.stage_sets, grid)
+            assert len(stages) == runs and sorted({i for _, i in stages}) == active
+            report, walks = spied_report(monkeypatch, f, fam, grid)
+            ((fs, xs, stops),) = walks
+            assert (fs, xs) == (walked_lines(f, fam, active), grid) and len(fs) == 21
+            assert stops == sorted(set(stops)) and stops[-1] == len(grid)
+            assert report.passed
+        rows, failures, _ = fraction_report(f, fam, grid)
+        assert (report.rows, report.failures) == (rows, failures)
+        report, walks = spied_report(monkeypatch, f, fam, [])
+        assert walks == [(walked_lines(f, fam, []), [], [])] and report.rows == ()
+
+
+def walked_lines(f: BlockProductFunc, family: StableFamily, active: list[int]) -> list[PLFunc]:
+    """theta, g and h, then alpha, g_blk and h_blk of each listed block."""
+    pair = envelopes(family)
+    blocks = [f.blocks[i] for i in active]
+    return [f.theta, pair.g, pair.h] + [u for b in blocks for u in (b.alpha, b.g_blk, b.h_blk)]
+
+
+def spied_report(monkeypatch, f: BlockProductFunc, family: StableFamily, grid):
+    """verify_synthesis(f, family, grid) and its builder.cell_lines calls,
+    each as (fs, xs, stops) with the stops of the runs read from it; a call
+    is recorded when it is made, read or not."""
+    walks = []
+    walk = builder.cell_lines
+
+    def counted(fs, xs):
+        stops: list[int] = []
+        walks.append((list(fs), xs, stops))
+
+        def read():
             for stop, lines in walk(fs, xs):
                 stops.append(stop)
                 yield stop, lines
 
-        monkeypatch.setattr(builder, "cell_lines", counted)
-        report = verify_synthesis(f, fam, grid)
-        monkeypatch.undo()
-        assert sorted((n, xs) for n, xs, _ in walks) == sorted(
-            [(3, grid)] + [(3, xs) for xs in active.values()]
-        )
-        for _, xs, stops in walks:
-            assert stops == sorted(set(stops)) and stops[-1] == len(xs)
-        rows, failures, _ = fraction_report(f, fam, grid)
-        assert report.passed
-        assert (report.rows, report.failures) == (rows, failures)
+        return read()
+
+    monkeypatch.setattr(builder, "cell_lines", counted)
+    report = verify_synthesis(f, family, grid)
+    monkeypatch.undo()
+    return report, walks
 
 
 class SliceCase(NamedTuple):
